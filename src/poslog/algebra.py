@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping
 from .errors import (BudgetExceeded, DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS,
                      InputError, check_enum_budget)
 from .order import (FinPoset, MonotoneMap, cotensor2, diagonal_section,
-                    discrete, poset_isomorphism)
+                    poset_isomorphism)
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,6 @@ class FinBoolAlg:
     def carrier(self, max_enum: int = DEFAULT_MAX_ENUM) -> list:
         check_enum_budget(self.size(), max_enum, "boolean algebra carrier")
         return _powerset_in_mask_order(self.atoms)
-
-    def is_element(self, a: frozenset) -> bool:
-        return a <= self.top
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,7 @@ def boolean_as_lattice(b: FinBoolAlg) -> FinDistLattice:
     Element encodings coincide: a subset of atoms is an upset of the
     discrete spectrum.
     """
-    return FinDistLattice(spectrum=discrete(b.atoms))
+    return FinDistLattice(spectrum=FinPoset.discrete(b.atoms))
 
 
 @dataclass(frozen=True)
@@ -299,11 +296,6 @@ def nbhd_to_free(xs: tuple, family: frozenset,
             term &= img if g in a else fb.neg(img)
         result |= term
     return result
-
-
-def free_to_nbhd(xs: tuple, element: frozenset) -> frozenset:
-    """Inverse translation: the set of true-sets of the valuations in it."""
-    return frozenset(element)
 
 
 def kernel_K(a: FinDistLattice, max_enum: int = DEFAULT_MAX_ENUM) -> tuple:

@@ -339,7 +339,10 @@ def parse_functor(text: str) -> SetFunctor:
             parts = entry.split(":")
             if len(parts) != 3:
                 raise InputError(f"bad signature entry {entry!r}")
-            name, arity, csize = parts[0], int(parts[1]), int(parts[2])
+            try:
+                name, arity, csize = parts[0], int(parts[1]), int(parts[2])
+            except ValueError as exc:
+                raise InputError(f"bad signature entry {entry!r}") from exc
             sig.append((name, arity, tuple(f"{name}.{i}" for i in range(csize))))
         return poly_functor(sig)
     raise InputError(f"unknown functor {text!r}")
@@ -366,24 +369,25 @@ def lift_relation_generic(t: SetFunctor, x: FinPoset,
     diagonal is a common section of the projections.  When materialising
     the functor on the pair set would exceed the budget, the functor's
     closed-form step relation is used instead (it computes the same set of
-    pairs); with neither available the call is refused.
+    pairs); with neither available the call is refused.  The route is
+    chosen before the carrier is enumerated.
     """
     check_enum_budget(t.size_estimate(len(x)), max_enum,
                       f"{t.name} on the carrier")
-    carrier = t.on_obj(x.elements)
     xsq, p0, p1 = cotensor2(x)
     if t.size_estimate(len(xsq)) <= max_enum:
+        carrier = t.on_obj(x.elements)
         welems = t.on_obj(xsq.elements)
         f0 = t.on_mor(p0.as_dict(), xsq.elements, x.elements)
         f1 = t.on_mor(p1.as_dict(), xsq.elements, x.elements)
         idx = {e: k for k, e in enumerate(carrier)}
         rel = frozenset((idx[f0(c)], idx[f1(c)]) for c in welems)
         return Preorder(carrier, rel)
-    if t.step_relation is not None:
-        r = t.step_relation(x, max_enum)
-        if r.carrier != carrier:
-            raise AssertionError(f"{t.name}: closed-form lifting disagrees on carrier")
-        return r
-    raise BudgetExceeded(
-        f"{t.name} on {len(xsq)} comparable pairs exceeds the budget "
-        f"and no closed-form lifting is available")
+    if t.step_relation is None:
+        raise BudgetExceeded(
+            f"{t.name} on {len(xsq)} comparable pairs exceeds the budget "
+            f"and no closed-form lifting is available")
+    r = t.step_relation(x, max_enum)
+    if r.carrier != t.on_obj(x.elements):
+        raise AssertionError(f"{t.name}: closed-form lifting disagrees on carrier")
+    return r

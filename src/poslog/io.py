@@ -16,6 +16,14 @@ from .order import FinPoset
 from .semantics import Coalgebra
 
 
+def _labels(values: list, what: str) -> list:
+    """Labels must be JSON scalars: lists and objects cannot be hashed."""
+    for v in values:
+        if isinstance(v, (list, dict)):
+            raise InputError(f"{what} must be strings or numbers, not {v!r}")
+    return values
+
+
 def load_poset(data: Any) -> FinPoset:
     if not isinstance(data, dict) or "elements" not in data:
         raise InputError("poset JSON needs an 'elements' list")
@@ -26,6 +34,7 @@ def load_poset(data: Any) -> FinPoset:
     if not isinstance(pairs, list) or \
             any(not isinstance(p, list) or len(p) != 2 for p in pairs):
         raise InputError("'leq' must be a list of [a, b] pairs")
+    _labels(elements + [v for p in pairs for v in p], "poset labels")
     return FinPoset.from_pairs(elements, [tuple(p) for p in pairs],
                                complete=True)
 
@@ -49,7 +58,7 @@ def load_lattice(data: Any):
         atoms = data.get("atoms")
         if not isinstance(atoms, list):
             raise InputError("'ba' lattice JSON needs an 'atoms' list")
-        return FinBoolAlg(atoms=tuple(atoms))
+        return FinBoolAlg(atoms=tuple(_labels(atoms, "atoms")))
     raise InputError(f"unknown lattice type {kind!r}")
 
 
@@ -63,7 +72,7 @@ def load_coalgebra(data: Any) -> Coalgebra:
         raise InputError("coalgebra JSON needs 'carrier' and 'structure'")
     carrier = data["carrier"]
     if isinstance(carrier, list):
-        poset = FinPoset.discrete(carrier)
+        poset = FinPoset.discrete(_labels(carrier, "carrier states"))
     else:
         poset = load_poset(carrier)
     structure = data["structure"]
@@ -83,7 +92,7 @@ def load_valuation(data: Any) -> dict:
     for name, states in data.items():
         if not isinstance(states, list):
             raise InputError(f"valuation of {name!r} must be a list")
-        out[name] = frozenset(states)
+        out[name] = frozenset(_labels(states, f"states of {name!r}"))
     return out
 
 

@@ -140,10 +140,6 @@ def is_upset(x: FinPoset, s: Iterable) -> bool:
     return up_closure(x, s) == s
 
 
-def discrete(labels: Iterable) -> FinPoset:
-    return FinPoset.discrete(labels)
-
-
 @dataclass(frozen=True)
 class MonotoneMap:
     """A monotone function between finite posets, stored by source index."""
@@ -203,9 +199,6 @@ class Preorder:
         for i, j in self.rel:
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError("relation index out of range")
-
-    def holds(self, a, b) -> bool:
-        return (self.carrier.index(a), self.carrier.index(b)) in self.rel
 
     def is_transitive(self) -> bool:
         succ = _successor_sets(self)

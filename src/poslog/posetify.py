@@ -105,23 +105,11 @@ def posetify_powerset(x: FinPoset,
 
 # ------------------------------------------------- monotone neighbourhood
 
-def mnb_family_leq(x: FinPoset, fam_a: frozenset, fam_b: frozenset) -> bool:
-    """Comparison of up-closed families over a poset: every member of the
-    first refines upward to one of the second, every member of the second
-    refines downward to one of the first.  This is the already-transitive
-    form of the lifted order."""
-    return (
-        all(any(up_closure(x, b) <= up_closure(x, a) for b in fam_b)
-            for a in fam_a)
-        and
-        all(any(down_closure(x, a) <= down_closure(x, b) for a in fam_a)
-            for b in fam_b)
-    )
-
-
 def posetify_mnb(x: FinPoset,
                  max_enum: int = DEFAULT_MAX_ENUM) -> Posetification:
-    """Closed form for up-closed families via the direct comparison.
+    """Closed form for up-closed families via the direct comparison: every
+    member of the first family refines upward to one of the second, every
+    member of the second refines downward to one of the first.
 
     No transitive closure step: the comparison formula is transitive as
     given (asserted).  Class representatives are by least index; the
@@ -224,8 +212,12 @@ def cross_check(t: SetFunctor, x: FinPoset,
     Because both projections are surjective, an isomorphism commuting with
     them is unique if it exists: send the class of ``v`` on one side to the
     class of ``v`` on the other.  We verify that this assignment is well
-    defined, bijective, and an order isomorphism.
+    defined, bijective, and an order isomorphism.  The comparison is
+    quadratic in the carrier, so its budget is checked before either route
+    runs.
     """
+    check_enum_budget(t.size_estimate(len(x)) ** 2, max_enum,
+                      f"{t.name} cross-check comparison")
     gen = posetify_generic(t, x, max_enum)
     clo = closed_form(t, x, max_enum)
     phi: dict = {}

@@ -234,18 +234,6 @@ def closed_form_fu(a: FinDistLattice,
     return boolean_as_lattice(free_ba(gens, max_generators))
 
 
-DUNN_AXIOMS = (
-    "box-preserves-meet",
-    "box-preserves-top",
-    "diamond-preserves-join",
-    "diamond-preserves-bottom",
-    "box-meet-diamond-below-diamond-meet",
-    "box-join-below-box-or-diamond",
-    "box-monotone",
-    "diamond-monotone",
-)
-
-
 @dataclass(frozen=True)
 class DunnReport:
     ok: bool

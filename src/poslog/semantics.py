@@ -44,14 +44,6 @@ class Formula:
     def depth(self) -> int:
         return (1 + max(a.depth for a in self.args)) if self.args else 0
 
-    def variables(self) -> frozenset:
-        if self.op == "var":
-            return frozenset([self.name])
-        out = frozenset()
-        for a in self.args:
-            out |= a.variables()
-        return out
-
 
 def var(name: str) -> Formula:
     return Formula("var", name=name)
@@ -296,15 +288,8 @@ class DeltaPrime:
         return self.table[member]
 
 
-def delta_prime(t, l, delta_factory, x: FinPoset,
-                max_enum: int = DEFAULT_MAX_ENUM,
-                pos: Posetification = None,
-                lifted: Positivication = None) -> DeltaPrime:
-    if pos is None:
-        from .posetify import closed_form
-        pos = closed_form(t, x, max_enum)
-    if lifted is None:
-        lifted = positivize(l, up_algebra(x), max_enum)
+def delta_prime(t, delta_factory, x: FinPoset, pos: Posetification,
+                lifted: Positivication) -> DeltaPrime:
     dp = delta_factory(x.elements)
     if tuple(lifted.ambient.atoms) != tuple(t.on_obj(x.elements)):
         raise AssertionError("ambient algebra does not match the component domain")
@@ -384,8 +369,7 @@ def _positive_context(carrier: FinPoset, max_enum: int):
     pos = _pow_lifting(carrier, max_enum)
     lifted = positivize(semantic_l(pow_functor(), max_enum),
                         up_algebra(carrier), max_enum)
-    dprime = delta_prime(pow_functor(), None, delta_pow, carrier,
-                         max_enum, pos=pos, lifted=lifted)
+    dprime = delta_prime(pow_functor(), delta_pow, carrier, pos, lifted)
     return pos, lifted, dprime
 
 

@@ -18,7 +18,7 @@ from .errors import DEFAULT_MAX_ENUM
 from .functors import (lift_relation_generic, mnb_functor, multiset_functor,
                        nb_functor, poly_functor, pow_functor, powerset)
 from .order import (FinPoset, Preorder, connected_components, cotensor2,
-                    diagonal_section, discrete, enumerate_posets,
+                    diagonal_section, enumerate_posets, is_upset,
                     poset_isomorphism, poset_quotient, transitive_closure,
                     up_closure)
 from .posetify import (convex_closure, cross_check, egli_milner_leq,
@@ -33,6 +33,7 @@ LABELS = ("a", "b", "c", "d")
 
 @lru_cache(maxsize=None)
 def small_posets(max_size: int) -> tuple:
+    """Every poset on the first ``n`` of ``LABELS``, for each ``n <= max_size``."""
     out = []
     for n in range(max_size + 1):
         out.extend(enumerate_posets(LABELS[:n]))
@@ -41,6 +42,7 @@ def small_posets(max_size: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def iso_representatives(max_size: int) -> tuple:
+    """The first of ``small_posets(max_size)`` of each isomorphism type."""
     reps: list = []
     for p in small_posets(max_size):
         if not any(len(q) == len(p) and poset_isomorphism(p, q) for q in reps):
@@ -204,7 +206,7 @@ def check_nbhd_iso(max_enum=DEFAULT_MAX_ENUM):
     for src_n in (1, 2):
         for dst_n in (1, 2):
             xs, ys = LABELS[:src_n], LABELS[:dst_n]
-            for f in _all_functions(xs, ys):
+            for f in all_functions(xs, ys):
                 act = nb.on_mor(f, xs, ys)
                 hom = alg.free_ba_map(xs, ys, f)
                 for fam in nb.on_obj(xs):
@@ -213,11 +215,12 @@ def check_nbhd_iso(max_enum=DEFAULT_MAX_ENUM):
     return True, "bijective and natural on sets of size <= 2"
 
 
-def _all_functions(xs: tuple, ys: tuple) -> list:
+def all_functions(xs: tuple, ys: tuple) -> list:
+    """Every function from ``xs`` to ``ys``, as dicts."""
     if not xs:
         return [{}]
     out = []
-    rest = _all_functions(xs[1:], ys)
+    rest = all_functions(xs[1:], ys)
     for y in ys:
         for f in rest:
             g = dict(f)
@@ -362,6 +365,10 @@ def check_powerset_closed_form(max_enum=DEFAULT_MAX_ENUM):
         return False, "convex subsets of the 3-chain are wrong"
     if pos.e[frozenset("pr")] != frozenset("pqr"):
         return False, "convex closure of the gap set is wrong"
+    for c in pos.result.elements:
+        for d in pos.result.elements:
+            if pos.result.leq(c, d) != egli_milner_leq(chain3, c, d):
+                return False, "order on the convex sets is not the lifted order"
     for n in range(1, 5):
         chain = FinPoset.chain(LABELS[:n])
         for s in powerset(chain.elements):
@@ -380,7 +387,8 @@ def check_analytic_antisymmetry(max_enum=DEFAULT_MAX_ENUM):
             if not r.is_antisymmetric():
                 return False, f"{t.name} lifting not antisymmetric on {p.elements}"
             pos = posetify_generic(t, p, max_enum)
-            if len(pos.result) != len(r.carrier):
+            if len(pos.result) != len(r.carrier) or \
+                    any(k != v for k, v in pos.e.items()):
                 return False, f"{t.name} quotient is not the identity on {p.elements}"
     return True, "lifted relations antisymmetric; quotient trivial"
 
@@ -420,7 +428,7 @@ def check_discrete_identity(max_enum=DEFAULT_MAX_ENUM):
     functors = list(_oracle_functors()) + [nb_functor()]
     for t in functors:
         for n in range(4):
-            p = discrete(LABELS[:n])
+            p = FinPoset.discrete(LABELS[:n])
             pos = posetify_generic(t, p, max_enum)
             if pos.result.covers():
                 return False, f"{t.name} on a discrete set is not discrete"
@@ -460,8 +468,9 @@ def check_dunn_closed_form(max_enum=DEFAULT_MAX_ENUM):
         want = closed_form_dunn(a, max_enum)
         if alg.lattice_isomorphic(got, want) is None:
             return False, f"lifted lattice differs on spectrum {p.elements}"
-    size = positivize(l, three_chain_lattice(), max_enum).result.size(max_enum)
-    if size != 8:
+    three = positivize(l, three_chain_lattice(), max_enum)
+    size = three.result.size(max_enum)
+    if size != 8 or len(three.members) != 8:
         return False, f"lifting of the 3-element chain has {size} elements, not 8"
     return True, "inserter matches the convex closed form on spectra <= 3"
 
@@ -482,9 +491,13 @@ def check_fu_closed_form(max_enum=DEFAULT_MAX_ENUM):
         want = closed_form_fu(a, max_enum)
         if alg.lattice_isomorphic(got, want) is None:
             return False, f"free-modality lifting differs on spectrum {p.elements}"
-    size = positivize(l, three_chain_lattice(), max_enum).result.size(max_enum)
-    if size != 16:
+    a = three_chain_lattice()
+    three = positivize(l, a, max_enum)
+    size = three.result.size(max_enum)
+    if size != 16 or len(three.members) != 16:
         return False, f"lifting of the 3-element chain has {size} elements, not 16"
+    if alg.lattice_isomorphic(three.result, closed_form_fu(a, max_enum)) is None:
+        return False, "free-modality lifting differs on the 3-element chain"
     return True, "inserter matches the kernel closed form on spectra <= 2"
 
 
@@ -554,27 +567,23 @@ def check_delta_prime_injective(max_enum=DEFAULT_MAX_ENUM):
     return True, "injective at all posets <= 3 (saturation asserted throughout)"
 
 
-def _monotone_coalgebras(p: FinPoset, pos, limit: int = 64) -> list:
-    convex = pos.result.elements
+def monotone_coalgebras(p: FinPoset, convex, limit: int | None = None) -> list:
+    """The coalgebras on ``p`` with successor sets drawn from ``convex``
+    that are monotone for the pairwise-bounds order, in depth-first order;
+    only the first ``limit`` of them when a limit is given."""
     out = []
 
     def extend(i: int, chosen: dict):
-        if len(out) >= limit:
+        if limit is not None and len(out) >= limit:
             return
         if i == len(p.elements):
             out.append(sem.Coalgebra.of(p, dict(chosen)))
             return
         x = p.elements[i]
         for c in convex:
-            ok = True
-            for y, cy in chosen.items():
-                if p.leq(y, x) and not egli_milner_leq(p, cy, c):
-                    ok = False
-                elif p.leq(x, y) and not egli_milner_leq(p, c, cy):
-                    ok = False
-                if not ok:
-                    break
-            if ok:
+            if all((not p.leq(y, x) or egli_milner_leq(p, cy, c)) and
+                   (not p.leq(x, y) or egli_milner_leq(p, c, cy))
+                   for y, cy in chosen.items()):
                 chosen[x] = c
                 extend(i + 1, chosen)
                 del chosen[x]
@@ -588,7 +597,9 @@ def _upsets(p: FinPoset) -> list:
             if up_closure(p, u) == u]
 
 
-def _linear_formulas(depth: int, variables: tuple) -> list:
+def linear_formulas(depth: int, variables: tuple) -> list:
+    """Formulas built from the atoms by stacking one modality or one binary
+    connective with an atom per layer, up to ``depth`` layers."""
     atoms = [sem.var(v) for v in variables] + [sem.TOP, sem.BOT]
     level = list(atoms)
     out = list(atoms)
@@ -605,6 +616,18 @@ def _linear_formulas(depth: int, variables: tuple) -> list:
     return out
 
 
+def _coherence_formulas() -> list:
+    """Linear formulas to depth 3, the deepest layer thinned to every
+    seventh entry, plus four formulas outside the linear family."""
+    v = sem.var("v")
+    return [f for k, f in enumerate(linear_formulas(3, ("v",)))
+            if f.depth < 3 or k % 7 == 0] + [
+        sem.box(sem.dia(sem.box(v))),
+        sem.dia(sem.conj(v, sem.dia(v))),
+        sem.conj(sem.disj(v, sem.TOP), sem.box(v)),
+        sem.conj(sem.disj(v, sem.BOT), sem.box(sem.dia(v)))]
+
+
 def check_semantics_coherence(max_enum=DEFAULT_MAX_ENUM):
     # modal predicates agree for every upset, independently of any coalgebra
     for p in small_posets(3):
@@ -616,33 +639,34 @@ def check_semantics_coherence(max_enum=DEFAULT_MAX_ENUM):
                 return False, f"diamond predicates differ at {p.elements}, {u}"
             if dprime.apply(lifted.box_of(u)) != box_direct:
                 return False, f"box predicates differ at {p.elements}, {u}"
-    # end-to-end on sampled coalgebras and a structured formula family
-    formulas = _linear_formulas(2, ("v",))
-    deep = [sem.box(sem.dia(sem.box(sem.var("v")))),
-            sem.dia(sem.conj(sem.var("v"), sem.dia(sem.var("v")))),
-            sem.conj(sem.disj(sem.var("v"), sem.TOP), sem.box(sem.var("v")))]
-    formulas = formulas + deep
+    # end to end: every monotone coalgebra and every upset valuation over
+    # the posets <= 2, a sample of both over the 3-element posets
+    formulas = _coherence_formulas()
     for p in iso_representatives(3):
-        if len(p) == 0:
-            continue
-        pos = sem._pow_lifting(p, max_enum)
-        for c in _monotone_coalgebras(p, pos, limit=6):
-            for u in _upsets(p)[:4]:
+        convex = sem._pow_lifting(p, max_enum).result.elements
+        if len(p) < 3:
+            models, upsets = monotone_coalgebras(p, convex), _upsets(p)
+        else:
+            models, upsets = monotone_coalgebras(p, convex, 6), _upsets(p)[:4]
+        for c in models:
+            for u in upsets:
                 val = {"v": u}
                 for f in formulas:
                     direct = sem.interpret_positive(c, val, f, "direct", max_enum)
                     ref = sem.interpret_positive(c, val, f, "delta", max_enum)
                     if direct != ref:
                         return False, f"routes differ on {p.elements}: {f}"
+                    if not is_upset(p, direct):
+                        return False, f"not an upset on {p.elements}: {f}"
     return True, "direct and reference semantics agree on all posets <= 3"
 
 
 def check_discrete_agreement(max_enum=DEFAULT_MAX_ENUM):
-    formulas = _linear_formulas(2, ("v",))
+    formulas = linear_formulas(2, ("v",))
     for n in (1, 2):
-        p = discrete(LABELS[:n])
+        p = FinPoset.discrete(LABELS[:n])
         subsets = list(powerset(p.elements))
-        structures = _all_functions(p.elements, tuple(subsets))
+        structures = all_functions(p.elements, tuple(subsets))
         for st in structures:
             c = sem.Coalgebra.of(p, st)
             for u in subsets:

@@ -36,6 +36,7 @@ class TestJson:
         {"elements": ["a"], "leq": [["a", "z"]]},
         {"elements": ["a", "b"], "leq": [["a", "b"], ["b", "a"]]},
         {"elements": ["a", "a"]},
+        {"elements": [[1], [2]]},
     ])
     def test_malformed_posets(self, bad):
         with pytest.raises(InputError):
@@ -49,6 +50,8 @@ class TestJson:
         assert ba.size() == 4
         with pytest.raises(InputError):
             load_lattice({"type": "frame"})
+        with pytest.raises(InputError):
+            load_lattice({"type": "ba", "atoms": [["x"], "y"]})
 
     def test_coalgebra_and_valuation(self):
         c = load_coalgebra({"carrier": ["x", "y"],
@@ -58,6 +61,10 @@ class TestJson:
         assert v == {"p": frozenset(["x"])}
         with pytest.raises(InputError):
             load_coalgebra({"carrier": ["x"], "structure": {"x": ["zz"]}})
+        with pytest.raises(InputError):
+            load_coalgebra({"carrier": [["x"]], "structure": {}})
+        with pytest.raises(InputError):
+            load_valuation({"p": [["x"]]})
 
 
 class TestDot:
@@ -83,6 +90,8 @@ def files(tmp_path_factory):
     (d / "chain4.json").write_text(json.dumps(
         {"elements": ["a", "b", "c", "d"],
          "leq": [["a", "b"], ["b", "c"], ["c", "d"]]}))
+    (d / "antichain4.json").write_text(json.dumps(
+        {"elements": ["a", "b", "c", "d"]}))
     (d / "threechain.json").write_text(json.dumps(
         {"type": "dl", "spectrum": {"elements": ["p", "q"],
                                     "leq": [["p", "q"]]}}))
@@ -113,6 +122,10 @@ class TestCli:
         r = run_cli("posetify", "--functor", "nb",
                     "--poset", str(files / "chain4.json"),
                     "--method", "generic")
+        assert r.returncode == 2
+        assert "budget" in r.stderr
+        r = run_cli("posetify", "--functor", "nb",
+                    "--poset", str(files / "antichain4.json"), "--method", "both")
         assert r.returncode == 2
         assert "budget" in r.stderr
 

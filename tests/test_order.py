@@ -6,9 +6,8 @@ from poslog.errors import InputError
 from poslog.functors import lift_relation_generic, pow_functor
 from poslog.order import (FinPoset, MonotoneMap, Preorder,
                           connected_components, cotensor2, diagonal_section,
-                          discrete, down_closure, enumerate_posets,
-                          poset_isomorphism, poset_quotient,
-                          transitive_closure, up_closure)
+                          down_closure, enumerate_posets, poset_isomorphism,
+                          poset_quotient, transitive_closure, up_closure)
 
 
 def chain(*labels):
@@ -128,7 +127,7 @@ class TestQuotient:
 
 class TestCotensor:
     def test_discrete_two_set(self):
-        p = discrete(("a", "b"))
+        p = FinPoset.discrete(("a", "b"))
         xsq, _, _ = cotensor2(p)
         assert set(xsq.elements) == {("a", "a"), ("b", "b")}
         assert not xsq.covers()
@@ -156,7 +155,7 @@ class TestCotensor:
 
 class TestComponents:
     def test_examples(self):
-        assert len(connected_components(discrete(("a", "b", "c")))[0]) == 3
+        assert len(connected_components(FinPoset.discrete(("a", "b", "c")))[0]) == 3
         assert len(connected_components(chain("a", "b", "c"))[0]) == 1
         p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")], complete=True)
         comps, comp_of = connected_components(p)

@@ -1,27 +1,23 @@
 """Order liftings: generic engine, closed forms, and their agreement."""
 
+import dataclasses
+
 import pytest
 
 from poslog.errors import BudgetExceeded
 from poslog.functors import (lift_relation_generic, mnb_functor,
                              multiset_functor, nb_functor, poly_functor,
                              pow_functor, powerset)
-from poslog.order import (FinPoset, connected_components, cotensor2, discrete,
-                          enumerate_posets, transitive_closure)
+from poslog.order import (FinPoset, connected_components, cotensor2,
+                          transitive_closure)
 from poslog.posetify import (convex_closure, cross_check, egli_milner_leq,
                              posetify_generic, posetify_mnb, posetify_nb,
                              posetify_powerset)
+from poslog.verify import small_posets
 
 
 def chain(*labels):
     return FinPoset.chain(labels)
-
-
-def posets_up_to(n):
-    out = []
-    for k in range(n + 1):
-        out.extend(enumerate_posets(("a", "b", "c")[:k]))
-    return out
 
 
 class TestGeneric:
@@ -40,7 +36,7 @@ class TestGeneric:
     def test_discrete_inputs_stay_discrete(self):
         for t in (pow_functor(), mnb_functor(), nb_functor(),
                   multiset_functor(3)):
-            pos = posetify_generic(t, discrete(("a", "b")))
+            pos = posetify_generic(t, FinPoset.discrete(("a", "b")))
             pos.validate()
             assert not pos.result.covers()
             assert len(pos.result) == len(pos.e)  # projection bijective
@@ -67,7 +63,7 @@ class TestPowersetClosedForm:
         assert pos.e[frozenset("pr")] == frozenset("pqr")  # gap closes
 
     def test_discrete_keeps_all_subsets(self):
-        pos = posetify_powerset(discrete(("a", "b", "c")))
+        pos = posetify_powerset(FinPoset.discrete(("a", "b", "c")))
         assert len(pos.result) == 8 and not pos.result.covers()
 
     def test_convex_closure_laws_on_chains(self):
@@ -79,7 +75,7 @@ class TestPowersetClosedForm:
                 assert egli_milner_leq(c, s, cc) and egli_milner_leq(c, cc, s)
 
     def test_relation_already_transitive(self):
-        for p in posets_up_to(3):
+        for p in small_posets(3):
             r = lift_relation_generic(pow_functor(), p)
             assert transitive_closure(r).rel == r.rel
 
@@ -89,7 +85,7 @@ class TestAnalytic:
                                    poly_functor([("f", 2, ("k",))])],
                              ids=lambda t: t.name)
     def test_antisymmetric_and_no_quotient(self, t):
-        for p in posets_up_to(3):
+        for p in small_posets(3):
             r = lift_relation_generic(t, p)
             assert r.is_antisymmetric()
             pos = posetify_generic(t, p)
@@ -98,7 +94,7 @@ class TestAnalytic:
 
 class TestMnb:
     def test_discrete_two_set_has_six_families(self):
-        pos = posetify_mnb(discrete(("a", "b")))
+        pos = posetify_mnb(FinPoset.discrete(("a", "b")))
         assert len(pos.result) == 6 and not pos.result.covers()
 
     def test_two_chain_strict_example(self):
@@ -111,7 +107,7 @@ class TestMnb:
         assert cross_check(mnb_functor(), chain("p", "q")).ok
 
     def test_comparison_equals_closure_of_lifting(self):
-        for p in posets_up_to(3):
+        for p in small_posets(3):
             direct = posetify_mnb(p).witness
             generic = transitive_closure(lift_relation_generic(mnb_functor(), p))
             assert direct.carrier == generic.carrier
@@ -129,7 +125,7 @@ class TestNb:
         assert len(pos.result) == 4 and not pos.result.covers()
 
     def test_discrete_two_set_keeps_sixteen(self):
-        pos = posetify_nb(discrete(("a", "b")))
+        pos = posetify_nb(FinPoset.discrete(("a", "b")))
         assert len(pos.result) == 16
 
     def test_chain_plus_point_has_two_components(self):
@@ -138,7 +134,7 @@ class TestNb:
         assert len(pos.result) == 16
 
     def test_size_is_two_to_two_to_components(self):
-        for p in posets_up_to(3):
+        for p in small_posets(3):
             comps, _ = connected_components(p)
             assert len(posetify_nb(p).result) == 1 << (1 << len(comps))
 
@@ -149,12 +145,12 @@ class TestCrossCheck:
                                    mnb_functor()],
                              ids=lambda t: t.name)
     def test_all_small_posets(self, t):
-        for p in posets_up_to(3):
+        for p in small_posets(3):
             r = cross_check(t, p)
             assert r.ok, f"{t.name} on {p.elements}: {r.detail}"
 
     def test_nb_small_order_graphs(self):
-        for p in posets_up_to(3):
+        for p in small_posets(3):
             if len(cotensor2(p)[0]) > 3:
                 continue
             r = cross_check(nb_functor(), p)
@@ -163,3 +159,13 @@ class TestCrossCheck:
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceeded):
             posetify_generic(nb_functor(), chain("a", "b", "c", "d"))
+
+    def test_budget_checked_before_the_carrier_is_enumerated(self):
+        def refuse(s):
+            raise AssertionError("carrier enumerated before the budget check")
+
+        nb = dataclasses.replace(nb_functor(), on_obj=refuse)
+        with pytest.raises(BudgetExceeded):
+            cross_check(nb, FinPoset.discrete(("a", "b", "c", "d")))
+        with pytest.raises(BudgetExceeded):
+            lift_relation_generic(nb, chain("a", "b", "c", "d"))

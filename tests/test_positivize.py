@@ -6,10 +6,11 @@ from poslog.algebra import (FinBoolAlg, LatticeHom, boolean_as_lattice,
                             lattice_identity, lattice_isomorphic, up_algebra)
 from poslog.errors import BudgetExceeded
 from poslog.functors import mnb_functor, pow_functor
-from poslog.order import FinPoset, MonotoneMap, discrete, enumerate_posets
+from poslog.order import FinPoset, MonotoneMap
 from poslog.positivize import (beta, closed_form_dunn, closed_form_fu,
                                dunn_axiom_check, free_l, positivize,
                                positivize_mor, semantic_l)
+from poslog.verify import small_posets
 
 
 def chain(*labels):
@@ -21,14 +22,7 @@ def three_chain():
 
 
 def two_lattice():
-    return up_algebra(discrete(("s",)))
-
-
-def small_spectra(n):
-    out = []
-    for k in range(n + 1):
-        out.extend(enumerate_posets(("a", "b", "c")[:k]))
-    return out
+    return up_algebra(FinPoset.discrete(("s",)))
 
 
 class TestSemanticFunctor:
@@ -69,7 +63,7 @@ class TestPositivize:
 
     def test_dunn_matches_closed_form_on_small_spectra(self):
         l = semantic_l(pow_functor())
-        for sp in small_spectra(3):
+        for sp in small_posets(3):
             a = up_algebra(sp)
             p = positivize(l, a)
             assert lattice_isomorphic(p.result, closed_form_dunn(a)) is not None
@@ -81,7 +75,7 @@ class TestPositivize:
 
     def test_free_matches_closed_form_on_small_spectra(self):
         l = free_l()
-        for sp in small_spectra(2):
+        for sp in small_posets(2):
             a = up_algebra(sp)
             p = positivize(l, a)
             assert lattice_isomorphic(p.result, closed_form_fu(a)) is not None
@@ -109,7 +103,7 @@ class TestPositivize:
     def test_free_budget_refusal_on_large_spectrum(self):
         # a 4-point spectrum gives a 16-element envelope carrier: too many
         # generators for the free syntax functor at the default budget
-        a = up_algebra(discrete(("a", "b", "c", "d")))
+        a = up_algebra(FinPoset.discrete(("a", "b", "c", "d")))
         with pytest.raises(BudgetExceeded):
             positivize(free_l(), a)
 

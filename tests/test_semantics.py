@@ -4,13 +4,13 @@ import pytest
 
 from poslog.errors import InputError
 from poslog.functors import powerset
-from poslog.order import FinPoset, discrete, enumerate_posets, up_closure
-from poslog.posetify import egli_milner_leq
+from poslog.order import FinPoset, enumerate_posets, up_closure
 from poslog.semantics import (BOT, TOP, Coalgebra, box, conj, delta_pow,
                               delta_pow_injective, delta_prime_injective,
                               dia, disj, interpret_boolean,
                               interpret_positive, neg, parse_formula, var,
                               _positive_context)
+from poslog.verify import monotone_coalgebras, small_posets
 
 
 def chain(*labels):
@@ -44,11 +44,11 @@ class TestFormulas:
 class TestCoalgebra:
     def test_total_structure_required(self):
         with pytest.raises(InputError):
-            Coalgebra.of(discrete(("x", "y")), {"x": ["y"]})
+            Coalgebra.of(FinPoset.discrete(("x", "y")), {"x": ["y"]})
 
     def test_successors_must_stay_inside(self):
         with pytest.raises(InputError):
-            Coalgebra.of(discrete(("x",)), {"x": ["z"]})
+            Coalgebra.of(FinPoset.discrete(("x",)), {"x": ["z"]})
 
     def test_non_monotone_rejected_by_positive_interpretation(self):
         c = Coalgebra.of(chain("x", "y"), {"x": ["y"], "y": []})
@@ -118,7 +118,7 @@ class TestDeltaPrime:
 
 class TestBooleanInterpretation:
     def setup_method(self):
-        self.c = Coalgebra.of(discrete(("x", "y")), {"x": ["y"], "y": []})
+        self.c = Coalgebra.of(FinPoset.discrete(("x", "y")), {"x": ["y"], "y": []})
         self.v = {"p": ["y"]}
 
     def test_constants(self):
@@ -167,42 +167,18 @@ class TestPositiveInterpretation:
             assert up_closure(self.c.carrier, got) == got
 
 
-def monotone_coalgebras(p, convex, limit=10):
-    out = []
-
-    def extend(i, chosen):
-        if len(out) >= limit:
-            return
-        if i == len(p.elements):
-            out.append(Coalgebra.of(p, dict(chosen)))
-            return
-        x = p.elements[i]
-        for c in convex:
-            if all((not p.leq(y, x) or egli_milner_leq(p, cy, c)) and
-                   (not p.leq(x, y) or egli_milner_leq(p, c, cy))
-                   for y, cy in chosen.items()):
-                chosen[x] = c
-                extend(i + 1, chosen)
-                del chosen[x]
-
-    extend(0, {})
-    return out
-
-
 class TestCoherence:
     def test_modal_predicates_agree_for_every_upset(self):
         # gamma-independent form of route agreement: the predicate computed
         # by the lifted component equals the direct clause on every upset
-        for n in range(4):
-            for p in enumerate_posets(("a", "b", "c")[:n]):
-                pos, lifted, dprime = _positive_context(p, 1 << 20)
-                upsets = [u for u in powerset(p.elements)
-                          if up_closure(p, u) == u]
-                for u in upsets:
-                    dia_direct = frozenset(c for c in pos.result.elements if c & u)
-                    box_direct = frozenset(c for c in pos.result.elements if c <= u)
-                    assert dprime.apply(lifted.diamond_of(u)) == dia_direct
-                    assert dprime.apply(lifted.box_of(u)) == box_direct
+        for p in small_posets(3):
+            pos, lifted, dprime = _positive_context(p, 1 << 20)
+            upsets = [u for u in powerset(p.elements) if up_closure(p, u) == u]
+            for u in upsets:
+                dia_direct = frozenset(c for c in pos.result.elements if c & u)
+                box_direct = frozenset(c for c in pos.result.elements if c <= u)
+                assert dprime.apply(lifted.diamond_of(u)) == dia_direct
+                assert dprime.apply(lifted.box_of(u)) == box_direct
 
     def test_formula_level_agreement_on_sampled_models(self):
         p = chain("x", "y", "z")
@@ -221,7 +197,7 @@ class TestCoherence:
 
 class TestDiscreteAgreement:
     def test_boolean_equals_positive_on_discrete(self):
-        p = discrete(("x", "y"))
+        p = FinPoset.discrete(("x", "y"))
         subsets = list(powerset(p.elements))
         formulas = [var("p"), dia(var("p")), box(var("p")),
                     conj(dia(TOP), var("p")), disj(box(BOT), var("p")),
