@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import (BudgetExceeded, DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS,
                      InputError, check_enum_budget)
+from .functors import powerset
 from .order import (FinPoset, MonotoneMap, cotensor2, diagonal_section,
                     poset_isomorphism)
 
@@ -55,9 +56,9 @@ class FinBoolAlg:
     def size(self) -> int:
         return 1 << len(self.atoms)
 
-    def carrier(self, max_enum: int = DEFAULT_MAX_ENUM) -> list:
+    def carrier(self, max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
         check_enum_budget(self.size(), max_enum, "boolean algebra carrier")
-        return _powerset_in_mask_order(self.atoms)
+        return powerset(self.atoms)
 
 
 @dataclass(frozen=True)
@@ -84,41 +85,26 @@ class FinDistLattice:
     def size(self, max_enum: int = DEFAULT_MAX_ENUM) -> int:
         return len(self.carrier(max_enum))
 
-    def carrier(self, max_enum: int = DEFAULT_MAX_ENUM) -> list:
+    def carrier(self, max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
         check_enum_budget(1 << len(self.spectrum), max_enum,
                           "distributive lattice carrier")
         return _upsets_in_mask_order(self.spectrum)
 
 
 @lru_cache(maxsize=None)
-def _powerset_in_mask_order(labels: tuple) -> list:
+def _upsets_in_mask_order(spectrum: FinPoset) -> tuple:
+    upmask = spectrum.upmask
     out = []
-    for mask in range(1 << len(labels)):
-        out.append(frozenset(l for k, l in enumerate(labels) if mask >> k & 1))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _upsets_in_mask_order(spectrum: FinPoset) -> list:
-    n = len(spectrum)
-    upmask = [0] * n
-    for i in range(n):
-        for j in spectrum.up[i]:
-            upmask[i] |= 1 << j
-    out = []
-    for mask in range(1 << n):
-        ok = True
+    for mask in range(1 << len(spectrum)):
         m = mask
         while m:
-            i = (m & -m).bit_length() - 1
-            if upmask[i] & ~mask:
-                ok = False
+            low = m & -m
+            if upmask[low.bit_length() - 1] & ~mask:
                 break
-            m &= m - 1
-        if ok:
-            out.append(frozenset(spectrum.elements[k] for k in range(n)
-                                 if mask >> k & 1))
-    return out
+            m ^= low
+        else:
+            out.append(spectrum.labels(mask))
+    return tuple(out)
 
 
 def up_algebra(x: FinPoset) -> FinDistLattice:
@@ -254,7 +240,7 @@ def free_ba(gens: tuple,
         raise BudgetExceeded(
             f"free boolean algebra on {len(gens)} generators "
             f"(budget {max_generators})")
-    return FinBoolAlg(atoms=tuple(_powerset_in_mask_order(gens)))
+    return FinBoolAlg(atoms=powerset(gens))
 
 
 def free_ba_generator(fb: FinBoolAlg, g) -> frozenset:
@@ -554,7 +540,7 @@ def reflexive_pair_swap_check(prod: ProductBA, sub: frozenset) -> bool:
     False on the first violation.
     """
     alg = prod.algebra
-    for a in _powerset_in_mask_order(prod.left_algebra.atoms):
+    for a in powerset(prod.left_algebra.atoms):
         if prod.pair(a, a) not in sub:
             raise InputError("subalgebra does not contain the diagonal")
     for z in sub:

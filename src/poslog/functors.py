@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, product
 from typing import Callable, Mapping, Optional
 
 from .errors import BudgetExceeded, DEFAULT_MAX_ENUM, InputError, check_enum_budget
-from .order import FinPoset, Preorder, cotensor2
+from .order import FinPoset, Preorder, bits, cotensor2, egli_milner_pairs
 
 # Numbers of up-closed families over an n-element set, n = 0..8.
 DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354,
@@ -59,16 +59,11 @@ def _pow_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
 def _pow_step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
     """The direct formula for the one-step lifting of the order to subsets:
     every element of ``a`` lies below something in ``b`` and every element
-    of ``b`` lies above something in ``a``."""
+    of ``b`` lies above something in ``a`` (the Egli-Milner order, computed
+    on subset masks)."""
     carrier = powerset(x.elements)
     check_enum_budget(len(carrier) ** 2, max_enum, "powerset order lifting")
-    rel = set()
-    for i, a in enumerate(carrier):
-        for j, b in enumerate(carrier):
-            if all(any(x.leq(v, w) for w in b) for v in a) and \
-                    all(any(x.leq(v, w) for v in a) for w in b):
-                rel.add((i, j))
-    return Preorder(carrier, frozenset(rel))
+    return Preorder(carrier, egli_milner_pairs(x))
 
 
 def pow_functor() -> SetFunctor:
@@ -148,10 +143,11 @@ def _mnb_step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
     the relation is the union-closure of one generator pair per subset of
     comparable pairs, plus the empty pair.
     """
+    pairs = sum(len(u) for u in x.up)
+    check_enum_budget(1 << pairs, max_enum, "order lifting generators")
+    check_enum_budget(mnb_size(len(x)) ** 2, max_enum, "order lifting closure")
     carrier = _mnb_obj(x.elements)
     xsq, _, _ = cotensor2(x)
-    check_enum_budget(1 << len(xsq), max_enum, "order lifting generators")
-    check_enum_budget(len(carrier) ** 2, max_enum, "order lifting closure")
     subsets = powerset(x.elements)
 
     def principal(s: frozenset) -> frozenset:
@@ -177,11 +173,13 @@ def _mnb_step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
     return Preorder(carrier, rel)
 
 
+def mnb_size(n: int) -> int:
+    """The number of up-closed families over an ``n``-element set."""
+    return DEDEKIND[n] if n < len(DEDEKIND) else HUGE
+
+
 def mnb_functor() -> SetFunctor:
-    return SetFunctor(
-        "mnb", _mnb_obj, _mnb_mor,
-        lambda n: DEDEKIND[n] if n < len(DEDEKIND) else HUGE,
-        _mnb_step)
+    return SetFunctor("mnb", _mnb_obj, _mnb_mor, mnb_size, _mnb_step)
 
 
 # ------------------------------------------------------------- multisets
@@ -213,28 +211,23 @@ def _mset_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
     return act
 
 
-def _expand(m: tuple) -> list:
-    out = []
-    for label, c in m:
-        out.extend([label] * c)
-    return out
-
-
 def _mset_step(d: int):
     def step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
+        """``a <= b`` when some bijection between the two multisets sends
+        every element of ``a`` to one above it; so the multisets above
+        ``a`` are those formed by choosing, for each element of ``a`` with
+        multiplicity, one element of its up-set."""
         carrier = _mset_obj(d)(x.elements)
         check_enum_budget(len(carrier) ** 2, max_enum, "multiset order lifting")
-        rel = set()
-        for i, a in enumerate(carrier):
-            xa = _expand(a)
-            for j, b in enumerate(carrier):
-                xb = _expand(b)
-                if len(xa) != len(xb):
-                    continue
-                if any(all(x.leq(v, w) for v, w in zip(xa, perm))
-                       for perm in set(permutations(xb))):
-                    rel.add((i, j))
-        return Preorder(carrier, frozenset(rel))
+        # each multiset as the sorted tuple of its element indices
+        flat = [tuple(x.index(label) for label, c in m for _ in range(c))
+                for m in carrier]
+        position = {f: k for k, f in enumerate(flat)}
+        ups = [tuple(bits(m)) for m in x.upmask]
+        rel = frozenset((i, position[tuple(sorted(above))])
+                        for i, f in enumerate(flat)
+                        for above in product(*(ups[v] for v in f)))
+        return Preorder(carrier, rel)
 
     return step
 

@@ -2,18 +2,29 @@
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share between concurrent readers.
-Subsets of a carrier are plain frozensets of labels, which makes set
-equality structural.
+At the label level, subsets of a carrier are plain frozensets of labels,
+which makes set equality structural.  Internally a poset also keeps, per
+element, its index and the int bitmasks of its up-set and down-set (bit
+``j`` stands for element ``j``), so order queries and closures are
+dictionary lookups and integer operations rather than label scans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from .errors import InputError
 
 Label = Hashable
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -23,32 +34,54 @@ class FinPoset:
     ``up[i]`` holds the indices of every element above element ``i``,
     including ``i`` itself.  The relation must be reflexive, transitive and
     antisymmetric; this is checked at construction time.
+
+    Construction also caches a label -> index dict and the up-set and
+    down-set of each element as bitmasks (``upmask``, ``downmask``).  They
+    are derived from ``elements`` and ``up``, so they take no part in
+    equality, hashing or the repr.
     """
 
     elements: tuple
     up: tuple
+    _pos: dict = field(init=False, repr=False, compare=False)
+    upmask: tuple = field(init=False, repr=False, compare=False)
+    downmask: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.elements)
-        if len(set(self.elements)) != n:
+        pos = {e: i for i, e in enumerate(self.elements)}
+        if len(pos) != n:
             raise InputError("poset labels must be unique")
         if len(self.up) != n:
             raise InputError("up-set table does not match carrier")
+        upmask = []
+        downmask = [0] * n
         for i, ups in enumerate(self.up):
-            if i not in ups:
-                raise InputError(f"relation not reflexive at {self.elements[i]!r}")
+            m = 0
             for j in ups:
                 if not 0 <= j < n:
                     raise InputError("up-set index out of range")
-                if i != j and i in self.up[j]:
+                m |= 1 << j
+                downmask[j] |= 1 << i
+            upmask.append(m)
+        for i, ups in enumerate(self.up):
+            mi = upmask[i]
+            if not mi >> i & 1:
+                raise InputError(f"relation not reflexive at {self.elements[i]!r}")
+            for j in ups:
+                mj = upmask[j]
+                if i != j and mj >> i & 1:
                     raise InputError(
                         f"antisymmetry fails between {self.elements[i]!r} "
                         f"and {self.elements[j]!r}"
                     )
-                if not self.up[j] <= ups:
+                if mj & ~mi:
                     raise InputError(
                         f"transitivity fails at {self.elements[i]!r} <= {self.elements[j]!r}"
                     )
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "upmask", tuple(upmask))
+        object.__setattr__(self, "downmask", tuple(downmask))
 
     @classmethod
     def from_pairs(cls, elements: Iterable, pairs: Iterable, complete: bool = False):
@@ -84,13 +117,41 @@ class FinPoset:
         return len(self.elements)
 
     def index(self, label) -> int:
-        return self.elements.index(label)
+        try:
+            return self._pos[label]
+        except (KeyError, TypeError):
+            raise ValueError(f"{label!r} is not an element of the poset") from None
+
+    def mask(self, labels: Iterable) -> int:
+        """The bitmask of a set of element labels."""
+        m = 0
+        for label in labels:
+            m |= 1 << self.index(label)
+        return m
+
+    def labels(self, mask: int) -> frozenset:
+        """The set of element labels of a bitmask."""
+        return frozenset(self.elements[j] for j in bits(mask))
 
     def leq(self, a, b) -> bool:
-        return self.index(b) in self.up[self.index(a)]
+        return self.upmask[self.index(a)] >> self.index(b) & 1 == 1
 
     def leq_idx(self, i: int, j: int) -> bool:
-        return j in self.up[i]
+        return self.upmask[i] >> j & 1 == 1
+
+    def up_of(self, mask: int) -> int:
+        """The bitmask of the up-closure of the elements in ``mask``."""
+        out = 0
+        for j in bits(mask):
+            out |= self.upmask[j]
+        return out
+
+    def down_of(self, mask: int) -> int:
+        """The bitmask of the down-closure of the elements in ``mask``."""
+        out = 0
+        for j in bits(mask):
+            out |= self.downmask[j]
+        return out
 
     def pairs(self) -> Iterator[tuple]:
         for i, ups in enumerate(self.up):
@@ -98,20 +159,18 @@ class FinPoset:
                 yield (self.elements[i], self.elements[j])
 
     def up_set(self, label) -> frozenset:
-        return frozenset(self.elements[j] for j in self.up[self.index(label)])
+        return self.labels(self.upmask[self.index(label)])
 
     def down_set(self, label) -> frozenset:
-        i = self.index(label)
-        return frozenset(e for j, e in enumerate(self.elements) if i in self.up[j])
+        return self.labels(self.downmask[self.index(label)])
 
     def covers(self) -> list:
         """Cover pairs (a, b) with a < b and nothing strictly between."""
         out = []
-        for i, ups in enumerate(self.up):
-            for j in sorted(ups):
-                if j == i:
-                    continue
-                if any(k != i and k != j and k in ups and j in self.up[k] for k in ups):
+        for i, m in enumerate(self.upmask):
+            strict = m & ~(1 << i)
+            for j in bits(strict):
+                if strict & ~(1 << j) & self.downmask[j]:
                     continue
                 out.append((self.elements[i], self.elements[j]))
         return out
@@ -119,25 +178,48 @@ class FinPoset:
 
 def up_closure(x: FinPoset, s: Iterable) -> frozenset:
     """Smallest up-closed superset of ``s`` in ``x``."""
-    out = set()
-    for label in s:
-        out |= {x.elements[j] for j in x.up[x.index(label)]}
-    return frozenset(out)
+    return x.labels(x.up_of(x.mask(s)))
 
 
 def down_closure(x: FinPoset, s: Iterable) -> frozenset:
-    labels = set(s)
-    idxs = {x.index(v) for v in labels}
-    out = set(labels)
-    for j, e in enumerate(x.elements):
-        if x.up[j] & idxs:
-            out.add(e)
-    return frozenset(out)
+    return x.labels(x.down_of(x.mask(s)))
 
 
 def is_upset(x: FinPoset, s: Iterable) -> bool:
-    s = frozenset(s)
-    return up_closure(x, s) == s
+    m = x.mask(s)
+    return x.up_of(m) == m
+
+
+def subset_closures(x: FinPoset) -> tuple:
+    """``(up, down)``: the up- and down-closure masks of every subset of
+    ``x``, indexed by the subset's mask (subset ``k`` of
+    ``functors.powerset(x.elements)`` has mask ``k``)."""
+    up, down = [0], [0]
+    for k in range(1, 1 << len(x)):
+        low = k & -k
+        j = low.bit_length() - 1
+        up.append(up[k ^ low] | x.upmask[j])
+        down.append(down[k ^ low] | x.downmask[j])
+    return up, down
+
+
+def egli_milner_pairs(x: FinPoset) -> frozenset:
+    """The Egli-Milner order on all subsets of ``x`` as pairs of subset
+    masks: ``a <= b`` iff every member of ``a`` lies below a member of
+    ``b`` and every member of ``b`` above a member of ``a``, that is
+    ``a`` is inside the down-closure of ``b`` and ``b`` inside the
+    up-closure of ``a``."""
+    up, down = subset_closures(x)
+    rel = []
+    for a, ua in enumerate(up):
+        b = ua
+        while True:  # the submasks b of ua
+            if not a & ~down[b]:
+                rel.append((a, b))
+            if not b:
+                break
+            b = (b - 1) & ua
+    return frozenset(rel)
 
 
 @dataclass(frozen=True)

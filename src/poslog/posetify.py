@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from .errors import DEFAULT_MAX_ENUM, InputError, check_enum_budget
 from .functors import (SetFunctor, lift_relation_generic, mnb_functor,
                        nb_functor, powerset)
-from .order import (FinPoset, Preorder, connected_components, down_closure,
-                    poset_quotient, transitive_closure, up_closure)
+from .order import (FinPoset, Preorder, bits, connected_components,
+                    egli_milner_pairs, poset_quotient, subset_closures,
+                    transitive_closure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,37 +70,40 @@ def posetify_generic(t: SetFunctor, x: FinPoset,
 
 def convex_closure(x: FinPoset, s: frozenset) -> frozenset:
     """Everything between two members of ``s``."""
-    return up_closure(x, s) & down_closure(x, s)
+    m = x.mask(s)
+    return x.labels(x.up_of(m) & x.down_of(m))
 
 
 def egli_milner_leq(x: FinPoset, a: frozenset, b: frozenset) -> bool:
-    return all(any(x.leq(v, w) for w in b) for v in a) and \
-        all(any(x.leq(v, w) for v in a) for w in b)
+    """Every member of ``a`` lies below one of ``b``, and every member of
+    ``b`` above one of ``a``."""
+    ma, mb = x.mask(a), x.mask(b)
+    return not ma & ~x.down_of(mb) and not mb & ~x.up_of(ma)
 
 
 def posetify_powerset(x: FinPoset,
                       max_enum: int = DEFAULT_MAX_ENUM) -> Posetification:
     """Closed form for the powerset: convex subsets under the pairwise
-    upper-and-lower-bound order, with convex closure as projection."""
+    upper-and-lower-bound order, with convex closure as projection.
+
+    Subset ``k`` of ``powerset(x.elements)`` has mask ``k``, so the
+    closures, the convex classes and the order are computed on masks."""
     subsets = powerset(x.elements)
     check_enum_budget(len(subsets) ** 2, max_enum, "convex powerset")
-    seen = []
-    seen_set = set()
+    up, down = subset_closures(x)
+    rel = egli_milner_pairs(x)
+    seen = {}  # convex mask -> class index, in first-seen order
     e = {}
-    for a in subsets:
-        c = convex_closure(x, a)
-        if c not in seen_set:
-            seen_set.add(c)
-            seen.append(c)
-        e[a] = c
-    ups = []
-    for c in seen:
-        ups.append(frozenset(k for k, d in enumerate(seen)
-                             if egli_milner_leq(x, c, d)))
-    result = FinPoset(tuple(seen), tuple(ups))
-    idx = {a: k for k, a in enumerate(subsets)}
-    rel = frozenset((idx[a], idx[b]) for a in subsets for b in subsets
-                    if egli_milner_leq(x, a, b))
+    for k, a in enumerate(subsets):
+        c = up[k] & down[k]
+        seen.setdefault(c, len(seen))
+        e[a] = subsets[c]
+    ups = [set() for _ in seen]
+    for c, d in rel:
+        if c in seen and d in seen:
+            ups[seen[c]].add(seen[d])
+    result = FinPoset(tuple(subsets[c] for c in seen),
+                      tuple(frozenset(u) for u in ups))
     return Posetification(result, e, Preorder(subsets, rel))
 
 
@@ -117,15 +121,18 @@ def posetify_mnb(x: FinPoset,
     that the order keeps distinct, so it is not used (see the probe in the
     verification suite).
     """
-    fams = mnb_functor().on_obj(x.elements)
-    check_enum_budget(len(fams) ** 2, max_enum, "up-closed family comparison")
-    up_of = {s: up_closure(x, s) for s in powerset(x.elements)}
-    down_of = {s: down_closure(x, s) for s in powerset(x.elements)}
+    t = mnb_functor()
+    check_enum_budget(t.size_estimate(len(x)) ** 2, max_enum,
+                      "up-closed family comparison")
+    fams = t.on_obj(x.elements)
+    up, down = subset_closures(x)
+    ups = [[up[x.mask(a)] for a in fam] for fam in fams]
+    downs = [[down[x.mask(a)] for a in fam] for fam in fams]
     rel = set()
-    for i, fa in enumerate(fams):
-        for j, fb in enumerate(fams):
-            if all(any(up_of[b] <= up_of[a] for b in fb) for a in fa) and \
-                    all(any(down_of[a] <= down_of[b] for a in fa) for b in fb):
+    for i in range(len(fams)):
+        for j in range(len(fams)):
+            if all(any(not ub & ~ua for ub in ups[j]) for ua in ups[i]) and \
+                    all(any(not da & ~db for da in downs[i]) for db in downs[j]):
                 rel.add((i, j))
     pre = Preorder(fams, frozenset(rel))
     if not pre.is_transitive():
@@ -155,9 +162,11 @@ def posetify_nb(x: FinPoset,
     e = {fam: collapse(fam) for fam in carrier}
     witness = None
     if len(carrier) ** 2 <= max_enum:
-        idx = {fam: k for k, fam in enumerate(carrier)}
-        rel = frozenset((idx[a], idx[b]) for a in carrier for b in carrier
-                        if e[a] == e[b])
+        classes: dict = {}
+        for k, fam in enumerate(carrier):
+            classes.setdefault(e[fam], []).append(k)
+        rel = frozenset((i, j) for members in classes.values()
+                        for i in members for j in members)
         witness = Preorder(carrier, rel)
     return Posetification(result, e, witness)
 
@@ -212,9 +221,10 @@ def cross_check(t: SetFunctor, x: FinPoset,
     Because both projections are surjective, an isomorphism commuting with
     them is unique if it exists: send the class of ``v`` on one side to the
     class of ``v`` on the other.  We verify that this assignment is well
-    defined, bijective, and an order isomorphism.  The comparison is
-    quadratic in the carrier, so its budget is checked before either route
-    runs.
+    defined, bijective, and an order isomorphism: mapped through it by
+    index, each up-set bitmask of one result must be the matching up-set
+    bitmask of the other.  The comparison is quadratic in the carrier, so
+    its budget is checked before either route runs.
     """
     check_enum_budget(t.size_estimate(len(x)) ** 2, max_enum,
                       f"{t.name} cross-check comparison")
@@ -230,9 +240,17 @@ def cross_check(t: SetFunctor, x: FinPoset,
         phi[src] = dst
     if len(set(phi.values())) != len(phi) or len(phi) != len(clo.result):
         return CrossCheck(False, "class counts differ", gen, clo)
-    for a in gen.result.elements:
-        for b in gen.result.elements:
-            if gen.result.leq(a, b) != clo.result.leq(phi[a], phi[b]):
-                return CrossCheck(
-                    False, f"order differs at ({a!r}, {b!r})", gen, clo)
+    g, c = gen.result, clo.result
+    to = [c.index(phi[a]) for a in g.elements]
+    for i, row in enumerate(g.upmask):
+        want = c.upmask[to[i]]
+        image = 0
+        for j in bits(row):
+            image |= 1 << to[j]
+        if image != want:
+            j = next(j for j in range(len(to))
+                     if (row >> j & 1) != (want >> to[j] & 1))
+            return CrossCheck(
+                False, f"order differs at ({g.elements[i]!r}, {g.elements[j]!r})",
+                gen, clo)
     return CrossCheck(True, "isomorphic and projection-compatible", gen, clo)

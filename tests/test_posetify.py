@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from poslog.errors import BudgetExceeded
-from poslog.functors import (lift_relation_generic, mnb_functor,
+from poslog.functors import (_mnb_obj, lift_relation_generic, mnb_functor,
                              multiset_functor, nb_functor, poly_functor,
                              pow_functor, powerset)
 from poslog.order import (FinPoset, connected_components, cotensor2,
@@ -117,6 +117,15 @@ class TestMnb:
         r = cross_check(mnb_functor(), chain("p", "q", "r"))
         assert r.ok, r.detail
 
+    def test_budget_refused_before_the_families_are_enumerated(self):
+        x = FinPoset.discrete(("a", "b", "c", "d", "e"))
+        before = _mnb_obj.cache_info().currsize
+        with pytest.raises(BudgetExceeded, match="would enumerate 57471561 items"):
+            posetify_mnb(x, max_enum=100)
+        with pytest.raises(BudgetExceeded, match="would enumerate 57471561 items"):
+            mnb_functor().step_relation(x, max_enum=100)
+        assert _mnb_obj.cache_info().currsize == before
+
 
 class TestNb:
     def test_two_chain_collapses_to_four(self):
@@ -155,6 +164,19 @@ class TestCrossCheck:
                 continue
             r = cross_check(nb_functor(), p)
             assert r.ok, r.detail
+
+    def test_reports_the_first_pair_where_the_orders_differ(self, monkeypatch):
+        import poslog.posetify as posetify
+        x = chain("p", "q")
+        real = posetify.closed_form(pow_functor(), x)
+        flat = dataclasses.replace(real, result=FinPoset.discrete(real.result.elements))
+        monkeypatch.setattr(posetify, "closed_form", lambda t, x, max_enum: flat)
+        r = cross_check(pow_functor(), x)
+        gen = r.generic.result
+        phi = {r.generic.e[v]: flat.e[v] for v in r.generic.e}
+        first = next((a, b) for a in gen.elements for b in gen.elements
+                     if gen.leq(a, b) != flat.result.leq(phi[a], phi[b]))
+        assert not r.ok and r.detail == f"order differs at {first!r}"
 
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceeded):
