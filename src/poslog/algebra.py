@@ -78,10 +78,6 @@ class FinDistLattice:
     def bot(self) -> frozenset:
         return frozenset()
 
-    def is_element(self, u: frozenset) -> bool:
-        idxs = {self.spectrum.index(v) for v in u}
-        return all(self.spectrum.up[i] <= idxs for i in idxs)
-
     def size(self, max_enum: int = DEFAULT_MAX_ENUM) -> int:
         return len(self.carrier(max_enum))
 
@@ -91,7 +87,7 @@ class FinDistLattice:
         return _upsets_in_mask_order(self.spectrum)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _upsets_in_mask_order(spectrum: FinPoset) -> tuple:
     upmask = spectrum.upmask
     out = []
@@ -219,10 +215,8 @@ def prime_filter_poset(a: FinDistLattice,
         if prime:
             gens.append(m)
     # filter inclusion: {x : x >= m} <= {x : x >= m'} iff m' <= m
-    ups = []
-    for m in gens:
-        ups.append(frozenset(k for k, m2 in enumerate(gens) if m2 <= m))
-    return FinPoset(tuple(gens), tuple(ups))
+    ups = tuple(sum(1 << k for k, m2 in enumerate(gens) if m2 <= m) for m in gens)
+    return FinPoset(tuple(gens), ups)
 
 
 def free_ba(gens: tuple,
@@ -396,10 +390,9 @@ def lattice_from_elements(members: Iterable,
                 below |= m2
         if below != m:
             irreducibles.append(m)
-    ups = []
-    for j in irreducibles:
-        ups.append(frozenset(k for k, j2 in enumerate(irreducibles) if j2 <= j))
-    spectrum = FinPoset(tuple(irreducibles), tuple(ups))
+    ups = tuple(sum(1 << k for k, j2 in enumerate(irreducibles) if j2 <= j)
+                for j in irreducibles)
+    spectrum = FinPoset(tuple(irreducibles), ups)
     lat = FinDistLattice(spectrum=spectrum)
     restrict = {}
     embed = {}

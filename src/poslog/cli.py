@@ -40,7 +40,7 @@ def _write_dot(text: str, path: str) -> None:
 
 
 def cmd_posetify(args) -> int:
-    t = parse_functor(args.functor)
+    t = parse_functor(args.functor, args.max_enum)
     poset = pio.load_poset(pio.read_json(args.poset))
     report = {"functor": t.name, "poset": pio.poset_to_dict(poset),
               "method": args.method}
@@ -76,7 +76,7 @@ def _syntax_functor(name: str, max_enum: int, max_generators: int):
     if name == "free":
         return free_l(max_generators, max_enum)
     if name.startswith("semantic:"):
-        return semantic_l(parse_functor(name.split(":", 1)[1]), max_enum)
+        return semantic_l(parse_functor(name.split(":", 1)[1], max_enum), max_enum)
     raise InputError(f"unknown syntax {name!r}")
 
 

@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement, product
 from typing import Callable, Mapping, Optional
 
 from .errors import BudgetExceeded, DEFAULT_MAX_ENUM, InputError, check_enum_budget
-from .order import FinPoset, Preorder, bits, cotensor2, egli_milner_pairs
+from .order import FinPoset, Preorder, bits, cotensor2, egli_milner_rows
 
 # Numbers of up-closed families over an n-element set, n = 0..8.
 DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354,
@@ -28,7 +28,7 @@ DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354,
 HUGE = 1 << 400
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def powerset(labels: tuple) -> tuple:
     """All subsets of ``labels`` as frozensets, in mask order."""
     return tuple(frozenset(l for k, l in enumerate(labels) if mask >> k & 1)
@@ -63,7 +63,7 @@ def _pow_step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
     on subset masks)."""
     carrier = powerset(x.elements)
     check_enum_budget(len(carrier) ** 2, max_enum, "powerset order lifting")
-    return Preorder(carrier, egli_milner_pairs(x))
+    return Preorder(carrier, egli_milner_rows(x))
 
 
 def pow_functor() -> SetFunctor:
@@ -95,7 +95,7 @@ def nb_functor() -> SetFunctor:
 
 # -------------------------------------------------- monotone neighbourhood
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _mnb_obj(s: tuple) -> tuple:
     """All inclusion-up-closed families over the powerset of ``s``.
 
@@ -143,7 +143,7 @@ def _mnb_step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
     the relation is the union-closure of one generator pair per subset of
     comparable pairs, plus the empty pair.
     """
-    pairs = sum(len(u) for u in x.up)
+    pairs = sum(m.bit_count() for m in x.upmask)
     check_enum_budget(1 << pairs, max_enum, "order lifting generators")
     check_enum_budget(mnb_size(len(x)) ** 2, max_enum, "order lifting closure")
     carrier = _mnb_obj(x.elements)
@@ -169,8 +169,10 @@ def _mnb_step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
                 closed.add(q)
                 frontier.append(q)
     idx = {fam: k for k, fam in enumerate(carrier)}
-    rel = frozenset((idx[a], idx[b]) for a, b in closed)
-    return Preorder(carrier, rel)
+    succ = [0] * len(carrier)
+    for a, b in closed:
+        succ[idx[a]] |= 1 << idx[b]
+    return Preorder(carrier, tuple(succ))
 
 
 def mnb_size(n: int) -> int:
@@ -224,10 +226,13 @@ def _mset_step(d: int):
                 for m in carrier]
         position = {f: k for k, f in enumerate(flat)}
         ups = [tuple(bits(m)) for m in x.upmask]
-        rel = frozenset((i, position[tuple(sorted(above))])
-                        for i, f in enumerate(flat)
-                        for above in product(*(ups[v] for v in f)))
-        return Preorder(carrier, rel)
+        succ = []
+        for f in flat:
+            row = 0
+            for above in product(*(ups[v] for v in f)):
+                row |= 1 << position[tuple(sorted(above))]
+            succ.append(row)
+        return Preorder(carrier, tuple(succ))
 
     return step
 
@@ -276,13 +281,11 @@ def _poly_step(signature: tuple):
     def step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
         carrier = _poly_obj(signature)(x.elements)
         check_enum_budget(len(carrier) ** 2, max_enum, "polynomial order lifting")
-        rel = set()
-        for i, a in enumerate(carrier):
-            for j, b in enumerate(carrier):
-                if a[0] == b[0] and a[1] == b[1] and \
-                        all(x.leq(v, w) for v, w in zip(a[2], b[2])):
-                    rel.add((i, j))
-        return Preorder(carrier, frozenset(rel))
+        succ = tuple(sum(1 << j for j, b in enumerate(carrier)
+                         if a[0] == b[0] and a[1] == b[1] and
+                         all(x.leq(v, w) for v, w in zip(a[2], b[2])))
+                     for a in carrier)
+        return Preorder(carrier, succ)
 
     return step
 
@@ -308,8 +311,12 @@ def poly_functor(signature) -> SetFunctor:
 
 # ------------------------------------------------------------ dispatching
 
-def parse_functor(text: str) -> SetFunctor:
-    """Parse a CLI functor name: pow, nb, mnb, bag:<d>, poly:sigma=...."""
+def parse_functor(text: str, max_enum: int = DEFAULT_MAX_ENUM) -> SetFunctor:
+    """Parse a CLI functor name: pow, nb, mnb, bag:<d>, poly:sigma=....
+
+    A polynomial's coefficient labels are counted against ``max_enum``
+    before they are built: on any nonempty poset the functor's carrier has
+    at least that many elements."""
     if text == "pow":
         return pow_functor()
     if text == "nb":
@@ -327,17 +334,19 @@ def parse_functor(text: str) -> SetFunctor:
         body = text[len("poly:"):]
         if not body.startswith("sigma="):
             raise InputError("polynomial spec must start with sigma=")
-        sig = []
+        entries = []
         for entry in body[len("sigma="):].split(","):
             parts = entry.split(":")
             if len(parts) != 3:
                 raise InputError(f"bad signature entry {entry!r}")
             try:
-                name, arity, csize = parts[0], int(parts[1]), int(parts[2])
+                entries.append((parts[0], int(parts[1]), int(parts[2])))
             except ValueError as exc:
                 raise InputError(f"bad signature entry {entry!r}") from exc
-            sig.append((name, arity, tuple(f"{name}.{i}" for i in range(csize))))
-        return poly_functor(sig)
+        check_enum_budget(sum(max(csize, 0) for _, _, csize in entries), max_enum,
+                          "polynomial coefficients")
+        return poly_functor([(name, arity, tuple(f"{name}.{i}" for i in range(csize)))
+                             for name, arity, csize in entries])
     raise InputError(f"unknown functor {text!r}")
 
 
@@ -374,8 +383,10 @@ def lift_relation_generic(t: SetFunctor, x: FinPoset,
         f0 = t.on_mor(p0.as_dict(), xsq.elements, x.elements)
         f1 = t.on_mor(p1.as_dict(), xsq.elements, x.elements)
         idx = {e: k for k, e in enumerate(carrier)}
-        rel = frozenset((idx[f0(c)], idx[f1(c)]) for c in welems)
-        return Preorder(carrier, rel)
+        succ = [0] * len(carrier)
+        for c in welems:
+            succ[idx[f0(c)]] |= 1 << idx[f1(c)]
+        return Preorder(carrier, tuple(succ))
     if t.step_relation is None:
         raise BudgetExceeded(
             f"{t.name} on {len(xsq)} comparable pairs exceeds the budget "

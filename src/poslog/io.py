@@ -139,6 +139,6 @@ def lattice_dot(lat: FinDistLattice, title: str = "",
     """Hasse diagram of the element order of a lattice."""
     elems = lat.carrier(max_enum)
     order = FinPoset(tuple(elems),
-                     tuple(frozenset(j for j, f in enumerate(elems) if e <= f)
+                     tuple(sum(1 << j for j, f in enumerate(elems) if e <= f)
                            for e in elems))
     return _dot_lines(order.elements, order.covers(), title)

@@ -3,10 +3,12 @@
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share between concurrent readers.
 At the label level, subsets of a carrier are plain frozensets of labels,
-which makes set equality structural.  Internally a poset also keeps, per
-element, its index and the int bitmasks of its up-set and down-set (bit
-``j`` stands for element ``j``), so order queries and closures are
-dictionary lookups and integer operations rather than label scans.
+which makes set equality structural.  Internally a relation on an indexed
+carrier has one form: a tuple of int bitmasks, one row per index, where
+bit ``j`` of row ``i`` says that ``i`` is related to ``j``.  A poset
+stores its up-sets this way (and derives its down-sets and a label ->
+index dict), a :class:`Preorder` its successors; order queries, closure,
+quotient and isomorphism search are integer operations on these rows.
 """
 
 from __future__ import annotations
@@ -19,32 +21,46 @@ from .errors import InputError
 Label = Hashable
 
 
-def bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> list:
     """The indices of the set bits of ``mask``, in increasing order."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
+
+
+def _close_rows(rows) -> tuple:
+    """Warshall's transitive closure of successor masks: for each pivot
+    ``k``, every row that reaches ``k`` gains the row of ``k``."""
+    rows = list(rows)
+    for k, row_k in enumerate(rows):
+        bit = 1 << k
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | row_k
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
 class FinPoset:
     """A finite partial order: unique element labels plus an up-set table.
 
-    ``up[i]`` holds the indices of every element above element ``i``,
-    including ``i`` itself.  The relation must be reflexive, transitive and
-    antisymmetric; this is checked at construction time.
+    ``upmask[i]`` is the bitmask of every element above element ``i``,
+    including ``i`` itself (bit ``j`` stands for element ``j``).  The
+    relation must be reflexive, transitive and antisymmetric; this is
+    checked at construction time.
 
-    Construction also caches a label -> index dict and the up-set and
-    down-set of each element as bitmasks (``upmask``, ``downmask``).  They
-    are derived from ``elements`` and ``up``, so they take no part in
-    equality, hashing or the repr.
+    Construction also caches a label -> index dict and the down-set of
+    each element as a bitmask (``downmask``).  They are derived from
+    ``elements`` and ``upmask``, so they take no part in equality, hashing
+    or the repr.
     """
 
     elements: tuple
-    up: tuple
+    upmask: tuple
     _pos: dict = field(init=False, repr=False, compare=False)
-    upmask: tuple = field(init=False, repr=False, compare=False)
     downmask: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -52,24 +68,16 @@ class FinPoset:
         pos = {e: i for i, e in enumerate(self.elements)}
         if len(pos) != n:
             raise InputError("poset labels must be unique")
-        if len(self.up) != n:
+        if len(self.upmask) != n:
             raise InputError("up-set table does not match carrier")
-        upmask = []
+        if any(m < 0 or m >> n for m in self.upmask):
+            raise InputError("up-set index out of range")
         downmask = [0] * n
-        for i, ups in enumerate(self.up):
-            m = 0
-            for j in ups:
-                if not 0 <= j < n:
-                    raise InputError("up-set index out of range")
-                m |= 1 << j
-                downmask[j] |= 1 << i
-            upmask.append(m)
-        for i, ups in enumerate(self.up):
-            mi = upmask[i]
+        for i, mi in enumerate(self.upmask):
             if not mi >> i & 1:
                 raise InputError(f"relation not reflexive at {self.elements[i]!r}")
-            for j in ups:
-                mj = upmask[j]
+            for j in bits(mi):
+                mj = self.upmask[j]
                 if i != j and mj >> i & 1:
                     raise InputError(
                         f"antisymmetry fails between {self.elements[i]!r} "
@@ -79,8 +87,8 @@ class FinPoset:
                     raise InputError(
                         f"transitivity fails at {self.elements[i]!r} <= {self.elements[j]!r}"
                     )
+                downmask[j] |= 1 << i
         object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "upmask", tuple(upmask))
         object.__setattr__(self, "downmask", tuple(downmask))
 
     @classmethod
@@ -93,25 +101,25 @@ class FinPoset:
         """
         elems = tuple(elements)
         index = {e: i for i, e in enumerate(elems)}
-        ups = [set([i]) for i in range(len(elems))]
+        ups = [1 << i for i in range(len(elems))]
         for a, b in pairs:
             if a not in index or b not in index:
                 raise InputError(f"pair ({a!r}, {b!r}) mentions unknown element")
-            ups[index[a]].add(index[b])
+            ups[index[a]] |= 1 << index[b]
         if complete:
-            ups = _transitive_close_sets(ups)
-        return cls(elems, tuple(frozenset(u) for u in ups))
+            ups = _close_rows(ups)
+        return cls(elems, tuple(ups))
 
     @classmethod
     def discrete(cls, elements: Iterable):
         elems = tuple(elements)
-        return cls(elems, tuple(frozenset([i]) for i in range(len(elems))))
+        return cls(elems, tuple(1 << i for i in range(len(elems))))
 
     @classmethod
     def chain(cls, elements: Iterable):
         elems = tuple(elements)
         n = len(elems)
-        return cls(elems, tuple(frozenset(range(i, n)) for i in range(n)))
+        return cls(elems, tuple((1 << n) - (1 << i) for i in range(n)))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -152,11 +160,6 @@ class FinPoset:
         for j in bits(mask):
             out |= self.downmask[j]
         return out
-
-    def pairs(self) -> Iterator[tuple]:
-        for i, ups in enumerate(self.up):
-            for j in sorted(ups):
-                yield (self.elements[i], self.elements[j])
 
     def up_set(self, label) -> frozenset:
         return self.labels(self.upmask[self.index(label)])
@@ -203,23 +206,25 @@ def subset_closures(x: FinPoset) -> tuple:
     return up, down
 
 
-def egli_milner_pairs(x: FinPoset) -> frozenset:
-    """The Egli-Milner order on all subsets of ``x`` as pairs of subset
-    masks: ``a <= b`` iff every member of ``a`` lies below a member of
-    ``b`` and every member of ``b`` above a member of ``a``, that is
-    ``a`` is inside the down-closure of ``b`` and ``b`` inside the
+def egli_milner_rows(x: FinPoset) -> tuple:
+    """The Egli-Milner order on all subsets of ``x`` as successor masks
+    over subset masks: ``a <= b`` iff every member of ``a`` lies below a
+    member of ``b`` and every member of ``b`` above a member of ``a``, that
+    is ``a`` is inside the down-closure of ``b`` and ``b`` inside the
     up-closure of ``a``."""
     up, down = subset_closures(x)
-    rel = []
+    rows = []
     for a, ua in enumerate(up):
+        row = 0
         b = ua
         while True:  # the submasks b of ua
             if not a & ~down[b]:
-                rel.append((a, b))
+                row |= 1 << b
             if not b:
                 break
             b = (b - 1) & ua
-    return frozenset(rel)
+        rows.append(row)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -233,10 +238,11 @@ class MonotoneMap:
     def __post_init__(self):
         if len(self.assignment) != len(self.source):
             raise InputError("assignment does not cover the source")
-        for i, ups in enumerate(self.source.up):
-            fi = self.assignment[i]
-            for j in ups:
-                if self.assignment[j] not in self.target.up[fi]:
+        f, target_up = self.assignment, self.target.upmask
+        for i, ups in enumerate(self.source.upmask):
+            above = target_up[f[i]]
+            for j in bits(ups):
+                if not above >> f[j] & 1:
                     raise InputError(
                         f"map not monotone at {self.source.elements[i]!r} "
                         f"<= {self.source.elements[j]!r}"
@@ -267,56 +273,41 @@ class Preorder:
     """A reflexive relation on an explicitly indexed carrier.
 
     Not necessarily transitive or antisymmetric; this is the raw material
-    of quotient constructions.  ``rel`` holds index pairs.
+    of quotient constructions.  ``succ[i]`` is the bitmask of the indices
+    related to ``i``.
     """
 
     carrier: tuple
-    rel: frozenset
+    succ: tuple
 
     def __post_init__(self):
         n = len(self.carrier)
-        for i in range(n):
-            if (i, i) not in self.rel:
+        if len(self.succ) != n:
+            raise InputError("successor table does not match carrier")
+        for i, row in enumerate(self.succ):
+            if not row >> i & 1:
                 raise InputError("preorder must be reflexive")
-        for i, j in self.rel:
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputError("relation index out of range")
+        if any(row < 0 or row >> n for row in self.succ):
+            raise InputError("relation index out of range")
+
+    @property
+    def rel(self) -> frozenset:
+        """The relation as index pairs, derived from ``succ``."""
+        return frozenset((i, j) for i, row in enumerate(self.succ) for j in bits(row))
 
     def is_transitive(self) -> bool:
-        succ = _successor_sets(self)
-        return all(succ[j] <= succ[i] for i in range(len(self.carrier)) for j in succ[i])
+        succ = self.succ
+        return all(not succ[j] & ~row for row in succ for j in bits(row))
 
     def is_antisymmetric(self) -> bool:
-        return all(i == j or (j, i) not in self.rel for i, j in self.rel)
-
-
-def _successor_sets(r: Preorder) -> list:
-    succ = [set() for _ in r.carrier]
-    for i, j in r.rel:
-        succ[i].add(j)
-    return succ
-
-
-def _transitive_close_sets(succ: list) -> list:
-    """Close successor sets under reachability (in place on copies)."""
-    succ = [set(s) for s in succ]
-    for i in range(len(succ)):
-        frontier = set(succ[i])
-        seen = set(succ[i]) | {i}
-        while frontier:
-            k = frontier.pop()
-            new = succ[k] - seen
-            seen |= new
-            frontier |= new
-        succ[i] = seen | succ[i] | {i}
-    return succ
+        succ = self.succ
+        return all(not succ[j] >> i & 1
+                   for i, row in enumerate(succ) for j in bits(row & ~(1 << i)))
 
 
 def transitive_closure(r: Preorder) -> Preorder:
     """Smallest transitive relation containing ``r``; idempotent."""
-    succ = _transitive_close_sets(_successor_sets(r))
-    rel = frozenset((i, j) for i, s in enumerate(succ) for j in s)
-    return Preorder(r.carrier, rel)
+    return Preorder(r.carrier, _close_rows(r.succ))
 
 
 def poset_quotient(r: Preorder) -> tuple:
@@ -328,22 +319,23 @@ def poset_quotient(r: Preorder) -> tuple:
     """
     if not r.is_transitive():
         raise InputError("quotient requires a transitive relation")
-    n = len(r.carrier)
-    succ = _successor_sets(r)
-    rep = list(range(n))
-    for i in range(n):
-        for j in succ[i]:
-            if j > i and i in succ[j] and rep[j] == j:
-                rep[j] = rep[i]
-    class_reps = sorted(set(rep))
-    pos_of = {c: k for k, c in enumerate(class_reps)}
-    projection = tuple(pos_of[rep[i]] for i in range(n))
-    ups = [set() for _ in class_reps]
-    for k, c in enumerate(class_reps):
-        ups[k] = {pos_of[rep[j]] for j in succ[c]} | {k}
-    poset = FinPoset(tuple(r.carrier[c] for c in class_reps),
-                     tuple(frozenset(u) for u in ups))
-    return poset, projection
+    succ = r.succ
+    projection = [-1] * len(succ)
+    reps = []
+    for i, row in enumerate(succ):
+        if projection[i] < 0:
+            for j in bits(row):
+                if succ[j] >> i & 1:
+                    projection[j] = len(reps)
+            reps.append(i)
+    ups = []
+    for c in reps:
+        up = 0
+        for j in bits(succ[c]):
+            up |= 1 << projection[j]
+        ups.append(up)
+    poset = FinPoset(tuple(r.carrier[c] for c in reps), tuple(ups))
+    return poset, tuple(projection)
 
 
 def cotensor2(x: FinPoset) -> tuple:
@@ -353,13 +345,12 @@ def cotensor2(x: FinPoset) -> tuple:
     projection maps.  The diagonal ``a -> (a, a)`` is a common section of
     both projections (see :func:`diagonal_section`).
     """
-    pairs = [(i, j) for i in range(len(x)) for j in sorted(x.up[i])]
+    ups = x.upmask
+    pairs = [(i, j) for i in range(len(x)) for j in bits(ups[i])]
     labels = tuple((x.elements[i], x.elements[j]) for i, j in pairs)
-    ups = []
-    for i, j in pairs:
-        ups.append(frozenset(k for k, (a, b) in enumerate(pairs)
-                             if a in x.up[i] and b in x.up[j]))
-    poset = FinPoset(labels, tuple(ups))
+    poset = FinPoset(labels, tuple(
+        sum(1 << k for k, (a, b) in enumerate(pairs) if ups[i] >> a & 1 and ups[j] >> b & 1)
+        for i, j in pairs))
     first = MonotoneMap(poset, x, tuple(i for i, _ in pairs))
     second = MonotoneMap(poset, x, tuple(j for _, j in pairs))
     return poset, first, second
@@ -377,25 +368,21 @@ def connected_components(x: FinPoset) -> tuple:
     element label to its component label.
     """
     n = len(x)
-    neighbours = [set() for _ in range(n)]
-    for i in range(n):
-        for j in x.up[i]:
-            neighbours[i].add(j)
-            neighbours[j].add(i)
     comp = [-1] * n
     reps = []
     for i in range(n):
         if comp[i] != -1:
             continue
         reps.append(i)
-        stack = [i]
-        comp[i] = i
-        while stack:
-            k = stack.pop()
-            for m in neighbours[k]:
-                if comp[m] == -1:
-                    comp[m] = i
-                    stack.append(m)
+        reach = frontier = 1 << i
+        while frontier:
+            step = 0
+            for k in bits(frontier):
+                step |= x.upmask[k] | x.downmask[k]
+            frontier = step & ~reach
+            reach |= step
+        for k in bits(reach):
+            comp[k] = i
     labels = tuple(x.elements[r] for r in reps)
     component_of = {x.elements[i]: x.elements[comp[i]] for i in range(n)}
     return labels, component_of
@@ -413,14 +400,13 @@ def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[dict]:
         return None
 
     def refine(poset):
-        down = [sum(1 for u in poset.up if i in u) for i in range(len(poset))]
-        colours = [(len(poset.up[i]), down[i]) for i in range(len(poset))]
+        ups, downs = poset.upmask, poset.downmask
+        colours = [(u.bit_count(), d.bit_count()) for u, d in zip(ups, downs)]
         while True:
             sig = [
                 (colours[i],
-                 tuple(sorted(colours[j] for j in poset.up[i])),
-                 tuple(sorted(colours[j] for j in range(len(poset))
-                              if i in poset.up[j])))
+                 tuple(sorted(colours[j] for j in bits(ups[i]))),
+                 tuple(sorted(colours[j] for j in bits(downs[i]))))
                 for i in range(len(poset))
             ]
             canon = {s: k for k, s in enumerate(sorted(set(sig)))}
@@ -433,6 +419,7 @@ def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[dict]:
     if sorted(cp) != sorted(cq):
         return None
     candidates = [[j for j in range(n) if cq[j] == cp[i]] for i in range(n)]
+    pu, qu = p.upmask, q.upmask
     order = sorted(range(n), key=lambda i: len(candidates[i]))
     assigned: dict = {}
     used = [False] * n
@@ -446,7 +433,8 @@ def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[dict]:
                 continue
             ok = True
             for i2, j2 in assigned.items():
-                if (i2 in p.up[i]) != (j2 in q.up[j]) or (i in p.up[i2]) != (j in q.up[j2]):
+                if (pu[i] >> i2 & 1) != (qu[j] >> j2 & 1) or \
+                        (pu[i2] >> i & 1) != (qu[j2] >> j & 1):
                     ok = False
                     break
             if ok:
@@ -471,20 +459,10 @@ def enumerate_posets(labels: tuple) -> Iterator[FinPoset]:
         return
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
     for mask in range(1 << len(offdiag)):
-        ups = [set([i]) for i in range(n)]
+        ups = [1 << i for i in range(n)]
         for b, (i, j) in enumerate(offdiag):
             if mask >> b & 1:
-                ups[i].add(j)
-        ok = True
-        for i in range(n):
-            for j in ups[i]:
-                if i != j and i in ups[j]:
-                    ok = False
-                    break
-                if not ups[j] <= ups[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield FinPoset(labels, tuple(frozenset(u) for u in ups))
+                ups[i] |= 1 << j
+        if all((i == j or not ups[j] >> i & 1) and not ups[j] & ~ups[i]
+               for i in range(n) for j in bits(ups[i])):
+            yield FinPoset(labels, tuple(ups))

@@ -16,7 +16,7 @@ from .errors import DEFAULT_MAX_ENUM, InputError, check_enum_budget
 from .functors import (SetFunctor, lift_relation_generic, mnb_functor,
                        nb_functor, powerset)
 from .order import (FinPoset, Preorder, bits, connected_components,
-                    egli_milner_pairs, poset_quotient, subset_closures,
+                    egli_milner_rows, poset_quotient, subset_closures,
                     transitive_closure)
 
 
@@ -44,16 +44,21 @@ class Posetification:
             raise AssertionError("projection is not surjective")
         if self.witness is None:
             return
-        idx = {v: k for k, v in enumerate(self.witness.carrier)}
-        for a in self.witness.carrier:
-            for b in self.witness.carrier:
-                forward = (idx[a], idx[b]) in self.witness.rel
-                if forward and not self.result.leq(self.e[a], self.e[b]):
+        ups = self.result.upmask
+        cls = [self.result.index(self.e[v]) for v in self.witness.carrier]
+        members = [0] * len(ups)  # the carrier indices of each class
+        for i, k in enumerate(cls):
+            members[k] |= 1 << i
+        succ = self.witness.succ
+        for i, row in enumerate(succ):
+            mutual = 0  # the indices related to i both ways
+            for j in bits(row):
+                if not ups[cls[i]] >> cls[j] & 1:
                     raise AssertionError("projection does not preserve the relation")
-                same = self.e[a] == self.e[b]
-                both = forward and (idx[b], idx[a]) in self.witness.rel
-                if same != both:
-                    raise AssertionError("classes disagree with the relation")
+                if succ[j] >> i & 1:
+                    mutual |= 1 << j
+            if mutual != members[cls[i]]:
+                raise AssertionError("classes disagree with the relation")
 
 
 def posetify_generic(t: SetFunctor, x: FinPoset,
@@ -91,20 +96,22 @@ def posetify_powerset(x: FinPoset,
     subsets = powerset(x.elements)
     check_enum_budget(len(subsets) ** 2, max_enum, "convex powerset")
     up, down = subset_closures(x)
-    rel = egli_milner_pairs(x)
+    rows = egli_milner_rows(x)
     seen = {}  # convex mask -> class index, in first-seen order
     e = {}
     for k, a in enumerate(subsets):
         c = up[k] & down[k]
         seen.setdefault(c, len(seen))
         e[a] = subsets[c]
-    ups = [set() for _ in seen]
-    for c, d in rel:
-        if c in seen and d in seen:
-            ups[seen[c]].add(seen[d])
-    result = FinPoset(tuple(subsets[c] for c in seen),
-                      tuple(frozenset(u) for u in ups))
-    return Posetification(result, e, Preorder(subsets, rel))
+    ups = []
+    for c in seen:
+        row = 0
+        for d in bits(rows[c]):
+            if d in seen:
+                row |= 1 << seen[d]
+        ups.append(row)
+    result = FinPoset(tuple(subsets[c] for c in seen), tuple(ups))
+    return Posetification(result, e, Preorder(subsets, rows))
 
 
 # ------------------------------------------------- monotone neighbourhood
@@ -128,13 +135,11 @@ def posetify_mnb(x: FinPoset,
     up, down = subset_closures(x)
     ups = [[up[x.mask(a)] for a in fam] for fam in fams]
     downs = [[down[x.mask(a)] for a in fam] for fam in fams]
-    rel = set()
-    for i in range(len(fams)):
-        for j in range(len(fams)):
-            if all(any(not ub & ~ua for ub in ups[j]) for ua in ups[i]) and \
-                    all(any(not da & ~db for da in downs[i]) for db in downs[j]):
-                rel.add((i, j))
-    pre = Preorder(fams, frozenset(rel))
+    succ = tuple(sum(1 << j for j in range(len(fams))
+                     if all(any(not ub & ~ua for ub in ups[j]) for ua in ups[i]) and
+                     all(any(not da & ~db for da in downs[i]) for db in downs[j]))
+                 for i in range(len(fams)))
+    pre = Preorder(fams, succ)
     if not pre.is_transitive():
         raise AssertionError("family comparison should be transitive as given")
     poset, projection = poset_quotient(pre)
@@ -162,12 +167,10 @@ def posetify_nb(x: FinPoset,
     e = {fam: collapse(fam) for fam in carrier}
     witness = None
     if len(carrier) ** 2 <= max_enum:
-        classes: dict = {}
+        classes: dict = {}  # class -> the mask of its members
         for k, fam in enumerate(carrier):
-            classes.setdefault(e[fam], []).append(k)
-        rel = frozenset((i, j) for members in classes.values()
-                        for i in members for j in members)
-        witness = Preorder(carrier, rel)
+            classes[e[fam]] = classes.get(e[fam], 0) | 1 << k
+        witness = Preorder(carrier, tuple(classes[e[fam]] for fam in carrier))
     return Posetification(result, e, witness)
 
 
@@ -179,16 +182,12 @@ def posetify_analytic(t: SetFunctor, x: FinPoset,
     lifted relation is already a partial order, so nothing is collapsed."""
     if t.step_relation is None:
         raise InputError(f"{t.name} has no closed-form lifting")
-    rel = t.step_relation(x, max_enum)
-    if not rel.is_transitive() or not rel.is_antisymmetric():
+    r = t.step_relation(x, max_enum)
+    if not r.is_transitive() or not r.is_antisymmetric():
         raise AssertionError(
             f"{t.name}: lifted relation is not already a partial order")
-    n = len(rel.carrier)
-    ups = [frozenset(j for j in range(n) if (i, j) in rel.rel)
-           for i in range(n)]
-    result = FinPoset(rel.carrier, tuple(ups))
-    e = {v: v for v in rel.carrier}
-    return Posetification(result, e, rel)
+    e = {v: v for v in r.carrier}
+    return Posetification(FinPoset(r.carrier, r.succ), e, r)
 
 
 # ------------------------------------------------------------ dispatching

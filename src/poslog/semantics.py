@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 from .algebra import up_algebra
 from .errors import DEFAULT_MAX_ENUM, InputError, check_enum_budget
 from .functors import pow_functor, powerset
-from .order import FinPoset, is_upset
+from .order import FinPoset, bits, is_upset
 from .posetify import Posetification, egli_milner_leq, posetify_powerset
 from .positivize import Positivication, positivize, semantic_l
 
@@ -295,19 +295,14 @@ def delta_prime(t, delta_factory, x: FinPoset, pos: Posetification,
         raise AssertionError("ambient algebra does not match the component domain")
     if pos.witness is None:
         raise InputError("lifting carries no witness relation to saturate against")
-    carrier = pos.witness.carrier
+    carrier, succ = pos.witness.carrier, pos.witness.succ
     idx = {v: k for k, v in enumerate(carrier)}
-    succ = [set() for _ in carrier]
-    for i, j in pos.witness.rel:
-        succ[i].add(j)
     table = {}
     for m in lifted.members:
         s = dp.apply(m)
-        for v in s:
-            for j in succ[idx[v]]:
-                if carrier[j] not in s:
-                    raise AssertionError(
-                        "semantic image is not saturated for the lifted order")
+        ms = sum(1 << idx[v] for v in s)
+        if any(succ[i] & ~ms for i in bits(ms)):
+            raise AssertionError("semantic image is not saturated for the lifted order")
         u = frozenset(pos.e[v] for v in s)
         if frozenset(v for v in carrier if pos.e[v] in u) != s:
             raise AssertionError("saturated image transfers to more than one upset")

@@ -17,7 +17,7 @@ from . import semantics as sem
 from .errors import DEFAULT_MAX_ENUM
 from .functors import (lift_relation_generic, mnb_functor, multiset_functor,
                        nb_functor, poly_functor, pow_functor, powerset)
-from .order import (FinPoset, Preorder, connected_components, cotensor2,
+from .order import (FinPoset, Preorder, bits, connected_components, cotensor2,
                     diagonal_section, enumerate_posets, is_upset,
                     poset_isomorphism, poset_quotient, transitive_closure,
                     up_closure)
@@ -61,49 +61,60 @@ def three_chain_lattice() -> alg.FinDistLattice:
 
 # ------------------------------------------------------------------ order
 
+def _with_pair(r: Preorder, i: int, j: int) -> Preorder:
+    succ = list(r.succ)
+    succ[i] |= 1 << j
+    return Preorder(r.carrier, tuple(succ))
+
+
+def _contained(r: Preorder, s: Preorder) -> bool:
+    return all(not a & ~b for a, b in zip(r.succ, s.succ))
+
+
 def check_closure_laws(max_enum=DEFAULT_MAX_ENUM):
     rels3 = _reflexive_relations(3)
     for r in rels3:
         c = transitive_closure(r)
-        if transitive_closure(c).rel != c.rel:
-            return False, f"closure not idempotent on {r.rel}"
+        if transitive_closure(c) != c:
+            return False, f"closure not idempotent on {r.succ}"
     for r in rels3:
         for extra in [(0, 1), (2, 0), (1, 2)]:
-            bigger = Preorder(r.carrier, r.rel | {extra})
-            if not transitive_closure(r).rel <= transitive_closure(bigger).rel:
-                return False, f"closure not monotone on {r.rel} + {extra}"
+            bigger = _with_pair(r, *extra)
+            if not _contained(transitive_closure(r), transitive_closure(bigger)):
+                return False, f"closure not monotone on {r.succ} + {extra}"
     rng = random.Random(7)
     for _ in range(40):
         r = _random_reflexive_relation(4, rng)
         c = transitive_closure(r)
-        if transitive_closure(c).rel != c.rel:
-            return False, f"closure not idempotent on {r.rel}"
-        extra = (rng.randrange(4), rng.randrange(4))
-        bigger = Preorder(r.carrier, r.rel | {extra})
-        if not c.rel <= transitive_closure(bigger).rel:
+        if transitive_closure(c) != c:
+            return False, f"closure not idempotent on {r.succ}"
+        bigger = _with_pair(r, rng.randrange(4), rng.randrange(4))
+        if not _contained(c, transitive_closure(bigger)):
             return False, "closure not monotone on a sampled relation"
     return True, f"{len(rels3)} relations on 3 elements, 40 sampled on 4"
 
 
 def _reflexive_relations(n: int) -> list:
     carrier = tuple(LABELS[:n])
-    diag = frozenset((i, i) for i in range(n))
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
     out = []
     for mask in range(1 << len(offdiag)):
-        extra = frozenset(p for k, p in enumerate(offdiag) if mask >> k & 1)
-        out.append(Preorder(carrier, diag | extra))
+        succ = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(offdiag):
+            if mask >> k & 1:
+                succ[i] |= 1 << j
+        out.append(Preorder(carrier, tuple(succ)))
     return out
 
 
 def _random_reflexive_relation(n: int, rng) -> Preorder:
     carrier = tuple(LABELS[:n])
-    rel = {(i, i) for i in range(n)}
+    succ = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(n):
             if i != j and rng.random() < 0.3:
-                rel.add((i, j))
-    return Preorder(carrier, frozenset(rel))
+                succ[i] |= 1 << j
+    return Preorder(carrier, tuple(succ))
 
 
 def check_quotient(max_enum=DEFAULT_MAX_ENUM):
@@ -111,12 +122,13 @@ def check_quotient(max_enum=DEFAULT_MAX_ENUM):
     for r in _reflexive_relations(3):
         c = transitive_closure(r)
         poset, proj = poset_quotient(c)
-        for i, j in c.rel:
-            if not poset.leq_idx(proj[i], proj[j]):
-                return False, f"projection drops a pair of {c.rel}"
-            mutual = (j, i) in c.rel
-            if (proj[i] == proj[j]) != mutual:
-                return False, f"classes of {c.rel} disagree with the relation"
+        for i, row in enumerate(c.succ):
+            for j in bits(row):
+                if not poset.leq_idx(proj[i], proj[j]):
+                    return False, f"projection drops a pair of {c.succ}"
+                mutual = c.succ[j] >> i & 1 == 1
+                if (proj[i] == proj[j]) != mutual:
+                    return False, f"classes of {c.succ} disagree with the relation"
         count += 1
     return True, f"{count} quotients on 3-element carriers"
 
@@ -147,10 +159,8 @@ def check_components(max_enum=DEFAULT_MAX_ENUM):
             if comp_of[w[0]] != comp_of[w[1]]:
                 return False, "collapse does not coequalise the projections"
         # independent route: symmetrise the order and quotient
-        n = len(p)
-        rel = {(i, j) for i in range(n) for j in p.up[i]}
-        rel |= {(j, i) for i, j in rel}
-        q, proj = poset_quotient(transitive_closure(Preorder(p.elements, frozenset(rel))))
+        sym = tuple(u | d for u, d in zip(p.upmask, p.downmask))
+        q, proj = poset_quotient(transitive_closure(Preorder(p.elements, sym)))
         if len(q) != len(comps):
             return False, f"component count differs on {p.elements}"
         for a in p.elements:
@@ -405,7 +415,7 @@ def check_mnb_order(max_enum=DEFAULT_MAX_ENUM):
     for p in small_posets(3):
         direct = posetify_mnb(p, max_enum).witness
         generic = transitive_closure(lift_relation_generic(mnb_functor(), p, max_enum))
-        if direct.carrier != generic.carrier or direct.rel != generic.rel:
+        if direct != generic:
             return False, f"family comparison differs from the closure on {p.elements}"
     return True, "strict example holds; comparison equals the closure"
 
@@ -440,7 +450,7 @@ def check_discrete_identity(max_enum=DEFAULT_MAX_ENUM):
 def check_pow_transitive(max_enum=DEFAULT_MAX_ENUM):
     for p in small_posets(3):
         r = lift_relation_generic(pow_functor(), p, max_enum)
-        if transitive_closure(r).rel != r.rel:
+        if transitive_closure(r) != r:
             return False, f"one-step powerset lifting not transitive on {p.elements}"
     return True, "one-step lifting already transitive"
 
@@ -451,7 +461,7 @@ def check_mnb_transitivity_probe(max_enum=DEFAULT_MAX_ENUM):
     failures = []
     for p in small_posets(3):
         r = lift_relation_generic(mnb_functor(), p, max_enum)
-        if transitive_closure(r).rel != r.rel:
+        if transitive_closure(r) != r:
             failures.append(p.elements)
     if failures:
         return True, f"non-transitive one-step lifting found on {len(failures)} posets"

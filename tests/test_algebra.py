@@ -13,7 +13,7 @@ from poslog.algebra import (FinBoolAlg, LatticeHom,
                             up_algebra)
 from poslog.errors import BudgetExceeded, InputError
 from poslog.functors import nb_functor
-from poslog.order import (FinPoset, MonotoneMap, enumerate_posets,
+from poslog.order import (FinPoset, MonotoneMap, enumerate_posets, is_upset,
                           poset_isomorphism)
 
 
@@ -52,8 +52,8 @@ class TestLattices:
     def test_upsets_of_two_chain(self):
         lat = three_chain()
         assert sorted(map(sorted, lat.carrier())) == [[], ["p", "q"], ["q"]]
-        assert lat.is_element(frozenset(["q"]))
-        assert not lat.is_element(frozenset(["p"]))
+        assert is_upset(lat.spectrum, frozenset(["q"]))
+        assert not is_upset(lat.spectrum, frozenset(["p"]))
 
     def test_up_algebra_sizes(self):
         assert len(up_algebra(FinPoset.discrete(("a", "b"))).carrier()) == 4

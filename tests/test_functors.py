@@ -4,8 +4,9 @@ import math
 
 import pytest
 
+from poslog.algebra import _upsets_in_mask_order
 from poslog.errors import BudgetExceeded, InputError
-from poslog.functors import (DEDEKIND, lift_relation_generic, mnb_functor,
+from poslog.functors import (DEDEKIND, _mnb_obj, lift_relation_generic, mnb_functor,
                              multiset_functor, nb_functor, parse_functor,
                              poly_functor, pow_functor, powerset)
 from poslog.order import FinPoset, transitive_closure
@@ -53,6 +54,18 @@ class TestObjectMaps:
         t = poly_functor([("f", 2, ("k",)), ("c", 0, ("u", "v"))])
         assert len(t.on_obj(("a", "b", "c"))) == 9 + 2 == t.size_estimate(3)
         assert len(t.on_obj(())) == 2  # constants survive on the empty set
+
+    @pytest.mark.parametrize("cache, key", [
+        (powerset, lambda k: (k,)),
+        (_mnb_obj, lambda k: (k,)),
+        (_upsets_in_mask_order, lambda k: FinPoset.discrete((k,))),
+    ], ids=["powerset", "_mnb_obj", "_upsets_in_mask_order"])
+    def test_carrier_caches_are_bounded(self, cache, key):
+        bound = cache.cache_info().maxsize
+        assert bound is not None
+        for k in range(bound + 1):
+            cache(key(k))
+        assert cache.cache_info().currsize <= bound
 
 
 class TestMorphismMaps:

@@ -1,8 +1,11 @@
 """JSON formats, DOT export, and the command-line interface."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -11,6 +14,7 @@ from poslog.io import (format_label, lattice_dot, load_coalgebra,
                        load_lattice, load_poset, load_valuation, poset_dot,
                        poset_to_dict)
 from poslog.algebra import up_algebra
+from poslog.cli import main
 from poslog.order import FinPoset
 
 
@@ -128,6 +132,20 @@ class TestCli:
                     "--poset", str(files / "antichain4.json"), "--method", "both")
         assert r.returncode == 2
         assert "budget" in r.stderr
+
+    def test_poly_coefficients_refused_before_their_labels_are_built(self, files):
+        argv = ["posetify", "--functor", "poly:sigma=f:1:1000000", "--max-enum", "100",
+                "--poset", str(files / "chain2.json")]
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stderr(err):
+                rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2 and "budget" in err.getvalue()
+        assert peak < 5 * 2 ** 20
 
     def test_posetify_dot_export(self, files, tmp_path):
         out = tmp_path / "out.dot"

@@ -14,6 +14,14 @@ def chain(*labels):
     return FinPoset.chain(labels)
 
 
+def preorder(carrier, pairs):
+    """The reflexive relation on ``carrier`` with the given index pairs."""
+    succ = [1 << i for i in range(len(carrier))]
+    for i, j in pairs:
+        succ[i] |= 1 << j
+    return Preorder(tuple(carrier), tuple(succ))
+
+
 class TestFinPoset:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(InputError):
@@ -36,7 +44,7 @@ class TestFinPoset:
 
     def test_empty_poset_is_legal(self):
         p = FinPoset((), ())
-        assert len(p) == 0 and list(p.pairs()) == []
+        assert len(p) == 0 and p.upmask == () and p.covers() == []
 
     def test_covers_of_chain(self):
         p = chain("a", "b", "c")
@@ -56,13 +64,12 @@ class TestClosures:
         assert down_closure(p, {"q"}) == {"p", "q"}
 
     def test_adds_composite_pair(self):
-        r = Preorder(("a", "b", "c"),
-                     frozenset([(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)]))
+        r = preorder("abc", [(0, 1), (1, 2)])
         c = transitive_closure(r)
         assert (0, 2) in c.rel
 
     def test_idempotent_on_already_transitive(self):
-        r = Preorder(("a", "b"), frozenset([(0, 0), (1, 1), (0, 1)]))
+        r = preorder("ab", [(0, 1)])
         assert transitive_closure(r).rel == r.rel
 
     def test_powerset_lifting_of_two_chain_already_transitive(self):
@@ -70,11 +77,8 @@ class TestClosures:
         assert transitive_closure(r).rel == r.rel
 
     def test_idempotent_and_monotone_exhaustive_small(self):
-        carrier = ("a", "b", "c")
-        diag = frozenset((i, i) for i in range(3))
         offdiag = [(i, j) for i in range(3) for j in range(3) if i != j]
-        rels = [Preorder(carrier, diag | frozenset(
-                    p for k, p in enumerate(offdiag) if mask >> k & 1))
+        rels = [preorder("abc", [p for k, p in enumerate(offdiag) if mask >> k & 1])
                 for mask in range(1 << 6)]
         for r in rels:
             c = transitive_closure(r)
@@ -86,18 +90,18 @@ class TestClosures:
 
     def test_reflexivity_required(self):
         with pytest.raises(InputError):
-            Preorder(("a", "b"), frozenset([(0, 0)]))
+            Preorder(("a", "b"), (0b01, 0b00))
 
 
 class TestQuotient:
     def test_discrete_relation_identity_quotient(self):
-        r = Preorder(("a", "b"), frozenset([(0, 0), (1, 1)]))
+        r = preorder("ab", [])
         poset, proj = poset_quotient(r)
         assert len(poset) == 2 and proj == (0, 1)
 
     def test_total_relation_collapses(self):
-        rel = frozenset((i, j) for i in range(3) for j in range(3))
-        poset, proj = poset_quotient(Preorder(("a", "b", "c"), rel))
+        rel = [(i, j) for i in range(3) for j in range(3)]
+        poset, proj = poset_quotient(preorder("abc", rel))
         assert len(poset) == 1 and poset.elements == ("a",)
 
     def test_powerset_order_on_two_chain_gives_four_classes(self):
@@ -111,14 +115,13 @@ class TestQuotient:
         assert len(poset) == 4
 
     def test_requires_transitive(self):
-        r = Preorder(("a", "b", "c"),
-                     frozenset([(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)]))
+        r = preorder("abc", [(0, 1), (1, 2)])
         with pytest.raises(InputError):
             poset_quotient(r)
 
     def test_projection_preserves_relation(self):
-        rel = frozenset([(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (0, 2), (1, 2)])
-        r = Preorder(("a", "b", "c"), rel)
+        rel = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (0, 2), (1, 2)]
+        r = preorder("abc", rel)
         poset, proj = poset_quotient(r)
         assert proj[0] == proj[1] != proj[2]
         for i, j in rel:

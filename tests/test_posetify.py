@@ -8,8 +8,7 @@ from poslog.errors import BudgetExceeded
 from poslog.functors import (_mnb_obj, lift_relation_generic, mnb_functor,
                              multiset_functor, nb_functor, poly_functor,
                              pow_functor, powerset)
-from poslog.order import (FinPoset, connected_components, cotensor2,
-                          transitive_closure)
+from poslog.order import FinPoset, cotensor2, transitive_closure
 from poslog.posetify import (convex_closure, cross_check, egli_milner_leq,
                              posetify_generic, posetify_mnb, posetify_nb,
                              posetify_powerset)
@@ -141,11 +140,6 @@ class TestNb:
         p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")], complete=True)
         pos = posetify_nb(p)
         assert len(pos.result) == 16
-
-    def test_size_is_two_to_two_to_components(self):
-        for p in small_posets(3):
-            comps, _ = connected_components(p)
-            assert len(posetify_nb(p).result) == 1 << (1 << len(comps))
 
 
 class TestCrossCheck:

@@ -1,5 +1,6 @@
-"""Property tests on random posets: each mask-level computation against
-its definition, written out here on labels and the ``up`` table."""
+"""Property tests on random posets and relations: each mask-level
+computation against its definition, written out here on labels and on
+sets of pairs."""
 
 from itertools import combinations, permutations
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poslog.functors import multiset_functor, poly_functor, pow_functor, powerset
-from poslog.order import FinPoset, down_closure, up_closure
+from poslog.order import (FinPoset, Preorder, down_closure, poset_quotient,
+                          transitive_closure, up_closure)
 from poslog.posetify import cross_check, egli_milner_leq
 
 # no example database on disk, and no per-example deadline on a slow host
@@ -18,88 +20,98 @@ LABELS = ("a", "b", "c", "d", "e", "f")
 
 @st.composite
 def posets(draw, max_size=6):
-    """A poset from random pairs ``i < j`` of a hidden linear order, its
-    elements listed under a shuffled labelling."""
+    """``(x, leq)``: a poset from random pairs ``i < j`` of a hidden linear
+    order, its elements listed under a shuffled labelling, and its order
+    as the set of label pairs ``a <= b``, closed here on labels."""
     n = draw(st.integers(0, max_size))
     labels = draw(st.permutations(LABELS[:n]))
     candidates = list(combinations(range(n), 2))
     chosen = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
     pairs = [(labels[i], labels[j]) for i, j in chosen]
     elements = draw(st.permutations(labels))
-    return FinPoset.from_pairs(elements, pairs, complete=True)
+    x = FinPoset.from_pairs(elements, pairs, complete=True)
+    return x, closure_by_fixpoint({(a, a) for a in labels} | set(pairs))
+
+
+def closure_by_fixpoint(pairs):
+    """The transitive closure of a set of pairs: add composites until none
+    is new."""
+    rel = set(pairs)
+    while True:
+        new = {(a, d) for a, b in rel for c, d in rel if b == c} - rel
+        if not new:
+            return frozenset(rel)
+        rel |= new
 
 
 def subsets_of(x):
     return st.sets(st.sampled_from(x.elements)) if len(x) else st.just(set())
 
 
-def below(x, a, b):
-    """``a <= b`` read off the up table."""
-    return x.elements.index(b) in x.up[x.elements.index(a)]
-
-
 @checked
 @given(posets())
-def test_order_queries_match_the_up_table(x):
+def test_order_queries_match_the_up_table(drawn):
+    x, leq = drawn
     for a in x.elements:
-        assert x.up_set(a) == {b for b in x.elements if below(x, a, b)}
-        assert x.down_set(a) == {b for b in x.elements if below(x, b, a)}
+        assert x.up_set(a) == {b for b in x.elements if (a, b) in leq}
+        assert x.down_set(a) == {b for b in x.elements if (b, a) in leq}
         for b in x.elements:
-            assert x.leq(a, b) == below(x, a, b)
+            assert x.leq(a, b) == ((a, b) in leq)
     assert x.covers() == [
         (a, b) for a in x.elements for b in x.elements
-        if a != b and below(x, a, b)
-        and not any(c not in (a, b) and below(x, a, c) and below(x, c, b)
+        if a != b and (a, b) in leq
+        and not any(c not in (a, b) and (a, c) in leq and (c, b) in leq
                     for c in x.elements)]
 
 
 @checked
 @given(st.data())
 def test_closures_match_their_definitions(data):
-    x = data.draw(posets())
+    x, leq = data.draw(posets())
     s = data.draw(subsets_of(x))
-    assert up_closure(x, s) == {b for b in x.elements
-                                if any(below(x, a, b) for a in s)}
-    assert down_closure(x, s) == {a for a in x.elements
-                                  if any(below(x, a, b) for b in s)}
+    assert up_closure(x, s) == {b for b in x.elements if any((a, b) in leq for a in s)}
+    assert down_closure(x, s) == {a for a in x.elements if any((a, b) in leq for b in s)}
 
 
-def egli_milner_by_definition(x, a, b):
-    return all(any(below(x, v, w) for w in b) for v in a) and \
-        all(any(below(x, v, w) for v in a) for w in b)
+def egli_milner_by_definition(leq, a, b):
+    return all(any((v, w) in leq for w in b) for v in a) and \
+        all(any((v, w) in leq for v in a) for w in b)
 
 
 @checked
 @given(posets(max_size=5))
-def test_egli_milner_matches_the_forall_exists_formula(x):
+def test_egli_milner_matches_the_forall_exists_formula(drawn):
+    x, leq = drawn
     subsets = powerset(x.elements)
     for a in subsets:
         for b in subsets:
-            assert egli_milner_leq(x, a, b) == egli_milner_by_definition(x, a, b)
+            assert egli_milner_leq(x, a, b) == egli_milner_by_definition(leq, a, b)
 
 
 @checked
 @given(posets(max_size=5))
-def test_powerset_step_relation_matches_the_label_formula(x):
+def test_powerset_step_relation_matches_the_label_formula(drawn):
+    x, leq = drawn
     r = pow_functor().step_relation(x)
     want = {(i, j) for i, a in enumerate(r.carrier) for j, b in enumerate(r.carrier)
-            if egli_milner_by_definition(x, a, b)}
+            if egli_milner_by_definition(leq, a, b)}
     assert r.rel == want
 
 
 @checked
 @given(posets(max_size=5))
-def test_multiset_step_relation_matches_the_label_formula(x):
+def test_multiset_step_relation_matches_the_label_formula(drawn):
     def expand(m):
         return [label for label, c in m for _ in range(c)]
 
+    x, leq = drawn
     r = multiset_functor(2).step_relation(x)
     want = set()
     for i, a in enumerate(r.carrier):
         for j, b in enumerate(r.carrier):
             xa, xb = expand(a), expand(b)
             if len(xa) == len(xb) and any(
-                    all(below(x, v, w) for v, w in zip(xa, perm))
+                    all((v, w) in leq for v, w in zip(xa, perm))
                     for perm in permutations(xb)):
                 want.add((i, j))
     assert r.rel == want
@@ -109,25 +121,67 @@ def test_multiset_step_relation_matches_the_label_formula(x):
                                poly_functor([("f", 2, ("k",)), ("c", 0, ("u", "v"))])],
                          ids=lambda t: t.name)
 @settings(checked, max_examples=25)
-@given(x=posets(max_size=4))
-def test_both_routes_agree(t, x):
-    r = cross_check(t, x)
+@given(drawn=posets(max_size=4))
+def test_both_routes_agree(t, drawn):
+    r = cross_check(t, drawn[0])
     assert r.ok, r.detail
 
 
 @checked
 @given(posets())
-def test_equal_tables_give_equal_posets(x):
-    twin = FinPoset(tuple(x.elements),
-                    tuple(frozenset(sorted(u, reverse=True)) for u in x.up))
+def test_equal_tables_give_equal_posets(drawn):
+    x, leq = drawn
+    twin = FinPoset.from_pairs(x.elements, sorted(leq, reverse=True))
     assert twin == x and hash(twin) == hash(x)
     assert twin.upmask == x.upmask and twin.downmask == x.downmask
 
 
 @checked
 @given(posets())
-def test_index_of_an_unknown_label_raises(x):
+def test_index_of_an_unknown_label_raises(drawn):
+    x, _ = drawn
     with pytest.raises(ValueError):
         x.index("z")
     with pytest.raises(ValueError):
         x.leq("z", "z")
+
+
+@st.composite
+def relations(draw, max_size=8):
+    """A reflexive relation on up to ``max_size`` indices, as a set of
+    index pairs."""
+    n = draw(st.integers(0, max_size))
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = draw(st.sets(st.sampled_from(offdiag))) if offdiag else set()
+    return n, frozenset((i, i) for i in range(n)) | chosen
+
+
+def preorder(n, pairs):
+    succ = [0] * n
+    for i, j in pairs:
+        succ[i] |= 1 << j
+    return Preorder(tuple(range(n)), tuple(succ))
+
+
+@checked
+@given(relations())
+def test_transitive_closure_matches_the_pair_fixpoint(drawn):
+    n, pairs = drawn
+    assert transitive_closure(preorder(n, pairs)).rel == closure_by_fixpoint(pairs)
+
+
+@checked
+@given(relations())
+def test_quotient_matches_the_class_definition(drawn):
+    n, pairs = drawn
+    closed = closure_by_fixpoint(pairs)
+    r = transitive_closure(preorder(n, pairs))
+    poset, projection = poset_quotient(r)
+    # the class of i: every j related to i both ways, named by its least member
+    least = [min(j for j in range(n) if (i, j) in closed and (j, i) in closed)
+             for i in range(n)]
+    assert poset.elements == tuple(r.carrier[c] for c in sorted(set(least)))
+    for i in range(n):
+        assert poset.elements[projection[i]] == r.carrier[least[i]]
+        for j in range(n):
+            assert poset.leq_idx(projection[i], projection[j]) == ((i, j) in closed)
