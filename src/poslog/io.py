@@ -78,11 +78,12 @@ def load_coalgebra(data: Any) -> Coalgebra:
     structure = data["structure"]
     if not isinstance(structure, dict):
         raise InputError("'structure' must map states to successor lists")
-    try:
-        return Coalgebra.of(poset,
-                            {x: frozenset(vs) for x, vs in structure.items()})
-    except TypeError as exc:
-        raise InputError("successor lists must be lists of states") from exc
+    successors = {}
+    for x, states in structure.items():
+        if not isinstance(states, list):
+            raise InputError(f"successors of {x!r} must be a list of states")
+        successors[x] = frozenset(_labels(states, f"successors of {x!r}"))
+    return Coalgebra.of(poset, successors)
 
 
 def load_valuation(data: Any) -> dict:

@@ -14,6 +14,7 @@ quotient and isomorphism search are integer operations on these rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from .errors import InputError
@@ -53,9 +54,10 @@ class FinPoset:
     checked at construction time.
 
     Construction also caches a label -> index dict and the down-set of
-    each element as a bitmask (``downmask``).  They are derived from
-    ``elements`` and ``upmask``, so they take no part in equality, hashing
-    or the repr.
+    each element as a bitmask (``downmask``), and the first use of
+    :attr:`refinement` caches that on the instance too.  They are derived
+    from ``elements`` and ``upmask``, so they take no part in equality,
+    hashing or the repr.
     """
 
     elements: tuple
@@ -166,6 +168,36 @@ class FinPoset:
 
     def down_set(self, label) -> frozenset:
         return self.labels(self.downmask[self.index(label)])
+
+    @cached_property
+    def refinement(self) -> tuple:
+        """``(key, colours)``: the colour refinement of the elements.
+
+        Every element starts coloured by the sizes of its up- and down-set;
+        each round recolours it by its colour and the sorted colours of its
+        up-set and of its down-set, until the partition is stable.  Colours
+        are numbered by sorted signature, so they do not depend on the
+        labelling.  ``colours`` is the final colour of each index; ``key``
+        is the history, the sorted signatures of every round.  Isomorphic
+        posets have equal keys, and an isomorphism maps each element to
+        one of the same final colour.  The history is needed: the final
+        colour multiset alone takes only 16 values on the 63 isomorphism
+        types of 5-element posets, while the key takes 63.
+        """
+        ups, downs = self.upmask, self.downmask
+        colours = [(u.bit_count(), d.bit_count()) for u, d in zip(ups, downs)]
+        history = []
+        while True:
+            sig = [(colours[i],
+                    tuple(sorted(colours[j] for j in bits(ups[i]))),
+                    tuple(sorted(colours[j] for j in bits(downs[i]))))
+                   for i in range(len(ups))]
+            history.append(tuple(sorted(sig)))
+            canon = {s: k for k, s in enumerate(sorted(set(sig)))}
+            new = [canon[s] for s in sig]
+            if new == colours:
+                return tuple(history), tuple(new)
+            colours = new
 
     def covers(self) -> list:
         """Cover pairs (a, b) with a < b and nothing strictly between."""
@@ -391,32 +423,18 @@ def connected_components(x: FinPoset) -> tuple:
 def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[dict]:
     """An order isomorphism ``p -> q`` as a label dict, or None.
 
-    Brute-force backtracking with colour refinement, adequate for the
-    small posets produced here (a few hundred nodes at most, usually far
-    fewer).
+    The refinement keys propose (see :attr:`FinPoset.refinement`): posets
+    with different keys are not isomorphic.  For equal keys a backtracking
+    search confirms, mapping each element to an unused one of the same
+    final colour and checking order both ways against every element
+    placed so far, so every answer is exact.  Both posets keep their
+    refinement, so repeated calls on the same posets pay only the search.
     """
     n = len(p)
     if n != len(q):
         return None
-
-    def refine(poset):
-        ups, downs = poset.upmask, poset.downmask
-        colours = [(u.bit_count(), d.bit_count()) for u, d in zip(ups, downs)]
-        while True:
-            sig = [
-                (colours[i],
-                 tuple(sorted(colours[j] for j in bits(ups[i]))),
-                 tuple(sorted(colours[j] for j in bits(downs[i]))))
-                for i in range(len(poset))
-            ]
-            canon = {s: k for k, s in enumerate(sorted(set(sig)))}
-            new = [canon[s] for s in sig]
-            if new == colours:
-                return tuple(new)
-            colours = new
-
-    cp, cq = refine(p), refine(q)
-    if sorted(cp) != sorted(cq):
+    (pkey, cp), (qkey, cq) = p.refinement, q.refinement
+    if pkey != qkey:
         return None
     candidates = [[j for j in range(n) if cq[j] == cp[i]] for i in range(n)]
     pu, qu = p.upmask, q.upmask
@@ -451,18 +469,54 @@ def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[dict]:
     return {p.elements[i]: q.elements[j] for i, j in assigned.items()}
 
 
+def _sweep_index(ups: tuple) -> int:
+    """The off-diagonal relation as one mask: bit ``b`` for the ``b``-th
+    pair ``(i, j)``, ``i != j``, in row-major order."""
+    width = len(ups) - 1
+    out = 0
+    for i, row in enumerate(ups):
+        out |= (row & ((1 << i) - 1) | row >> (i + 1) << i) << (i * width)
+    return out
+
+
 def enumerate_posets(labels: tuple) -> Iterator[FinPoset]:
-    """All partial orders on the given labels (meant for n <= 4)."""
-    n = len(labels)
-    if n == 0:
-        yield FinPoset((), ())
-        return
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for mask in range(1 << len(offdiag)):
-        ups = [1 << i for i in range(n)]
-        for b, (i, j) in enumerate(offdiag):
-            if mask >> b & 1:
-                ups[i] |= 1 << j
-        if all((i == j or not ups[j] >> i & 1) and not ups[j] & ~ups[i]
-               for i in range(n) for j in bits(ups[i])):
-            yield FinPoset(labels, tuple(ups))
+    """All partial orders on the given labels, ordered by their
+    off-diagonal relation mask (see :func:`_sweep_index`).
+
+    The posets are built by extension: a poset on the first ``k + 1``
+    labels is one on the first ``k`` plus element ``k`` with a down-set
+    ``D`` below it and an up-set ``U`` above it, where ``D`` and ``U`` are
+    disjoint and every member of ``D`` lies below every member of ``U``.
+    Each poset arises once.  There are 1, 1, 3, 19, 219, 4,231 and 130,023
+    posets on 0 to 6 labels; 5 labels take some tens of milliseconds.
+    """
+    layer = [()]
+    for k in range(len(labels)):
+        grown = []
+        for ups in layer:
+            downs = [0] * k
+            for i, row in enumerate(ups):
+                for j in bits(row):
+                    downs[j] |= 1 << i
+            up, down = [0], [0]
+            for m in range(1, 1 << k):
+                low = m & -m
+                j = low.bit_length() - 1
+                up.append(up[m ^ low] | ups[j])
+                down.append(down[m ^ low] | downs[j])
+            upsets = [m for m, c in enumerate(up) if c == m]
+            bit = 1 << k
+            for d, c in enumerate(down):
+                if c != d:
+                    continue
+                allowed = (bit - 1) & ~d
+                for i in bits(d):
+                    allowed &= ups[i]
+                below = tuple(row | bit if d >> i & 1 else row
+                              for i, row in enumerate(ups))
+                for u in upsets:
+                    if not u & ~allowed:
+                        grown.append(below + (bit | u,))
+        layer = grown
+    for ups in sorted(layer, key=_sweep_index):
+        yield FinPoset(labels, ups)

@@ -182,10 +182,13 @@ def positivize_mor(l: BAFunctor, h: LatticeHom,
 class Beta:
     """The comparison between lifting-then-including and including-then-
     applying on a Boolean algebra; in this representation it is witnessed
-    by an identity of carriers, which is verified rather than assumed."""
+    by an identity of carriers, which is verified rather than assumed.
+    ``size`` is the number of members the inserter found, so the size of
+    the lifting can be read without enumerating ``source`` again."""
 
     source: FinDistLattice
     target: FinDistLattice
+    size: int
 
     def apply(self, x: frozenset) -> frozenset:
         return x
@@ -213,7 +216,7 @@ def beta(l: BAFunctor, b: FinBoolAlg,
     for relem, member in p.embed.items():
         if relem != member:
             raise AssertionError("comparison is not the identity on elements")
-    return Beta(p.result, wlb)
+    return Beta(p.result, wlb, len(p.members))
 
 
 def closed_form_dunn(a: FinDistLattice,

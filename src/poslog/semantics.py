@@ -87,15 +87,28 @@ def _tokenize(text: str) -> list:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
+# The deepest formula accepted.  Printing and evaluating a formula recurse
+# on it, about three interpreter frames a level, so a formula this deep
+# stays far inside Python's default recursion limit of 1000 in every mode.
+MAX_FORMULA_DEPTH = 100
+
+
 def parse_formula(text: str) -> Formula:
     """Parse an s-expression formula: ``(dia (or p q))``, ``(box p)``,
-    ``(not p)``, ``(and p q r)``, with ``top``/``bot`` constants."""
+    ``(not p)``, ``(and p q r)``, with ``top``/``bot`` constants.
+
+    A formula deeper than ``MAX_FORMULA_DEPTH`` (an atom has depth 0, and
+    ``(and p q r)`` is ``(and (and p q) r)``, of depth 2) is refused with
+    an :class:`InputError`."""
     tokens = _tokenize(text)
     if not tokens:
         raise InputError("empty formula")
     pos = 0
+    too_deep = f"formula nested deeper than {MAX_FORMULA_DEPTH} levels"
 
-    def read() -> Formula:
+    def read(level: int) -> tuple:
+        """The formula at ``pos`` and its depth; ``level`` counts the
+        parentheses open around it."""
         nonlocal pos
         if pos >= len(tokens):
             raise InputError("unexpected end of formula")
@@ -105,36 +118,42 @@ def parse_formula(text: str) -> Formula:
             raise InputError("unexpected ')'")
         if tok != "(":
             if tok == "top":
-                return TOP
+                return TOP, 0
             if tok == "bot":
-                return BOT
+                return BOT, 0
             if tok in ("and", "or", "not", "box", "dia"):
                 raise InputError(f"operator {tok!r} needs parentheses")
-            return var(tok)
+            return var(tok), 0
+        if level >= MAX_FORMULA_DEPTH:  # a group inside this many is too deep
+            raise InputError(too_deep)
         if pos >= len(tokens):
             raise InputError("unexpected end of formula")
         head = tokens[pos]
         pos += 1
         args = []
         while pos < len(tokens) and tokens[pos] != ")":
-            args.append(read())
+            args.append(read(level + 1))
         if pos >= len(tokens):
             raise InputError("missing ')'")
         pos += 1
         if head in ("not", "box", "dia"):
             if len(args) != 1:
                 raise InputError(f"{head!r} takes exactly one argument")
-            return Formula(head, tuple(args))
-        if head in ("and", "or"):
+            (arg, depth), = args
+            out, depth = Formula(head, (arg,)), depth + 1
+        elif head in ("and", "or"):
             if len(args) < 2:
                 raise InputError(f"{head!r} takes at least two arguments")
-            out = args[0]
-            for a in args[1:]:
-                out = Formula(head, (out, a))
-            return out
-        raise InputError(f"unknown operator {head!r}")
+            out, depth = args[0]
+            for arg, d in args[1:]:
+                out, depth = Formula(head, (out, arg)), max(depth, d) + 1
+        else:
+            raise InputError(f"unknown operator {head!r}")
+        if depth > MAX_FORMULA_DEPTH:
+            raise InputError(too_deep)
+        return out, depth
 
-    out = read()
+    out, _ = read(0)
     if pos != len(tokens):
         raise InputError("trailing input after formula")
     return out

@@ -42,10 +42,16 @@ def small_posets(max_size: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def iso_representatives(max_size: int) -> tuple:
-    """The first of ``small_posets(max_size)`` of each isomorphism type."""
-    reps: list = []
+    """The first of ``small_posets(max_size)`` of each isomorphism type.
+
+    Posets are bucketed by refinement key, and :func:`poset_isomorphism`
+    compares a poset only with the representatives in its own bucket."""
+    buckets: dict = {}
+    reps = []
     for p in small_posets(max_size):
-        if not any(len(q) == len(p) and poset_isomorphism(p, q) for q in reps):
+        bucket = buckets.setdefault(p.refinement[0], [])
+        if all(poset_isomorphism(p, q) is None for q in bucket):
+            bucket.append(p)
             reps.append(p)
     return tuple(reps)
 
@@ -530,7 +536,7 @@ def check_beta(max_enum=DEFAULT_MAX_ENUM):
             b = alg.FinBoolAlg(atoms=LABELS[:n])
             bta = beta(l, b, max_enum)
             lb_size = l.on_obj(b).size()
-            if len(bta.source.carrier(max_enum)) != lb_size:
+            if bta.size != lb_size:
                 return False, f"{l.name}: lifting at a {n}-atom algebra has the wrong size"
     return True, "lifting agrees with inclusion on Boolean algebras <= 2 atoms"
 

@@ -1,6 +1,7 @@
 """JSON formats, DOT export, and the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poslog.errors import InputError
 from poslog.io import (format_label, lattice_dot, load_coalgebra,
@@ -16,11 +18,20 @@ from poslog.io import (format_label, lattice_dot, load_coalgebra,
 from poslog.algebra import up_algebra
 from poslog.cli import main
 from poslog.order import FinPoset
+from poslog.semantics import MAX_FORMULA_DEPTH
 
 
 def run_cli(*args, **kw):
     return subprocess.run([sys.executable, "-m", "poslog.cli", *args],
                           capture_output=True, text=True, **kw)
+
+
+def run_main(*argv):
+    """``(exit code, stdout, stderr)`` of ``main`` called in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
 
 
 class TestJson:
@@ -69,6 +80,10 @@ class TestJson:
             load_coalgebra({"carrier": [["x"]], "structure": {}})
         with pytest.raises(InputError):
             load_valuation({"p": [["x"]]})
+        for bad in ("y", 3, {"y": "y"}, [["y"]]):
+            with pytest.raises(InputError):
+                load_coalgebra({"carrier": ["x", "y"],
+                                "structure": {"x": bad, "y": []}})
 
 
 class TestDot:
@@ -193,6 +208,48 @@ class TestCli:
                      "--formula", "(and p (dia p))", "--mode", "both")
         assert json.loads(r2.stdout)["satisfying"]["positive"] == ["y"]
 
+    @pytest.mark.parametrize("mode", ["boolean", "positive", "both"])
+    @pytest.mark.parametrize("wrap", [
+        lambda f: f"(box {f})",
+        lambda f: f"(and p {f})",
+        lambda f: f"(or {f} p)",
+    ], ids=["box", "and-right", "or-left"])
+    def test_formula_depth_limit(self, files, mode, wrap):
+        def nested(depth):
+            text = "p"
+            for _ in range(depth):
+                text = wrap(text)
+            return text
+
+        argv = ["interpret", "--coalgebra", str(files / "kripke.json"),
+                "--valuation", str(files / "val.json"), "--mode", mode, "--formula"]
+        rc, out, _ = run_main(*argv, nested(MAX_FORMULA_DEPTH))
+        assert rc == 0 and json.loads(out)["satisfying"]
+        rc, out, err = run_main(*argv, nested(MAX_FORMULA_DEPTH + 1))
+        assert rc == 3 and out == ""
+        assert f"deeper than {MAX_FORMULA_DEPTH} levels" in err
+
+    def test_nary_formula_depth_counts_the_folded_connective(self, files):
+        argv = ["interpret", "--coalgebra", str(files / "kripke.json"),
+                "--valuation", str(files / "val.json"), "--formula"]
+        # (and p p ... p) with k arguments folds to depth k - 1
+        rc, _, _ = run_main(*argv, "(and" + " p" * (MAX_FORMULA_DEPTH + 1) + ")")
+        assert rc == 0
+        rc, _, err = run_main(*argv, "(and" + " p" * (MAX_FORMULA_DEPTH + 2) + ")")
+        assert rc == 3 and "deeper than" in err
+
+    def test_successor_list_given_as_a_string_exit_three(self, tmp_path):
+        coalgebra = tmp_path / "coalgebra.json"
+        coalgebra.write_text(json.dumps(
+            {"carrier": ["x", "y", "z", "yz"],
+             "structure": {"x": "yz", "y": [], "z": [], "yz": []}}))
+        valuation = tmp_path / "valuation.json"
+        valuation.write_text(json.dumps({"p": ["y"]}))
+        rc, out, err = run_main("interpret", "--coalgebra", str(coalgebra),
+                                "--valuation", str(valuation), "--formula", "(dia p)")
+        assert rc == 3 and out == ""
+        assert "successors of 'x' must be a list" in err
+
     def test_interpret_malformed_formula_exit_three(self, files):
         r = run_cli("interpret", "--coalgebra", str(files / "kripke.json"),
                     "--valuation", str(files / "val.json"),
@@ -221,3 +278,102 @@ class TestCli:
 
     def test_verify_unknown_suite(self):
         assert run_cli("verify", "--suite", "nope").returncode == 3
+
+
+# ---------------------------------------------------------------- CLI fuzz
+
+STATES = ("x", "y", "z")
+JUNK = st.one_of(st.text(max_size=3), st.integers(-2, 3), st.booleans(), st.none(),
+                 st.lists(st.sampled_from(STATES + ("w", 1)), max_size=3),
+                 st.lists(st.lists(st.sampled_from(STATES), max_size=2), max_size=2),
+                 st.dictionaries(st.sampled_from(STATES), st.sampled_from(STATES),
+                                 max_size=2))
+
+
+def rarely(draw) -> bool:
+    """True one draw in eight (hypothesis favours small integers, so the
+    true case is not drawn as zero)."""
+    return draw(st.sampled_from((False,) * 7 + (True,)))
+
+
+def maybe_junk(draw, valid):
+    """A draw from ``valid``, or now and then from ``JUNK``."""
+    return draw(JUNK) if rarely(draw) else draw(valid)
+
+
+@st.composite
+def coalgebras(draw):
+    """Coalgebra JSON over up to three states: a set or a poset carrier and
+    a successor list for each state, any part of it possibly malformed."""
+    states = list(STATES[:draw(st.integers(1, 3))])
+    subsets = st.lists(st.sampled_from(states), unique=True)
+    pairs = st.lists(st.lists(st.sampled_from(states), min_size=2, max_size=2), max_size=2)
+    carrier = maybe_junk(draw, st.one_of(
+        st.just(states), st.builds(lambda leq: {"elements": states, "leq": leq}, pairs)))
+    structure = {x: maybe_junk(draw, subsets) for x in states}
+    if rarely(draw):
+        del structure[draw(st.sampled_from(states))]
+    if rarely(draw):
+        structure["w"] = draw(subsets)
+    return maybe_junk(draw, st.just({"carrier": carrier, "structure": structure}))
+
+
+@st.composite
+def valuations(draw):
+    """Valuation JSON for ``p`` and ``q``, possibly malformed or naming a
+    state outside every carrier."""
+    subsets = st.lists(st.sampled_from(STATES), unique=True)
+    out = {"p": maybe_junk(draw, subsets), "q": maybe_junk(draw, subsets)}
+    if rarely(draw):
+        out["p"] = ["w"]
+    return maybe_junk(draw, st.just(out))
+
+
+FORMULA_TOKENS = ["(", ")", "and", "or", "not", "box", "dia", "p", "q", "top", "bot", "frob"]
+WELL_FORMED = st.recursive(
+    st.sampled_from(["p", "q", "top", "bot"]),
+    lambda sub: st.one_of(
+        st.builds("({} {})".format, st.sampled_from(["not", "box", "dia"]), sub),
+        st.builds(lambda op, args: f"({op} {' '.join(args)})",
+                  st.sampled_from(["and", "or"]), st.lists(sub, min_size=2, max_size=3))),
+    max_leaves=6)
+
+
+@st.composite
+def deep_formulas(draw):
+    """A repeated pattern of connectives around ``p``, nested to about the
+    limit or far past it: hypothesis raises the recursion limit while it
+    runs a test, so only a formula thousands of frames deep would overflow
+    an unchecked parser here."""
+    depth = draw(st.one_of(st.integers(MAX_FORMULA_DEPTH - 1, MAX_FORMULA_DEPTH + 2),
+                           st.integers(10 * MAX_FORMULA_DEPTH, 20 * MAX_FORMULA_DEPTH)))
+    pattern = draw(st.lists(st.sampled_from(["(box ", "(dia ", "(not ", "(and p ", "(or q "]),
+                            min_size=1, max_size=4))
+    return "".join((pattern * depth)[:depth]) + "p" + ")" * depth
+
+
+FORMULAS = st.one_of(WELL_FORMED, deep_formulas(),
+                     st.lists(st.sampled_from(FORMULA_TOKENS), max_size=10).map(" ".join))
+
+
+@settings(database=None, deadline=None, max_examples=150)
+@given(coalgebra=coalgebras(), valuation=valuations(), formula=FORMULAS,
+       mode=st.sampled_from(["boolean", "positive", "both"]))
+def test_interpret_fuzz_exits_with_a_contract_code(files, coalgebra, valuation,
+                                                   formula, mode):
+    """Whatever the JSON and the formula, ``main`` returns a contract code:
+    no exception escapes, and malformed input never exits 1."""
+    rc, _, _ = run_main("interpret", "--coalgebra", json_file(files, coalgebra),
+                        "--valuation", json_file(files, valuation),
+                        "--formula", formula, "--mode", mode)
+    assert rc in (0, 2, 3)
+
+
+def json_file(directory, data) -> str:
+    """A file holding ``data`` as JSON, named by its content, so that no
+    file is ever rewritten (truncating a file can be slow)."""
+    text = json.dumps(data)
+    path = directory / f"fuzz-{hashlib.sha256(text.encode()).hexdigest()[:16]}.json"
+    if not path.exists():
+        path.write_text(text)
+    return str(path)

@@ -1,13 +1,16 @@
 """Order core: posets, closures, quotients, pair posets, components."""
 
+from itertools import permutations
+
 import pytest
 
 from poslog.errors import InputError
 from poslog.functors import lift_relation_generic, pow_functor
-from poslog.order import (FinPoset, MonotoneMap, Preorder,
+from poslog.order import (FinPoset, MonotoneMap, Preorder, bits,
                           connected_components, cotensor2, diagonal_section,
                           down_closure, enumerate_posets, poset_isomorphism,
                           poset_quotient, transitive_closure, up_closure)
+from poslog.verify import iso_representatives
 
 
 def chain(*labels):
@@ -211,3 +214,59 @@ class TestIsomorphism:
         assert sum(1 for _ in enumerate_posets(("a",))) == 1
         assert sum(1 for _ in enumerate_posets(("a", "b"))) == 3
         assert sum(1 for _ in enumerate_posets(("a", "b", "c"))) == 19
+
+
+def posets_by_mask_filter(labels):
+    """Every partial order on ``labels``, by testing each off-diagonal
+    relation mask in increasing order for transitivity and antisymmetry."""
+    n = len(labels)
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = []
+    for mask in range(1 << len(offdiag)):
+        ups = [1 << i for i in range(n)]
+        for b, (i, j) in enumerate(offdiag):
+            if mask >> b & 1:
+                ups[i] |= 1 << j
+        if all((i == j or not ups[j] >> i & 1) and not ups[j] & ~ups[i]
+               for i in range(n) for j in bits(ups[i])):
+            out.append(FinPoset(labels, tuple(ups)))
+    return out
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("n", range(5))
+    def test_extension_yields_the_mask_filter_sequence(self, n):
+        labels = ("a", "b", "c", "d")[:n]
+        assert list(enumerate_posets(labels)) == posets_by_mask_filter(labels)
+
+    def test_five_labels_give_4231_posets_of_63_types(self):
+        # OEIS A001035 (labelled posets) and A000112 (isomorphism types)
+        posets = list(enumerate_posets(("a", "b", "c", "d", "e")))
+        assert len(posets) == 4231 and len(set(posets)) == 4231
+        buckets = {}
+        types = 0
+        for p in posets:
+            bucket = buckets.setdefault(p.refinement[0], [])
+            if all(poset_isomorphism(p, q) is None for q in bucket):
+                bucket.append(p)
+                types += 1
+        assert types == 63
+        # the key alone already separates the types at this size
+        assert len(buckets) == 63
+
+    def test_isomorphism_of_every_relisting_preserves_and_reflects_order(self):
+        # symmetric posets (two chains side by side, ...) give a search
+        # several same-coloured candidates; each relisting orders them anew
+        for p in enumerate_posets(("a", "b", "c", "d")):
+            for perm in permutations(range(4)):
+                q = FinPoset(tuple(p.elements[k].upper() for k in perm),
+                             tuple(sum(1 << perm.index(j) for j in bits(p.upmask[k]))
+                                   for k in perm))
+                iso = poset_isomorphism(p, q)
+                assert iso is not None and sorted(iso.values()) == sorted(q.elements)
+                assert all(p.leq(a, b) == q.leq(iso[a], iso[b])
+                           for a in p.elements for b in p.elements)
+
+    def test_iso_representatives_per_size(self):
+        sizes = [len(p) for p in iso_representatives(4)]
+        assert [sizes.count(n) for n in range(5)] == [1, 1, 2, 5, 16]

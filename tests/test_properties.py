@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poslog.functors import multiset_functor, poly_functor, pow_functor, powerset
-from poslog.order import (FinPoset, Preorder, down_closure, poset_quotient,
-                          transitive_closure, up_closure)
+from poslog.order import (FinPoset, Preorder, down_closure, poset_isomorphism,
+                          poset_quotient, transitive_closure, up_closure)
 from poslog.posetify import cross_check, egli_milner_leq
 
 # no example database on disk, and no per-example deadline on a slow host
@@ -19,11 +19,11 @@ LABELS = ("a", "b", "c", "d", "e", "f")
 
 
 @st.composite
-def posets(draw, max_size=6):
+def posets(draw, max_size=6, min_size=0):
     """``(x, leq)``: a poset from random pairs ``i < j`` of a hidden linear
     order, its elements listed under a shuffled labelling, and its order
     as the set of label pairs ``a <= b``, closed here on labels."""
-    n = draw(st.integers(0, max_size))
+    n = draw(st.integers(min_size, max_size))
     labels = draw(st.permutations(LABELS[:n]))
     candidates = list(combinations(range(n), 2))
     chosen = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
@@ -185,3 +185,41 @@ def test_quotient_matches_the_class_definition(drawn):
         assert poset.elements[projection[i]] == r.carrier[least[i]]
         for j in range(n):
             assert poset.leq_idx(projection[i], projection[j]) == ((i, j) in closed)
+
+
+@checked
+@given(st.data())
+def test_a_relabelled_reordered_poset_has_the_same_key(data):
+    x, leq = data.draw(posets())
+    rename = dict(zip(x.elements, data.draw(st.permutations(range(len(x))))))
+    order = data.draw(st.permutations(x.elements))
+    y = FinPoset.from_pairs([rename[a] for a in order],
+                            [(rename[a], rename[b]) for a, b in leq])
+    assert y.refinement[0] == x.refinement[0]
+    iso = poset_isomorphism(x, y)
+    assert iso is not None and sorted(iso.values()) == sorted(y.elements)
+    for a in x.elements:
+        for b in x.elements:
+            assert y.leq(iso[a], iso[b]) == ((a, b) in leq)
+
+
+def isomorphic_by_brute_force(x, xleq, y, yleq):
+    """Whether some bijection of the element lists preserves and reflects
+    the order, trying every permutation."""
+    return len(x) == len(y) and any(
+        all(((a, b) in xleq) == ((image[a], image[b]) in yleq)
+            for a in x.elements for b in x.elements)
+        for image in (dict(zip(x.elements, perm)) for perm in permutations(y.elements)))
+
+
+@checked
+@given(st.data())
+def test_isomorphism_found_exactly_when_brute_force_finds_one(data):
+    n = data.draw(st.integers(0, 5))
+    x, xleq = data.draw(posets(max_size=n, min_size=n))
+    y, yleq = data.draw(posets(max_size=n, min_size=n))
+    iso = poset_isomorphism(x, y)
+    assert (iso is not None) == isomorphic_by_brute_force(x, xleq, y, yleq)
+    if iso is not None:
+        assert all(((a, b) in xleq) == ((iso[a], iso[b]) in yleq)
+                   for a in x.elements for b in x.elements)
