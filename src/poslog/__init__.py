@@ -21,8 +21,8 @@ from .posetify import (Posetification, closed_form, cross_check,
                        posetify_generic, posetify_mnb, posetify_nb,
                        posetify_powerset)
 from .positivize import (BAFunctor, Positivication, beta, closed_form_dunn,
-                         closed_form_fu, dunn_axiom_check, free_l, positivize,
-                         positivize_mor, semantic_l)
+                         closed_form_fu, dunn_axiom_check, free_l,
+                         parse_syntax, positivize, positivize_mor, semantic_l)
 from .semantics import (Coalgebra, Formula, delta_pow, delta_prime,
                         interpret_boolean, interpret_positive, parse_formula)
 

@@ -18,8 +18,7 @@ from .errors import (BudgetExceeded, DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS,
                      InputError)
 from .functors import parse_functor
 from .posetify import closed_form, cross_check, posetify_generic
-from .positivize import (closed_form_dunn, closed_form_fu, free_l, positivize,
-                         semantic_l)
+from .positivize import SYNTAXES, parse_syntax, positivize
 from .semantics import interpret_boolean, interpret_positive, parse_formula
 from .verify import SUITES, run_suite
 
@@ -67,22 +66,9 @@ def cmd_posetify(args) -> int:
     return 0
 
 
-_SYNTAXES = ("dunn", "free", "semantic:pow", "semantic:mnb", "semantic:nb")
-
-
-def _syntax_functor(name: str, max_enum: int, max_generators: int):
-    if name == "dunn" or name == "semantic:pow":
-        return semantic_l(parse_functor("pow"), max_enum)
-    if name == "free":
-        return free_l(max_generators, max_enum)
-    if name.startswith("semantic:"):
-        return semantic_l(parse_functor(name.split(":", 1)[1], max_enum), max_enum)
-    raise InputError(f"unknown syntax {name!r}")
-
-
 def cmd_positivize(args) -> int:
     lattice = pio.as_lattice(pio.load_lattice(pio.read_json(args.lattice)))
-    l = _syntax_functor(args.syntax, args.max_enum, args.max_generators)
+    l = parse_syntax(args.syntax, args.max_enum, args.max_generators)
     p = positivize(l, lattice, args.max_enum)
     report = {
         "syntax": args.syntax,
@@ -91,12 +77,7 @@ def cmd_positivize(args) -> int:
         "result_spectrum": _poset_report(p.result.spectrum),
     }
     if args.check_closed_form:
-        if args.syntax in ("dunn", "semantic:pow"):
-            want = closed_form_dunn(lattice, args.max_enum)
-        elif args.syntax == "free":
-            want = closed_form_fu(lattice, args.max_enum, args.max_generators)
-        else:
-            raise InputError(f"no closed form for syntax {args.syntax!r}")
+        want = l.closed_form(lattice)
         from .algebra import lattice_isomorphic
         agree = lattice_isomorphic(p.result, want) is not None
         report["closed_form_size"] = len(want.carrier(args.max_enum))
@@ -194,6 +175,16 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poslog",
@@ -202,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--max-enum", type=int, default=DEFAULT_MAX_ENUM,
+        p.add_argument("--max-enum", type=_budget, default=DEFAULT_MAX_ENUM,
                        help="largest enumeration allowed before refusal")
-        p.add_argument("--max-generators", type=int,
+        p.add_argument("--max-generators", type=_budget,
                        default=DEFAULT_MAX_GENERATORS,
                        help="largest free-algebra generator set allowed")
 
@@ -219,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_posetify)
 
     p = sub.add_parser("positivize", help="lift a boolean syntax functor to a lattice")
-    p.add_argument("--syntax", required=True, choices=_SYNTAXES)
+    p.add_argument("--syntax", required=True, choices=SYNTAXES)
     p.add_argument("--lattice", required=True, help="lattice JSON file")
     p.add_argument("--check-closed-form", action="store_true")
     p.add_argument("--dot", help="write the lifted lattice as Graphviz DOT")

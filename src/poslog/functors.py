@@ -2,9 +2,9 @@
 
 Each functor is a stateless behaviour bundle: an object map on finite sets
 (tuples of hashable labels), a morphism map, a size estimate consulted
-*before* any enumeration, and optionally a closed-form one-step order
-lifting used when materialising the functor on the comparable-pair set
-would bust the budget.
+*before* any enumeration, its closed-form posetification, and optionally
+a closed-form one-step order lifting (for when materialising the functor
+on the comparable-pair set would bust the budget) and modal clauses.
 
 Functor elements carry canonical encodings (frozensets, sorted tuples) so
 that equality is structural.
@@ -35,15 +35,35 @@ def powerset(labels: tuple) -> tuple:
                  for mask in range(1 << len(labels)))
 
 
+def _posetify():
+    """The module of the closed forms, imported late: it imports this one."""
+    from . import posetify
+    return posetify
+
+
+def _analytic_closed_form(t: SetFunctor, x: FinPoset, max_enum: int):
+    """The step relation is already the lifted order (multisets, polynomials)."""
+    return _posetify().posetify_analytic(t, x, max_enum)
+
+
 @dataclass(frozen=True)
 class SetFunctor:
-    """Behaviour interface of a finitary set endofunctor."""
+    """Behaviour interface of a finitary set endofunctor.
+
+    ``closed_form(t, x, max_enum)`` posetifies ``t`` at ``x``; it is given
+    ``t`` so that a ``dataclasses.replace`` copy runs its own fields.  The
+    predicate liftings ``diamond(tx, u)`` and ``box(tx, u)`` return the
+    members of ``tx = T(X)`` satisfying the lifting of ``u``, a subset of X.
+    """
 
     name: str
     on_obj: Callable[[tuple], tuple]
     on_mor: Callable[[Mapping, tuple, tuple], Callable]
     size_estimate: Callable[[int], int]
     step_relation: Optional[Callable[[FinPoset, int], Preorder]] = None
+    closed_form: Callable[["SetFunctor", FinPoset, int], object] = _analytic_closed_form
+    diamond: Optional[Callable[[tuple, frozenset], frozenset]] = None
+    box: Optional[Callable[[tuple, frozenset], frozenset]] = None
 
 
 # ---------------------------------------------------------------- powerset
@@ -67,7 +87,10 @@ def _pow_step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
 
 
 def pow_functor() -> SetFunctor:
-    return SetFunctor("pow", _pow_obj, _pow_mor, lambda n: 1 << n, _pow_step)
+    return SetFunctor("pow", _pow_obj, _pow_mor, lambda n: 1 << n, _pow_step,
+                      lambda t, x, m: _posetify().posetify_powerset(x, m),
+                      diamond=lambda tx, u: frozenset(c for c in tx if c & u),
+                      box=lambda tx, u: frozenset(c for c in tx if c <= u))
 
 
 # ----------------------------------------------------------- neighbourhood
@@ -90,7 +113,8 @@ def _nb_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
 
 def nb_functor() -> SetFunctor:
     return SetFunctor("nb", _nb_obj, _nb_mor,
-                      lambda n: (1 << (1 << n)) if n < 9 else HUGE)
+                      lambda n: (1 << (1 << n)) if n < 9 else HUGE,
+                      closed_form=lambda t, x, m: _posetify().posetify_nb(x, m))
 
 
 # -------------------------------------------------- monotone neighbourhood
@@ -181,7 +205,8 @@ def mnb_size(n: int) -> int:
 
 
 def mnb_functor() -> SetFunctor:
-    return SetFunctor("mnb", _mnb_obj, _mnb_mor, mnb_size, _mnb_step)
+    return SetFunctor("mnb", _mnb_obj, _mnb_mor, mnb_size, _mnb_step,
+                      lambda t, x, m: _posetify().posetify_mnb(x, m))
 
 
 # ------------------------------------------------------------- multisets

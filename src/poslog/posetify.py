@@ -194,15 +194,7 @@ def posetify_analytic(t: SetFunctor, x: FinPoset,
 
 def closed_form(t: SetFunctor, x: FinPoset,
                 max_enum: int = DEFAULT_MAX_ENUM) -> Posetification:
-    if t.name == "pow":
-        return posetify_powerset(x, max_enum)
-    if t.name == "mnb":
-        return posetify_mnb(x, max_enum)
-    if t.name == "nb":
-        return posetify_nb(x, max_enum)
-    if t.name.startswith("bag:") or t.name.startswith("poly:"):
-        return posetify_analytic(t, x, max_enum)
-    raise InputError(f"no closed form registered for {t.name}")
+    return t.closed_form(t, x, max_enum)
 
 
 @dataclass(frozen=True)

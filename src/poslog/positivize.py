@@ -4,8 +4,8 @@ lattices.
 The general construction embeds a lattice into its free Boolean envelope,
 applies the syntax functor to the two comparisons coming from the ordered
 double of the lattice, and carves out the sublattice on which the first
-image lies below the second.  Closed forms exist for the two logics of
-interest (normal modal logic, and the free unary-modality logic) and are
+image lies below the second.  Each syntax functor carries a closed form
+(for ``P T``, the up-sets of the posetification ``T'`` of the spectrum),
 checked against the inserter computation rather than trusted.
 """
 
@@ -19,24 +19,25 @@ from .algebra import (BAHom, FinBoolAlg, FinDistLattice, LatticeHom,
                       boolean_as_lattice, free_ba, free_ba_generator,
                       free_ba_map, free_over_dl_G, g_of_hom, kernel_K,
                       lattice_from_elements, tensor2, up_algebra)
-from .errors import (DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS,
+from .errors import (DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS, InputError,
                      check_enum_budget)
-from .functors import SetFunctor, pow_functor
-from .posetify import posetify_powerset
+from .functors import SetFunctor, parse_functor, pow_functor
+from .posetify import closed_form
 
 
 @dataclass(frozen=True)
 class BAFunctor:
     """A syntax-building endofunctor of finite Boolean algebras.
 
+    ``closed_form`` gives the lifting at a lattice without the inserter.
     ``diamond``/``box`` optionally give the action of the modality
-    generators on elements of the argument algebra; they are used to track
-    modal operators through the lifting.
-    """
+    generators on elements of the argument algebra, to track modal
+    operators through the lifting."""
 
     name: str
     on_obj: Callable[[FinBoolAlg], FinBoolAlg]
     on_mor: Callable[[BAHom], BAHom]
+    closed_form: Callable[[FinDistLattice], FinDistLattice]
     diamond: Optional[Callable[[FinBoolAlg, frozenset], frozenset]] = None
     box: Optional[Callable[[FinBoolAlg, frozenset], frozenset]] = None
 
@@ -45,10 +46,10 @@ def semantic_l(t: SetFunctor, max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
     """The semantically presented syntax functor: powerset of the functor
     applied to the atom set.
 
-    With the powerset functor this is normal modal logic in its finite
-    semantic form; the diamond of an element collects the successor sets
-    meeting it, the box those contained in it.
-    """
+    The modal clauses are the functor's predicate liftings at the atom set;
+    with the powerset functor this is normal modal logic in its finite
+    semantic form.  Dual to posetification, the lifting at ``Up(X)`` is
+    ``Up(T'(X))``: that is the closed form."""
 
     def on_obj(b: FinBoolAlg) -> FinBoolAlg:
         check_enum_budget(t.size_estimate(len(b.atoms)), max_enum,
@@ -62,15 +63,12 @@ def semantic_l(t: SetFunctor, max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
                        h.target.atoms, h.source.atoms)
         return BAHom(src, dst, tuple(act(c) for c in dst.atoms))
 
-    diamond = box = None
-    if t.name == "pow":
-        def diamond(b: FinBoolAlg, x: frozenset) -> frozenset:
-            return frozenset(c for c in on_obj(b).atoms if c & x)
+    def modal(clause):
+        return None if clause is None else (lambda b, x: clause(on_obj(b).atoms, x))
 
-        def box(b: FinBoolAlg, x: frozenset) -> frozenset:
-            return frozenset(c for c in on_obj(b).atoms if c <= x)
-
-    return BAFunctor(f"semantic:{t.name}", on_obj, on_mor, diamond, box)
+    return BAFunctor(f"semantic:{t.name}", on_obj, on_mor,
+                     lambda a: up_algebra(closed_form(t, a.spectrum, max_enum).result),
+                     modal(t.diamond), modal(t.box))
 
 
 def free_l(max_generators: int = DEFAULT_MAX_GENERATORS,
@@ -92,7 +90,24 @@ def free_l(max_generators: int = DEFAULT_MAX_GENERATORS,
     def box(b: FinBoolAlg, x: frozenset) -> frozenset:
         return free_ba_generator(on_obj(b), x)
 
-    return BAFunctor("free", on_obj, on_mor, diamond=None, box=box)
+    return BAFunctor("free", on_obj, on_mor,
+                     lambda a: closed_form_fu(a, max_enum, max_generators), box=box)
+
+
+SYNTAXES = ("dunn", "free", "semantic:pow", "semantic:mnb", "semantic:nb")
+
+
+def parse_syntax(text: str, max_enum: int = DEFAULT_MAX_ENUM,
+                 max_generators: int = DEFAULT_MAX_GENERATORS) -> BAFunctor:
+    """Parse a syntax name: ``dunn`` (the same as ``semantic:pow``), ``free``,
+    or ``semantic:<functor>`` for any name :func:`parse_functor` accepts."""
+    if text == "free":
+        return free_l(max_generators, max_enum)
+    if text == "dunn":
+        text = "semantic:pow"
+    if text.startswith("semantic:"):
+        return semantic_l(parse_functor(text[len("semantic:"):], max_enum), max_enum)
+    raise InputError(f"unknown syntax {text!r}")
 
 
 @dataclass(eq=False)
@@ -113,8 +128,6 @@ class Positivication:
     embed: dict
     restrict: dict
     ambient: FinBoolAlg
-    galg: FinBoolAlg
-    unit: LatticeHom
     h1: BAHom
     h2: BAHom
     box_of: Optional[Callable[[frozenset], frozenset]] = None
@@ -155,7 +168,7 @@ def positivize(l: BAFunctor, a: FinDistLattice,
     box_of = (lambda x: l.box(galg, unit.apply(x))) if l.box else None
     diamond_of = (lambda x: l.diamond(galg, unit.apply(x))) if l.diamond else None
     return Positivication(sub.lattice, sub.members, sub.embed, sub.restrict,
-                          lga, galg, unit, lh1, lh2, box_of, diamond_of)
+                          lga, lh1, lh2, box_of, diamond_of)
 
 
 def positivize_mor(l: BAFunctor, h: LatticeHom,
@@ -223,7 +236,7 @@ def closed_form_dunn(a: FinDistLattice,
                      max_enum: int = DEFAULT_MAX_ENUM) -> FinDistLattice:
     """Closed form for the lifting of normal modal logic: upsets of the
     convex-powerset lifting of the spectrum."""
-    return up_algebra(posetify_powerset(a.spectrum, max_enum).result)
+    return semantic_l(pow_functor(), max_enum).closed_form(a)
 
 
 def closed_form_fu(a: FinDistLattice,

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional
 
 from .algebra import up_algebra
 from .errors import DEFAULT_MAX_ENUM, InputError, check_enum_budget
-from .functors import pow_functor, powerset
+from .functors import nb_functor, pow_functor, powerset
 from .order import FinPoset, bits, is_upset
 from .posetify import Posetification, egli_milner_leq, posetify_powerset
 from .positivize import Positivication, positivize, semantic_l
@@ -236,25 +236,16 @@ class DeltaPow:
     states: tuple
     atom_image: dict
 
-    def diamond(self, u: frozenset) -> frozenset:
-        return frozenset(c for c in powerset(self.states) if c & u)
-
-    def box(self, u: frozenset) -> frozenset:
-        return frozenset(c for c in powerset(self.states) if c <= u)
-
     def apply(self, phi: frozenset) -> frozenset:
         out = frozenset()
         for c in phi:
             out |= self.atom_image[c]
         return out
 
-    def domain(self, max_enum: int = DEFAULT_MAX_ENUM) -> list:
-        subsets = powerset(self.states)
-        check_enum_budget(1 << len(subsets), max_enum,
+    def domain(self, max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
+        check_enum_budget(1 << (1 << len(self.states)), max_enum,
                           "semantic component domain")
-        return [frozenset(subsets[k] for k in range(len(subsets))
-                          if mask >> k & 1)
-                for mask in range(1 << len(subsets))]
+        return nb_functor().on_obj(self.states)
 
 
 def delta_pow(states: tuple, max_enum: int = DEFAULT_MAX_ENUM) -> DeltaPow:
@@ -333,19 +324,9 @@ def delta_prime(t, delta_factory, x: FinPoset, pos: Posetification,
 
 # ----------------------------------------------------------- interpreters
 
-def interpret_boolean(c: Coalgebra, valuation: dict, phi: Formula,
-                      max_enum: int = DEFAULT_MAX_ENUM) -> frozenset:
-    """Kripke semantics over a set-based successor coalgebra.
-
-    Modal clauses go through the semantic component: a state satisfies the
-    formula when its successor set lands in the component's image of the
-    subformula's modal predicate.  An empty successor set therefore
-    refutes every diamond and satisfies every box.
-    """
-    states = c.carrier.elements
-    vals = check_valuation(valuation, c.carrier, positive=False)
-    dp = delta_pow(states, max_enum)
-    allstates = frozenset(states)
+def _evaluate(phi: Formula, vals: dict, states: frozenset,
+              modal: Callable[[str, frozenset], frozenset]) -> frozenset:
+    """States satisfying ``phi``; ``(op psi)`` is ``modal(op, <states of psi>)``."""
 
     def rec(f: Formula) -> frozenset:
         if f.op == "var":
@@ -353,23 +334,42 @@ def interpret_boolean(c: Coalgebra, valuation: dict, phi: Formula,
                 raise InputError(f"unbound variable {f.name!r}")
             return vals[f.name]
         if f.op == "top":
-            return allstates
+            return states
         if f.op == "bot":
             return frozenset()
         if f.op == "not":
-            return allstates - rec(f.args[0])
+            return states - rec(f.args[0])
         if f.op == "and":
             return rec(f.args[0]) & rec(f.args[1])
         if f.op == "or":
             return rec(f.args[0]) | rec(f.args[1])
         if f.op in ("dia", "box"):
-            u = rec(f.args[0])
-            elem = dp.diamond(u) if f.op == "dia" else dp.box(u)
-            pred = dp.apply(elem)
-            return frozenset(x for x in states if c.gamma(x) in pred)
+            return modal(f.op, rec(f.args[0]))
         raise InputError(f"unknown connective {f.op!r}")
 
     return rec(phi)
+
+
+def interpret_boolean(c: Coalgebra, valuation: dict, phi: Formula,
+                      max_enum: int = DEFAULT_MAX_ENUM) -> frozenset:
+    """Kripke semantics over a set-based successor coalgebra.
+
+    Modal clauses go through the semantic component: a state satisfies the
+    formula when its successor set lands in the component's image of the
+    powerset functor's modal clause at the subformula.  An empty successor
+    set therefore refutes every diamond and satisfies every box.
+    """
+    states = c.carrier.elements
+    vals = check_valuation(valuation, c.carrier, positive=False)
+    dp = delta_pow(states, max_enum)
+    t = pow_functor()
+
+    def modal(op: str, u: frozenset) -> frozenset:
+        clause = t.diamond if op == "dia" else t.box
+        pred = dp.apply(clause(powerset(states), u))
+        return frozenset(x for x in states if c.gamma(x) in pred)
+
+    return _evaluate(phi, vals, frozenset(states), modal)
 
 
 @lru_cache(maxsize=64)
@@ -403,47 +403,25 @@ def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
     if method not in ("direct", "delta"):
         raise InputError(f"unknown method {method!r}")
     vals = check_valuation(valuation, c.carrier, positive=True)
-    if method == "delta":
-        pos, lifted, dprime = _positive_context(c.carrier, max_enum)
-    else:
-        pos = _pow_lifting(c.carrier, max_enum)
-        lifted = dprime = None
-    check_positive_coalgebra(c, pos)
     states = c.carrier.elements
-    allstates = frozenset(states)
+    if method == "direct":
+        pos = _pow_lifting(c.carrier, max_enum)
 
-    def modal_direct(op: str, u: frozenset) -> frozenset:
-        if op == "dia":
-            return frozenset(x for x in states if c.gamma(x) & u)
-        return frozenset(x for x in states if c.gamma(x) <= u)
+        def modal(op: str, u: frozenset) -> frozenset:
+            if op == "dia":
+                return frozenset(x for x in states if c.gamma(x) & u)
+            return frozenset(x for x in states if c.gamma(x) <= u)
+    else:
+        pos, lifted, dprime = _positive_context(c.carrier, max_enum)
 
-    def modal_delta(op: str, u: frozenset) -> frozenset:
-        elem = lifted.diamond_of(u) if op == "dia" else lifted.box_of(u)
-        if elem not in dprime.table:
-            raise AssertionError("modal image left the lifted algebra")
-        pred = dprime.apply(elem)
-        return frozenset(x for x in states if c.gamma(x) in pred)
-
-    modal = modal_direct if method == "direct" else modal_delta
-
-    def rec(f: Formula) -> frozenset:
-        if f.op == "var":
-            if f.name not in vals:
-                raise InputError(f"unbound variable {f.name!r}")
-            return vals[f.name]
-        if f.op == "top":
-            return allstates
-        if f.op == "bot":
-            return frozenset()
-        if f.op == "and":
-            return rec(f.args[0]) & rec(f.args[1])
-        if f.op == "or":
-            return rec(f.args[0]) | rec(f.args[1])
-        if f.op in ("dia", "box"):
-            return modal(f.op, rec(f.args[0]))
-        raise InputError(f"unknown connective {f.op!r}")
-
-    out = rec(phi)
+        def modal(op: str, u: frozenset) -> frozenset:
+            elem = lifted.diamond_of(u) if op == "dia" else lifted.box_of(u)
+            if elem not in dprime.table:
+                raise AssertionError("modal image left the lifted algebra")
+            pred = dprime.apply(elem)
+            return frozenset(x for x in states if c.gamma(x) in pred)
+    check_positive_coalgebra(c, pos)
+    out = _evaluate(phi, vals, frozenset(states), modal)
     if not is_upset(c.carrier, out):
         raise AssertionError("positive satisfaction set is not an upset")
     return out

@@ -178,6 +178,32 @@ class TestCli:
         report = json.loads(r.stdout)
         assert report["agree"] and report["result_size"] == 8
 
+    @pytest.mark.parametrize("syntax", ["semantic:mnb", "semantic:nb"])
+    def test_positivize_semantic_closed_form(self, files, syntax):
+        rc, out, _ = run_main("positivize", "--syntax", syntax,
+                              "--lattice", str(files / "threechain.json"),
+                              "--check-closed-form")
+        assert rc == 0
+        report = json.loads(out)
+        assert report["agree"] is True
+        assert report["closed_form_size"] == report["result_size"]
+
+    @pytest.mark.parametrize("argv", [
+        ("posetify", "--functor", "pow", "--poset", "p.json"),
+        ("positivize", "--syntax", "free", "--lattice", "l.json"),
+        ("dualize", "--poset", "p.json"),
+        ("interpret", "--coalgebra", "c.json", "--valuation", "v.json",
+         "--formula", "p"),
+        ("verify", "--suite", "order"),
+        ("export-dot", "--input", "p.json")])
+    @pytest.mark.parametrize("flag, value", [("--max-enum", "0"),
+                                             ("--max-enum", "-5"),
+                                             ("--max-generators", "-1")])
+    def test_budget_below_one_exit_three(self, argv, flag, value):
+        rc, out, err = run_main(*argv, flag, value)
+        assert rc == 3 and out == ""
+        assert f"argument {flag}: must be positive" in err
+
     def test_positivize_free(self, files):
         r = run_cli("positivize", "--syntax", "free",
                     "--lattice", str(files / "threechain.json"),

@@ -4,12 +4,15 @@ import pytest
 
 from poslog.algebra import (FinBoolAlg, LatticeHom, boolean_as_lattice,
                             lattice_identity, lattice_isomorphic, up_algebra)
-from poslog.errors import BudgetExceeded
-from poslog.functors import mnb_functor, pow_functor
+from poslog.errors import BudgetExceeded, InputError
+from poslog.functors import mnb_functor, parse_functor, pow_functor
 from poslog.order import FinPoset, MonotoneMap
 from poslog.positivize import (beta, closed_form_dunn, closed_form_fu,
-                               dunn_axiom_check, free_l, positivize,
-                               positivize_mor, semantic_l)
+                               dunn_axiom_check, free_l, parse_syntax,
+                               positivize, positivize_mor, semantic_l)
+from poslog.verify import small_posets
+
+POLY = "poly:sigma=f:2:1,c:0:2"
 
 
 def chain(*labels):
@@ -178,3 +181,30 @@ class TestHomAction:
         composite = positivize_mor(l, lattice_compose(back, h), p2, p2)
         for m in p2.members:
             assert composite[m] == f2[f1[m]]
+
+
+class TestDualityRule:
+    """Positivication of ``P T`` at ``Up(X)`` is ``Up(T'(X))``."""
+
+    @pytest.mark.parametrize("name, size", [
+        *((name, 2) for name in ("pow", "mnb", "nb", "bag:2", POLY)),
+        *((name, 3) for name in ("pow", "bag:2", POLY))])
+    def test_inserter_matches_the_dual_of_posetification(self, name, size):
+        l = semantic_l(parse_functor(name))
+        spectra = [p for p in small_posets(size) if size < 3 or len(p) == 3]
+        for p in spectra:
+            a = up_algebra(p)
+            got = positivize(l, a).result
+            assert lattice_isomorphic(got, l.closed_form(a)) is not None, p.elements
+
+
+class TestParseSyntax:
+    def test_names(self):
+        assert parse_syntax("dunn").name == "semantic:pow"
+        assert parse_syntax("semantic:bag:2").name == "semantic:bag:2"
+        assert parse_syntax("free").name == "free"
+
+    @pytest.mark.parametrize("bad", ["", "semantic:", "semantic:foo", "pow", "Free"])
+    def test_unknown(self, bad):
+        with pytest.raises(InputError):
+            parse_syntax(bad)
