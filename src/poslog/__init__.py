@@ -14,7 +14,7 @@ from .algebra import (BAHom, FinBoolAlg, FinDistLattice, LatticeHom,
                       free_ba_generator, free_ba_map, free_over_dl_G,
                       kernel_K, lattice_isomorphic, prime_filter_poset,
                       tensor2, up_algebra)
-from .functors import (SetFunctor, apply_mor, apply_obj,
+from .functors import (SetFunctor, apply_mor, apply_obj, carrier_labels,
                        lift_relation_generic, mnb_functor, multiset_functor,
                        nb_functor, parse_functor, poly_functor, pow_functor)
 from .posetify import (Posetification, closed_form, cross_check,

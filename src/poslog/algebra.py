@@ -22,7 +22,7 @@ from .errors import (BudgetExceeded, DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS,
                      InputError, check_enum_budget)
 from .functors import powerset
 from .order import (FinPoset, MonotoneMap, cotensor2, diagonal_section,
-                    poset_isomorphism)
+                    poset_isomorphism, unions)
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,21 @@ class FinDistLattice:
         return frozenset()
 
     def size(self, max_enum: int = DEFAULT_MAX_ENUM) -> int:
-        return len(self.carrier(max_enum))
+        """The number of upsets, counted without building them: among the
+        upsets of a set of spectrum elements, those without its first
+        element ``j`` avoid the down-set of ``j``, the others hold its up-set."""
+        check_enum_budget(1 << len(self.spectrum), max_enum,
+                          "distributive lattice carrier")
+        ups, downs = self.spectrum.upmask, self.spectrum.downmask
+
+        @lru_cache(maxsize=None)
+        def count(mask: int) -> int:
+            if not mask:
+                return 1
+            j = (mask & -mask).bit_length() - 1
+            return count(mask & ~downs[j]) + count(mask & ~ups[j])
+
+        return count((1 << len(self.spectrum)) - 1)
 
     def carrier(self, max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
         check_enum_budget(1 << len(self.spectrum), max_enum,
@@ -89,18 +103,8 @@ class FinDistLattice:
 
 @lru_cache(maxsize=256)
 def _upsets_in_mask_order(spectrum: FinPoset) -> tuple:
-    upmask = spectrum.upmask
-    out = []
-    for mask in range(1 << len(spectrum)):
-        m = mask
-        while m:
-            low = m & -m
-            if upmask[low.bit_length() - 1] & ~mask:
-                break
-            m ^= low
-        else:
-            out.append(spectrum.labels(mask))
-    return tuple(out)
+    return tuple(spectrum.labels(k) for k, up in enumerate(unions(spectrum.upmask))
+                 if up == k)
 
 
 def up_algebra(x: FinPoset) -> FinDistLattice:
@@ -295,11 +299,7 @@ def kernel_K(a: FinDistLattice, max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
     if (1 << len(atoms)) != len(complemented):
         raise AssertionError("complemented elements do not form a Boolean algebra")
     ba = FinBoolAlg(atoms=tuple(atoms))
-    embed = {}
-    for s in ba.carrier(max_enum):
-        u = frozenset().union(*s) if s else frozenset()
-        embed[s] = u
-    return ba, embed
+    return ba, dict(zip(ba.carrier(max_enum), unions(atoms, frozenset())))
 
 
 def free_over_dl_G(a: FinDistLattice) -> tuple:
@@ -513,15 +513,7 @@ def subalgebras(b: FinBoolAlg) -> Iterator[frozenset]:
     its atom set: the subalgebra holds exactly the unions of blocks.
     """
     for part in set_partitions(b.atoms):
-        blocks = [frozenset(blk) for blk in part]
-        elems = set()
-        for mask in range(1 << len(blocks)):
-            u = frozenset()
-            for k, blk in enumerate(blocks):
-                if mask >> k & 1:
-                    u |= blk
-            elems.add(u)
-        yield frozenset(elems)
+        yield frozenset(unions([frozenset(blk) for blk in part], frozenset()))
 
 
 def reflexive_pair_swap_check(prod: ProductBA, sub: frozenset) -> bool:

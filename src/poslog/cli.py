@@ -80,7 +80,7 @@ def cmd_positivize(args) -> int:
         want = l.closed_form(lattice)
         from .algebra import lattice_isomorphic
         agree = lattice_isomorphic(p.result, want) is not None
-        report["closed_form_size"] = len(want.carrier(args.max_enum))
+        report["closed_form_size"] = want.size(args.max_enum)
         report["agree"] = agree
         if not agree:
             _emit(report)

@@ -6,20 +6,25 @@ Each functor is a stateless behaviour bundle: an object map on finite sets
 a closed-form one-step order lifting (for when materialising the functor
 on the comparable-pair set would bust the budget) and modal clauses.
 
-Functor elements carry canonical encodings (frozensets, sorted tuples) so
-that equality is structural.
+An element of ``T(X)`` is a *code*: for ``pow`` the mask of a subset (bit
+``j`` for ``X[j]``), for ``nb`` and ``mnb`` a mask over subset masks, for
+``bag`` and ``poly`` a tuple.  ``on_obj`` returns the codes (a ``range``
+where they are dense), ``on_mor`` maps codes to codes, and ``decode(X)``
+maps a code to its label, built only where labels are shown or compared.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from functools import lru_cache, reduce
+from itertools import combinations_with_replacement, groupby, product
+from operator import or_
 from typing import Callable, Mapping, Optional
 
 from .errors import BudgetExceeded, DEFAULT_MAX_ENUM, InputError, check_enum_budget
-from .order import FinPoset, Preorder, bits, cotensor2, egli_milner_rows
+from .order import FinPoset, Preorder, bits, cotensor2, egli_milner_rows, unions
 
 # Numbers of up-closed families over an n-element set, n = 0..8.
 DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354,
@@ -53,7 +58,8 @@ class SetFunctor:
     ``closed_form(t, x, max_enum)`` posetifies ``t`` at ``x``; it is given
     ``t`` so that a ``dataclasses.replace`` copy runs its own fields.  The
     predicate liftings ``diamond(tx, u)`` and ``box(tx, u)`` return the
-    members of ``tx = T(X)`` satisfying the lifting of ``u``, a subset of X.
+    members of ``tx``, the labels of ``T(X)``, satisfying the lifting of
+    ``u``, a subset of X.
     """
 
     name: str
@@ -64,60 +70,79 @@ class SetFunctor:
     closed_form: Callable[["SetFunctor", FinPoset, int], object] = _analytic_closed_form
     diamond: Optional[Callable[[tuple, frozenset], frozenset]] = None
     box: Optional[Callable[[tuple, frozenset], frozenset]] = None
+    decode: Callable[[tuple], Callable] = lambda s: (lambda code: code)
+
+
+def carrier_labels(t: SetFunctor, s: tuple) -> tuple:
+    """The labels of ``T(s)``, in carrier order."""
+    return tuple(map(t.decode(s), t.on_obj(s)))
+
+
+def _images(f: Mapping, src: tuple, dst: tuple) -> list:
+    """Entry ``k``: the mask over ``dst`` of the image under ``f`` of the
+    subset of mask ``k`` of ``src``."""
+    pos = {v: i for i, v in enumerate(dst)}
+    return unions([1 << pos[f[v]] for v in src])
+
+
+def _family_decode(s: tuple) -> Callable:
+    subsets = powerset(s)
+    return lambda family: frozenset(subsets[k] for k in bits(family))
 
 
 # ---------------------------------------------------------------- powerset
-
-def _pow_obj(s: tuple) -> tuple:
-    return powerset(s)
-
-
-def _pow_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
-    return lambda a: frozenset(f[v] for v in a)
-
 
 def _pow_step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
     """The direct formula for the one-step lifting of the order to subsets:
     every element of ``a`` lies below something in ``b`` and every element
     of ``b`` lies above something in ``a`` (the Egli-Milner order, computed
     on subset masks)."""
-    carrier = powerset(x.elements)
-    check_enum_budget(len(carrier) ** 2, max_enum, "powerset order lifting")
-    return Preorder(carrier, egli_milner_rows(x))
+    check_enum_budget((1 << len(x)) ** 2, max_enum, "powerset order lifting")
+    return Preorder(range(1 << len(x)), egli_milner_rows(x))
 
 
 def pow_functor() -> SetFunctor:
-    return SetFunctor("pow", _pow_obj, _pow_mor, lambda n: 1 << n, _pow_step,
+    return SetFunctor("pow", lambda s: range(1 << len(s)),
+                      lambda f, src, dst: _images(f, src, dst).__getitem__,
+                      lambda n: 1 << n, _pow_step,
                       lambda t, x, m: _posetify().posetify_powerset(x, m),
                       diamond=lambda tx, u: frozenset(c for c in tx if c & u),
-                      box=lambda tx, u: frozenset(c for c in tx if c <= u))
+                      box=lambda tx, u: frozenset(c for c in tx if c <= u),
+                      decode=lambda s: powerset(s).__getitem__)
 
 
 # ----------------------------------------------------------- neighbourhood
 
-def _nb_obj(s: tuple) -> tuple:
-    subsets = powerset(s)
-    return tuple(frozenset(subsets[k] for k in range(len(subsets))
-                           if mask >> k & 1)
-                 for mask in range(1 << len(subsets)))
-
-
 def _nb_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
-    pre = {u: frozenset(v for v in src if f[v] in u) for u in powerset(dst)}
-
-    def act(family: frozenset) -> frozenset:
-        return frozenset(u for u in powerset(dst) if pre[u] in family)
-
-    return act
+    """A family goes to the subsets of ``dst`` whose preimage it holds: an
+    OR-linear map, tabulated by doubling from the images ``g[k]`` of the
+    one-member families (the subsets whose preimage has mask ``k``)."""
+    pos = {v: i for i, v in enumerate(dst)}
+    g = [0] * (1 << len(src))
+    for u in range(1 << len(dst)):
+        g[sum(1 << j for j, v in enumerate(src) if u >> pos[f[v]] & 1)] |= 1 << u
+    return unions(g).__getitem__
 
 
 def nb_functor() -> SetFunctor:
-    return SetFunctor("nb", _nb_obj, _nb_mor,
+    return SetFunctor("nb", lambda s: range(1 << (1 << len(s))), _nb_mor,
                       lambda n: (1 << (1 << n)) if n < 9 else HUGE,
-                      closed_form=lambda t, x, m: _posetify().posetify_nb(x, m))
+                      closed_form=lambda t, x, m: _posetify().posetify_nb(x, m),
+                      decode=_family_decode)
 
 
 # -------------------------------------------------- monotone neighbourhood
+
+@lru_cache(maxsize=16)
+def _principals(n: int) -> tuple:
+    """Entry ``a``: the mask of the supersets of the subset of mask ``a``
+    among the subsets of an ``n``-element set."""
+    out = [(1 << (1 << n)) - 1]
+    for j in range(n):
+        holding = sum(1 << u for u in range(1 << n) if u >> j & 1)
+        out += [o & holding for o in out]
+    return tuple(out)
+
 
 @lru_cache(maxsize=32)
 def _mnb_obj(s: tuple) -> tuple:
@@ -126,35 +151,28 @@ def _mnb_obj(s: tuple) -> tuple:
     Families are generated from their antichains of minimal members, which
     keeps the enumeration linear in the output size.
     """
-    subsets = powerset(s)
-    order = sorted(range(len(subsets)), key=lambda k: (len(subsets[k]), k))
+    principal = _principals(len(s))
+    order = sorted(range(1 << len(s)), key=lambda k: (k.bit_count(), k))
     families = []
 
-    def up_close(antichain: tuple) -> frozenset:
-        return frozenset(u for u in subsets
-                         if any(a <= u for a in antichain))
-
-    def extend(start: int, chosen: tuple):
-        families.append(up_close(chosen))
+    def extend(start: int, chosen: tuple, family: int):
+        families.append(family)
         for pos in range(start, len(order)):
-            cand = subsets[order[pos]]
-            if any(a <= cand or cand <= a for a in chosen):
+            cand = order[pos]
+            if any(a & cand in (a, cand) for a in chosen):
                 continue
-            extend(pos + 1, chosen + (cand,))
+            extend(pos + 1, chosen + (cand,), family | principal[cand])
 
-    extend(0, ())
+    extend(0, (), 0)
     return tuple(families)
 
 
 def _mnb_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
-    dst_subsets = powerset(dst)
-
-    def act(family: frozenset) -> frozenset:
-        images = {frozenset(f[v] for v in a) for a in family}
-        return frozenset(u for u in dst_subsets
-                         if any(img <= u for img in images))
-
-    return act
+    """A family goes to the up-closure of the images of its members: the
+    union of the principal families of those images."""
+    principal = _principals(len(dst))
+    g = [principal[img] for img in _images(f, src, dst)]
+    return lambda family: reduce(or_, map(g.__getitem__, bits(family)), 0)
 
 
 def _mnb_step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
@@ -171,24 +189,16 @@ def _mnb_step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
     check_enum_budget(1 << pairs, max_enum, "order lifting generators")
     check_enum_budget(mnb_size(len(x)) ** 2, max_enum, "order lifting closure")
     carrier = _mnb_obj(x.elements)
-    xsq, _, _ = cotensor2(x)
-    subsets = powerset(x.elements)
-
-    def principal(s: frozenset) -> frozenset:
-        return frozenset(u for u in subsets if s <= u)
-
-    gens = set()
-    for c in powerset(xsq.elements):
-        im0 = frozenset(a for a, _ in c)
-        im1 = frozenset(b for _, b in c)
-        gens.add((principal(im0), principal(im1)))
-    empty = (frozenset(), frozenset())
-    closed = {empty} | gens
+    _, first, second = cotensor2(x)
+    principal = _principals(len(x))
+    gens = {(principal[a], principal[b]) for a, b in
+            zip(*(unions([1 << i for i in p.assignment]) for p in (first, second)))}
+    closed = {(0, 0)} | gens
     frontier = list(closed)
     while frontier:
-        p0, p1 = frontier.pop()
+        a0, a1 = frontier.pop()
         for g0, g1 in gens:
-            q = (p0 | g0, p1 | g1)
+            q = (a0 | g0, a1 | g1)
             if q not in closed:
                 closed.add(q)
                 frontier.append(q)
@@ -206,21 +216,17 @@ def mnb_size(n: int) -> int:
 
 def mnb_functor() -> SetFunctor:
     return SetFunctor("mnb", _mnb_obj, _mnb_mor, mnb_size, _mnb_step,
-                      lambda t, x, m: _posetify().posetify_mnb(x, m))
+                      lambda t, x, m: _posetify().posetify_mnb(x, m),
+                      decode=_family_decode)
 
 
 # ------------------------------------------------------------- multisets
 
 def _mset_obj(d: int):
     def obj(s: tuple) -> tuple:
-        out = []
-        for k in range(d + 1):
-            for combo in combinations_with_replacement(range(len(s)), k):
-                counts: dict = {}
-                for i in combo:
-                    counts[i] = counts.get(i, 0) + 1
-                out.append(tuple((s[i], c) for i, c in sorted(counts.items())))
-        return tuple(out)
+        return tuple(tuple((s[i], len(list(run))) for i, run in groupby(combo))
+                     for k in range(d + 1)
+                     for combo in combinations_with_replacement(range(len(s)), k))
 
     return obj
 
@@ -229,10 +235,9 @@ def _mset_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
     pos = {v: k for k, v in enumerate(dst)}
 
     def act(m: tuple) -> tuple:
-        counts: dict = {}
+        counts = Counter()
         for label, c in m:
-            k = pos[f[label]]
-            counts[k] = counts.get(k, 0) + c
+            counts[pos[f[label]]] += c
         return tuple((dst[k], c) for k, c in sorted(counts.items()))
 
     return act
@@ -281,21 +286,10 @@ def multiset_functor(degree: int = 3) -> SetFunctor:
 
 def _poly_obj(signature: tuple):
     def obj(s: tuple) -> tuple:
-        out = []
-        for name, arity, coeffs in signature:
-            for coeff in coeffs:
-                out.extend((name, coeff, args)
-                           for args in _tuples(s, arity))
-        return tuple(out)
+        return tuple((name, coeff, args) for name, arity, coeffs in signature
+                     for coeff in coeffs for args in product(s, repeat=arity))
 
     return obj
-
-
-def _tuples(s: tuple, arity: int) -> list:
-    if arity == 0:
-        return [()]
-    shorter = _tuples(s, arity - 1)
-    return [t + (v,) for t in shorter for v in s]
 
 
 def _poly_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
@@ -322,9 +316,13 @@ def poly_functor(signature) -> SetFunctor:
     disjoint union over symbols of ``coefficients x X^arity``.
     """
     sig = tuple((name, arity, tuple(coeffs)) for name, arity, coeffs in signature)
+    seen = set()
     for name, arity, coeffs in sig:
         if arity < 0 or not coeffs:
             raise InputError(f"bad signature entry {name!r}")
+        if name in seen:
+            raise InputError(f"symbol {name!r} appears twice in the signature")
+        seen.add(name)
 
     def estimate(n: int) -> int:
         return sum(len(coeffs) * n ** arity for _, arity, coeffs in sig)
@@ -404,12 +402,11 @@ def lift_relation_generic(t: SetFunctor, x: FinPoset,
     xsq, p0, p1 = cotensor2(x)
     if t.size_estimate(len(xsq)) <= max_enum:
         carrier = t.on_obj(x.elements)
-        welems = t.on_obj(xsq.elements)
         f0 = t.on_mor(p0.as_dict(), xsq.elements, x.elements)
         f1 = t.on_mor(p1.as_dict(), xsq.elements, x.elements)
         idx = {e: k for k, e in enumerate(carrier)}
         succ = [0] * len(carrier)
-        for c in welems:
+        for c in t.on_obj(xsq.elements):
             succ[idx[f0(c)]] |= 1 << idx[f1(c)]
         return Preorder(carrier, tuple(succ))
     if t.step_relation is None:

@@ -11,10 +11,12 @@ two routes agree via an isomorphism that commutes with the projection maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .errors import DEFAULT_MAX_ENUM, InputError, check_enum_budget
 from .functors import (SetFunctor, lift_relation_generic, mnb_functor,
-                       nb_functor, powerset)
+                       nb_functor, pow_functor)
 from .order import (FinPoset, Preorder, bits, connected_components,
                     egli_milner_rows, poset_quotient, subset_closures,
                     transitive_closure)
@@ -24,28 +26,46 @@ from .order import (FinPoset, Preorder, bits, connected_components,
 class Posetification:
     """Result of lifting a functor to a poset.
 
-    ``result`` is the lifted poset whose elements are canonical class
-    representatives, ``e`` maps every element of the unordered functor
-    carrier onto its class, and ``witness`` is the transitively closed
-    lifted relation that induced the quotient.  The witness may be None
-    when the carrier is too large to store a quadratic relation (the
-    discrete neighbourhood collapse on four-element posets).
+    ``carrier`` holds the codes of the unordered functor carrier ``T(VX)``
+    and ``order`` is the lifted poset over the codes of canonical class
+    representatives; ``e[i]`` is the index in ``order`` of the class of
+    ``carrier[i]``, and ``witness`` is the transitively closed lifted
+    relation on the carrier that induced the quotient.  The witness may be
+    None when the carrier is too large to store a quadratic relation (the
+    discrete neighbourhood collapse on four-element posets).  ``decode``
+    labels the codes of ``order``, ``decode_carrier`` (when they differ)
+    those of the carrier; ``result`` is ``order`` over labels.
     """
 
-    result: FinPoset
-    e: dict
+    order: FinPoset
+    e: tuple
+    carrier: Sequence
     witness: Preorder | None
+    decode: Callable
+    decode_carrier: Callable | None = None
+
+    @cached_property
+    def result(self) -> FinPoset:
+        return FinPoset(tuple(map(self.decode, self.order.elements)), self.order.upmask)
+
+    @cached_property
+    def positions(self) -> dict:
+        """Carrier label -> carrier index; decodes the carrier once."""
+        label = self.decode_carrier or self.decode
+        return {label(c): i for i, c in enumerate(self.carrier)}
+
+    def image(self, v):
+        """The label of the class of the carrier element labelled ``v``."""
+        return self.result.elements[self.e[self.positions[v]]]
 
     def validate(self) -> None:
         """Best-effort structural audit; poset axioms are already enforced
         by construction, this re-checks the projection contracts."""
-        image = set(self.e.values())
-        if image != set(self.result.elements):
+        if set(self.e) != set(range(len(self.order))):
             raise AssertionError("projection is not surjective")
         if self.witness is None:
             return
-        ups = self.result.upmask
-        cls = [self.result.index(self.e[v]) for v in self.witness.carrier]
+        ups, cls = self.order.upmask, self.e
         members = [0] * len(ups)  # the carrier indices of each class
         for i, k in enumerate(cls):
             members[k] |= 1 << i
@@ -67,8 +87,7 @@ def posetify_generic(t: SetFunctor, x: FinPoset,
     r = lift_relation_generic(t, x, max_enum)
     closed = transitive_closure(r)
     poset, projection = poset_quotient(closed)
-    e = {v: poset.elements[projection[i]] for i, v in enumerate(closed.carrier)}
-    return Posetification(poset, e, closed)
+    return Posetification(poset, projection, closed.carrier, closed, t.decode(x.elements))
 
 
 # --------------------------------------------------------------- powerset
@@ -89,20 +108,15 @@ def egli_milner_leq(x: FinPoset, a: frozenset, b: frozenset) -> bool:
 def posetify_powerset(x: FinPoset,
                       max_enum: int = DEFAULT_MAX_ENUM) -> Posetification:
     """Closed form for the powerset: convex subsets under the pairwise
-    upper-and-lower-bound order, with convex closure as projection.
-
-    Subset ``k`` of ``powerset(x.elements)`` has mask ``k``, so the
-    closures, the convex classes and the order are computed on masks."""
-    subsets = powerset(x.elements)
-    check_enum_budget(len(subsets) ** 2, max_enum, "convex powerset")
+    upper-and-lower-bound order, with convex closure as projection, all
+    computed on subset masks."""
+    t = pow_functor()
+    carrier = t.on_obj(x.elements)
+    check_enum_budget(len(carrier) ** 2, max_enum, "convex powerset")
     up, down = subset_closures(x)
     rows = egli_milner_rows(x)
     seen = {}  # convex mask -> class index, in first-seen order
-    e = {}
-    for k, a in enumerate(subsets):
-        c = up[k] & down[k]
-        seen.setdefault(c, len(seen))
-        e[a] = subsets[c]
+    e = tuple(seen.setdefault(u & d, len(seen)) for u, d in zip(up, down))
     ups = []
     for c in seen:
         row = 0
@@ -110,8 +124,8 @@ def posetify_powerset(x: FinPoset,
             if d in seen:
                 row |= 1 << seen[d]
         ups.append(row)
-    result = FinPoset(tuple(subsets[c] for c in seen), tuple(ups))
-    return Posetification(result, e, Preorder(subsets, rows))
+    return Posetification(FinPoset(tuple(seen), tuple(ups)), e, carrier,
+                          Preorder(carrier, rows), t.decode(x.elements))
 
 
 # ------------------------------------------------- monotone neighbourhood
@@ -133,8 +147,8 @@ def posetify_mnb(x: FinPoset,
                       "up-closed family comparison")
     fams = t.on_obj(x.elements)
     up, down = subset_closures(x)
-    ups = [[up[x.mask(a)] for a in fam] for fam in fams]
-    downs = [[down[x.mask(a)] for a in fam] for fam in fams]
+    ups = [[up[a] for a in bits(fam)] for fam in fams]
+    downs = [[down[a] for a in bits(fam)] for fam in fams]
     succ = tuple(sum(1 << j for j in range(len(fams))
                      if all(any(not ub & ~ua for ub in ups[j]) for ua in ups[i]) and
                      all(any(not da & ~db for da in downs[i]) for db in downs[j]))
@@ -143,8 +157,7 @@ def posetify_mnb(x: FinPoset,
     if not pre.is_transitive():
         raise AssertionError("family comparison should be transitive as given")
     poset, projection = poset_quotient(pre)
-    e = {fam: poset.elements[projection[i]] for i, fam in enumerate(fams)}
-    return Posetification(poset, e, pre)
+    return Posetification(poset, projection, fams, pre, t.decode(x.elements))
 
 
 # ----------------------------------------------------------- neighbourhood
@@ -160,18 +173,17 @@ def posetify_nb(x: FinPoset,
                       "neighbourhood families on components")
     check_enum_budget(nb.size_estimate(len(x)), max_enum,
                       "neighbourhood families on the carrier")
-    result_elems = nb.on_obj(comps)
-    result = FinPoset.discrete(result_elems)
-    collapse = nb.on_mor(comp_of, x.elements, comps)
+    result = FinPoset.discrete(nb.on_obj(comps))
     carrier = nb.on_obj(x.elements)
-    e = {fam: collapse(fam) for fam in carrier}
+    e = tuple(map(nb.on_mor(comp_of, x.elements, comps), carrier))
     witness = None
     if len(carrier) ** 2 <= max_enum:
-        classes: dict = {}  # class -> the mask of its members
-        for k, fam in enumerate(carrier):
-            classes[e[fam]] = classes.get(e[fam], 0) | 1 << k
-        witness = Preorder(carrier, tuple(classes[e[fam]] for fam in carrier))
-    return Posetification(result, e, witness)
+        classes = [0] * len(result)  # the mask of the members of each class
+        for k, c in enumerate(e):
+            classes[c] |= 1 << k
+        witness = Preorder(carrier, tuple(classes[c] for c in e))
+    return Posetification(result, e, carrier, witness, nb.decode(comps),
+                          nb.decode(x.elements))
 
 
 # ------------------------------------------------------- analytic functors
@@ -186,8 +198,8 @@ def posetify_analytic(t: SetFunctor, x: FinPoset,
     if not r.is_transitive() or not r.is_antisymmetric():
         raise AssertionError(
             f"{t.name}: lifted relation is not already a partial order")
-    e = {v: v for v in r.carrier}
-    return Posetification(FinPoset(r.carrier, r.succ), e, r)
+    return Posetification(FinPoset(r.carrier, r.succ), tuple(range(len(r.carrier))),
+                          r.carrier, r, t.decode(x.elements))
 
 
 # ------------------------------------------------------------ dispatching
@@ -221,27 +233,24 @@ def cross_check(t: SetFunctor, x: FinPoset,
                       f"{t.name} cross-check comparison")
     gen = posetify_generic(t, x, max_enum)
     clo = closed_form(t, x, max_enum)
-    phi: dict = {}
-    for v in gen.e:
-        src = gen.e[v]
-        dst = clo.e[v]
-        if src in phi and phi[src] != dst:
-            return CrossCheck(False,
-                              f"projections disagree at {v!r}", gen, clo)
+    phi = [-1] * len(gen.order)  # generic class index -> closed class index
+    for i, (src, dst) in enumerate(zip(gen.e, clo.e)):
+        if phi[src] not in (-1, dst):
+            return CrossCheck(False, f"projections disagree at "
+                              f"{gen.decode(gen.carrier[i])!r}", gen, clo)
         phi[src] = dst
-    if len(set(phi.values())) != len(phi) or len(phi) != len(clo.result):
+    if len(set(phi)) != len(phi) or len(phi) != len(clo.order):
         return CrossCheck(False, "class counts differ", gen, clo)
-    g, c = gen.result, clo.result
-    to = [c.index(phi[a]) for a in g.elements]
+    g, c = gen.order, clo.order
     for i, row in enumerate(g.upmask):
-        want = c.upmask[to[i]]
+        want = c.upmask[phi[i]]
         image = 0
         for j in bits(row):
-            image |= 1 << to[j]
+            image |= 1 << phi[j]
         if image != want:
-            j = next(j for j in range(len(to))
-                     if (row >> j & 1) != (want >> to[j] & 1))
+            j = next(j for j in range(len(phi))
+                     if (row >> j & 1) != (want >> phi[j] & 1))
             return CrossCheck(
-                False, f"order differs at ({g.elements[i]!r}, {g.elements[j]!r})",
-                gen, clo)
+                False, f"order differs at ({gen.decode(g.elements[i])!r}, "
+                f"{gen.decode(g.elements[j])!r})", gen, clo)
     return CrossCheck(True, "isomorphic and projection-compatible", gen, clo)

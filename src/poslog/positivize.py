@@ -11,17 +11,19 @@ checked against the inserter computation rather than trusted.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .algebra import (BAHom, FinBoolAlg, FinDistLattice, LatticeHom,
-                      SubLattice, assert_sublattice, ba_inserter,
-                      boolean_as_lattice, free_ba, free_ba_generator,
-                      free_ba_map, free_over_dl_G, g_of_hom, kernel_K,
-                      lattice_from_elements, tensor2, up_algebra)
+                      assert_sublattice, ba_inserter, boolean_as_lattice,
+                      free_ba, free_ba_generator, free_ba_map, free_over_dl_G,
+                      g_of_hom, kernel_K, lattice_from_elements, tensor2,
+                      up_algebra)
 from .errors import (DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS, InputError,
                      check_enum_budget)
-from .functors import SetFunctor, parse_functor, pow_functor
+from .functors import SetFunctor, carrier_labels, parse_functor, pow_functor
+from .order import unions
 from .posetify import closed_form
 
 
@@ -54,14 +56,14 @@ def semantic_l(t: SetFunctor, max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
     def on_obj(b: FinBoolAlg) -> FinBoolAlg:
         check_enum_budget(t.size_estimate(len(b.atoms)), max_enum,
                           f"{t.name} on an atom set")
-        return FinBoolAlg(atoms=t.on_obj(b.atoms))
+        return FinBoolAlg(atoms=carrier_labels(t, b.atoms))
 
     def on_mor(h: BAHom) -> BAHom:
         src = on_obj(h.source)
         dst = on_obj(h.target)
-        act = t.on_mor({a: h.dual_of(a) for a in h.target.atoms},
-                       h.target.atoms, h.source.atoms)
-        return BAHom(src, dst, tuple(act(c) for c in dst.atoms))
+        act = t.on_mor(dict(zip(h.target.atoms, h.dual)), h.target.atoms, h.source.atoms)
+        label = t.decode(h.source.atoms)
+        return BAHom(src, dst, tuple(label(act(c)) for c in t.on_obj(h.target.atoms)))
 
     def modal(clause):
         return None if clause is None else (lambda b, x: clause(on_obj(b).atoms, x))
@@ -110,23 +112,46 @@ def parse_syntax(text: str, max_enum: int = DEFAULT_MAX_ENUM,
     raise InputError(f"unknown syntax {text!r}")
 
 
+@dataclass(frozen=True)
+class BooleanElements(Mapping):
+    """The elements of the Boolean algebra on ``atoms`` as the identity map
+    on them, built one at a time as they are iterated, in mask order."""
+
+    atoms: tuple
+
+    def __len__(self) -> int:
+        return 1 << len(self.atoms)
+
+    def __iter__(self):
+        """Element ``k`` joins its low and high bit halves, from two tables."""
+        half = len(self.atoms) // 2
+        low, high = (unions([frozenset([a]) for a in part], frozenset())
+                     for part in (self.atoms[:half], self.atoms[half:]))
+        return (lo | hi for hi in high for lo in low)
+
+    def __getitem__(self, m):
+        if not (isinstance(m, frozenset) and m <= set(self.atoms)):
+            raise KeyError(m)
+        return m
+
+
 @dataclass(eq=False)
 class Positivication:
     """The lifted syntax functor evaluated at one lattice.
 
     ``result`` is the lifted lattice over its own spectrum; ``members``
     are the same elements inside the ambient algebra (the syntax functor
-    applied to the free Boolean envelope), with ``embed``/``restrict``
-    translating between the two views.  ``box_of``/``diamond_of`` map an
-    element of the argument lattice to its modal image in the ambient
-    algebra; membership of that image is a property of the logic, not a
-    given (see ``is_member``).
+    applied to the free Boolean envelope), with ``embed`` translating from
+    the first view to the second.  In the Boolean case both are one lazy
+    :class:`BooleanElements`: the whole ambient algebra, as the identity.
+    ``box_of``/``diamond_of`` map an element of the argument lattice to its
+    modal image in the ambient algebra; membership of that image is a
+    property of the logic, not a given (see ``is_member``).
     """
 
     result: FinDistLattice
-    members: tuple
-    embed: dict
-    restrict: dict
+    members: Collection
+    embed: Mapping
     ambient: FinBoolAlg
     h1: BAHom
     h2: BAHom
@@ -146,7 +171,7 @@ def positivize(l: BAFunctor, a: FinDistLattice,
 
     When the two comparison homs coincide (exactly the Boolean case, where
     the ordered double collapses), the inserter is the whole ambient
-    algebra and the sweep is skipped.
+    algebra: the sweep is skipped and no member is built.
     """
     galg, unit = free_over_dl_G(a)
     t2 = tensor2(a)
@@ -156,19 +181,18 @@ def positivize(l: BAFunctor, a: FinDistLattice,
     lh1 = l.on_mor(gh1)
     lh2 = l.on_mor(gh2)
     if lh1 == lh2:
-        members = tuple(lga.carrier(max_enum))
-        wl = boolean_as_lattice(lga)
-        ident = {m: m for m in members}
-        sub = SubLattice(wl, members, dict(ident), dict(ident))
+        check_enum_budget(lga.size(), max_enum, "boolean algebra carrier")
+        result, members = boolean_as_lattice(lga), BooleanElements(lga.atoms)
+        embed = members
     else:
         members = ba_inserter(lh1, lh2, max_enum)
         check_enum_budget(len(members) ** 2, max_enum, "sublattice audit")
         assert_sublattice(members, lga)
         sub = lattice_from_elements(members, max_enum)
+        result, members, embed = sub.lattice, sub.members, sub.embed
     box_of = (lambda x: l.box(galg, unit.apply(x))) if l.box else None
     diamond_of = (lambda x: l.diamond(galg, unit.apply(x))) if l.diamond else None
-    return Positivication(sub.lattice, sub.members, sub.embed, sub.restrict,
-                          lga, lh1, lh2, box_of, diamond_of)
+    return Positivication(result, members, embed, lga, lh1, lh2, box_of, diamond_of)
 
 
 def positivize_mor(l: BAFunctor, h: LatticeHom,

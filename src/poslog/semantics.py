@@ -9,13 +9,13 @@ the two are kept in agreement by the verification suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .algebra import up_algebra
 from .errors import DEFAULT_MAX_ENUM, InputError, check_enum_budget
-from .functors import nb_functor, pow_functor, powerset
+from .functors import carrier_labels, nb_functor, pow_functor, powerset
 from .order import FinPoset, bits, is_upset
 from .posetify import Posetification, egli_milner_leq, posetify_powerset
 from .positivize import Positivication, positivize, semantic_l
@@ -167,12 +167,14 @@ class Coalgebra:
 
     A plain set carrier is the discrete poset.  For positive semantics the
     structure map must be monotone for the lifted order and land on convex
-    sets; this is checked by :func:`check_positive_coalgebra` at
-    interpretation time, not at construction.
+    sets; this is checked by :func:`check_positive_coalgebra` at the first
+    positive interpretation, not at construction, and ``positive_checked``
+    records that it passed.
     """
 
     carrier: FinPoset
     structure: dict
+    positive_checked: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         elems = set(self.carrier.elements)
@@ -242,11 +244,6 @@ class DeltaPow:
             out |= self.atom_image[c]
         return out
 
-    def domain(self, max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
-        check_enum_budget(1 << (1 << len(self.states)), max_enum,
-                          "semantic component domain")
-        return nb_functor().on_obj(self.states)
-
 
 def delta_pow(states: tuple, max_enum: int = DEFAULT_MAX_ENUM) -> DeltaPow:
     states = tuple(states)
@@ -290,8 +287,6 @@ class DeltaPrime:
     uniqueness of the transfer.
     """
 
-    pos: Posetification
-    lifted: Positivication
     table: dict
 
     def apply(self, member: frozenset) -> frozenset:
@@ -301,25 +296,25 @@ class DeltaPrime:
 def delta_prime(t, delta_factory, x: FinPoset, pos: Posetification,
                 lifted: Positivication) -> DeltaPrime:
     dp = delta_factory(x.elements)
-    if tuple(lifted.ambient.atoms) != tuple(t.on_obj(x.elements)):
+    if tuple(lifted.ambient.atoms) != carrier_labels(t, x.elements):
         raise AssertionError("ambient algebra does not match the component domain")
     if pos.witness is None:
         raise InputError("lifting carries no witness relation to saturate against")
-    carrier, succ = pos.witness.carrier, pos.witness.succ
-    idx = {v: k for k, v in enumerate(carrier)}
+    succ, idx, e = pos.witness.succ, pos.positions, pos.e
     table = {}
     for m in lifted.members:
-        s = dp.apply(m)
-        ms = sum(1 << idx[v] for v in s)
+        ms = sum(1 << idx[v] for v in dp.apply(m))
         if any(succ[i] & ~ms for i in bits(ms)):
             raise AssertionError("semantic image is not saturated for the lifted order")
-        u = frozenset(pos.e[v] for v in s)
-        if frozenset(v for v in carrier if pos.e[v] in u) != s:
+        u = 0  # the classes the image meets
+        for i in bits(ms):
+            u |= 1 << e[i]
+        if sum(1 << i for i, k in enumerate(e) if u >> k & 1) != ms:
             raise AssertionError("saturated image transfers to more than one upset")
-        if not is_upset(pos.result, u):
+        if pos.order.up_of(u) != u:
             raise AssertionError("transferred predicate is not an upset")
-        table[m] = u
-    return DeltaPrime(pos, lifted, table)
+        table[m] = pos.result.labels(u)
+    return DeltaPrime(table)
 
 
 # ----------------------------------------------------------- interpreters
@@ -420,7 +415,9 @@ def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
                 raise AssertionError("modal image left the lifted algebra")
             pred = dprime.apply(elem)
             return frozenset(x for x in states if c.gamma(x) in pred)
-    check_positive_coalgebra(c, pos)
+    if not c.positive_checked:
+        check_positive_coalgebra(c, pos)
+        object.__setattr__(c, "positive_checked", True)
     out = _evaluate(phi, vals, frozenset(states), modal)
     if not is_upset(c.carrier, out):
         raise AssertionError("positive satisfaction set is not an upset")
@@ -430,7 +427,8 @@ def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
 def delta_pow_injective(states: tuple,
                         max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
     dp = delta_pow(tuple(states), max_enum)
-    return injectivity_check(dp.domain(), dp.apply)
+    check_enum_budget(1 << (1 << len(dp.states)), max_enum, "semantic component domain")
+    return injectivity_check(carrier_labels(nb_functor(), dp.states), dp.apply)
 
 
 def delta_prime_injective(x: FinPoset,

@@ -12,23 +12,26 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from . import algebra as alg
 from . import semantics as sem
 from .errors import DEFAULT_MAX_ENUM
-from .functors import (lift_relation_generic, mnb_functor, multiset_functor,
-                       nb_functor, poly_functor, pow_functor, powerset)
-from .order import (FinPoset, Preorder, bits, connected_components, cotensor2,
-                    diagonal_section, enumerate_posets, is_upset,
+from .functors import (carrier_labels, lift_relation_generic, mnb_functor,
+                       multiset_functor, nb_functor, poly_functor, pow_functor,
+                       powerset)
+from .order import (FinPoset, MonotoneMap, Preorder, bits, connected_components,
+                    cotensor2, diagonal_section, enumerate_posets, is_upset,
                     poset_isomorphism, poset_quotient, transitive_closure,
-                    up_closure)
+                    unions)
 from .posetify import (convex_closure, cross_check, egli_milner_leq,
                        posetify_generic, posetify_mnb, posetify_nb,
                        posetify_powerset)
 from .positivize import (beta, closed_form_dunn, closed_form_fu,
-                         dunn_axiom_check, free_l, positivize, positivize_mor,
-                         semantic_l)
+                         dunn_axiom_check, free_l, parse_syntax, positivize,
+                         positivize_mor, semantic_l)
 
 LABELS = ("a", "b", "c", "d")
+POLY = "poly:sigma=f:2:1,c:0:2"
 
 
 @lru_cache(maxsize=None)
@@ -101,16 +104,12 @@ def check_closure_laws(max_enum=DEFAULT_MAX_ENUM):
 
 
 def _reflexive_relations(n: int) -> list:
-    carrier = tuple(LABELS[:n])
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    out = []
-    for mask in range(1 << len(offdiag)):
-        succ = [1 << i for i in range(n)]
-        for k, (i, j) in enumerate(offdiag):
-            if mask >> k & 1:
-                succ[i] |= 1 << j
-        out.append(Preorder(carrier, tuple(succ)))
-    return out
+    """Every reflexive relation on ``n`` labels, by the mask of its
+    off-diagonal pairs; pair ``(i, j)`` is bit ``i * n + j``."""
+    flat = unions([1 << i * n + j for i in range(n) for j in range(n) if i != j])
+    row = (1 << n) - 1
+    return [Preorder(LABELS[:n], tuple(m >> i * n & row | 1 << i for i in range(n)))
+            for m in flat]
 
 
 def _random_reflexive_relation(n: int, rng) -> Preorder:
@@ -209,7 +208,7 @@ def check_nbhd_iso(max_enum=DEFAULT_MAX_ENUM):
     nb = nb_functor()
     for n in range(3):
         xs = LABELS[:n]
-        fams = nb.on_obj(xs)
+        fams = carrier_labels(nb, xs)
         images = set()
         for fam in fams:
             e = alg.nbhd_to_free(xs, fam)
@@ -223,26 +222,19 @@ def check_nbhd_iso(max_enum=DEFAULT_MAX_ENUM):
         for dst_n in (1, 2):
             xs, ys = LABELS[:src_n], LABELS[:dst_n]
             for f in all_functions(xs, ys):
-                act = nb.on_mor(f, xs, ys)
+                act, label = nb.on_mor(f, xs, ys), nb.decode(ys)
                 hom = alg.free_ba_map(xs, ys, f)
-                for fam in nb.on_obj(xs):
-                    if alg.nbhd_to_free(ys, act(fam)) != hom.apply(alg.nbhd_to_free(xs, fam)):
+                for code, fam in zip(nb.on_obj(xs), carrier_labels(nb, xs)):
+                    if alg.nbhd_to_free(ys, label(act(code))) != \
+                            hom.apply(alg.nbhd_to_free(xs, fam)):
                         return False, f"naturality fails at {f}"
     return True, "bijective and natural on sets of size <= 2"
 
 
 def all_functions(xs: tuple, ys: tuple) -> list:
-    """Every function from ``xs`` to ``ys``, as dicts."""
-    if not xs:
-        return [{}]
-    out = []
-    rest = all_functions(xs[1:], ys)
-    for y in ys:
-        for f in rest:
-            g = dict(f)
-            g[xs[0]] = y
-            out.append(g)
-    return out
+    """Every function from ``xs`` to ``ys``, as dicts, the value at the
+    first of ``xs`` varying slowest."""
+    return [dict(zip(xs, values)) for values in product(ys, repeat=len(xs))]
 
 
 def check_kernel(max_enum=DEFAULT_MAX_ENUM):
@@ -324,13 +316,16 @@ def check_reflexive_pairs(max_enum=DEFAULT_MAX_ENUM):
     return True, f"{count} diagonal-containing subalgebras, all symmetric"
 
 
+def two_into_three() -> tuple:
+    """``(two, three, h)``: the 2- and 3-element chains and the lattice hom
+    that sends the bottom and top of ``two`` to those of ``three``."""
+    two, three = alg.up_algebra(FinPoset.discrete(("s",))), three_chain_lattice()
+    return two, three, alg.LatticeHom(two, three, MonotoneMap.of_dict(
+        three.spectrum, two.spectrum, {"p": "s", "q": "s"}))
+
+
 def check_dual_composition(max_enum=DEFAULT_MAX_ENUM):
-    two = alg.up_algebra(FinPoset.discrete(("s",)))
-    three = three_chain_lattice()
-    from .order import MonotoneMap
-    f = alg.LatticeHom(two, three,
-                       MonotoneMap.of_dict(three.spectrum, two.spectrum,
-                                           {"p": "s", "q": "s"}))
+    two, three, f = two_into_three()
     four = alg.up_algebra(FinPoset.chain(("x", "y", "z")))
     g = alg.LatticeHom(three, four,
                        MonotoneMap.of_dict(four.spectrum, three.spectrum,
@@ -353,22 +348,15 @@ def _oracle_functors():
 
 
 def check_posetify_oracles(max_enum=DEFAULT_MAX_ENUM):
-    checked = 0
-    for t in _oracle_functors():
+    checked, nb = 0, nb_functor()
+    for t in (*_oracle_functors(), nb):
         for p in small_posets(3):
+            if t is nb and len(cotensor2(p)[0]) > 3:
+                continue  # families over more than 3 comparable pairs
             r = cross_check(t, p, max_enum)
             if not r.ok:
                 return False, f"{t.name} on {p.elements}: {r.detail}"
             checked += 1
-    nb = nb_functor()
-    for p in small_posets(3):
-        xsq, _, _ = cotensor2(p)
-        if len(xsq) > 3:
-            continue
-        r = cross_check(nb, p, max_enum)
-        if not r.ok:
-            return False, f"nb on {p.elements}: {r.detail}"
-        checked += 1
     return True, f"{checked} functor/poset pairs agree"
 
 
@@ -379,7 +367,7 @@ def check_powerset_closed_form(max_enum=DEFAULT_MAX_ENUM):
                 frozenset("pq"), frozenset("qr"), frozenset("pqr")}
     if set(pos.result.elements) != expected or len(pos.result) != 7:
         return False, "convex subsets of the 3-chain are wrong"
-    if pos.e[frozenset("pr")] != frozenset("pqr"):
+    if pos.image(frozenset("pr")) != frozenset("pqr"):
         return False, "convex closure of the gap set is wrong"
     for c in pos.result.elements:
         for d in pos.result.elements:
@@ -403,8 +391,7 @@ def check_analytic_antisymmetry(max_enum=DEFAULT_MAX_ENUM):
             if not r.is_antisymmetric():
                 return False, f"{t.name} lifting not antisymmetric on {p.elements}"
             pos = posetify_generic(t, p, max_enum)
-            if len(pos.result) != len(r.carrier) or \
-                    any(k != v for k, v in pos.e.items()):
+            if pos.e != tuple(range(len(r.carrier))):
                 return False, f"{t.name} quotient is not the identity on {p.elements}"
     return True, "lifted relations antisymmetric; quotient trivial"
 
@@ -414,7 +401,7 @@ def check_mnb_order(max_enum=DEFAULT_MAX_ENUM):
     pos = posetify_mnb(x, max_enum)
     fam_a = frozenset([frozenset(["p", "q"])])
     fam_b = frozenset([frozenset(["q"]), frozenset(["p", "q"])])
-    a_cls, b_cls = pos.e[fam_a], pos.e[fam_b]
+    a_cls, b_cls = pos.image(fam_a), pos.image(fam_b)
     if a_cls == b_cls or not pos.result.leq(a_cls, b_cls) or \
             pos.result.leq(b_cls, a_cls):
         return False, "the two-chain example is not strictly ordered"
@@ -428,14 +415,14 @@ def check_mnb_order(max_enum=DEFAULT_MAX_ENUM):
 
 def check_nb_collapse(max_enum=DEFAULT_MAX_ENUM):
     pos = posetify_nb(two_chain(), max_enum)
-    if len(pos.result) != 4 or pos.result.covers():
+    if len(pos.order) != 4 or pos.order.covers():
         return False, "two-chain collapse is not 4 discrete points"
     for p in iso_representatives(4):
         comps, _ = connected_components(p)
         pos = posetify_nb(p, max_enum)
-        if len(pos.result) != 1 << (1 << len(comps)):
+        if len(pos.order) != 1 << (1 << len(comps)):
             return False, f"size wrong on {p.elements}"
-        if pos.result.covers():
+        if pos.order.covers():
             return False, f"result not discrete on {p.elements}"
     return True, "2^2^components for all posets <= 4 (up to iso)"
 
@@ -446,9 +433,9 @@ def check_discrete_identity(max_enum=DEFAULT_MAX_ENUM):
         for n in range(4):
             p = FinPoset.discrete(LABELS[:n])
             pos = posetify_generic(t, p, max_enum)
-            if pos.result.covers():
+            if pos.order.covers():
                 return False, f"{t.name} on a discrete set is not discrete"
-            if len(pos.result) != len(pos.e):
+            if len(pos.order) != len(pos.e):
                 return False, f"{t.name} projection not bijective on discrete"
     return True, "all functors are unchanged on discrete posets"
 
@@ -542,13 +529,8 @@ def check_beta(max_enum=DEFAULT_MAX_ENUM):
 
 
 def check_positivize_mor(max_enum=DEFAULT_MAX_ENUM):
-    from .order import MonotoneMap
     l = semantic_l(pow_functor(), max_enum)
-    two = alg.up_algebra(FinPoset.discrete(("s",)))
-    three = three_chain_lattice()
-    h = alg.LatticeHom(two, three,
-                       MonotoneMap.of_dict(three.spectrum, two.spectrum,
-                                           {"p": "s", "q": "s"}))
+    two, three, h = two_into_three()
     p_two = positivize(l, two, max_enum)
     p_three = positivize(l, three, max_enum)
     action = positivize_mor(l, h, p_two, p_three)
@@ -563,6 +545,29 @@ def check_positivize_mor(max_enum=DEFAULT_MAX_ENUM):
                                                   {"s": "q"}))
     positivize_mor(l, collapse, p_three, p_two)
     return True, "lifted homs stay inside the target sublattice"
+
+
+# Syntax ``semantic:T`` and spectrum size: every spectrum of at most 2
+# elements, or every one of exactly 3.
+DUALITY_CASES = (*((name, 2) for name in ("pow", "mnb", "nb", "bag:2", POLY)),
+                 *((name, 3) for name in ("pow", "bag:2", POLY)))
+
+
+def check_duality_rule(max_enum=DEFAULT_MAX_ENUM, cases=DUALITY_CASES):
+    """Positivication of ``P T`` at ``Up(X)`` is ``Up(T'(X))``: the inserter
+    route against the functor's own closed form."""
+    checked = 0
+    for name, size in cases:
+        l = parse_syntax(f"semantic:{name}", max_enum)
+        for p in small_posets(size):
+            if size < 3 or len(p) == 3:
+                a = alg.up_algebra(p)
+                if alg.lattice_isomorphic(positivize(l, a, max_enum).result,
+                                          l.closed_form(a)) is None:
+                    return False, f"{l.name} differs on spectrum {p.elements}"
+                checked += 1
+    return True, (f"inserter equals the up-sets of the posetification in {checked} "
+                  f"syntax/spectrum pairs")
 
 
 # -------------------------------------------------------------- semantics
@@ -608,11 +613,6 @@ def monotone_coalgebras(p: FinPoset, convex, limit: int | None = None) -> list:
     return out
 
 
-def _upsets(p: FinPoset) -> list:
-    return [u for u in powerset(p.elements)
-            if up_closure(p, u) == u]
-
-
 def linear_formulas(depth: int, variables: tuple) -> list:
     """Formulas built from the atoms by stacking one modality or one binary
     connective with an atom per layer, up to ``depth`` layers."""
@@ -648,7 +648,7 @@ def check_semantics_coherence(max_enum=DEFAULT_MAX_ENUM):
     # modal predicates agree for every upset, independently of any coalgebra
     for p in small_posets(3):
         pos, lifted, dprime = sem._positive_context(p, max_enum)
-        for u in _upsets(p):
+        for u in alg.up_algebra(p).carrier(max_enum):
             dia_direct = frozenset(c for c in pos.result.elements if c & u)
             box_direct = frozenset(c for c in pos.result.elements if c <= u)
             if dprime.apply(lifted.diamond_of(u)) != dia_direct:
@@ -660,10 +660,11 @@ def check_semantics_coherence(max_enum=DEFAULT_MAX_ENUM):
     formulas = _coherence_formulas()
     for p in iso_representatives(3):
         convex = sem._pow_lifting(p, max_enum).result.elements
+        upsets = alg.up_algebra(p).carrier(max_enum)
         if len(p) < 3:
-            models, upsets = monotone_coalgebras(p, convex), _upsets(p)
+            models = monotone_coalgebras(p, convex)
         else:
-            models, upsets = monotone_coalgebras(p, convex, 6), _upsets(p)[:4]
+            models, upsets = monotone_coalgebras(p, convex, 6), upsets[:4]
         for c in models:
             for u in upsets:
                 val = {"v": u}
@@ -733,6 +734,7 @@ SUITES = {
         ("free-modality-side-condition", check_fu_box_side_condition),
         ("boolean-agreement", check_beta),
         ("lifted-hom-action", check_positivize_mor),
+        ("positivication-dual-to-posetification", check_duality_rule),
     ),
     "semantics": (
         ("component-injective", check_delta_pow_injective),

@@ -31,7 +31,8 @@ CRITERIA = {
     5: (("neighbourhood-collapse",), None,
         "families collapse to 2^2^components, discretely, on %(types)d posets "
         "<= 4 (every isomorphism type)"),
-    6: (("normal-modal-closed-form", "positive-modal-axioms"), 30.0,
+    6: (("normal-modal-closed-form", "positive-modal-axioms",
+         "positivication-dual-to-posetification"), 30.0,
         "inserter matches upsets-of-convex-lifting and all positive modal "
         "axioms hold on %(posets)d spectra <= 3; lifting of the 3-element "
         "chain has 8 elements (%(elapsed).1fs < 30s)"),

@@ -166,14 +166,15 @@ class TestFamilyTranslation:
         nb = nb_functor()
         xs, ys = ("p", "q"), ("z",)
         f = {"p": "z", "q": "z"}
-        act = nb.on_mor(f, xs, ys)
+        act, label, label_ys = nb.on_mor(f, xs, ys), nb.decode(xs), nb.decode(ys)
         hom = free_ba_map(xs, ys, f)
         seen = set()
-        for fam in nb.on_obj(xs):
+        for code in nb.on_obj(xs):
+            fam = label(code)
             e = nbhd_to_free(xs, fam)
             seen.add(e)
             assert e == fam
-            assert nbhd_to_free(ys, act(fam)) == hom.apply(e)
+            assert nbhd_to_free(ys, label_ys(act(code))) == hom.apply(e)
         assert len(seen) == 16
 
 

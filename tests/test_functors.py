@@ -6,7 +6,8 @@ import pytest
 
 from poslog.algebra import _upsets_in_mask_order
 from poslog.errors import BudgetExceeded, InputError
-from poslog.functors import (DEDEKIND, _mnb_obj, lift_relation_generic, mnb_functor,
+from poslog.functors import (DEDEKIND, _mnb_obj, carrier_labels, lift_relation_generic,
+                             mnb_functor,
                              multiset_functor, nb_functor, parse_functor,
                              poly_functor, pow_functor, powerset)
 from poslog.order import FinPoset, transitive_closure
@@ -33,7 +34,7 @@ class TestObjectMaps:
     def test_mnb_families_are_up_closed(self):
         s = ("a", "b", "c")
         subsets = powerset(s)
-        for fam in mnb_functor().on_obj(s):
+        for fam in carrier_labels(mnb_functor(), s):
             for a in fam:
                 for u in subsets:
                     if a <= u:
@@ -92,13 +93,14 @@ class TestMorphismMaps:
     def test_mnb_action_is_upset_of_direct_image(self):
         t = mnb_functor()
         xs, ys = ("a", "b", "c"), ("x", "y")
+        label, label_ys = t.decode(xs), t.decode(ys)
         for f in all_functions(xs, ys):
             act = t.on_mor(f, xs, ys)
-            for fam in t.on_obj(xs):
-                direct = {frozenset(f[v] for v in a) for a in fam}
+            for code in t.on_obj(xs):
+                direct = {frozenset(f[v] for v in a) for a in label(code)}
                 want = frozenset(u for u in powerset(ys)
                                  if any(img <= u for img in direct))
-                assert act(fam) == want
+                assert label_ys(act(code)) == want
 
     def test_nb_agrees_with_mnb_on_up_closed_families(self):
         nb, mnb = nb_functor(), mnb_functor()
@@ -129,8 +131,9 @@ class TestLifting:
         # oracle: the direct two-sided formula, evaluated independently
         p = FinPoset.chain(("p", "q"))
         r = lift_relation_generic(pow_functor(), p)
-        for i, a in enumerate(r.carrier):
-            for j, b in enumerate(r.carrier):
+        labels = carrier_labels(pow_functor(), p.elements)
+        for i, a in enumerate(labels):
+            for j, b in enumerate(labels):
                 want = all(any(p.leq(v, w) for w in b) for v in a) and \
                     all(any(p.leq(v, w) for v in a) for w in b)
                 assert ((i, j) in r.rel) == want
@@ -189,7 +192,8 @@ class TestDelegation:
     def test_apply_mor_respects_laws(self):
         from poslog.functors import apply_mor
         act = apply_mor(pow_functor(), {"a": "x", "b": "x"}, ("a", "b"), ("x",))
-        assert act(frozenset(["a", "b"])) == frozenset(["x"])
+        # the subset {a, b} has mask 0b11 and {x} has mask 0b1
+        assert pow_functor().decode(("x",))(act(0b11)) == frozenset(["x"])
 
 
 class TestParsing:

@@ -9,7 +9,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from poslog.errors import InputError
 from poslog.io import (format_label, lattice_dot, load_coalgebra,
@@ -18,6 +18,7 @@ from poslog.io import (format_label, lattice_dot, load_coalgebra,
 from poslog.algebra import up_algebra
 from poslog.cli import main
 from poslog.order import FinPoset
+from poslog.positivize import SYNTAXES
 from poslog.semantics import MAX_FORMULA_DEPTH
 
 
@@ -161,6 +162,49 @@ class TestCli:
             tracemalloc.stop()
         assert rc == 2 and "budget" in err.getvalue()
         assert peak < 5 * 2 ** 20
+
+    def test_repeated_polynomial_symbol_exit_three(self, files):
+        rc, out, err = run_main("posetify", "--functor", "poly:sigma=f:1:1,f:1:1",
+                                "--poset", str(files / "chain2.json"))
+        assert rc == 3 and not out
+        assert err == "malformed input: symbol 'f' appears twice in the signature\n"
+
+    @pytest.mark.parametrize("structure", [
+        {"x": ["y"], "y": []},                   # not monotone
+        {"x": ["x", "z"], "y": ["x", "z"], "z": ["x", "z"]}])  # not convex
+    @pytest.mark.parametrize("mode", ["positive", "both"])
+    def test_coalgebra_outside_the_positive_semantics_exit_three(self, files, tmp_path,
+                                                                 structure, mode):
+        carrier = {"elements": ["x", "y", "z"], "leq": [["x", "y"], ["y", "z"]]}
+        coalg = tmp_path / "coalg.json"
+        coalg.write_text(json.dumps({"carrier": carrier,
+                                     "structure": {"z": [], **structure}}))
+        rc, out, err = run_main("interpret", "--coalgebra", str(coalg), "--valuation",
+                                str(files / "val.json"), "--formula", "(dia p)",
+                                "--mode", mode)
+        assert rc == 3 and not out and err.startswith("malformed input: ")
+
+    def test_semantic_mnb_on_a_boolean_lattice_builds_no_member(self, tmp_path):
+        """The lifting at the 3-antichain spectrum is the whole algebra on
+        the 20 up-closed families: 2^20 members, counted, not built."""
+        lattice = tmp_path / "antichain3.json"
+        lattice.write_text(json.dumps({"type": "dl",
+                                       "spectrum": {"elements": ["a", "b", "c"]}}))
+        reports = []
+        for extra in ([], ["--check-closed-form"]):
+            tracemalloc.start()
+            try:
+                rc, out, _ = run_main("positivize", "--syntax", "semantic:mnb",
+                                      "--lattice", str(lattice), *extra)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 0 and peak < 100 * 2 ** 20
+            reports.append(json.loads(out))
+        plain, checked = reports
+        assert plain["result_size"] == 2 ** 20 and plain["result_spectrum"]["size"] == 20
+        assert checked.pop("agree") is True and checked.pop("closed_form_size") == 2 ** 20
+        assert checked == plain
 
     def test_posetify_dot_export(self, files, tmp_path):
         out = tmp_path / "out.dot"
@@ -403,3 +447,69 @@ def json_file(directory, data) -> str:
     if not path.exists():
         path.write_text(text)
     return str(path)
+
+
+@st.composite
+def posets_json(draw):
+    """Poset JSON over up to three labels, any part of it possibly
+    malformed."""
+    labels = draw(st.lists(st.sampled_from(STATES + (1,)), unique=True, max_size=3))
+    named = st.sampled_from(labels if labels and not rarely(draw) else STATES)
+    pairs = st.lists(st.lists(named, min_size=2, max_size=2), max_size=3)
+    return maybe_junk(draw, st.just({"elements": labels, "leq": maybe_junk(draw, pairs)}))
+
+
+@st.composite
+def lattices_json(draw):
+    """Lattice JSON: a distributive lattice by its spectrum, a Boolean
+    algebra by its atoms, or junk."""
+    return maybe_junk(draw, st.one_of(
+        st.builds(lambda s: {"type": "dl", "spectrum": s}, posets_json()),
+        st.builds(lambda a: {"type": "ba", "atoms": a},
+                  st.lists(st.sampled_from(STATES), max_size=2) | JUNK),
+        st.builds(lambda k: {"type": k}, st.sampled_from(["dl", "ba", "frob"]))))
+
+
+BUDGETS = st.lists(st.tuples(st.sampled_from(["--max-enum", "--max-generators"]),
+                             st.sampled_from(["2", "40", "5000"] * 3 + ["-1", "0", "x"])),
+                   max_size=1)
+
+
+@st.composite
+def verb_requests(draw, directory):
+    """An argument list for posetify, positivize, dualize or export-dot."""
+    verb = draw(st.sampled_from(["posetify", "positivize", "dualize", "export-dot"]))
+    if verb == "posetify":
+        argv = ["--functor", draw(st.sampled_from(
+                    ["pow", "nb", "mnb", "bag", "bag:2", "bag:x", "poly:sigma=f:1:1",
+                     "poly:sigma=f:2:1,c:0:2", "poly:sigma=f:1:1,f:1:1", "poly:f",
+                     "frob"])),
+                "--poset", json_file(directory, draw(posets_json())),
+                "--method", draw(st.sampled_from(["generic", "closed", "both", "frob"]))]
+    elif verb == "positivize":
+        argv = ["--syntax", draw(st.sampled_from(SYNTAXES + ("semantic:bag:2", "frob"))),
+                "--lattice", json_file(directory, draw(lattices_json()))]
+        argv += ["--check-closed-form"] if draw(st.booleans()) else []
+    elif verb == "dualize":
+        argv = []
+        if draw(st.booleans()):
+            argv += ["--poset", json_file(directory, draw(posets_json()))]
+        if draw(st.booleans()):
+            argv += ["--lattice", json_file(directory, draw(lattices_json()))]
+    else:
+        argv = ["--input", json_file(directory, draw(st.one_of(posets_json(),
+                                                               lattices_json())))]
+    return [verb, *argv, *(a for flag in draw(BUDGETS) for a in flag)]
+
+
+@settings(database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_other_verbs_fuzz_exit_with_a_contract_code(files, data):
+    """Whatever the JSON and the flags, the four verbs return a contract
+    code, print no traceback, and exit 1 only when two routes disagree."""
+    argv = data.draw(verb_requests(files))
+    rc, out, err = run_main(*argv)
+    event(f"{argv[0]} exit {rc}")
+    assert rc in (0, 1, 2, 3) and "Traceback" not in err
+    if rc == 1:
+        assert json.loads(out)["agree"] is False

@@ -5,9 +5,9 @@ import dataclasses
 import pytest
 
 from poslog.errors import BudgetExceeded
-from poslog.functors import (_mnb_obj, lift_relation_generic, mnb_functor,
-                             multiset_functor, nb_functor, poly_functor,
-                             pow_functor, powerset)
+from poslog.functors import (_mnb_obj, carrier_labels, lift_relation_generic,
+                             mnb_functor, multiset_functor, nb_functor,
+                             poly_functor, pow_functor, powerset)
 from poslog.order import FinPoset, cotensor2, transitive_closure
 from poslog.posetify import (closed_form, convex_closure, cross_check,
                              egli_milner_leq, posetify_generic, posetify_mnb,
@@ -24,9 +24,9 @@ class TestGeneric:
         pos = posetify_generic(pow_functor(), chain("p", "q"))
         pos.validate()
         assert len(pos.result) == 4
-        e = pos.e
-        empty, p_, q_, pq = (e[frozenset()], e[frozenset("p")],
-                             e[frozenset("q")], e[frozenset("pq")])
+        e = pos.image
+        empty, p_, q_, pq = (e(frozenset()), e(frozenset("p")),
+                             e(frozenset("q")), e(frozenset("pq")))
         assert pos.result.leq(p_, pq) and pos.result.leq(pq, q_)
         assert not pos.result.leq(q_, pq)
         assert all(not pos.result.leq(empty, o) and not pos.result.leq(o, empty)
@@ -59,7 +59,9 @@ class TestPowersetClosedForm:
         pos = posetify_powerset(chain("p", "q", "r"))
         pos.validate()
         assert len(pos.result) == 7
-        assert pos.e[frozenset("pr")] == frozenset("pqr")  # gap closes
+        assert pos.image(frozenset("pr")) == frozenset("pqr")  # gap closes
+        x = chain("p", "q", "r")
+        assert all(pos.image(s) == convex_closure(x, s) for s in powerset(x.elements))
 
     def test_discrete_keeps_all_subsets(self):
         pos = posetify_powerset(FinPoset.discrete(("a", "b", "c")))
@@ -98,8 +100,8 @@ class TestMnb:
 
     def test_two_chain_strict_example(self):
         pos = posetify_mnb(chain("p", "q"))
-        a = pos.e[frozenset([frozenset(["p", "q"])])]
-        b = pos.e[frozenset([frozenset(["q"]), frozenset(["p", "q"])])]
+        a = pos.image(frozenset([frozenset(["p", "q"])]))
+        b = pos.image(frozenset([frozenset(["q"]), frozenset(["p", "q"])]))
         assert a != b and pos.result.leq(a, b) and not pos.result.leq(b, a)
 
     def test_two_chain_matches_generic(self):
@@ -141,6 +143,15 @@ class TestNb:
         pos = posetify_nb(p)
         assert len(pos.result) == 16
 
+    def test_projection_is_the_functor_on_the_component_collapse(self):
+        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")], complete=True)
+        comp_of = {"a": "a", "b": "a", "c": "c"}
+        pos = posetify_nb(p)
+        for fam in carrier_labels(nb_functor(), p.elements):
+            want = frozenset(u for u in powerset(("a", "c"))
+                             if frozenset(v for v in p.elements if comp_of[v] in u) in fam)
+            assert pos.image(fam) == want
+
 
 class TestCrossCheck:
     @pytest.mark.parametrize("t", [pow_functor(), multiset_functor(3),
@@ -162,14 +173,24 @@ class TestCrossCheck:
     def test_reports_the_first_pair_where_the_orders_differ(self):
         x = chain("p", "q")
         real = closed_form(pow_functor(), x)
-        flat = dataclasses.replace(real, result=FinPoset.discrete(real.result.elements))
+        flat = dataclasses.replace(real, order=FinPoset.discrete(real.order.elements))
         t = dataclasses.replace(pow_functor(), closed_form=lambda t, x, max_enum: flat)
         r = cross_check(t, x)
-        gen = r.generic.result
-        phi = {r.generic.e[v]: flat.e[v] for v in r.generic.e}
+        gen, label = r.generic.result, r.generic.image
+        phi = {label(v): flat.image(v) for v in powerset(x.elements)}
         first = next((a, b) for a in gen.elements for b in gen.elements
                      if gen.leq(a, b) != flat.result.leq(phi[a], phi[b]))
         assert not r.ok and r.detail == f"order differs at {first!r}"
+
+    def test_reports_projections_that_split_a_class(self):
+        x = chain("p", "q", "r")
+        real = closed_form(pow_functor(), x)
+        e = list(real.e)
+        e[0b101], e[0b010] = e[0b010], e[0b101]  # {p, r} and {q} trade classes
+        split = dataclasses.replace(real, e=tuple(e))
+        t = dataclasses.replace(pow_functor(), closed_form=lambda t, x, max_enum: split)
+        r = cross_check(t, x)
+        assert not r.ok and r.detail.startswith("projections disagree at ")
 
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceeded):

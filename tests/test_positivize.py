@@ -5,14 +5,12 @@ import pytest
 from poslog.algebra import (FinBoolAlg, LatticeHom, boolean_as_lattice,
                             lattice_identity, lattice_isomorphic, up_algebra)
 from poslog.errors import BudgetExceeded, InputError
-from poslog.functors import mnb_functor, parse_functor, pow_functor
+from poslog.functors import mnb_functor, pow_functor
 from poslog.order import FinPoset, MonotoneMap
 from poslog.positivize import (beta, closed_form_dunn, closed_form_fu,
                                dunn_axiom_check, free_l, parse_syntax,
                                positivize, positivize_mor, semantic_l)
-from poslog.verify import small_posets
-
-POLY = "poly:sigma=f:2:1,c:0:2"
+from poslog.verify import DUALITY_CASES, check_duality_rule
 
 
 def chain(*labels):
@@ -56,6 +54,18 @@ class TestPositivize:
         b = FinBoolAlg(atoms=("x", "y"))
         p = positivize(l, boolean_as_lattice(b))
         assert len(p.members) == l.on_obj(b).size()
+
+    def test_boolean_members_are_a_lazy_identity(self):
+        l = semantic_l(pow_functor())
+        b = FinBoolAlg(atoms=("x", "y"))
+        p = positivize(l, boolean_as_lattice(b))
+        ambient = l.on_obj(b).carrier()
+        assert tuple(p.members) == ambient and p.members is p.embed
+        assert all(p.embed[m] == m for m in ambient)
+        outside = frozenset(["x"])  # a label of the argument, not an ambient atom
+        assert outside not in p.members
+        with pytest.raises(KeyError):
+            p.embed[outside]
 
     def test_dunn_three_chain_is_eight(self):
         p = positivize(semantic_l(pow_functor()), three_chain())
@@ -186,16 +196,10 @@ class TestHomAction:
 class TestDualityRule:
     """Positivication of ``P T`` at ``Up(X)`` is ``Up(T'(X))``."""
 
-    @pytest.mark.parametrize("name, size", [
-        *((name, 2) for name in ("pow", "mnb", "nb", "bag:2", POLY)),
-        *((name, 3) for name in ("pow", "bag:2", POLY))])
+    @pytest.mark.parametrize("name, size", DUALITY_CASES)
     def test_inserter_matches_the_dual_of_posetification(self, name, size):
-        l = semantic_l(parse_functor(name))
-        spectra = [p for p in small_posets(size) if size < 3 or len(p) == 3]
-        for p in spectra:
-            a = up_algebra(p)
-            got = positivize(l, a).result
-            assert lattice_isomorphic(got, l.closed_form(a)) is not None, p.elements
+        ok, detail = check_duality_rule(cases=((name, size),))
+        assert ok, detail
 
 
 class TestParseSyntax:

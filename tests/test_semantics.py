@@ -2,6 +2,7 @@
 
 import pytest
 
+from poslog import semantics
 from poslog.errors import InputError
 from poslog.functors import pow_functor, powerset
 from poslog.order import FinPoset, enumerate_posets, up_closure
@@ -61,6 +62,30 @@ class TestCoalgebra:
                                                 "z": ["x", "z"]})
         with pytest.raises(InputError):
             interpret_positive(c, {}, TOP)
+
+
+    @pytest.mark.parametrize("method", ["direct", "delta"])
+    @pytest.mark.parametrize("carrier, structure", [
+        (("x", "y"), {"x": ["y"], "y": []}),
+        (("x", "y", "z"), {"x": ["x", "z"], "y": ["x", "z"], "z": ["x", "z"]})],
+        ids=["not-monotone", "not-convex"])
+    def test_refused_on_every_call_by_both_methods(self, method, carrier, structure):
+        c = Coalgebra.of(chain(*carrier), structure)
+        for _ in range(2):
+            with pytest.raises(InputError):
+                interpret_positive(c, {}, TOP, method)
+        assert not c.positive_checked
+
+    def test_checked_once_per_coalgebra(self, monkeypatch):
+        calls = []
+        check = semantics.check_positive_coalgebra
+        monkeypatch.setattr(semantics, "check_positive_coalgebra",
+                            lambda c, pos: calls.append(c) or check(c, pos))
+        c = Coalgebra.of(chain("x", "y"), {"x": ["y"], "y": ["y"]})
+        for method in ("direct", "delta", "direct"):
+            for text in ("(dia p)", "(box p)"):
+                interpret_positive(c, {"p": ["y"]}, parse_formula(text), method)
+        assert calls == [c] and c.positive_checked
 
 
 def _pq_diamond(u):
