@@ -1,10 +1,13 @@
 """Finite Boolean algebras and distributive lattices.
 
-A Boolean algebra is stored by its atom set; an element is a frozenset of
-atoms.  A distributive lattice is stored by its dual poset (spectrum); an
-element is an upset of the spectrum.  Under this representation meets and
-joins are intersections and unions, and homomorphisms are stored dually as
-maps between spectra, with the element-level action derived by preimage.
+A Boolean algebra is stored by its atoms; an element is a bitmask over
+them (bit ``k`` for ``atoms[k]``).  A distributive lattice is stored by its
+dual poset (spectrum); an element is the bitmask of an upset of the
+spectrum.  Meets and joins are ``&`` and ``|``, the order is inclusion of
+masks, and homomorphisms are stored dually as index maps between atoms or
+spectra, with the element-level action derived by preimage.  Labels appear
+only where an element is shown: ``FinBoolAlg.labels`` and
+``FinPoset.labels`` decode a mask.
 
 The spectrum orientation is pinned so that the round trips
 ``lattice == upsets(prime filters(lattice))`` and
@@ -15,13 +18,14 @@ up to isomorphism (the latter); see :func:`prime_filter_poset`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (BudgetExceeded, DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS,
                      InputError, check_enum_budget)
 from .functors import powerset
-from .order import (FinPoset, MonotoneMap, cotensor2, diagonal_section,
+from .order import (FinPoset, MonotoneMap, bits, cotensor2, diagonal_section,
                     poset_isomorphism, unions)
 
 
@@ -29,8 +33,8 @@ from .order import (FinPoset, MonotoneMap, cotensor2, diagonal_section,
 class FinBoolAlg:
     """A finite Boolean algebra given by its atoms.
 
-    Elements are frozensets of atoms; ``meet``/``join``/``neg`` are
-    intersection, union and complement.
+    Elements are masks over the atoms; meet and join are ``&`` and
+    ``|``, and ``neg`` flips every bit of ``top``.
     """
 
     atoms: tuple
@@ -40,43 +44,47 @@ class FinBoolAlg:
             raise InputError("atoms must be distinct")
 
     @property
-    def top(self) -> frozenset:
-        return frozenset(self.atoms)
+    def top(self) -> int:
+        return (1 << len(self.atoms)) - 1
 
     @property
-    def bot(self) -> frozenset:
-        return frozenset()
+    def bot(self) -> int:
+        return 0
 
-    def neg(self, a: frozenset) -> frozenset:
-        return self.top - a
+    def neg(self, a: int) -> int:
+        return a ^ self.top
 
-    def implies(self, a: frozenset, b: frozenset) -> frozenset:
+    def implies(self, a: int, b: int) -> int:
         return self.neg(a) | b
 
     def size(self) -> int:
         return 1 << len(self.atoms)
 
-    def carrier(self, max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
+    def carrier(self, max_enum: int = DEFAULT_MAX_ENUM) -> range:
         check_enum_budget(self.size(), max_enum, "boolean algebra carrier")
-        return powerset(self.atoms)
+        return range(self.size())
+
+    def labels(self, a: int) -> frozenset:
+        """The atoms below an element: its label where it is shown."""
+        return frozenset(self.atoms[k] for k in bits(a))
 
 
 @dataclass(frozen=True)
 class FinDistLattice:
     """A finite distributive lattice given by its spectrum (dual poset).
 
-    Elements are the upsets of the spectrum ordered by inclusion.
+    Elements are the upset masks of the spectrum ordered by inclusion.
     """
 
     spectrum: FinPoset
 
     @property
-    def top(self) -> frozenset:
-        return frozenset(self.spectrum.elements)
+    def top(self) -> int:
+        return (1 << len(self.spectrum)) - 1
 
     @property
-    def bot(self) -> frozenset:
-        return frozenset()
+    def bot(self) -> int:
+        return 0
 
     def size(self, max_enum: int = DEFAULT_MAX_ENUM) -> int:
         """The number of upsets, counted without building them: among the
@@ -96,15 +104,10 @@ class FinDistLattice:
         return count((1 << len(self.spectrum)) - 1)
 
     def carrier(self, max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
+        """The upset masks, in increasing order."""
         check_enum_budget(1 << len(self.spectrum), max_enum,
                           "distributive lattice carrier")
-        return _upsets_in_mask_order(self.spectrum)
-
-
-@lru_cache(maxsize=256)
-def _upsets_in_mask_order(spectrum: FinPoset) -> tuple:
-    return tuple(spectrum.labels(k) for k, up in enumerate(unions(spectrum.upmask))
-                 if up == k)
+        return tuple(k for k, up in enumerate(unions(self.spectrum.upmask)) if up == k)
 
 
 def up_algebra(x: FinPoset) -> FinDistLattice:
@@ -115,8 +118,8 @@ def up_algebra(x: FinPoset) -> FinDistLattice:
 def boolean_as_lattice(b: FinBoolAlg) -> FinDistLattice:
     """A Boolean algebra seen as a distributive lattice (discrete spectrum).
 
-    Element encodings coincide: a subset of atoms is an upset of the
-    discrete spectrum.
+    Element encodings coincide: a mask over the atoms is an upset mask of
+    the discrete spectrum.
     """
     return FinDistLattice(spectrum=FinPoset.discrete(b.atoms))
 
@@ -125,7 +128,8 @@ def boolean_as_lattice(b: FinBoolAlg) -> FinDistLattice:
 class BAHom:
     """A Boolean algebra homomorphism stored by its dual atom map.
 
-    ``dual[k]`` is the source atom that the k-th target atom maps to; the
+    ``dual[k]`` is the index of the source atom that the k-th target atom
+    maps to, an assignment as :class:`MonotoneMap` stores one; the
     element-level action is preimage, which preserves all operations.
     """
 
@@ -136,32 +140,29 @@ class BAHom:
     def __post_init__(self):
         if len(self.dual) != len(self.target.atoms):
             raise InputError("dual map does not cover the target atoms")
-        src = set(self.source.atoms)
-        for a in self.dual:
-            if a not in src:
-                raise InputError(f"dual map hits unknown atom {a!r}")
+        for s in self.dual:
+            if s not in range(len(self.source.atoms)):
+                raise InputError(f"dual map hits unknown atom {s!r}")
 
-    def dual_of(self, target_atom):
-        return self.dual[self.target.atoms.index(target_atom)]
+    def apply(self, a: int) -> int:
+        return _preimage(self.dual, a)
 
-    def apply(self, a: frozenset) -> frozenset:
-        return frozenset(t for t, s in zip(self.target.atoms, self.dual) if s in a)
 
-    @classmethod
-    def of_dict(cls, source: FinBoolAlg, target: FinBoolAlg, dual: Mapping):
-        return cls(source, target, tuple(dual[t] for t in target.atoms))
+def _preimage(assignment: tuple, a: int) -> int:
+    """The mask of the indices ``k`` whose image ``assignment[k]`` is in
+    the mask ``a``."""
+    return sum(1 << k for k, s in enumerate(assignment) if a >> s & 1)
 
 
 def ba_compose(g: BAHom, f: BAHom) -> BAHom:
     """The composite ``g after f``; duals compose the other way round."""
     if f.target != g.source:
         raise InputError("homs do not compose")
-    return BAHom(f.source, g.target,
-                 tuple(f.dual_of(a) for a in g.dual))
+    return BAHom(f.source, g.target, tuple(f.dual[s] for s in g.dual))
 
 
 def ba_identity(b: FinBoolAlg) -> BAHom:
-    return BAHom(b, b, b.atoms)
+    return BAHom(b, b, tuple(range(len(b.atoms))))
 
 
 @dataclass(frozen=True)
@@ -177,9 +178,8 @@ class LatticeHom:
                 self.dual.target != self.source.spectrum:
             raise InputError("dual map must go from target spectrum to source spectrum")
 
-    def apply(self, u: frozenset) -> frozenset:
-        return frozenset(t for t in self.target.spectrum.elements
-                         if self.dual.of(t) in u)
+    def apply(self, u: int) -> int:
+        return _preimage(self.dual.assignment, u)
 
 
 def lattice_compose(g: LatticeHom, f: LatticeHom) -> LatticeHom:
@@ -199,27 +199,16 @@ def prime_filter_poset(a: FinDistLattice,
 
     Computed from first principles: every filter of a finite lattice is
     principal, so we enumerate generators and test primality directly.
-    Each prime filter is labelled by its generating element.  For a
-    lattice stored as the upsets of a poset this reproduces that poset up
-    to isomorphism; it is the oracle for the duality round trip.
+    Each prime filter is labelled by its generating element, an upset
+    mask.  For a lattice stored as the upsets of a poset this reproduces
+    that poset up to isomorphism; it is the oracle for the duality round
+    trip.
     """
     elems = a.carrier(max_enum)
-    gens = []
-    for m in elems:
-        if m == a.bot:
-            continue
-        prime = True
-        for x in elems:
-            for y in elems:
-                if m <= (x | y) and not (m <= x) and not (m <= y):
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
-            gens.append(m)
+    gens = [m for m in elems if m and not any(
+        not m & ~(x | y) and m & ~x and m & ~y for x in elems for y in elems)]
     # filter inclusion: {x : x >= m} <= {x : x >= m'} iff m' <= m
-    ups = tuple(sum(1 << k for k, m2 in enumerate(gens) if m2 <= m) for m in gens)
+    ups = tuple(sum(1 << k for k, m2 in enumerate(gens) if not m2 & ~m) for m in gens)
     return FinPoset(tuple(gens), ups)
 
 
@@ -227,9 +216,10 @@ def free_ba(gens: tuple,
             max_generators: int = DEFAULT_MAX_GENERATORS) -> FinBoolAlg:
     """The free Boolean algebra on ``gens``: atoms are the valuations.
 
-    A valuation is encoded as the frozenset of generators it sends to
-    true, so the algebra has ``2^len(gens)`` atoms and ``2^2^len(gens)``
-    elements.  Oversized generator sets are refused, not truncated.
+    A valuation is labelled by the set of generators it sends to true, and
+    atom ``k`` is the valuation of the generators in the mask ``k``, so the
+    algebra has ``2^len(gens)`` atoms and ``2^2^len(gens)`` elements.
+    Oversized generator sets are refused, not truncated.
     """
     gens = tuple(gens)
     if len(set(gens)) != len(gens):
@@ -241,9 +231,10 @@ def free_ba(gens: tuple,
     return FinBoolAlg(atoms=powerset(gens))
 
 
-def free_ba_generator(fb: FinBoolAlg, g) -> frozenset:
-    """The image of a generator under the unit of the free construction."""
-    return frozenset(v for v in fb.atoms if g in v)
+def free_ba_generator(fb: FinBoolAlg, g) -> int:
+    """The image of a generator under the unit of the free construction:
+    the valuations that make it true."""
+    return sum(1 << k for k, v in enumerate(fb.atoms) if g in v)
 
 
 def free_ba_map(source_gens: tuple, target_gens: tuple, f: Mapping,
@@ -255,29 +246,31 @@ def free_ba_map(source_gens: tuple, target_gens: tuple, f: Mapping,
     """
     src = free_ba(tuple(source_gens), max_generators)
     dst = free_ba(tuple(target_gens), max_generators)
-    dual = tuple(frozenset(g for g in source_gens if f[g] in v)
-                 for v in dst.atoms)
-    return BAHom(src, dst, dual)
+    index = {g: j for j, g in enumerate(target_gens)}
+    image = tuple(index[f[g]] for g in source_gens)
+    return BAHom(src, dst, tuple(_preimage(image, v) for v in range(len(dst.atoms))))
 
 
-def nbhd_to_free(xs: tuple, family: frozenset,
-                 max_generators: int = DEFAULT_MAX_GENERATORS) -> frozenset:
-    """Translate a family of subsets of ``xs`` into the free algebra on ``xs``.
+def nbhd_to_free(xs: tuple, family: int,
+                 max_generators: int = DEFAULT_MAX_GENERATORS) -> int:
+    """Translate a family of subsets of ``xs``, given by its ``nb`` code
+    (bit ``k`` for the subset of mask ``k``), into the free algebra on
+    ``xs``.
 
     Each member subset ``a`` contributes the conjunction of the generators
     in ``a`` and the negated generators outside it; the family is the join
-    of these.  The resulting element equals ``family`` itself under the
+    of these.  The resulting element equals the code itself under the
     valuation encoding, which is what makes the translation a natural
     bijection; callers may rely on that but the computation here follows
     the term shape.
     """
     fb = free_ba(tuple(xs), max_generators)
+    gens = [free_ba_generator(fb, g) for g in xs]
     result = fb.bot
-    for a in family:
+    for a in bits(family):
         term = fb.top
-        for g in xs:
-            img = free_ba_generator(fb, g)
-            term &= img if g in a else fb.neg(img)
+        for j, img in enumerate(gens):
+            term &= img if a >> j & 1 else fb.neg(img)
         result |= term
     return result
 
@@ -287,19 +280,17 @@ def kernel_K(a: FinDistLattice, max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
 
     Carrier = complemented elements.  Returns ``(ba, embed)`` where the
     atoms of ``ba`` are the minimal nonzero complemented elements and
-    ``embed`` sends each subset of atoms to its union, an element of
+    ``embed[k]`` is the union of the atoms in the mask ``k``, an element of
     ``a``.
     """
     elems = a.carrier(max_enum)
     members = set(elems)
-    top = a.top
-    complemented = [m for m in elems if (top - m) in members]
+    complemented = [m for m in elems if (m ^ a.top) in members]
     atoms = [m for m in complemented
-             if m != a.bot and not any(c != a.bot and c < m for c in complemented)]
+             if m and not any(c and c != m and not c & ~m for c in complemented)]
     if (1 << len(atoms)) != len(complemented):
         raise AssertionError("complemented elements do not form a Boolean algebra")
-    ba = FinBoolAlg(atoms=tuple(atoms))
-    return ba, dict(zip(ba.carrier(max_enum), unions(atoms, frozenset())))
+    return FinBoolAlg(atoms=tuple(atoms)), unions(atoms)
 
 
 def free_over_dl_G(a: FinDistLattice) -> tuple:
@@ -311,18 +302,14 @@ def free_over_dl_G(a: FinDistLattice) -> tuple:
     """
     g = FinBoolAlg(atoms=a.spectrum.elements)
     wg = boolean_as_lattice(g)
-    dual = MonotoneMap.of_dict(wg.spectrum, a.spectrum,
-                               {e: e for e in a.spectrum.elements})
-    unit = LatticeHom(a, wg, dual)
-    return g, unit
+    dual = MonotoneMap(wg.spectrum, a.spectrum, tuple(range(len(g.atoms))))
+    return g, LatticeHom(a, wg, dual)
 
 
 def g_of_hom(h: LatticeHom) -> BAHom:
     """The action of the free-Boolean-algebra construction on a hom."""
-    gsrc = FinBoolAlg(atoms=h.source.spectrum.elements)
-    gdst = FinBoolAlg(atoms=h.target.spectrum.elements)
-    dual = tuple(h.dual.of(t) for t in gdst.atoms)
-    return BAHom(gsrc, gdst, dual)
+    return BAHom(FinBoolAlg(atoms=h.source.spectrum.elements),
+                 FinBoolAlg(atoms=h.target.spectrum.elements), h.dual.assignment)
 
 
 @dataclass(frozen=True)
@@ -353,20 +340,20 @@ def tensor2(a: FinDistLattice) -> Tensor2:
 class SubLattice:
     """A sublattice re-expressed over its own spectrum.
 
-    ``members`` are the original elements (in the ambient encoding),
-    ``embed`` maps elements of ``lattice`` back into the ambient algebra
-    and ``restrict`` is its inverse on members.
+    ``members`` are the original elements (masks in the ambient algebra),
+    the spectrum of ``lattice`` is the join-irreducible members, labelled
+    by their masks, and ``embed`` maps each element of ``lattice`` to the
+    member it stands for.
     """
 
     lattice: FinDistLattice
     members: tuple
     embed: dict
-    restrict: dict
 
 
 def lattice_from_elements(members: Iterable,
                           max_enum: int = DEFAULT_MAX_ENUM) -> SubLattice:
-    """Rebuild a family of sets, closed under union/intersection, as a
+    """Rebuild a family of masks, closed under ``|`` and ``&``, as a
     lattice over its join-irreducibles.
 
     The bijectivity check at the end doubles as a distributivity check:
@@ -377,38 +364,27 @@ def lattice_from_elements(members: Iterable,
     if not members:
         raise InputError("a lattice needs at least one element")
     check_enum_budget(len(members), max_enum, "sublattice reconstruction")
-    bot = members[0]
-    for m in members:
-        bot &= m
+    bot = reduce(and_, members)
     irreducibles = []
     for m in members:
-        if m == bot:
-            continue
-        below = bot
+        below = bot  # the join of the members strictly below m
         for m2 in members:
-            if m2 < m:
+            if m2 != m and not m2 & ~m:
                 below |= m2
         if below != m:
             irreducibles.append(m)
-    ups = tuple(sum(1 << k for k, j2 in enumerate(irreducibles) if j2 <= j)
+    ups = tuple(sum(1 << k for k, j2 in enumerate(irreducibles) if not j2 & ~j)
                 for j in irreducibles)
-    spectrum = FinPoset(tuple(irreducibles), ups)
-    lat = FinDistLattice(spectrum=spectrum)
-    restrict = {}
-    embed = {}
-    for m in members:
-        s = frozenset(j for j in irreducibles if j <= m)
-        restrict[m] = s
-        embed[s] = m
-    if len(embed) != len(members) or len(lat.carrier(max_enum)) != len(members):
+    lat = FinDistLattice(spectrum=FinPoset(tuple(irreducibles), ups))
+    restrict = {m: sum(1 << k for k, j in enumerate(irreducibles) if not j & ~m)
+                for m in members}
+    embed = {s: m for m, s in restrict.items()}
+    if len(embed) != len(members) or lat.size(max_enum) != len(members):
         raise AssertionError("input family is not a distributive lattice")
-    for m in members:
-        joined = bot
-        for j in restrict[m]:
-            joined |= j
-        if joined != m:
+    for s, m in embed.items():
+        if reduce(or_, (irreducibles[k] for k in bits(s)), bot) != m:
             raise AssertionError("join-irreducible decomposition failed")
-    return SubLattice(lat, tuple(members), embed, restrict)
+    return SubLattice(lat, tuple(members), embed)
 
 
 def dl_inserter(f, g, max_enum: int = DEFAULT_MAX_ENUM) -> SubLattice:
@@ -420,7 +396,7 @@ def dl_inserter(f, g, max_enum: int = DEFAULT_MAX_ENUM) -> SubLattice:
     """
     if f.source != g.source:
         raise InputError("inserter needs a common source")
-    members = [b for b in f.source.carrier(max_enum) if f.apply(b) <= g.apply(b)]
+    members = [b for b in f.source.carrier(max_enum) if not f.apply(b) & ~g.apply(b)]
     assert_sublattice(members, f.source)
     return lattice_from_elements(members, max_enum)
 
@@ -435,17 +411,16 @@ def ba_inserter(h1: BAHom, h2: BAHom,
     """
     if h1.source != h2.source or h1.target != h2.target:
         raise InputError("inserter needs a common source and target")
-    src_atoms = h1.source.atoms
-    check_enum_budget(1 << len(src_atoms), max_enum, "inserter sweep")
-    pre1 = [0] * len(src_atoms)
-    pre2 = [0] * len(src_atoms)
-    src_index = {a: k for k, a in enumerate(src_atoms)}
-    for k, a in enumerate(h1.target.atoms):
-        pre1[src_index[h1.dual[k]]] |= 1 << k
-    for k, a in enumerate(h2.target.atoms):
-        pre2[src_index[h2.dual[k]]] |= 1 << k
+    n = len(h1.source.atoms)
+    check_enum_budget(1 << n, max_enum, "inserter sweep")
+    pre1 = [0] * n
+    pre2 = [0] * n
+    for k, s in enumerate(h1.dual):
+        pre1[s] |= 1 << k
+    for k, s in enumerate(h2.dual):
+        pre2[s] |= 1 << k
     members = []
-    for mask in range(1 << len(src_atoms)):
+    for mask in range(1 << n):
         img1 = 0
         img2 = 0
         m = mask
@@ -455,8 +430,7 @@ def ba_inserter(h1: BAHom, h2: BAHom,
             img2 |= pre2[i]
             m &= m - 1
         if img1 & ~img2 == 0:
-            members.append(frozenset(a for k, a in enumerate(src_atoms)
-                                     if mask >> k & 1))
+            members.append(mask)
     return members
 
 
@@ -472,20 +446,21 @@ def assert_sublattice(members: list, ambient) -> None:
 
 @dataclass(frozen=True)
 class ProductBA:
-    """A binary product of Boolean algebras with tagging helpers."""
+    """A binary product of Boolean algebras: the atoms of the left factor
+    come first, so ``(x, y)`` is the mask ``x | y << len(left atoms)``."""
 
     left_algebra: FinBoolAlg
     right_algebra: FinBoolAlg
     algebra: FinBoolAlg
 
-    def pair(self, x: frozenset, y: frozenset) -> frozenset:
-        return frozenset([("l", a) for a in x] + [("r", a) for a in y])
+    def pair(self, x: int, y: int) -> int:
+        return x | y << len(self.left_algebra.atoms)
 
-    def left(self, z: frozenset) -> frozenset:
-        return frozenset(a for tag, a in z if tag == "l")
+    def left(self, z: int) -> int:
+        return z & self.left_algebra.top
 
-    def right(self, z: frozenset) -> frozenset:
-        return frozenset(a for tag, a in z if tag == "r")
+    def right(self, z: int) -> int:
+        return z >> len(self.left_algebra.atoms)
 
 
 def product_ba(b1: FinBoolAlg, b2: FinBoolAlg) -> ProductBA:
@@ -506,17 +481,17 @@ def set_partitions(items: tuple) -> Iterator[list]:
         yield part + [[first]]
 
 
-def subalgebras(b: FinBoolAlg) -> Iterator[frozenset]:
-    """All Boolean subalgebras of ``b``, as frozensets of elements.
+def subalgebras(b: FinBoolAlg) -> Iterator[set]:
+    """All Boolean subalgebras of ``b``, as sets of elements.
 
     Subalgebras of a finite Boolean algebra correspond to partitions of
     its atom set: the subalgebra holds exactly the unions of blocks.
     """
-    for part in set_partitions(b.atoms):
-        yield frozenset(unions([frozenset(blk) for blk in part], frozenset()))
+    for part in set_partitions(tuple(range(len(b.atoms)))):
+        yield set(unions([sum(1 << k for k in blk) for blk in part]))
 
 
-def reflexive_pair_swap_check(prod: ProductBA, sub: frozenset) -> bool:
+def reflexive_pair_swap_check(prod: ProductBA, sub) -> bool:
     """Check that a diagonal-containing subalgebra of B x B is swap-closed.
 
     Also evaluates, for every member, the explicit witness term built from
@@ -525,7 +500,7 @@ def reflexive_pair_swap_check(prod: ProductBA, sub: frozenset) -> bool:
     False on the first violation.
     """
     alg = prod.algebra
-    for a in powerset(prod.left_algebra.atoms):
+    for a in prod.left_algebra.carrier():
         if prod.pair(a, a) not in sub:
             raise InputError("subalgebra does not contain the diagonal")
     for z in sub:

@@ -102,7 +102,7 @@ def cmd_dualize(args) -> int:
         _emit({"poset": _poset_report(poset),
                "upset_lattice": {
                    "size": len(elems),
-                   "elements": [pio.format_label(e) for e in elems]}})
+                   "elements": [pio.format_label(poset.labels(e)) for e in elems]}})
         return 0
     obj = pio.load_lattice(pio.read_json(args.lattice))
     lat = pio.as_lattice(obj)
@@ -110,7 +110,8 @@ def cmd_dualize(args) -> int:
     computed = prime_filter_poset(lat, args.max_enum)
     _emit({"lattice_size": len(lat.carrier(args.max_enum)),
            "spectrum": _poset_report(spectrum),
-           "prime_filters": _poset_report(computed)})
+           "prime_filters": _poset_report(
+               computed.relabel(map(spectrum.labels, computed.elements)))})
     return 0
 
 

@@ -57,9 +57,9 @@ class SetFunctor:
 
     ``closed_form(t, x, max_enum)`` posetifies ``t`` at ``x``; it is given
     ``t`` so that a ``dataclasses.replace`` copy runs its own fields.  The
-    predicate liftings ``diamond(tx, u)`` and ``box(tx, u)`` return the
-    members of ``tx``, the labels of ``T(X)``, satisfying the lifting of
-    ``u``, a subset of X.
+    predicate liftings ``diamond(n, u)`` and ``box(n, u)`` return the mask
+    of the codes of ``T(X)``, for an ``n``-element set X, that satisfy the
+    lifting of the subset of mask ``u``.
     """
 
     name: str
@@ -68,8 +68,8 @@ class SetFunctor:
     size_estimate: Callable[[int], int]
     step_relation: Optional[Callable[[FinPoset, int], Preorder]] = None
     closed_form: Callable[["SetFunctor", FinPoset, int], object] = _analytic_closed_form
-    diamond: Optional[Callable[[tuple, frozenset], frozenset]] = None
-    box: Optional[Callable[[tuple, frozenset], frozenset]] = None
+    diamond: Optional[Callable[[int, int], int]] = None
+    box: Optional[Callable[[int, int], int]] = None
     decode: Callable[[tuple], Callable] = lambda s: (lambda code: code)
 
 
@@ -101,13 +101,24 @@ def _pow_step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
     return Preorder(range(1 << len(x)), egli_milner_rows(x))
 
 
+def _pow_diamond(n: int, u: int) -> int:
+    """The subsets that meet ``u``: the union of the subsets holding each
+    member of ``u``."""
+    principal = _principals(n)
+    return reduce(or_, (principal[1 << j] for j in bits(u)), 0)
+
+
+def _pow_box(n: int, u: int) -> int:
+    """The subsets inside ``u``: those that do not meet its complement."""
+    return ((1 << (1 << n)) - 1) ^ _pow_diamond(n, ((1 << n) - 1) ^ u)
+
+
 def pow_functor() -> SetFunctor:
     return SetFunctor("pow", lambda s: range(1 << len(s)),
                       lambda f, src, dst: _images(f, src, dst).__getitem__,
                       lambda n: 1 << n, _pow_step,
                       lambda t, x, m: _posetify().posetify_powerset(x, m),
-                      diamond=lambda tx, u: frozenset(c for c in tx if c & u),
-                      box=lambda tx, u: frozenset(c for c in tx if c <= u),
+                      diamond=_pow_diamond, box=_pow_box,
                       decode=lambda s: powerset(s).__getitem__)
 
 
@@ -395,12 +406,17 @@ def lift_relation_generic(t: SetFunctor, x: FinPoset,
     the functor on the pair set would exceed the budget, the functor's
     closed-form step relation is used instead (it computes the same set of
     pairs); with neither available the call is refused.  The route is
-    chosen before the carrier is enumerated.
+    chosen before the carrier is enumerated.  The materialised relation
+    has a row of ``|T(VX)|`` bits per element, and closing it takes as
+    many steps again, so the square of the carrier is counted against the
+    budget before that route starts.
     """
     check_enum_budget(t.size_estimate(len(x)), max_enum,
                       f"{t.name} on the carrier")
     xsq, p0, p1 = cotensor2(x)
     if t.size_estimate(len(xsq)) <= max_enum:
+        check_enum_budget(t.size_estimate(len(x)) ** 2, max_enum,
+                          f"{t.name} lifted relation")
         carrier = t.on_obj(x.elements)
         f0 = t.on_mor(p0.as_dict(), xsq.elements, x.elements)
         f1 = t.on_mor(p1.as_dict(), xsq.elements, x.elements)

@@ -12,7 +12,7 @@ from typing import Any
 
 from .algebra import FinBoolAlg, FinDistLattice, boolean_as_lattice, up_algebra
 from .errors import DEFAULT_MAX_ENUM, InputError
-from .order import FinPoset
+from .order import FinPoset, bits
 from .semantics import Coalgebra
 
 
@@ -83,7 +83,7 @@ def load_coalgebra(data: Any) -> Coalgebra:
         if not isinstance(states, list):
             raise InputError(f"successors of {x!r} must be a list of states")
         successors[x] = frozenset(_labels(states, f"successors of {x!r}"))
-    return Coalgebra.of(poset, successors)
+    return Coalgebra(poset, successors)
 
 
 def load_valuation(data: Any) -> dict:
@@ -137,9 +137,11 @@ def poset_dot(p: FinPoset, title: str = "") -> str:
 
 def lattice_dot(lat: FinDistLattice, title: str = "",
                 max_enum: int = DEFAULT_MAX_ENUM) -> str:
-    """Hasse diagram of the element order of a lattice."""
-    elems = lat.carrier(max_enum)
-    order = FinPoset(tuple(elems),
-                     tuple(sum(1 << j for j, f in enumerate(elems) if e <= f)
-                           for e in elems))
-    return _dot_lines(order.elements, order.covers(), title)
+    """Hasse diagram of the element order of a lattice, read off the
+    spectrum: an upset is covered by the upsets that add one element to
+    it, a maximal element of its complement."""
+    x, elems = lat.spectrum, lat.carrier(max_enum)
+    labels = {u: x.labels(u) for u in elems}
+    covers = [(labels[u], labels[u | 1 << j]) for u in elems
+              for j in bits(lat.top & ~u) if not x.upmask[j] & ~u & ~(1 << j)]
+    return _dot_lines(tuple(labels.values()), covers, title)

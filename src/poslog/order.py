@@ -113,19 +113,34 @@ class FinPoset:
         return cls(elems, tuple(ups))
 
     @classmethod
-    def discrete(cls, elements: Iterable):
-        """Each element only below itself: an order by construction, so
-        only the labels are checked, and the up- and down-set rows are one
-        tuple (268 MB on the 65,536 families of a neighbourhood collapse)."""
+    def _trusted(cls, elements: Iterable, upmask: tuple, downmask: tuple):
+        """A poset from rows that already form an order, so only the
+        labels are checked."""
         elems = tuple(elements)
         pos = {e: i for i, e in enumerate(elems)}
         if len(pos) != len(elems):
             raise InputError("poset labels must be unique")
-        p, ups = object.__new__(cls), tuple(1 << i for i in range(len(elems)))
-        for name, value in (("elements", elems), ("upmask", ups), ("_pos", pos),
-                            ("downmask", ups)):
+        if len(upmask) != len(elems):
+            raise InputError("up-set table does not match carrier")
+        p = object.__new__(cls)
+        for name, value in (("elements", elems), ("upmask", upmask), ("_pos", pos),
+                            ("downmask", downmask)):
             object.__setattr__(p, name, value)
         return p
+
+    @classmethod
+    def discrete(cls, elements: Iterable):
+        """Each element only below itself: the up- and down-set rows are
+        one tuple (268 MB on the 65,536 families of a neighbourhood
+        collapse)."""
+        elems = tuple(elements)
+        ups = tuple(1 << i for i in range(len(elems)))
+        return cls._trusted(elems, ups, ups)
+
+    def relabel(self, elements: Iterable) -> "FinPoset":
+        """The same order under new labels, one per element; it shares
+        this poset's rows."""
+        return FinPoset._trusted(elements, self.upmask, self.downmask)
 
     @classmethod
     def chain(cls, elements: Iterable):

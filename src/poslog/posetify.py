@@ -34,7 +34,8 @@ class Posetification:
     None when the carrier is too large to store a quadratic relation (the
     discrete neighbourhood collapse on four-element posets).  ``decode``
     labels the codes of ``order``, ``decode_carrier`` (when they differ)
-    those of the carrier; ``result`` is ``order`` over labels.
+    those of the carrier; ``result`` is ``order`` over labels, sharing its
+    rows.
     """
 
     order: FinPoset
@@ -46,7 +47,7 @@ class Posetification:
 
     @cached_property
     def result(self) -> FinPoset:
-        return FinPoset(tuple(map(self.decode, self.order.elements)), self.order.upmask)
+        return self.order.relabel(map(self.decode, self.order.elements))
 
     @cached_property
     def positions(self) -> dict:

@@ -11,7 +11,7 @@ checked against the inserter computation rather than trusted.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,8 +22,7 @@ from .algebra import (BAHom, FinBoolAlg, FinDistLattice, LatticeHom,
                       up_algebra)
 from .errors import (DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS, InputError,
                      check_enum_budget)
-from .functors import SetFunctor, carrier_labels, parse_functor, pow_functor
-from .order import unions
+from .functors import SetFunctor, parse_functor, pow_functor
 from .posetify import closed_form
 
 
@@ -32,41 +31,48 @@ class BAFunctor:
     """A syntax-building endofunctor of finite Boolean algebras.
 
     ``closed_form`` gives the lifting at a lattice without the inserter.
-    ``diamond``/``box`` optionally give the action of the modality
-    generators on elements of the argument algebra, to track modal
-    operators through the lifting."""
+    ``diamond(b, x)``/``box(b, x)`` optionally give the action of the
+    modality generators on an element ``x`` of the argument algebra ``b``,
+    an element of ``on_obj(b)``, to track modal operators through the
+    lifting."""
 
     name: str
     on_obj: Callable[[FinBoolAlg], FinBoolAlg]
     on_mor: Callable[[BAHom], BAHom]
     closed_form: Callable[[FinDistLattice], FinDistLattice]
-    diamond: Optional[Callable[[FinBoolAlg, frozenset], frozenset]] = None
-    box: Optional[Callable[[FinBoolAlg, frozenset], frozenset]] = None
+    diamond: Optional[Callable[[FinBoolAlg, int], int]] = None
+    box: Optional[Callable[[FinBoolAlg, int], int]] = None
 
 
 def semantic_l(t: SetFunctor, max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
     """The semantically presented syntax functor: powerset of the functor
     applied to the atom set.
 
-    The modal clauses are the functor's predicate liftings at the atom set;
-    with the powerset functor this is normal modal logic in its finite
-    semantic form.  Dual to posetification, the lifting at ``Up(X)`` is
-    ``Up(T'(X))``: that is the closed form."""
+    The atoms of ``on_obj(b)`` are the labels of ``T`` of the atoms of
+    ``b``, in carrier order.  The modal clauses are the functor's predicate
+    liftings at the atom set; with the powerset functor this is normal
+    modal logic in its finite semantic form.  Dual to posetification, the
+    lifting at ``Up(X)`` is ``Up(T'(X))``: that is the closed form."""
+
+    def algebra(atoms: tuple) -> tuple:
+        """``on_obj`` of the algebra on ``atoms``, and the codes of its atoms."""
+        check_enum_budget(t.size_estimate(len(atoms)), max_enum,
+                          f"{t.name} on an atom set")
+        codes = t.on_obj(atoms)
+        return FinBoolAlg(atoms=tuple(map(t.decode(atoms), codes))), codes
 
     def on_obj(b: FinBoolAlg) -> FinBoolAlg:
-        check_enum_budget(t.size_estimate(len(b.atoms)), max_enum,
-                          f"{t.name} on an atom set")
-        return FinBoolAlg(atoms=carrier_labels(t, b.atoms))
+        return algebra(b.atoms)[0]
 
     def on_mor(h: BAHom) -> BAHom:
-        src = on_obj(h.source)
-        dst = on_obj(h.target)
-        act = t.on_mor(dict(zip(h.target.atoms, h.dual)), h.target.atoms, h.source.atoms)
-        label = t.decode(h.source.atoms)
-        return BAHom(src, dst, tuple(label(act(c)) for c in t.on_obj(h.target.atoms)))
+        (src, src_codes), (dst, dst_codes) = algebra(h.source.atoms), algebra(h.target.atoms)
+        act = t.on_mor(dict(zip(h.target.atoms, (h.source.atoms[s] for s in h.dual))),
+                       h.target.atoms, h.source.atoms)
+        index = {c: k for k, c in enumerate(src_codes)}
+        return BAHom(src, dst, tuple(index[act(c)] for c in dst_codes))
 
     def modal(clause):
-        return None if clause is None else (lambda b, x: clause(on_obj(b).atoms, x))
+        return None if clause is None else (lambda b, x: clause(len(b.atoms), x))
 
     return BAFunctor(f"semantic:{t.name}", on_obj, on_mor,
                      lambda a: up_algebra(closed_form(t, a.spectrum, max_enum).result),
@@ -76,21 +82,22 @@ def semantic_l(t: SetFunctor, max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
 def free_l(max_generators: int = DEFAULT_MAX_GENERATORS,
            max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
     """One unary modality obeying no equations: the free Boolean algebra
-    over the carrier, with the box generator given by the unit."""
+    over the carrier, with the box generator given by the unit.  The
+    generators are labelled by the labels of the elements, in mask order."""
 
     def gens_of(b: FinBoolAlg) -> tuple:
-        return tuple(b.carrier(max_enum))
+        return tuple(map(b.labels, b.carrier(max_enum)))
 
     def on_obj(b: FinBoolAlg) -> FinBoolAlg:
         return free_ba(gens_of(b), max_generators)
 
     def on_mor(h: BAHom) -> BAHom:
-        f = {x: h.apply(x) for x in gens_of(h.source)}
-        return free_ba_map(gens_of(h.source), gens_of(h.target), f,
+        src, dst = gens_of(h.source), gens_of(h.target)
+        return free_ba_map(src, dst, {g: dst[h.apply(x)] for x, g in enumerate(src)},
                            max_generators)
 
-    def box(b: FinBoolAlg, x: frozenset) -> frozenset:
-        return free_ba_generator(on_obj(b), x)
+    def box(b: FinBoolAlg, x: int) -> int:
+        return free_ba_generator(on_obj(b), b.labels(x))
 
     return BAFunctor("free", on_obj, on_mor,
                      lambda a: closed_form_fu(a, max_enum, max_generators), box=box)
@@ -112,57 +119,32 @@ def parse_syntax(text: str, max_enum: int = DEFAULT_MAX_ENUM,
     raise InputError(f"unknown syntax {text!r}")
 
 
-@dataclass(frozen=True)
-class BooleanElements(Mapping):
-    """The elements of the Boolean algebra on ``atoms`` as the identity map
-    on them, built one at a time as they are iterated, in mask order."""
-
-    atoms: tuple
-
-    def __len__(self) -> int:
-        return 1 << len(self.atoms)
-
-    def __iter__(self):
-        """Element ``k`` joins its low and high bit halves, from two tables."""
-        half = len(self.atoms) // 2
-        low, high = (unions([frozenset([a]) for a in part], frozenset())
-                     for part in (self.atoms[:half], self.atoms[half:]))
-        return (lo | hi for hi in high for lo in low)
-
-    def __getitem__(self, m):
-        if not (isinstance(m, frozenset) and m <= set(self.atoms)):
-            raise KeyError(m)
-        return m
-
-
 @dataclass(eq=False)
 class Positivication:
     """The lifted syntax functor evaluated at one lattice.
 
-    ``result`` is the lifted lattice over its own spectrum; ``members``
-    are the same elements inside the ambient algebra (the syntax functor
-    applied to the free Boolean envelope), with ``embed`` translating from
-    the first view to the second.  In the Boolean case both are one lazy
-    :class:`BooleanElements`: the whole ambient algebra, as the identity.
+    ``result`` is the lifted lattice over its own spectrum, labelled for
+    display; ``members`` are the same elements inside the ambient algebra
+    (the syntax functor applied to the free Boolean envelope), as masks
+    over its atoms, and ``embed[r]`` is the member that the element ``r``
+    of ``result`` stands for.  In the Boolean case both are one
+    ``range``: the whole ambient algebra, as the identity.
     ``box_of``/``diamond_of`` map an element of the argument lattice to its
     modal image in the ambient algebra; membership of that image is a
     property of the logic, not a given (see ``is_member``).
     """
 
     result: FinDistLattice
-    members: Collection
-    embed: Mapping
+    members: Sequence
+    embed: Mapping | range
     ambient: FinBoolAlg
     h1: BAHom
     h2: BAHom
-    box_of: Optional[Callable[[frozenset], frozenset]] = None
-    diamond_of: Optional[Callable[[frozenset], frozenset]] = None
+    box_of: Optional[Callable[[int], int]] = None
+    diamond_of: Optional[Callable[[int], int]] = None
 
-    def is_member(self, candidate: frozenset) -> bool:
-        return self.h1.apply(candidate) <= self.h2.apply(candidate)
-
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
+    def is_member(self, candidate: int) -> bool:
+        return not self.h1.apply(candidate) & ~self.h2.apply(candidate)
 
 
 def positivize(l: BAFunctor, a: FinDistLattice,
@@ -171,7 +153,9 @@ def positivize(l: BAFunctor, a: FinDistLattice,
 
     When the two comparison homs coincide (exactly the Boolean case, where
     the ordered double collapses), the inserter is the whole ambient
-    algebra: the sweep is skipped and no member is built.
+    algebra: the sweep is skipped and the members are ``range(size)``.
+    Otherwise the spectrum of the lifted lattice, its join-irreducible
+    members, is labelled by their atoms.
     """
     galg, unit = free_over_dl_G(a)
     t2 = tensor2(a)
@@ -181,15 +165,16 @@ def positivize(l: BAFunctor, a: FinDistLattice,
     lh1 = l.on_mor(gh1)
     lh2 = l.on_mor(gh2)
     if lh1 == lh2:
-        check_enum_budget(lga.size(), max_enum, "boolean algebra carrier")
-        result, members = boolean_as_lattice(lga), BooleanElements(lga.atoms)
+        result, members = boolean_as_lattice(lga), lga.carrier(max_enum)
         embed = members
     else:
         members = ba_inserter(lh1, lh2, max_enum)
         check_enum_budget(len(members) ** 2, max_enum, "sublattice audit")
         assert_sublattice(members, lga)
         sub = lattice_from_elements(members, max_enum)
-        result, members, embed = sub.lattice, sub.members, sub.embed
+        spectrum = sub.lattice.spectrum
+        result = up_algebra(spectrum.relabel(map(lga.labels, spectrum.elements)))
+        members, embed = sub.members, sub.embed
     box_of = (lambda x: l.box(galg, unit.apply(x))) if l.box else None
     diamond_of = (lambda x: l.diamond(galg, unit.apply(x))) if l.diamond else None
     return Positivication(result, members, embed, lga, lh1, lh2, box_of, diamond_of)
@@ -204,7 +189,7 @@ def positivize_mor(l: BAFunctor, h: LatticeHom,
     reported, not repaired.
     """
     lgh = l.on_mor(g_of_hom(h))
-    target = p_dst.member_set()
+    target = set(p_dst.members)
     out = {}
     for m in p_src.members:
         img = lgh.apply(m)
@@ -227,10 +212,10 @@ class Beta:
     target: FinDistLattice
     size: int
 
-    def apply(self, x: frozenset) -> frozenset:
+    def apply(self, x: int) -> int:
         return x
 
-    def inverse(self, x: frozenset) -> frozenset:
+    def inverse(self, x: int) -> int:
         return x
 
 
@@ -250,9 +235,8 @@ def beta(l: BAFunctor, b: FinBoolAlg,
         raise AssertionError("envelope of a Boolean lattice did not collapse")
     if p.result != wlb:
         raise AssertionError("lifting at a Boolean lattice is not the inclusion")
-    for relem, member in p.embed.items():
-        if relem != member:
-            raise AssertionError("comparison is not the identity on elements")
+    if any(p.embed[r] != r for r in p.result.carrier(max_enum)):
+        raise AssertionError("comparison is not the identity on elements")
     return Beta(p.result, wlb, len(p.members))
 
 
@@ -287,12 +271,12 @@ def dunn_axiom_check(a: FinDistLattice,
     lattice of normal modal logic over ``a``.
 
     The box and diamond of every element must land in the lifted
-    sublattice; the (in)equations are then evaluated with ambient set
+    sublattice; the (in)equations are then evaluated with ambient mask
     operations, which agree with the sublattice ones.
     """
     l = semantic_l(pow_functor(), max_enum)
     p = positivize(l, a, max_enum)
-    members = p.member_set()
+    members = set(p.members)
     failures = []
     elems = a.carrier(max_enum)
     box = {x: p.box_of(x) for x in elems}
@@ -316,13 +300,13 @@ def dunn_axiom_check(a: FinDistLattice,
                 failures.append(("box-preserves-meet", (x, y)))
             if dia[x | y] != dia[x] | dia[y]:
                 failures.append(("diamond-preserves-join", (x, y)))
-            if not (box[x] & dia[y]) <= dia[x & y]:
+            if box[x] & dia[y] & ~dia[x & y]:
                 failures.append(("box-meet-diamond-below-diamond-meet", (x, y)))
-            if not box[x | y] <= (box[x] | dia[y]):
+            if box[x | y] & ~(box[x] | dia[y]):
                 failures.append(("box-join-below-box-or-diamond", (x, y)))
-            if x <= y:
-                if not box[x] <= box[y]:
+            if not x & ~y:
+                if box[x] & ~box[y]:
                     failures.append(("box-monotone", (x, y)))
-                if not dia[x] <= dia[y]:
+                if dia[x] & ~dia[y]:
                     failures.append(("diamond-monotone", (x, y)))
     return DunnReport(not failures, tuple(failures), pairs)

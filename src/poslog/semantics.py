@@ -5,19 +5,24 @@ positive side runs over monotone coalgebras for the convex-powerset
 lifting, where satisfaction sets are upsets.  Both a direct recursion and
 a reference route through the lifted semantic transformation are provided;
 the two are kept in agreement by the verification suite.
+
+Inside, successor sets, valuations and satisfaction sets are state masks
+(bit ``i`` for the ``i``-th carrier element), and the semantic components
+map masks to masks.  The interpreters take valuations as label sets and
+return the satisfying labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional
 
 from .algebra import up_algebra
 from .errors import DEFAULT_MAX_ENUM, InputError, check_enum_budget
-from .functors import carrier_labels, nb_functor, pow_functor, powerset
-from .order import FinPoset, bits, is_upset
-from .posetify import Posetification, egli_milner_leq, posetify_powerset
+from .functors import carrier_labels, nb_functor, pow_functor
+from .order import FinPoset, bits
+from .posetify import Posetification, posetify_powerset
 from .positivize import Positivication, positivize, semantic_l
 
 
@@ -36,7 +41,7 @@ class Formula:
             return self.op
         return "(" + " ".join([self.op] + [str(a) for a in self.args]) + ")"
 
-    @property
+    @cached_property
     def is_positive(self) -> bool:
         return self.op != "not" and all(a.is_positive for a in self.args)
 
@@ -165,60 +170,59 @@ def parse_formula(text: str) -> Formula:
 class Coalgebra:
     """A successor-set coalgebra over a poset carrier.
 
-    A plain set carrier is the discrete poset.  For positive semantics the
-    structure map must be monotone for the lifted order and land on convex
-    sets; this is checked by :func:`check_positive_coalgebra` at the first
-    positive interpretation, not at construction, and ``positive_checked``
-    records that it passed.
+    A plain set carrier is the discrete poset.  ``structure`` maps each
+    state to its successor labels; ``succ[i]`` is the successor mask of
+    the ``i``-th state.  For positive semantics the structure map must be
+    monotone for the lifted order and land on convex sets; this is checked
+    by :func:`check_positive_coalgebra` at the first positive
+    interpretation, not at construction, and ``positive_checked`` records
+    that it passed.
     """
 
     carrier: FinPoset
     structure: dict
+    succ: tuple = field(init=False, repr=False)
     positive_checked: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
-        elems = set(self.carrier.elements)
+        succ = []
         for x in self.carrier.elements:
             if x not in self.structure:
                 raise InputError(f"structure map undefined at {x!r}")
-            if not frozenset(self.structure[x]) <= elems:
-                raise InputError(f"successors of {x!r} leave the carrier")
-
-    @classmethod
-    def of(cls, carrier: FinPoset, structure: dict) -> "Coalgebra":
-        return cls(carrier, {x: frozenset(vs) for x, vs in structure.items()})
-
-    def gamma(self, x) -> frozenset:
-        return self.structure[x]
+            try:
+                succ.append(self.carrier.mask(self.structure[x]))
+            except ValueError:
+                raise InputError(f"successors of {x!r} leave the carrier") from None
+        object.__setattr__(self, "succ", tuple(succ))
 
 
 def check_positive_coalgebra(c: Coalgebra,
                              pos: Posetification) -> None:
-    """Structure values must be lifted-carrier elements (convex sets) and
-    the map must be monotone for the lifted order."""
-    convex = set(pos.result.elements)
-    for x in c.carrier.elements:
-        if c.gamma(x) not in convex:
-            raise InputError(f"successor set of {x!r} is not convex")
-    for x in c.carrier.elements:
-        for y in c.carrier.elements:
-            if c.carrier.leq(x, y) and \
-                    not egli_milner_leq(c.carrier, c.gamma(x), c.gamma(y)):
-                raise InputError(
-                    f"structure map is not monotone between {x!r} and {y!r}")
+    """Structure values must be lifted-carrier elements (convex sets, the
+    codes of ``pos.order``) and the map must be monotone for the lifted
+    order (the witness relation on all subsets)."""
+    convex, lifted, x = set(pos.order.elements), pos.witness.succ, c.carrier
+    for i, s in enumerate(c.succ):
+        if s not in convex:
+            raise InputError(f"successor set of {x.elements[i]!r} is not convex")
+    for i, s in enumerate(c.succ):
+        for j in bits(x.upmask[i]):
+            if not lifted[s] >> c.succ[j] & 1:
+                raise InputError(f"structure map is not monotone between "
+                                 f"{x.elements[i]!r} and {x.elements[j]!r}")
 
 
 def check_valuation(valuation: dict, carrier: FinPoset,
                     positive: bool) -> dict:
+    """The valuation with each label set as its state mask."""
     out = {}
-    elems = set(carrier.elements)
     for name, s in valuation.items():
-        s = frozenset(s)
-        if not s <= elems:
-            raise InputError(f"valuation of {name!r} leaves the carrier")
-        if positive and not is_upset(carrier, s):
+        try:
+            out[name] = carrier.mask(s)
+        except ValueError:
+            raise InputError(f"valuation of {name!r} leaves the carrier") from None
+        if positive and carrier.up_of(out[name]) != out[name]:
             raise InputError(f"valuation of {name!r} is not an upset")
-        out[name] = s
     return out
 
 
@@ -227,8 +231,8 @@ def check_valuation(valuation: dict, carrier: FinPoset,
 @dataclass(frozen=True, eq=False)
 class DeltaPow:
     """The semantic component over one finite set: it sends a modal-algebra
-    element (a set of successor sets) to the predicate on successor sets it
-    denotes.
+    element (a set of successor sets, as a mask over subset masks) to the
+    predicate on successor sets it denotes (a mask of the same kind).
 
     The map is generated from the diamond clause "the successor sets
     meeting the argument" and extended to the whole algebra through the
@@ -236,11 +240,11 @@ class DeltaPow:
     """
 
     states: tuple
-    atom_image: dict
+    atom_image: tuple
 
-    def apply(self, phi: frozenset) -> frozenset:
-        out = frozenset()
-        for c in phi:
+    def apply(self, phi: int) -> int:
+        out = 0
+        for c in bits(phi):
             out |= self.atom_image[c]
         return out
 
@@ -249,18 +253,15 @@ def delta_pow(states: tuple, max_enum: int = DEFAULT_MAX_ENUM) -> DeltaPow:
     states = tuple(states)
     check_enum_budget((1 << len(states)) ** 2, max_enum,
                       "semantic component construction")
-    subsets = powerset(states)
-    all_v = frozenset(subsets)
-    atom_image = {}
-    for c in subsets:
-        img = all_v
-        for u in c:
-            img &= frozenset(v for v in subsets if u in v)
-        rest = frozenset(states) - c
-        dia_rest = frozenset(v for v in subsets if v & rest)
-        img &= all_v - dia_rest
-        atom_image[c] = img
-    return DeltaPow(states, atom_image)
+    n, diamond = len(states), pow_functor().diamond
+    every, full = (1 << (1 << n)) - 1, (1 << n) - 1
+    atom_image = []
+    for c in range(1 << n):
+        img = every
+        for u in bits(c):
+            img &= diamond(n, 1 << u)
+        atom_image.append(img & ~diamond(n, full ^ c))
+    return DeltaPow(states, tuple(atom_image))
 
 
 def injectivity_check(domain: Iterable, fn: Callable) -> tuple:
@@ -284,12 +285,13 @@ class DeltaPrime:
     boolean component over the underlying set and transfer the resulting
     saturated predicate along the projection.  Saturation (the predicate
     is an up-closed union of classes) is asserted for every element, as is
-    uniqueness of the transfer.
+    uniqueness of the transfer.  ``table`` maps each member to the mask of
+    the classes (the indices of the lifted poset ``order``) it holds.
     """
 
     table: dict
 
-    def apply(self, member: frozenset) -> frozenset:
+    def apply(self, member: int) -> int:
         return self.table[member]
 
 
@@ -300,10 +302,10 @@ def delta_prime(t, delta_factory, x: FinPoset, pos: Posetification,
         raise AssertionError("ambient algebra does not match the component domain")
     if pos.witness is None:
         raise InputError("lifting carries no witness relation to saturate against")
-    succ, idx, e = pos.witness.succ, pos.positions, pos.e
+    succ, e = pos.witness.succ, pos.e
     table = {}
     for m in lifted.members:
-        ms = sum(1 << idx[v] for v in dp.apply(m))
+        ms = dp.apply(m)  # powerset codes are carrier indices
         if any(succ[i] & ~ms for i in bits(ms)):
             raise AssertionError("semantic image is not saturated for the lifted order")
         u = 0  # the classes the image meets
@@ -313,17 +315,18 @@ def delta_prime(t, delta_factory, x: FinPoset, pos: Posetification,
             raise AssertionError("saturated image transfers to more than one upset")
         if pos.order.up_of(u) != u:
             raise AssertionError("transferred predicate is not an upset")
-        table[m] = pos.result.labels(u)
+        table[m] = u
     return DeltaPrime(table)
 
 
 # ----------------------------------------------------------- interpreters
 
-def _evaluate(phi: Formula, vals: dict, states: frozenset,
-              modal: Callable[[str, frozenset], frozenset]) -> frozenset:
-    """States satisfying ``phi``; ``(op psi)`` is ``modal(op, <states of psi>)``."""
+def _evaluate(phi: Formula, vals: dict, states: int,
+              modal: Callable[[str, int], int]) -> int:
+    """The mask of the states satisfying ``phi``, all of them ``states``;
+    ``(op psi)`` is ``modal(op, <mask of psi>)``."""
 
-    def rec(f: Formula) -> frozenset:
+    def rec(f: Formula) -> int:
         if f.op == "var":
             if f.name not in vals:
                 raise InputError(f"unbound variable {f.name!r}")
@@ -331,9 +334,9 @@ def _evaluate(phi: Formula, vals: dict, states: frozenset,
         if f.op == "top":
             return states
         if f.op == "bot":
-            return frozenset()
+            return 0
         if f.op == "not":
-            return states - rec(f.args[0])
+            return states ^ rec(f.args[0])
         if f.op == "and":
             return rec(f.args[0]) & rec(f.args[1])
         if f.op == "or":
@@ -354,17 +357,17 @@ def interpret_boolean(c: Coalgebra, valuation: dict, phi: Formula,
     powerset functor's modal clause at the subformula.  An empty successor
     set therefore refutes every diamond and satisfies every box.
     """
-    states = c.carrier.elements
-    vals = check_valuation(valuation, c.carrier, positive=False)
-    dp = delta_pow(states, max_enum)
+    x = c.carrier
+    vals = check_valuation(valuation, x, positive=False)
+    dp = delta_pow(x.elements, max_enum)
     t = pow_functor()
 
-    def modal(op: str, u: frozenset) -> frozenset:
+    def modal(op: str, u: int) -> int:
         clause = t.diamond if op == "dia" else t.box
-        pred = dp.apply(clause(powerset(states), u))
-        return frozenset(x for x in states if c.gamma(x) in pred)
+        pred = dp.apply(clause(len(x), u))
+        return sum(1 << i for i, s in enumerate(c.succ) if pred >> s & 1)
 
-    return _evaluate(phi, vals, frozenset(states), modal)
+    return x.labels(_evaluate(phi, vals, (1 << len(x)) - 1, modal))
 
 
 @lru_cache(maxsize=64)
@@ -397,38 +400,38 @@ def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
         raise InputError("positive interpretation needs a negation-free formula")
     if method not in ("direct", "delta"):
         raise InputError(f"unknown method {method!r}")
-    vals = check_valuation(valuation, c.carrier, positive=True)
-    states = c.carrier.elements
+    x = c.carrier
+    vals = check_valuation(valuation, x, positive=True)
     if method == "direct":
-        pos = _pow_lifting(c.carrier, max_enum)
+        pos = _pow_lifting(x, max_enum)
 
-        def modal(op: str, u: frozenset) -> frozenset:
+        def modal(op: str, u: int) -> int:
             if op == "dia":
-                return frozenset(x for x in states if c.gamma(x) & u)
-            return frozenset(x for x in states if c.gamma(x) <= u)
+                return sum(1 << i for i, s in enumerate(c.succ) if s & u)
+            return sum(1 << i for i, s in enumerate(c.succ) if not s & ~u)
     else:
-        pos, lifted, dprime = _positive_context(c.carrier, max_enum)
+        pos, lifted, dprime = _positive_context(x, max_enum)
 
-        def modal(op: str, u: frozenset) -> frozenset:
+        def modal(op: str, u: int) -> int:
             elem = lifted.diamond_of(u) if op == "dia" else lifted.box_of(u)
             if elem not in dprime.table:
                 raise AssertionError("modal image left the lifted algebra")
-            pred = dprime.apply(elem)
-            return frozenset(x for x in states if c.gamma(x) in pred)
+            pred = dprime.apply(elem)  # a mask of lifted classes
+            return sum(1 << i for i, s in enumerate(c.succ) if pred >> pos.e[s] & 1)
     if not c.positive_checked:
         check_positive_coalgebra(c, pos)
         object.__setattr__(c, "positive_checked", True)
-    out = _evaluate(phi, vals, frozenset(states), modal)
-    if not is_upset(c.carrier, out):
+    out = _evaluate(phi, vals, (1 << len(x)) - 1, modal)
+    if x.up_of(out) != out:
         raise AssertionError("positive satisfaction set is not an upset")
-    return out
+    return x.labels(out)
 
 
 def delta_pow_injective(states: tuple,
                         max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
     dp = delta_pow(tuple(states), max_enum)
     check_enum_budget(1 << (1 << len(dp.states)), max_enum, "semantic component domain")
-    return injectivity_check(carrier_labels(nb_functor(), dp.states), dp.apply)
+    return injectivity_check(nb_functor().on_obj(dp.states), dp.apply)
 
 
 def delta_prime_injective(x: FinPoset,

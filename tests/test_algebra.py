@@ -26,12 +26,18 @@ def three_chain():
     return up_algebra(chain("p", "q"))
 
 
+def encode(b, labels):
+    """The mask of a set of atoms of the Boolean algebra ``b``."""
+    return boolean_as_lattice(b).spectrum.mask(labels)
+
+
 class TestLattices:
     def test_boolean_ops(self):
         b = FinBoolAlg(atoms=("a", "b"))
-        x = frozenset(["a"])
-        assert b.neg(x) == frozenset(["b"])
-        assert b.size() == 4 and b.bot == frozenset() and b.top == {"a", "b"}
+        x = encode(b, ["a"])
+        assert b.labels(b.neg(x)) == frozenset(["b"])
+        assert b.size() == 4 and b.labels(b.bot) == frozenset() and \
+            b.labels(b.top) == {"a", "b"}
 
     def test_de_morgan_spot_check(self):
         b = FinBoolAlg(atoms=("a", "b", "c"))
@@ -51,7 +57,8 @@ class TestLattices:
 
     def test_upsets_of_two_chain(self):
         lat = three_chain()
-        assert sorted(map(sorted, lat.carrier())) == [[], ["p", "q"], ["q"]]
+        assert sorted(map(sorted, map(lat.spectrum.labels, lat.carrier()))) == \
+            [[], ["p", "q"], ["q"]]
         assert is_upset(lat.spectrum, frozenset(["q"]))
         assert not is_upset(lat.spectrum, frozenset(["p"]))
 
@@ -122,7 +129,7 @@ class TestFreeBA:
     def test_generator_embedding(self):
         fb = free_ba(("g", "h"))
         g = free_ba_generator(fb, "g")
-        assert len(g) == 2  # two of the four valuations make g true
+        assert len(fb.labels(g)) == 2  # two of the four valuations make g true
         assert fb.neg(g) | g == fb.top
 
     def test_map_identity(self):
@@ -139,8 +146,9 @@ class TestFreeBA:
         assert src.size() == 16 and dst.size() == 4
         for e in src.carrier():
             want = frozenset(v for v in dst.atoms
-                             if frozenset(g for g in ("g", "h") if f[g] in v) in e)
-            assert h.apply(e) == want
+                             if frozenset(g for g in ("g", "h") if f[g] in v)
+                             in src.labels(e))
+            assert dst.labels(h.apply(e)) == want
         for g in ("g", "h"):
             assert h.apply(free_ba_generator(src, g)) == free_ba_generator(dst, "z")
 
@@ -153,28 +161,30 @@ class TestFreeBA:
 class TestFamilyTranslation:
     def test_bounds(self):
         xs = ("p", "q")
-        assert nbhd_to_free(xs, frozenset()) == frozenset()
-        full = frozenset(free_ba(xs).atoms)
-        assert nbhd_to_free(xs, full) == full
+        fb = free_ba(xs)  # its atoms are the subsets of xs, in mask order
+        assert fb.labels(nbhd_to_free(xs, encode(fb, frozenset()))) == frozenset()
+        full = frozenset(fb.atoms)
+        assert fb.labels(nbhd_to_free(xs, encode(fb, full))) == full
 
     def test_singleton_family_is_generator(self):
         xs = ("p",)
         fam = frozenset([frozenset(["p"])])
-        assert nbhd_to_free(xs, fam) == free_ba_generator(free_ba(xs), "p")
+        fb = free_ba(xs)
+        assert nbhd_to_free(xs, encode(fb, fam)) == free_ba_generator(fb, "p")
 
     def test_bijective_and_natural(self):
         nb = nb_functor()
         xs, ys = ("p", "q"), ("z",)
         f = {"p": "z", "q": "z"}
-        act, label, label_ys = nb.on_mor(f, xs, ys), nb.decode(xs), nb.decode(ys)
+        act, label = nb.on_mor(f, xs, ys), nb.decode(xs)
         hom = free_ba_map(xs, ys, f)
         seen = set()
         for code in nb.on_obj(xs):
             fam = label(code)
-            e = nbhd_to_free(xs, fam)
+            e = nbhd_to_free(xs, code)
             seen.add(e)
-            assert e == fam
-            assert nbhd_to_free(ys, label_ys(act(code))) == hom.apply(e)
+            assert hom.source.labels(e) == fam
+            assert nbhd_to_free(ys, act(code)) == hom.apply(e)
         assert len(seen) == 16
 
 
@@ -187,24 +197,25 @@ class TestKernel:
     def test_three_chain_kernel_is_two(self):
         k, embed = kernel_K(three_chain())
         assert k.size() == 2
-        assert set(embed.values()) == {frozenset(), frozenset(["p", "q"])}
+        assert set(map(three_chain().spectrum.labels, embed)) == \
+            {frozenset(), frozenset(["p", "q"])}
 
     def test_chain_plus_point(self):
         p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")], complete=True)
         k, embed = kernel_K(up_algebra(p))
         assert k.size() == 4
         # oracle: complemented upsets are exactly the component unions
-        assert set(embed.values()) == {frozenset(), frozenset(["c"]),
-                                       frozenset(["a", "b"]),
-                                       frozenset(["a", "b", "c"])}
+        assert set(map(p.labels, embed)) == {frozenset(), frozenset(["c"]),
+                                             frozenset(["a", "b"]),
+                                             frozenset(["a", "b", "c"])}
 
 
 class TestFreeEnvelope:
     def test_g_of_three_chain(self):
         g, unit = free_over_dl_G(three_chain())
         assert g.size() == 4
-        assert unit.apply(frozenset()) == frozenset()
-        assert unit.apply(frozenset(["p", "q"])) == frozenset(["p", "q"])
+        for u in (frozenset(), frozenset(["p", "q"])):
+            assert g.labels(unit.apply(three_chain().spectrum.mask(u))) == u
 
     def test_boolean_collapse(self):
         b = FinBoolAlg(atoms=("a", "b", "c"))
@@ -220,8 +231,9 @@ class TestFreeEnvelope:
                                            lat2.spectrum,
                                            {"p": "s", "q": "s"}))
         gh = g_of_hom(h)
-        assert gh.apply(frozenset(["s"])) == frozenset(["p", "q"])
-        assert gh.apply(frozenset()) == frozenset()
+        assert gh.target.labels(gh.apply(encode(gh.source, ["s"]))) == \
+            frozenset(["p", "q"])
+        assert gh.target.labels(gh.apply(encode(gh.source, []))) == frozenset()
 
 
 class TestTensor2:
@@ -242,9 +254,10 @@ class TestTensor2:
         t2 = tensor2(lat)
         assert t2.in1.apply(lat.top) == t2.in2.apply(lat.top)
         k, embed = kernel_K(lat)
-        complemented = set(embed.values())
+        complemented = set(embed)
+        doubled = t2.lattice.spectrum.labels
         for u in lat.carrier():
-            assert t2.in1.apply(u) <= t2.in2.apply(u)
+            assert doubled(t2.in1.apply(u)) <= doubled(t2.in2.apply(u))
             assert (t2.in1.apply(u) == t2.in2.apply(u)) == (u in complemented)
             assert t2.retract.apply(t2.in1.apply(u)) == u
             assert t2.retract.apply(t2.in2.apply(u)) == u
@@ -281,8 +294,10 @@ class TestInserter:
         sub = dl_inserter(g_of_hom(t2.in1), g_of_hom(t2.in2))
         assert set(sub.members) == {unit.apply(u) for u in lat.carrier()}
         assert lattice_isomorphic(sub.lattice, lat) is not None
+        irreducibles = sub.lattice.spectrum.elements  # labelled by their masks
         for relem, member in sub.embed.items():
-            assert sub.restrict[member] == relem
+            restrict = sum(1 << k for k, j in enumerate(irreducibles) if not j & ~member)
+            assert restrict == relem
 
     def test_mismatched_sources_rejected(self):
         lat = three_chain()

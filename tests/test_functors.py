@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from poslog.algebra import _upsets_in_mask_order
 from poslog.errors import BudgetExceeded, InputError
 from poslog.functors import (DEDEKIND, _mnb_obj, carrier_labels, lift_relation_generic,
                              mnb_functor,
@@ -59,8 +58,7 @@ class TestObjectMaps:
     @pytest.mark.parametrize("cache, key", [
         (powerset, lambda k: (k,)),
         (_mnb_obj, lambda k: (k,)),
-        (_upsets_in_mask_order, lambda k: FinPoset.discrete((k,))),
-    ], ids=["powerset", "_mnb_obj", "_upsets_in_mask_order"])
+    ], ids=["powerset", "_mnb_obj"])
     def test_carrier_caches_are_bounded(self, cache, key):
         bound = cache.cache_info().maxsize
         assert bound is not None

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from poslog.cli import main
 from poslog.order import FinPoset
 from poslog.positivize import SYNTAXES
 from poslog.semantics import MAX_FORMULA_DEPTH
+from poslog.verify import small_posets
 
 
 def run_cli(*args, **kw):
@@ -72,7 +74,7 @@ class TestJson:
     def test_coalgebra_and_valuation(self):
         c = load_coalgebra({"carrier": ["x", "y"],
                             "structure": {"x": ["y"], "y": []}})
-        assert c.gamma("x") == {"y"}
+        assert c.structure["x"] == {"y"}
         v = load_valuation({"p": ["x"]})
         assert v == {"p": frozenset(["x"])}
         with pytest.raises(InputError):
@@ -100,6 +102,30 @@ class TestDot:
     def test_lattice_dot_deterministic(self):
         lat = up_algebra(FinPoset.chain(("p", "q")))
         assert lattice_dot(lat) == lattice_dot(lat)
+
+    @pytest.mark.parametrize("p", small_posets(3), ids=lambda p: str(p.upmask))
+    def test_lattice_dot_matches_the_pairwise_route(self, p):
+        """The covers read off the spectrum against every pair of upsets
+        compared by inclusion."""
+        lat = up_algebra(p)
+        elems = tuple(map(p.labels, lat.carrier()))
+        order = FinPoset(elems, tuple(sum(1 << j for j, f in enumerate(elems) if e <= f)
+                                      for e in elems))
+        assert lattice_dot(lat, "t") == poset_dot(order, "t")
+
+    def test_export_dot_on_fourteen_atoms(self, tmp_path):
+        """Each of the 2^14 subsets is covered by one more subset per atom
+        it misses: 14 * 2^13 edges."""
+        lattice = tmp_path / "ba14.json"
+        lattice.write_text(json.dumps({"type": "ba", "atoms": list("abcdefghijklmn")}))
+        rc, out, _ = run_main("export-dot", "--input", str(lattice))
+        assert rc == 0
+        labels = dict(re.findall(r'^  (n\d+) \[label="\{(.*)\}"\];$', out, re.M))
+        edges = re.findall(r"^  (n\d+) -> (n\d+);$", out, re.M)
+        assert len(labels) == 2 ** 14 and len(edges) == 114_688
+        for a, b in edges:
+            below, above = set(labels[a].split(",")) - {""}, set(labels[b].split(","))
+            assert below < above and len(above - below) == 1
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +174,11 @@ class TestCli:
                     "--poset", str(files / "antichain4.json"), "--method", "both")
         assert r.returncode == 2
         assert "budget" in r.stderr
+        # 65,536 families fit the budget, a relation of 65,536 rows of them does not
+        r = run_cli("posetify", "--functor", "nb",
+                    "--poset", str(files / "antichain4.json"), "--method", "generic")
+        assert r.returncode == 2
+        assert "budget refused: nb lifted relation" in r.stderr
 
     def test_poly_coefficients_refused_before_their_labels_are_built(self, files):
         argv = ["posetify", "--functor", "poly:sigma=f:1:1000000", "--max-enum", "100",

@@ -58,6 +58,16 @@ class TestFinPoset:
         assert p.up_set("p") == {"p", "q"}
         assert p.down_set("q") == {"p", "q"}
 
+    def test_relabel_shares_the_rows(self):
+        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")], complete=True)
+        q = p.relabel(("x", "y", "z"))
+        assert q.upmask is p.upmask and q.downmask is p.downmask
+        assert q == FinPoset(("x", "y", "z"), p.upmask) and q.index("z") == 2
+        with pytest.raises(InputError):
+            p.relabel(("x", "x", "z"))
+        with pytest.raises(InputError):
+            p.relabel(("x", "y"))
+
 
 class TestClosures:
     def test_up_closure_examples(self):

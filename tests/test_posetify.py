@@ -153,6 +153,14 @@ class TestNb:
             assert pos.image(fam) == want
 
 
+@pytest.mark.parametrize("closed", [posetify_nb, posetify_powerset, posetify_mnb])
+def test_result_shares_the_rows_of_the_order(closed):
+    pos = closed(FinPoset.discrete(("a", "b")))
+    assert pos.result.upmask is pos.order.upmask
+    assert pos.result.downmask is pos.order.downmask
+    assert pos.result.elements == tuple(map(pos.decode, pos.order.elements))
+
+
 class TestCrossCheck:
     @pytest.mark.parametrize("t", [pow_functor(), multiset_functor(3),
                                    poly_functor([("f", 2, ("k",))]),

@@ -264,7 +264,7 @@ def positive_models(draw, shapes):
         assume(fits)
         gamma[a] = draw(st.sampled_from(fits))
     valuation = {name: up_closure(x, draw(subsets_of(x))) for name in ("v", "w")}
-    return Coalgebra.of(x, gamma), valuation
+    return Coalgebra(x, gamma), valuation
 
 
 @settings(checked, max_examples=60)

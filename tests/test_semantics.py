@@ -4,7 +4,7 @@ import pytest
 
 from poslog import semantics
 from poslog.errors import InputError
-from poslog.functors import pow_functor, powerset
+from poslog.functors import nb_functor, pow_functor, powerset
 from poslog.order import FinPoset, enumerate_posets, up_closure
 from poslog.semantics import (BOT, TOP, Coalgebra, box, conj, delta_pow,
                               delta_pow_injective, delta_prime_injective,
@@ -45,21 +45,21 @@ class TestFormulas:
 class TestCoalgebra:
     def test_total_structure_required(self):
         with pytest.raises(InputError):
-            Coalgebra.of(FinPoset.discrete(("x", "y")), {"x": ["y"]})
+            Coalgebra(FinPoset.discrete(("x", "y")), {"x": ["y"]})
 
     def test_successors_must_stay_inside(self):
         with pytest.raises(InputError):
-            Coalgebra.of(FinPoset.discrete(("x",)), {"x": ["z"]})
+            Coalgebra(FinPoset.discrete(("x",)), {"x": ["z"]})
 
     def test_non_monotone_rejected_by_positive_interpretation(self):
-        c = Coalgebra.of(chain("x", "y"), {"x": ["y"], "y": []})
+        c = Coalgebra(chain("x", "y"), {"x": ["y"], "y": []})
         with pytest.raises(InputError):
             interpret_positive(c, {"p": ["y"]}, var("p"))
 
     def test_non_convex_successor_rejected(self):
-        c = Coalgebra.of(chain("x", "y", "z"), {"x": ["x", "z"],
-                                                "y": ["x", "z"],
-                                                "z": ["x", "z"]})
+        c = Coalgebra(chain("x", "y", "z"), {"x": ["x", "z"],
+                                             "y": ["x", "z"],
+                                             "z": ["x", "z"]})
         with pytest.raises(InputError):
             interpret_positive(c, {}, TOP)
 
@@ -70,7 +70,7 @@ class TestCoalgebra:
         (("x", "y", "z"), {"x": ["x", "z"], "y": ["x", "z"], "z": ["x", "z"]})],
         ids=["not-monotone", "not-convex"])
     def test_refused_on_every_call_by_both_methods(self, method, carrier, structure):
-        c = Coalgebra.of(chain(*carrier), structure)
+        c = Coalgebra(chain(*carrier), structure)
         for _ in range(2):
             with pytest.raises(InputError):
                 interpret_positive(c, {}, TOP, method)
@@ -81,36 +81,41 @@ class TestCoalgebra:
         check = semantics.check_positive_coalgebra
         monkeypatch.setattr(semantics, "check_positive_coalgebra",
                             lambda c, pos: calls.append(c) or check(c, pos))
-        c = Coalgebra.of(chain("x", "y"), {"x": ["y"], "y": ["y"]})
+        c = Coalgebra(chain("x", "y"), {"x": ["y"], "y": ["y"]})
         for method in ("direct", "delta", "direct"):
             for text in ("(dia p)", "(box p)"):
                 interpret_positive(c, {"p": ["y"]}, parse_formula(text), method)
         assert calls == [c] and c.positive_checked
 
 
+PQ = FinPoset.discrete(("p", "q"))
+# a mask over the subsets of {p, q}, as the set of those subsets
+pq_subsets = nb_functor().decode(PQ.elements)
+
+
 def _pq_diamond(u):
-    return pow_functor().diamond(powerset(("p", "q")), frozenset(u))
+    return pow_functor().diamond(len(PQ), PQ.mask(u))
 
 
 class TestDeltaComponent:
     def test_diamond_of_empty_is_empty(self):
         dp = delta_pow(("p", "q"))
-        assert dp.apply(_pq_diamond([])) == frozenset()
+        assert pq_subsets(dp.apply(_pq_diamond([]))) == frozenset()
 
     def test_diamond_of_everything_is_nonempty_sets(self):
         dp = delta_pow(("p", "q"))
         want = frozenset(s for s in powerset(("p", "q")) if s)
-        assert dp.apply(_pq_diamond(["p", "q"])) == want
+        assert pq_subsets(dp.apply(_pq_diamond(["p", "q"]))) == want
 
     def test_diamond_of_singleton(self):
         dp = delta_pow(("p", "q"))
-        got = dp.apply(_pq_diamond(["p"]))
+        got = pq_subsets(dp.apply(_pq_diamond(["p"])))
         assert got == frozenset([frozenset(["p"]), frozenset(["p", "q"])])
 
     def test_box_is_dual(self):
         dp = delta_pow(("p", "q"))
-        u = frozenset(["q"])
-        box_img = dp.apply(pow_functor().box(powerset(("p", "q")), u))
+        u = PQ.mask(["q"])
+        box_img = pq_subsets(dp.apply(pow_functor().box(len(PQ), u)))
         assert box_img == frozenset([frozenset(), frozenset(["q"])])
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -122,17 +127,19 @@ class TestDeltaComponent:
 class TestDeltaPrime:
     def test_two_chain_examples(self):
         pos, lifted, dprime = _positive_context(chain("x", "y"), 1 << 20)
-        up_y = frozenset(["y"])
-        dia_pred = dprime.apply(lifted.diamond_of(up_y))
+        classes = pos.result.labels  # a predicate is a mask of lifted classes
+        up_y = chain("x", "y").mask(["y"])
+        dia_pred = classes(dprime.apply(lifted.diamond_of(up_y)))
         assert dia_pred == frozenset([frozenset(["y"]), frozenset(["x", "y"])])
-        box_pred = dprime.apply(lifted.box_of(up_y))
+        box_pred = classes(dprime.apply(lifted.box_of(up_y)))
         assert box_pred == frozenset([frozenset(), frozenset(["y"])])
-        top_pred = dprime.apply(lifted.ambient.top)
+        top_pred = classes(dprime.apply(lifted.ambient.top))
         assert top_pred == frozenset(pos.result.elements)
 
     def test_predicates_are_upsets_in_lifted_order(self):
         pos, lifted, dprime = _positive_context(chain("x", "y"), 1 << 20)
         for member, pred in dprime.table.items():
+            pred = pos.result.labels(pred)
             for c in pred:
                 for d in pos.result.elements:
                     if pos.result.leq(c, d):
@@ -147,7 +154,7 @@ class TestDeltaPrime:
 
 class TestBooleanInterpretation:
     def setup_method(self):
-        self.c = Coalgebra.of(FinPoset.discrete(("x", "y")), {"x": ["y"], "y": []})
+        self.c = Coalgebra(FinPoset.discrete(("x", "y")), {"x": ["y"], "y": []})
         self.v = {"p": ["y"]}
 
     def test_constants(self):
@@ -169,7 +176,7 @@ class TestBooleanInterpretation:
 
 class TestPositiveInterpretation:
     def setup_method(self):
-        self.c = Coalgebra.of(chain("x", "y"), {"x": ["y"], "y": ["y"]})
+        self.c = Coalgebra(chain("x", "y"), {"x": ["y"], "y": ["y"]})
         self.v = {"p": ["y"]}
 
     @pytest.mark.parametrize("text,want", [
@@ -206,8 +213,9 @@ class TestCoherence:
             for u in upsets:
                 dia_direct = frozenset(c for c in pos.result.elements if c & u)
                 box_direct = frozenset(c for c in pos.result.elements if c <= u)
-                assert dprime.apply(lifted.diamond_of(u)) == dia_direct
-                assert dprime.apply(lifted.box_of(u)) == box_direct
+                classes, m = pos.result.labels, p.mask(u)
+                assert classes(dprime.apply(lifted.diamond_of(m))) == dia_direct
+                assert classes(dprime.apply(lifted.box_of(m))) == box_direct
 
     def test_formula_level_agreement_on_sampled_models(self):
         p = chain("x", "y", "z")
@@ -233,7 +241,7 @@ class TestDiscreteAgreement:
                     box(dia(var("p")))]
         for sx in subsets:
             for sy in subsets:
-                c = Coalgebra.of(p, {"x": sx, "y": sy})
+                c = Coalgebra(p, {"x": sx, "y": sy})
                 for u in subsets:
                     val = {"p": u}
                     for f in formulas:
