@@ -18,8 +18,7 @@ up to isomorphism (the latter); see :func:`prime_filter_poset`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import and_, or_
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (BudgetExceeded, DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS,
@@ -205,8 +204,20 @@ def prime_filter_poset(a: FinDistLattice,
     trip.
     """
     elems = a.carrier(max_enum)
-    gens = [m for m in elems if m and not any(
-        not m & ~(x | y) and m & ~x and m & ~y for x in elems for y in elems)]
+    gens = []
+    for m in elems:
+        if m == a.bot:
+            continue
+        prime = True
+        for x in elems:
+            for y in elems:
+                if not m & ~(x | y) and m & ~x and m & ~y:
+                    prime = False
+                    break
+            if not prime:
+                break
+        if prime:
+            gens.append(m)
     # filter inclusion: {x : x >= m} <= {x : x >= m'} iff m' <= m
     ups = tuple(sum(1 << k for k, m2 in enumerate(gens) if not m2 & ~m) for m in gens)
     return FinPoset(tuple(gens), ups)
@@ -303,13 +314,15 @@ def free_over_dl_G(a: FinDistLattice) -> tuple:
     g = FinBoolAlg(atoms=a.spectrum.elements)
     wg = boolean_as_lattice(g)
     dual = MonotoneMap(wg.spectrum, a.spectrum, tuple(range(len(g.atoms))))
-    return g, LatticeHom(a, wg, dual)
+    unit = LatticeHom(a, wg, dual)
+    return g, unit
 
 
 def g_of_hom(h: LatticeHom) -> BAHom:
     """The action of the free-Boolean-algebra construction on a hom."""
-    return BAHom(FinBoolAlg(atoms=h.source.spectrum.elements),
-                 FinBoolAlg(atoms=h.target.spectrum.elements), h.dual.assignment)
+    gsrc = FinBoolAlg(atoms=h.source.spectrum.elements)
+    gdst = FinBoolAlg(atoms=h.target.spectrum.elements)
+    return BAHom(gsrc, gdst, h.dual.assignment)
 
 
 @dataclass(frozen=True)
@@ -364,10 +377,14 @@ def lattice_from_elements(members: Iterable,
     if not members:
         raise InputError("a lattice needs at least one element")
     check_enum_budget(len(members), max_enum, "sublattice reconstruction")
-    bot = reduce(and_, members)
+    bot = members[0]
+    for m in members:
+        bot &= m
     irreducibles = []
     for m in members:
-        below = bot  # the join of the members strictly below m
+        if m == bot:
+            continue
+        below = bot
         for m2 in members:
             if m2 != m and not m2 & ~m:
                 below |= m2
@@ -382,7 +399,10 @@ def lattice_from_elements(members: Iterable,
     if len(embed) != len(members) or lat.size(max_enum) != len(members):
         raise AssertionError("input family is not a distributive lattice")
     for s, m in embed.items():
-        if reduce(or_, (irreducibles[k] for k in bits(s)), bot) != m:
+        joined = bot
+        for k in bits(s):
+            joined |= irreducibles[k]
+        if joined != m:
             raise AssertionError("join-irreducible decomposition failed")
     return SubLattice(lat, tuple(members), embed)
 

@@ -250,11 +250,11 @@ def is_upset(x: FinPoset, s: Iterable) -> bool:
     return x.up_of(m) == m
 
 
-def unions(masks, zero=0) -> list:
+def unions(masks) -> list:
     """Entry ``k`` is the union of ``masks[j]`` over the bits ``j`` of
     ``k``, for every ``k`` below ``2 ** len(masks)``: a table built by
-    doubling.  The entries may be sets, with ``zero`` the empty one."""
-    out = [zero]
+    doubling."""
+    out = [0]
     for m in masks:
         out += [o | m for o in out]
     return out

@@ -179,6 +179,11 @@ class TestCli:
                     "--poset", str(files / "antichain4.json"), "--method", "generic")
         assert r.returncode == 2
         assert "budget refused: nb lifted relation" in r.stderr
+        # the same square check on a small budget: 16 subsets fit, 16 rows of 16 do not
+        r = run_cli("posetify", "--functor", "pow", "--max-enum", "100",
+                    "--poset", str(files / "antichain4.json"), "--method", "generic")
+        assert r.returncode == 2
+        assert "budget refused: pow lifted relation" in r.stderr
 
     def test_poly_coefficients_refused_before_their_labels_are_built(self, files):
         argv = ["posetify", "--functor", "poly:sigma=f:1:1000000", "--max-enum", "100",
