@@ -147,12 +147,11 @@ def cmd_interpret(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        outcomes = run_suite(args.suite, args.max_enum)
-    except KeyError:
+    if args.suite != "all" and args.suite not in SUITES:
         raise InputError(
             f"unknown suite {args.suite!r}; pick from "
             f"{', '.join(list(SUITES) + ['all'])}")
+    outcomes = run_suite(args.suite, args.max_enum)
     failed = 0
     for o in outcomes:
         status = "PASS" if o.ok else "FAIL"

@@ -18,8 +18,18 @@ class BudgetExceeded(RuntimeError):
     """An enumeration would exceed the configured budget."""
 
 
+def _count(size: int) -> str:
+    """``size`` in decimal, or as a power of two once it is wider than
+    Python prints (4,300 digits by default)."""
+    try:
+        return str(size)
+    except ValueError:
+        exp = size.bit_length() - 1
+        return f"2^{exp}" if size == 1 << exp else f"more than 2^{exp}"
+
+
 def check_enum_budget(size: int, max_enum: int, what: str) -> None:
     if size > max_enum:
         raise BudgetExceeded(
-            f"{what} would enumerate {size} items (budget {max_enum})"
+            f"{what} would enumerate {_count(size)} items (budget {max_enum})"
         )

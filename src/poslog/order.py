@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import permutations
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from .errors import InputError
@@ -497,6 +498,16 @@ def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[dict]:
     return {p.elements[i]: q.elements[j] for i, j in assigned.items()}
 
 
+def _down_closed(ups: tuple) -> list:
+    """The down-closed sets of the order with up-set rows ``ups``, as
+    masks in increasing order."""
+    downs = [0] * len(ups)
+    for i, row in enumerate(ups):
+        for j in bits(row):
+            downs[j] |= 1 << i
+    return [d for d, c in enumerate(unions(downs)) if c == d]
+
+
 def _sweep_index(ups: tuple) -> int:
     """The off-diagonal relation as one mask: bit ``b`` for the ``b``-th
     pair ``(i, j)``, ``i != j``, in row-major order."""
@@ -522,15 +533,9 @@ def enumerate_posets(labels: tuple) -> Iterator[FinPoset]:
     for k in range(len(labels)):
         grown = []
         for ups in layer:
-            downs = [0] * k
-            for i, row in enumerate(ups):
-                for j in bits(row):
-                    downs[j] |= 1 << i
             upsets = [m for m, c in enumerate(unions(ups)) if c == m]
             bit = 1 << k
-            for d, c in enumerate(unions(downs)):
-                if c != d:
-                    continue
+            for d in _down_closed(ups):
                 allowed = (bit - 1) & ~d
                 for i in bits(d):
                     allowed &= ups[i]
@@ -541,4 +546,47 @@ def enumerate_posets(labels: tuple) -> Iterator[FinPoset]:
                         grown.append(below + (bit | u,))
         layer = grown
     for ups in sorted(layer, key=_sweep_index):
+        yield FinPoset(labels, ups)
+
+
+def _from_sweep_index(n: int, key: int) -> tuple:
+    """The up-set rows on ``n`` elements whose :func:`_sweep_index` is
+    ``key``."""
+    ups = [1 << i for i in range(n)]
+    for b in bits(key):
+        i, j = divmod(b, n - 1)
+        ups[i] |= 1 << (j + (j >= i))
+    return tuple(ups)
+
+
+def enumerate_poset_types(labels: tuple) -> Iterator[FinPoset]:
+    """The first poset of each isomorphism type in
+    :func:`enumerate_posets` order, in that order.
+
+    The first of a type is its relabelling with the least
+    :func:`_sweep_index`, its canonical form.  The types are grown by
+    extension: every poset on ``k + 1`` elements is one on ``k`` elements
+    plus a new maximal element above a down-closed set of it, so the types
+    on ``k + 1`` elements are the canonical forms of the types on ``k``
+    extended above each of their down-closed sets.  No isomorphism search
+    is needed.  There are 1, 1, 2, 5, 16, 63 and 318 types on 0 to 6
+    labels; 5 labels take a few milliseconds, 6 about 0.2 s.
+    """
+    layer = [()]
+    for k in range(len(labels)):
+        n = k + 1
+        # entry i*n+j for each relabelling p: the sweep bit that pair
+        # (i, j) moves to under p, 0 on the diagonal
+        places = [tuple(0 if p[i] == p[j] else
+                        1 << (p[i] * k + p[j] - (p[j] > p[i]))
+                        for i in range(n) for j in range(n))
+                  for p in permutations(range(n))]
+        keys = set()
+        for ups in layer:
+            pairs = [i * n + j for i, row in enumerate(ups) for j in bits(row) if i != j]
+            for d in _down_closed(ups):
+                grown = pairs + [i * n + k for i in bits(d)]
+                keys.add(min(sum(map(place.__getitem__, grown)) for place in places))
+        layer = [_from_sweep_index(n, key) for key in sorted(keys)]
+    for ups in layer:
         yield FinPoset(labels, ups)

@@ -34,7 +34,8 @@ class BAFunctor:
     ``diamond(b, x)``/``box(b, x)`` optionally give the action of the
     modality generators on an element ``x`` of the argument algebra ``b``,
     an element of ``on_obj(b)``, to track modal operators through the
-    lifting."""
+    lifting.  ``check_budget(b)``, when given, refuses ``on_obj(b)`` as
+    ``on_obj`` would, before anything is built."""
 
     name: str
     on_obj: Callable[[FinBoolAlg], FinBoolAlg]
@@ -42,6 +43,7 @@ class BAFunctor:
     closed_form: Callable[[FinDistLattice], FinDistLattice]
     diamond: Optional[Callable[[FinBoolAlg, int], int]] = None
     box: Optional[Callable[[FinBoolAlg, int], int]] = None
+    check_budget: Optional[Callable[[FinBoolAlg], None]] = None
 
 
 def semantic_l(t: SetFunctor, max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
@@ -54,18 +56,21 @@ def semantic_l(t: SetFunctor, max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
     modal logic in its finite semantic form.  Dual to posetification, the
     lifting at ``Up(X)`` is ``Up(T'(X))``: that is the closed form."""
 
-    def algebra(atoms: tuple) -> tuple:
-        """``on_obj`` of the algebra on ``atoms``, and the codes of its atoms."""
-        check_enum_budget(t.size_estimate(len(atoms)), max_enum,
+    def check_budget(b: FinBoolAlg) -> None:
+        check_enum_budget(t.size_estimate(len(b.atoms)), max_enum,
                           f"{t.name} on an atom set")
-        codes = t.on_obj(atoms)
-        return FinBoolAlg(atoms=tuple(map(t.decode(atoms), codes))), codes
+
+    def algebra(b: FinBoolAlg) -> tuple:
+        """``on_obj(b)``, and the codes of its atoms."""
+        check_budget(b)
+        codes = t.on_obj(b.atoms)
+        return FinBoolAlg(atoms=tuple(map(t.decode(b.atoms), codes))), codes
 
     def on_obj(b: FinBoolAlg) -> FinBoolAlg:
-        return algebra(b.atoms)[0]
+        return algebra(b)[0]
 
     def on_mor(h: BAHom) -> BAHom:
-        (src, src_codes), (dst, dst_codes) = algebra(h.source.atoms), algebra(h.target.atoms)
+        (src, src_codes), (dst, dst_codes) = algebra(h.source), algebra(h.target)
         act = t.on_mor(dict(zip(h.target.atoms, (h.source.atoms[s] for s in h.dual))),
                        h.target.atoms, h.source.atoms)
         index = {c: k for k, c in enumerate(src_codes)}
@@ -76,7 +81,7 @@ def semantic_l(t: SetFunctor, max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
 
     return BAFunctor(f"semantic:{t.name}", on_obj, on_mor,
                      lambda a: up_algebra(closed_form(t, a.spectrum, max_enum).result),
-                     modal(t.diamond), modal(t.box))
+                     modal(t.diamond), modal(t.box), check_budget)
 
 
 def free_l(max_generators: int = DEFAULT_MAX_GENERATORS,
@@ -161,6 +166,11 @@ def positivize(l: BAFunctor, a: FinDistLattice,
     t2 = tensor2(a)
     gh1 = g_of_hom(t2.in1)
     gh2 = g_of_hom(t2.in2)
+    if l.check_budget:
+        # the ambient algebra, then the ordered double: the order in which
+        # on_obj and on_mor below would refuse them
+        l.check_budget(galg)
+        l.check_budget(gh1.target)
     lga = l.on_obj(galg)
     lh1 = l.on_mor(gh1)
     lh2 = l.on_mor(gh2)

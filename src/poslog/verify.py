@@ -15,13 +15,13 @@ from functools import lru_cache
 from itertools import product
 from . import algebra as alg
 from . import semantics as sem
-from .errors import DEFAULT_MAX_ENUM
+from .errors import DEFAULT_MAX_ENUM, BudgetExceeded
 from .functors import (lift_relation_generic, mnb_functor, multiset_functor,
                        nb_functor, poly_functor, pow_functor, powerset)
 from .order import (FinPoset, MonotoneMap, Preorder, bits, connected_components,
-                    cotensor2, diagonal_section, enumerate_posets, is_upset,
-                    poset_isomorphism, poset_quotient, transitive_closure,
-                    unions)
+                    cotensor2, diagonal_section, enumerate_poset_types,
+                    enumerate_posets, is_upset, poset_isomorphism,
+                    poset_quotient, transitive_closure, unions)
 from .posetify import (convex_closure, cross_check, egli_milner_leq,
                        posetify_generic, posetify_mnb, posetify_nb,
                        posetify_powerset)
@@ -44,18 +44,9 @@ def small_posets(max_size: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def iso_representatives(max_size: int) -> tuple:
-    """The first of ``small_posets(max_size)`` of each isomorphism type.
-
-    Posets are bucketed by refinement key, and :func:`poset_isomorphism`
-    compares a poset only with the representatives in its own bucket."""
-    buckets: dict = {}
-    reps = []
-    for p in small_posets(max_size):
-        bucket = buckets.setdefault(p.refinement[0], [])
-        if all(poset_isomorphism(p, q) is None for q in bucket):
-            bucket.append(p)
-            reps.append(p)
-    return tuple(reps)
+    """The first of ``small_posets(max_size)`` of each isomorphism type,
+    found by canonical extension (:func:`enumerate_poset_types`)."""
+    return tuple(p for n in range(max_size + 1) for p in enumerate_poset_types(LABELS[:n]))
 
 
 def two_chain() -> FinPoset:
@@ -756,12 +747,11 @@ class CheckOutcome:
 
 
 def run_suite(name: str, max_enum: int = DEFAULT_MAX_ENUM) -> list:
-    if name == "all":
-        names = list(SUITES)
-    elif name in SUITES:
-        names = [name]
-    else:
-        raise KeyError(name)
+    """The outcome of every check of suite ``name``, or of every suite for
+    ``all``; an unknown name raises ``KeyError``.  A check that raises
+    fails with the exception as its detail; a budget refusal is not a
+    failure and ends the run."""
+    names = list(SUITES) if name == "all" else [name]
     out = []
     for suite in names:
         for check_name, fn in SUITES[suite]:
@@ -769,5 +759,9 @@ def run_suite(name: str, max_enum: int = DEFAULT_MAX_ENUM) -> list:
                 ok, detail = fn(max_enum)
             except AssertionError as exc:
                 ok, detail = False, f"assertion: {exc}"
+            except BudgetExceeded:
+                raise
+            except Exception as exc:
+                ok, detail = False, f"{type(exc).__name__}: {exc}"
             out.append(CheckOutcome(suite, check_name, ok, detail))
     return out

@@ -54,6 +54,7 @@ REQUESTS = [
       for mode in ("positive", "both") for formula in FORMULAS),
     *(f"export-dot --input @{name}" for name in sorted(FILES)
       if name.startswith(("dl-", "poset-", "ba")) or name == "vee.json"),
+    *(f"verify --suite {suite}" for suite in ("order", "algebra")),
 ]
 
 
@@ -65,7 +66,9 @@ def resolve(argv: str, directory) -> list:
 
 
 # (request, exit code, first 16 hex digits of the sha256 of stdout),
-# recorded before the algebra and semantics layers moved to masks.
+# recorded before the algebra and semantics layers moved to masks; the
+# two verify suites (their PASS lines) before isomorphism types were
+# found by canonical extension.
 GOLDEN = [
     ('positivize --syntax dunn --lattice @dl-empty.json', 0, '74b95a54db1d0663'),
     ('positivize --syntax dunn --lattice @dl-empty.json --check-closed-form', 0, '180ff37504f03182'),
@@ -187,6 +190,8 @@ GOLDEN = [
     ('export-dot --input @poset-empty.json', 0, '107fbb6f6d4f6b0b'),
     ('export-dot --input @poset-point.json', 0, '34d89b108a74fe44'),
     ('export-dot --input @vee.json', 0, '6c98db2d6a898633'),
+    ('verify --suite order', 0, '755f05e722b51265'),
+    ('verify --suite algebra', 0, '700bac69c69c4b6b'),
 ]
 
 

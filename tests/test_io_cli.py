@@ -21,7 +21,7 @@ from poslog.cli import main
 from poslog.order import FinPoset
 from poslog.positivize import SYNTAXES
 from poslog.semantics import MAX_FORMULA_DEPTH
-from poslog.verify import small_posets
+from poslog.verify import SUITES, small_posets
 
 
 def run_cli(*args, **kw):
@@ -242,6 +242,45 @@ class TestCli:
         assert checked.pop("agree") is True and checked.pop("closed_form_size") == 2 ** 20
         assert checked == plain
 
+    @pytest.mark.parametrize("argv, lattice, refused", [
+        # the ambient algebra has 2^14 atoms, so 2^16384 elements: 4,933 digits
+        (("positivize", "--syntax", "semantic:pow", "--lattice"),
+         {"type": "ba", "atoms": [f"u{i}" for i in range(14)]},
+         "boolean algebra carrier would enumerate 2^16384 items"),
+        (("dualize", "--lattice"),
+         {"type": "ba", "atoms": [f"u{i}" for i in range(14_285)]},
+         "distributive lattice carrier would enumerate 2^14285 items"),
+    ], ids=["positivize", "dualize"])
+    def test_a_size_too_wide_to_print_is_refused_as_a_power_of_two(
+            self, tmp_path, argv, lattice, refused):
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(lattice))
+        rc, out, err = run_main(*argv, str(path))
+        assert (rc, out) == (2, "")
+        assert err == f"budget refused: {refused} (budget {2 ** 20})\n"
+
+    def test_semantic_nb_refused_at_the_ordered_double_before_the_ambient_is_built(
+            self, tmp_path):
+        """On the spectrum a<c, b<c, b<d the ambient algebra has the 65,536
+        neighbourhood families of the 4 spectrum elements as atoms, which
+        fits the budget; the ordered double on the 7 comparable pairs does
+        not, and it is refused before any family label is built."""
+        lattice = tmp_path / "connected4.json"
+        lattice.write_text(json.dumps({"type": "dl", "spectrum": {
+            "elements": ["a", "b", "c", "d"],
+            "leq": [["a", "c"], ["b", "c"], ["b", "d"]]}}))
+        tracemalloc.start()
+        try:
+            rc, out, err = run_main("positivize", "--syntax", "semantic:nb",
+                                    "--lattice", str(lattice))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, out) == (2, "")
+        assert err == ("budget refused: nb on an atom set would enumerate "
+                       f"{2 ** 128} items (budget {2 ** 20})\n")
+        assert peak < 2 ** 20
+
     def test_posetify_dot_export(self, files, tmp_path):
         out = tmp_path / "out.dot"
         r = run_cli("posetify", "--functor", "pow",
@@ -384,6 +423,19 @@ class TestCli:
 
     def test_verify_unknown_suite(self):
         assert run_cli("verify", "--suite", "nope").returncode == 3
+
+    def test_verify_reports_a_crashing_check_as_its_fail_line(self, monkeypatch):
+        def crashes(max_enum):
+            raise KeyError("missing")
+
+        (name, _), *rest = SUITES["order"]
+        monkeypatch.setitem(SUITES, "order", ((name, crashes), *rest))
+        rc, out, err = run_main("verify", "--suite", "order")
+        lines = out.splitlines()
+        assert (rc, err) == (1, "")
+        assert lines[0] == f"FAIL order/{name}: KeyError: 'missing'"
+        assert all(line.startswith("PASS order/") for line in lines[1:-1])
+        assert lines[-1] == f"{len(rest)}/{len(rest) + 1} checks passed"
 
 
 # ---------------------------------------------------------------- CLI fuzz

@@ -8,9 +8,10 @@ from poslog.errors import InputError
 from poslog.functors import lift_relation_generic, pow_functor
 from poslog.order import (FinPoset, MonotoneMap, Preorder, bits,
                           connected_components, cotensor2, diagonal_section,
-                          down_closure, enumerate_posets, poset_isomorphism,
-                          poset_quotient, transitive_closure, up_closure)
-from poslog.verify import iso_representatives
+                          down_closure, enumerate_poset_types, enumerate_posets,
+                          poset_isomorphism, poset_quotient, transitive_closure,
+                          up_closure)
+from poslog.verify import iso_representatives, small_posets
 
 
 def chain(*labels):
@@ -243,6 +244,20 @@ def posets_by_mask_filter(labels):
     return out
 
 
+def representatives_by_search(posets) -> tuple:
+    """The first of ``posets`` of each isomorphism type, and the buckets:
+    each poset is bucketed by its refinement key and searched against the
+    representatives already in its bucket."""
+    buckets = {}
+    reps = []
+    for p in posets:
+        bucket = buckets.setdefault(p.refinement[0], [])
+        if all(poset_isomorphism(p, q) is None for q in bucket):
+            bucket.append(p)
+            reps.append(p)
+    return tuple(reps), buckets
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n", range(5))
     def test_extension_yields_the_mask_filter_sequence(self, n):
@@ -251,18 +266,19 @@ class TestEnumeration:
 
     def test_five_labels_give_4231_posets_of_63_types(self):
         # OEIS A001035 (labelled posets) and A000112 (isomorphism types)
-        posets = list(enumerate_posets(("a", "b", "c", "d", "e")))
+        labels = ("a", "b", "c", "d", "e")
+        posets = list(enumerate_posets(labels))
         assert len(posets) == 4231 and len(set(posets)) == 4231
-        buckets = {}
-        types = 0
-        for p in posets:
-            bucket = buckets.setdefault(p.refinement[0], [])
-            if all(poset_isomorphism(p, q) is None for q in bucket):
-                bucket.append(p)
-                types += 1
-        assert types == 63
+        reps, buckets = representatives_by_search(posets)
+        assert len(reps) == 63
         # the key alone already separates the types at this size
         assert len(buckets) == 63
+        assert tuple(enumerate_poset_types(labels)) == reps
+
+    def test_type_counts_up_to_six_labels(self):
+        # OEIS A000112
+        counts = [sum(1 for _ in enumerate_poset_types("abcdef"[:n])) for n in range(7)]
+        assert counts == [1, 1, 2, 5, 16, 63, 318]
 
     def test_isomorphism_of_every_relisting_preserves_and_reflects_order(self):
         # symmetric posets (two chains side by side, ...) give a search
@@ -276,6 +292,10 @@ class TestEnumeration:
                 assert iso is not None and sorted(iso.values()) == sorted(q.elements)
                 assert all(p.leq(a, b) == q.leq(iso[a], iso[b])
                            for a in p.elements for b in p.elements)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_iso_representatives_match_the_search(self, n):
+        assert iso_representatives(n) == representatives_by_search(small_posets(n))[0]
 
     def test_iso_representatives_per_size(self):
         sizes = [len(p) for p in iso_representatives(4)]

@@ -11,7 +11,7 @@ from poslog.algebra import lattice_isomorphic, prime_filter_poset, up_algebra
 from poslog.errors import BudgetExceeded
 from poslog.functors import (carrier_labels, multiset_functor, poly_functor,
                              pow_functor, powerset)
-from poslog.order import (FinPoset, Preorder, down_closure, poset_isomorphism,
+from poslog.order import (FinPoset, Preorder, bits, down_closure, poset_isomorphism,
                           poset_quotient, transitive_closure, up_closure)
 from poslog.posetify import cross_check, egli_milner_leq, posetify_powerset
 from poslog.semantics import (BOT, TOP, Coalgebra, box, conj, dia, disj,
@@ -52,6 +52,17 @@ def closure_by_fixpoint(pairs):
 
 def subsets_of(x):
     return st.sets(st.sampled_from(x.elements)) if len(x) else st.just(set())
+
+
+def bits_by_digits(mask):
+    """The set bits of ``mask``, lowest first, read off its binary digits."""
+    return [j for j, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1"]
+
+
+@checked
+@given(st.integers(0, 2 ** 20 - 1) | st.integers(2 ** 20, 2 ** 70_000))
+def test_bits_match_the_binary_digits(mask):
+    assert bits(mask) == bits_by_digits(mask)
 
 
 @checked
