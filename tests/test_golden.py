@@ -33,6 +33,8 @@ FILES = {
     "val-monotone.json": {"p": ["y"], "q": ["x", "y"]},
 }
 SYNTAXES = ("dunn", "free", "semantic:pow", "semantic:mnb", "semantic:nb")
+FUNCTORS = ("pow", "nb", "mnb", "bag:3", "poly:sigma=f:2:1,c:0:2")
+POSETS = (*(f"poset-{name}.json" for name in SPECTRA), "vee.json")
 FORMULAS = ("p", "(dia p)", "(box p)", "(and q (dia p))", "(or (box (dia q)) p)",
             "(dia (box (or p q)))", "top", "bot")
 
@@ -42,6 +44,9 @@ REQUESTS = [
       for flag in ("", " --check-closed-form")),
     *(f"positivize --syntax {syntax} --lattice @ba2.json --check-closed-form"
       for syntax in SYNTAXES),
+    *(f"posetify --functor {functor} --poset @{poset} --method {method}"
+      for functor in FUNCTORS for method in ("generic", "closed", "both")
+      for poset in POSETS),
     *(f"dualize --poset @poset-{name}.json" for name in SPECTRA),
     "dualize --poset @vee.json",
     *(f"dualize --lattice @dl-{name}.json" for name in SPECTRA),
@@ -68,7 +73,8 @@ def resolve(argv: str, directory) -> list:
 # (request, exit code, first 16 hex digits of the sha256 of stdout),
 # recorded before the algebra and semantics layers moved to masks; the
 # two verify suites (their PASS lines) before isomorphism types were
-# found by canonical extension.
+# found by canonical extension; the posetify requests before the lifted
+# posets were rendered in one pass.
 GOLDEN = [
     ('positivize --syntax dunn --lattice @dl-empty.json', 0, '74b95a54db1d0663'),
     ('positivize --syntax dunn --lattice @dl-empty.json --check-closed-form', 0, '180ff37504f03182'),
@@ -125,6 +131,96 @@ GOLDEN = [
     ('positivize --syntax semantic:pow --lattice @ba2.json --check-closed-form', 0, 'c60d5c03dfc902e5'),
     ('positivize --syntax semantic:mnb --lattice @ba2.json --check-closed-form', 0, '56e9d703c9f8a5a8'),
     ('positivize --syntax semantic:nb --lattice @ba2.json --check-closed-form', 0, 'acea39c5dafe0c80'),
+    ('posetify --functor pow --poset @poset-empty.json --method generic', 0, 'f509485084995380'),
+    ('posetify --functor pow --poset @poset-point.json --method generic', 0, '9755c3262eeb615b'),
+    ('posetify --functor pow --poset @poset-antichain2.json --method generic', 0, '3d525a8de0d45b18'),
+    ('posetify --functor pow --poset @poset-chain2.json --method generic', 0, 'e077e65544f611bb'),
+    ('posetify --functor pow --poset @poset-chain3.json --method generic', 0, '27554fc34bcc530e'),
+    ('posetify --functor pow --poset @vee.json --method generic', 0, '872ff3eb092c5d40'),
+    ('posetify --functor pow --poset @poset-empty.json --method closed', 0, '5bf9c639150ed3e1'),
+    ('posetify --functor pow --poset @poset-point.json --method closed', 0, 'd9d4352659d320a1'),
+    ('posetify --functor pow --poset @poset-antichain2.json --method closed', 0, 'a70b34c7f1117948'),
+    ('posetify --functor pow --poset @poset-chain2.json --method closed', 0, 'fd4e03893599eeaa'),
+    ('posetify --functor pow --poset @poset-chain3.json --method closed', 0, '19d093e0e08959eb'),
+    ('posetify --functor pow --poset @vee.json --method closed', 0, '74d34387b84ce0a1'),
+    ('posetify --functor pow --poset @poset-empty.json --method both', 0, 'bc1474a98661529e'),
+    ('posetify --functor pow --poset @poset-point.json --method both', 0, '608427e04046368c'),
+    ('posetify --functor pow --poset @poset-antichain2.json --method both', 0, '6e722113851cf2b0'),
+    ('posetify --functor pow --poset @poset-chain2.json --method both', 0, 'a4ddfeb07f797e5d'),
+    ('posetify --functor pow --poset @poset-chain3.json --method both', 0, 'a67eb78714b2539d'),
+    ('posetify --functor pow --poset @vee.json --method both', 0, '6a8ed80cae1a670c'),
+    ('posetify --functor nb --poset @poset-empty.json --method generic', 0, 'a233d9fb883a3c59'),
+    ('posetify --functor nb --poset @poset-point.json --method generic', 0, '39d5048c8cb67ac2'),
+    ('posetify --functor nb --poset @poset-antichain2.json --method generic', 0, '5d44410dfbd6207f'),
+    ('posetify --functor nb --poset @poset-chain2.json --method generic', 0, 'dfe12279530898e0'),
+    ('posetify --functor nb --poset @poset-chain3.json --method generic', 2, 'e3b0c44298fc1c14'),
+    ('posetify --functor nb --poset @vee.json --method generic', 2, 'e3b0c44298fc1c14'),
+    ('posetify --functor nb --poset @poset-empty.json --method closed', 0, 'cdcc3a4e7fcd36ec'),
+    ('posetify --functor nb --poset @poset-point.json --method closed', 0, '0f53536703321961'),
+    ('posetify --functor nb --poset @poset-antichain2.json --method closed', 0, '78d5fc575c5192a9'),
+    ('posetify --functor nb --poset @poset-chain2.json --method closed', 0, '58c79aa6026c6c32'),
+    ('posetify --functor nb --poset @poset-chain3.json --method closed', 0, '90757e35df601788'),
+    ('posetify --functor nb --poset @vee.json --method closed', 0, '67309b87de61ad33'),
+    ('posetify --functor nb --poset @poset-empty.json --method both', 0, 'c085ec37f82e5ea8'),
+    ('posetify --functor nb --poset @poset-point.json --method both', 0, '5408e1dae77dc5bb'),
+    ('posetify --functor nb --poset @poset-antichain2.json --method both', 0, 'aef47d885b0aedf5'),
+    ('posetify --functor nb --poset @poset-chain2.json --method both', 0, '5c6cb6726358f5dc'),
+    ('posetify --functor nb --poset @poset-chain3.json --method both', 2, 'e3b0c44298fc1c14'),
+    ('posetify --functor nb --poset @vee.json --method both', 2, 'e3b0c44298fc1c14'),
+    ('posetify --functor mnb --poset @poset-empty.json --method generic', 0, 'c003b69fc9f299cd'),
+    ('posetify --functor mnb --poset @poset-point.json --method generic', 0, '70afcd350599ca98'),
+    ('posetify --functor mnb --poset @poset-antichain2.json --method generic', 0, '285e8cba8bace991'),
+    ('posetify --functor mnb --poset @poset-chain2.json --method generic', 0, '571a18b0310ba2c8'),
+    ('posetify --functor mnb --poset @poset-chain3.json --method generic', 0, 'acaf41ab080b6725'),
+    ('posetify --functor mnb --poset @vee.json --method generic', 0, 'd93154c53073e64b'),
+    ('posetify --functor mnb --poset @poset-empty.json --method closed', 0, 'fd38d7f26ae862ad'),
+    ('posetify --functor mnb --poset @poset-point.json --method closed', 0, '958d0440972c2e78'),
+    ('posetify --functor mnb --poset @poset-antichain2.json --method closed', 0, '941ecb03a0eb21e8'),
+    ('posetify --functor mnb --poset @poset-chain2.json --method closed', 0, '48100b968d44571f'),
+    ('posetify --functor mnb --poset @poset-chain3.json --method closed', 0, '769c42015193f9fb'),
+    ('posetify --functor mnb --poset @vee.json --method closed', 0, '2700228c2f175a55'),
+    ('posetify --functor mnb --poset @poset-empty.json --method both', 0, 'deb819d7c8790552'),
+    ('posetify --functor mnb --poset @poset-point.json --method both', 0, '016117578186d28c'),
+    ('posetify --functor mnb --poset @poset-antichain2.json --method both', 0, '833f55f517296cf8'),
+    ('posetify --functor mnb --poset @poset-chain2.json --method both', 0, '715ccf3b585b5226'),
+    ('posetify --functor mnb --poset @poset-chain3.json --method both', 0, '3326204378cc7456'),
+    ('posetify --functor mnb --poset @vee.json --method both', 0, '73f6695c016f3085'),
+    ('posetify --functor bag:3 --poset @poset-empty.json --method generic', 0, 'da37bd0db6f160f3'),
+    ('posetify --functor bag:3 --poset @poset-point.json --method generic', 0, '5df5abbf11ee2a9d'),
+    ('posetify --functor bag:3 --poset @poset-antichain2.json --method generic', 0, '3474e6e6ff2bf7ca'),
+    ('posetify --functor bag:3 --poset @poset-chain2.json --method generic', 0, 'd41306f49240709e'),
+    ('posetify --functor bag:3 --poset @poset-chain3.json --method generic', 0, '41b8a582e676ea55'),
+    ('posetify --functor bag:3 --poset @vee.json --method generic', 0, 'dcaf04cb558afc8b'),
+    ('posetify --functor bag:3 --poset @poset-empty.json --method closed', 0, 'a880b990d4878769'),
+    ('posetify --functor bag:3 --poset @poset-point.json --method closed', 0, '72246354a9eb4d91'),
+    ('posetify --functor bag:3 --poset @poset-antichain2.json --method closed', 0, '0947f6c37ce029c2'),
+    ('posetify --functor bag:3 --poset @poset-chain2.json --method closed', 0, '81d3483d4bed0373'),
+    ('posetify --functor bag:3 --poset @poset-chain3.json --method closed', 0, 'e83818ba2937e13e'),
+    ('posetify --functor bag:3 --poset @vee.json --method closed', 0, '63ae5471c223dc76'),
+    ('posetify --functor bag:3 --poset @poset-empty.json --method both', 0, 'd7580536dbd5733b'),
+    ('posetify --functor bag:3 --poset @poset-point.json --method both', 0, 'be4c992f3a09f567'),
+    ('posetify --functor bag:3 --poset @poset-antichain2.json --method both', 0, '45b0a8e17848d3de'),
+    ('posetify --functor bag:3 --poset @poset-chain2.json --method both', 0, '24b1c3189f2ee6a2'),
+    ('posetify --functor bag:3 --poset @poset-chain3.json --method both', 0, '68715ee03b8433ab'),
+    ('posetify --functor bag:3 --poset @vee.json --method both', 0, '266a726c62dd65c7'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-empty.json --method generic', 0, '3db59d84fbc51309'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-point.json --method generic', 0, '6018743d15372e2e'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-antichain2.json --method generic', 0, 'e8be588a6100a3d4'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-chain2.json --method generic', 0, '831760efc4d78d0e'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-chain3.json --method generic', 0, '45081ea0bb8ba920'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @vee.json --method generic', 0, '6ef34877bfaedc6b'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-empty.json --method closed', 0, '53b0abe1b6921750'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-point.json --method closed', 0, 'b7302e292f20c576'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-antichain2.json --method closed', 0, '6c850ddbedc2e9a7'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-chain2.json --method closed', 0, 'c7dc56474194f971'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-chain3.json --method closed', 0, 'be033f0ebef2cf54'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @vee.json --method closed', 0, '9a710d259e2838eb'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-empty.json --method both', 0, '367258c542dd7c2d'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-point.json --method both', 0, '547536715fac995e'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-antichain2.json --method both', 0, '49779e7a343f23f1'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-chain2.json --method both', 0, 'cb82f97758196b00'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-chain3.json --method both', 0, '3642f9b22b0ca88d'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @vee.json --method both', 0, 'f8783735f432ba99'),
     ('dualize --poset @poset-empty.json', 0, '2a3856cb11ce2760'),
     ('dualize --poset @poset-point.json', 0, '5c4a88640fe5b036'),
     ('dualize --poset @poset-antichain2.json', 0, 'a5d5264e542010bb'),
