@@ -28,9 +28,8 @@ def _emit(data) -> None:
 
 
 def _poset_report(p) -> dict:
-    return {"size": len(p), "elements": [pio.format_label(e) for e in p.elements],
-            "covers": [[pio.format_label(a), pio.format_label(b)]
-                       for a, b in p.covers()]}
+    names, covers = pio.render_poset(p)
+    return {"size": len(p), "elements": names, "covers": covers}
 
 
 def _write_dot(text: str, path: str) -> None:

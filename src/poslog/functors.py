@@ -16,11 +16,10 @@ maps a code to its label, built only where labels are shown or compared.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, groupby, product
-from operator import or_
+from operator import and_, or_
 from typing import Callable, Mapping, Optional
 
 from .errors import BudgetExceeded, DEFAULT_MAX_ENUM, InputError, check_enum_budget
@@ -244,11 +243,13 @@ def _mset_obj(d: int):
 
 def _mset_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
     pos = {v: k for k, v in enumerate(dst)}
+    image = {v: pos[f[v]] for v in src}  # source label -> target index
 
     def act(m: tuple) -> tuple:
-        counts = Counter()
+        counts = {}
         for label, c in m:
-            counts[pos[f[label]]] += c
+            k = image[label]
+            counts[k] = counts.get(k, 0) + c
         return tuple((dst[k], c) for k, c in sorted(counts.items()))
 
     return act
@@ -307,15 +308,37 @@ def _poly_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
     return lambda e: (e[0], e[1], tuple(f[v] for v in e[2]))
 
 
+def _block_rows(ups: tuple, arity: int) -> list:
+    """The successor masks of ``X^arity`` under the componentwise order,
+    over the argument tuples in ``product`` order, for ``X`` with up-set
+    masks ``ups``.  ``above[k][v]`` is the mask of the tuples whose
+    argument at position ``k`` lies above ``v``; the row of a tuple is the
+    AND of these masks over its arguments."""
+    members = list(product(range(len(ups)), repeat=arity))
+    holding = [[0] * len(ups) for _ in range(arity)]  # [k][w]: w at position k
+    for m, args in enumerate(members):
+        for k, w in enumerate(args):
+            holding[k][w] |= 1 << m
+    above = [[reduce(or_, map(h.__getitem__, bits(up)), 0) for up in ups]
+             for h in holding]
+    full = (1 << len(members)) - 1
+    return [reduce(and_, map(list.__getitem__, above, args), full) for args in members]
+
+
 def _poly_step(signature: tuple):
     def step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
+        """``a <= b`` when both carry the same symbol and coefficient and
+        every argument of ``a`` lies below the matching one of ``b``: each
+        block of one symbol and coefficient is a power of ``x``."""
         carrier = _poly_obj(signature)(x.elements)
         check_enum_budget(len(carrier) ** 2, max_enum, "polynomial order lifting")
-        succ = tuple(sum(1 << j for j, b in enumerate(carrier)
-                         if a[0] == b[0] and a[1] == b[1] and
-                         all(x.leq(v, w) for v, w in zip(a[2], b[2])))
-                     for a in carrier)
-        return Preorder(carrier, succ)
+        succ = []
+        for _, arity, coeffs in signature:
+            rows = _block_rows(x.upmask, arity)
+            for _ in coeffs:
+                offset = len(succ)
+                succ += [row << offset for row in rows]
+        return Preorder(carrier, tuple(succ))
 
     return step
 

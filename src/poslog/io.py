@@ -39,11 +39,38 @@ def load_poset(data: Any) -> FinPoset:
                                complete=True)
 
 
+def _name(label, memo: dict) -> str:
+    """The text of a label: ``str``, except that a frozenset prints as
+    ``{...}`` with its members sorted by their text and a tuple as
+    ``(...)`` with its members in order.  The text of each frozenset
+    object is kept in ``memo`` under its id."""
+    if isinstance(label, frozenset):
+        text = memo.get(id(label))
+        if text is None:
+            text = memo[id(label)] = \
+                "{" + ",".join(sorted([_name(v, memo) for v in label])) + "}"
+        return text
+    if isinstance(label, tuple):
+        return "(" + ",".join([_name(v, memo) for v in label]) + ")"
+    return str(label)
+
+
+def render_poset(p: FinPoset) -> tuple:
+    """``(names, covers)``: :func:`format_label` of each element, in
+    carrier order, and the pairs of :meth:`FinPoset.covers` as name pairs,
+    in the same order.  Each element is formatted once.  So is each
+    frozenset object inside the labels, such as the subsets that the
+    families of a neighbourhood carrier share; the memo lives for this
+    call only.  Tuples are formatted where they occur: the multisets and
+    terms of a carrier are built fresh for each label."""
+    memo = {}
+    names = [_name(e, memo) for e in p.elements]
+    return names, [[names[i], names[j]] for i, j in p.cover_indices()]
+
+
 def poset_to_dict(p: FinPoset) -> dict:
-    return {
-        "elements": [format_label(e) for e in p.elements],
-        "leq": [[format_label(a), format_label(b)] for a, b in p.covers()],
-    }
+    names, covers = render_poset(p)
+    return {"elements": names, "leq": covers}
 
 
 def load_lattice(data: Any):
@@ -109,11 +136,7 @@ def read_json(path: str) -> Any:
 
 def format_label(label) -> str:
     """Human-readable, deterministic rendering of nested set labels."""
-    if isinstance(label, frozenset):
-        return "{" + ",".join(sorted(format_label(v) for v in label)) + "}"
-    if isinstance(label, tuple):
-        return "(" + ",".join(format_label(v) for v in label) + ")"
-    return str(label)
+    return _name(label, {})
 
 
 def _dot_lines(elements, covers, title) -> str:

@@ -225,16 +225,22 @@ class FinPoset:
                 return tuple(history), tuple(new)
             colours = new
 
-    def covers(self) -> list:
-        """Cover pairs (a, b) with a < b and nothing strictly between."""
+    def cover_indices(self) -> list:
+        """Cover pairs ``(i, j)`` by index, with element ``i`` below ``j``
+        and nothing strictly between, in row order."""
         out = []
+        downs = self.downmask
         for i, m in enumerate(self.upmask):
             strict = m & ~(1 << i)
             for j in bits(strict):
-                if strict & ~(1 << j) & self.downmask[j]:
-                    continue
-                out.append((self.elements[i], self.elements[j]))
+                if not strict & ~(1 << j) & downs[j]:
+                    out.append((i, j))
         return out
+
+    def covers(self) -> list:
+        """Cover pairs (a, b) with a < b and nothing strictly between."""
+        elems = self.elements
+        return [(elems[i], elems[j]) for i, j in self.cover_indices()]
 
 
 def up_closure(x: FinPoset, s: Iterable) -> frozenset:

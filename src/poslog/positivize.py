@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .algebra import (BAHom, FinBoolAlg, FinDistLattice, LatticeHom,
@@ -34,8 +35,9 @@ class BAFunctor:
     ``diamond(b, x)``/``box(b, x)`` optionally give the action of the
     modality generators on an element ``x`` of the argument algebra ``b``,
     an element of ``on_obj(b)``, to track modal operators through the
-    lifting.  ``check_budget(b)``, when given, refuses ``on_obj(b)`` as
-    ``on_obj`` would, before anything is built."""
+    lifting.  ``count_atoms(b)``, when given, is the number of atoms of
+    ``on_obj(b)``; it refuses ``on_obj(b)`` as ``on_obj`` would, before
+    any atom is built."""
 
     name: str
     on_obj: Callable[[FinBoolAlg], FinBoolAlg]
@@ -43,7 +45,7 @@ class BAFunctor:
     closed_form: Callable[[FinDistLattice], FinDistLattice]
     diamond: Optional[Callable[[FinBoolAlg, int], int]] = None
     box: Optional[Callable[[FinBoolAlg, int], int]] = None
-    check_budget: Optional[Callable[[FinBoolAlg], None]] = None
+    count_atoms: Optional[Callable[[FinBoolAlg], int]] = None
 
 
 def semantic_l(t: SetFunctor, max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
@@ -54,34 +56,39 @@ def semantic_l(t: SetFunctor, max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
     ``b``, in carrier order.  The modal clauses are the functor's predicate
     liftings at the atom set; with the powerset functor this is normal
     modal logic in its finite semantic form.  Dual to posetification, the
-    lifting at ``Up(X)`` is ``Up(T'(X))``: that is the closed form."""
+    lifting at ``Up(X)`` is ``Up(T'(X))``: that is the closed form.
 
-    def check_budget(b: FinBoolAlg) -> None:
-        check_enum_budget(t.size_estimate(len(b.atoms)), max_enum,
+    The codes and the algebra of the last two atom sets are kept, so that
+    one ``positivize`` call, which meets the ambient atom set and that of
+    the ordered double, builds and decodes each once."""
+
+    @lru_cache(maxsize=2)
+    def codes(atoms: tuple):
+        check_enum_budget(t.size_estimate(len(atoms)), max_enum,
                           f"{t.name} on an atom set")
+        return t.on_obj(atoms)
 
-    def algebra(b: FinBoolAlg) -> tuple:
-        """``on_obj(b)``, and the codes of its atoms."""
-        check_budget(b)
-        codes = t.on_obj(b.atoms)
-        return FinBoolAlg(atoms=tuple(map(t.decode(b.atoms), codes))), codes
+    @lru_cache(maxsize=2)
+    def algebra(atoms: tuple) -> FinBoolAlg:
+        return FinBoolAlg(atoms=tuple(map(t.decode(atoms), codes(atoms))))
 
     def on_obj(b: FinBoolAlg) -> FinBoolAlg:
-        return algebra(b)[0]
+        return algebra(b.atoms)
 
     def on_mor(h: BAHom) -> BAHom:
-        (src, src_codes), (dst, dst_codes) = algebra(h.source), algebra(h.target)
-        act = t.on_mor(dict(zip(h.target.atoms, (h.source.atoms[s] for s in h.dual))),
-                       h.target.atoms, h.source.atoms)
-        index = {c: k for k, c in enumerate(src_codes)}
-        return BAHom(src, dst, tuple(index[act(c)] for c in dst_codes))
+        src, dst = h.source.atoms, h.target.atoms
+        act = t.on_mor(dict(zip(dst, (src[s] for s in h.dual))), dst, src)
+        index = {c: k for k, c in enumerate(codes(src))}
+        return BAHom(algebra(src), algebra(dst),
+                     tuple(index[act(c)] for c in codes(dst)))
 
     def modal(clause):
         return None if clause is None else (lambda b, x: clause(len(b.atoms), x))
 
     return BAFunctor(f"semantic:{t.name}", on_obj, on_mor,
                      lambda a: up_algebra(closed_form(t, a.spectrum, max_enum).result),
-                     modal(t.diamond), modal(t.box), check_budget)
+                     modal(t.diamond), modal(t.box),
+                     lambda b: len(codes(b.atoms)))
 
 
 def free_l(max_generators: int = DEFAULT_MAX_GENERATORS,
@@ -166,11 +173,14 @@ def positivize(l: BAFunctor, a: FinDistLattice,
     t2 = tensor2(a)
     gh1 = g_of_hom(t2.in1)
     gh2 = g_of_hom(t2.in2)
-    if l.check_budget:
+    if l.count_atoms:
         # the ambient algebra, then the ordered double: the order in which
         # on_obj and on_mor below would refuse them
-        l.check_budget(galg)
-        l.check_budget(gh1.target)
+        atoms = l.count_atoms(galg)
+        l.count_atoms(gh1.target)
+        if gh1 == gh2:
+            # so lh1 == lh2, and the whole ambient carrier is the result
+            check_enum_budget(1 << atoms, max_enum, "boolean algebra carrier")
     lga = l.on_obj(galg)
     lh1 = l.on_mor(gh1)
     lh2 = l.on_mor(gh2)

@@ -281,6 +281,41 @@ class TestCli:
                        f"{2 ** 128} items (budget {2 ** 20})\n")
         assert peak < 2 ** 20
 
+    def test_semantic_nb_on_a_boolean_spectrum_refused_before_the_ambient_is_built(
+            self, tmp_path):
+        """On the 4-antichain spectrum the ordered double collapses, so the
+        lifting is the whole ambient algebra on the 65,536 neighbourhood
+        families: 2^65536 elements, refused before any family label or
+        comparison hom is built."""
+        lattice = tmp_path / "antichain4.json"
+        lattice.write_text(json.dumps({"type": "dl", "spectrum": {
+            "elements": ["a", "b", "c", "d"]}}))
+        tracemalloc.start()
+        try:
+            rc, out, err = run_main("positivize", "--syntax", "semantic:nb",
+                                    "--lattice", str(lattice))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, out) == (2, "")
+        assert err == ("budget refused: boolean algebra carrier would enumerate "
+                       f"2^65536 items (budget {2 ** 20})\n")
+        assert peak < 2 ** 20
+
+    def test_semantic_nb_on_a_non_boolean_spectrum_refused_at_the_inserter(self, tmp_path):
+        """On the spectrum a<b, c the ambient algebra (the 256 families of
+        the 3 spectrum elements as atoms) and the ordered double (4
+        comparable pairs) both fit the budget; the sweep over the 2^256
+        candidate members does not, and says so."""
+        lattice = tmp_path / "vee3.json"
+        lattice.write_text(json.dumps({"type": "dl", "spectrum": {
+            "elements": ["a", "b", "c"], "leq": [["a", "b"]]}}))
+        rc, out, err = run_main("positivize", "--syntax", "semantic:nb",
+                                "--lattice", str(lattice))
+        assert (rc, out) == (2, "")
+        assert err == (f"budget refused: inserter sweep would enumerate {2 ** 256} "
+                       f"items (budget {2 ** 20})\n")
+
     def test_posetify_dot_export(self, files, tmp_path):
         out = tmp_path / "out.dot"
         r = run_cli("posetify", "--functor", "pow",

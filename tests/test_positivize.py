@@ -1,5 +1,7 @@
 """Syntax liftings to distributive lattices and their closed forms."""
 
+import dataclasses
+
 import pytest
 
 from poslog.algebra import (FinBoolAlg, LatticeHom, boolean_as_lattice,
@@ -46,6 +48,21 @@ class TestSemanticFunctor:
             rhs_f, rhs_g = l.on_mor(f), l.on_mor(g)
             for e in l.on_obj(b).carrier():
                 assert lhs.apply(e) == rhs_g.apply(rhs_f.apply(e))
+
+
+    def test_each_atom_set_is_decoded_once_per_call(self):
+        """One lifting meets the ambient atom set (2 spectrum elements) and
+        that of the ordered double (3 comparable pairs), each decoded
+        once."""
+        t = mnb_functor()
+        seen = []
+
+        def decode(atoms, decode=t.decode):
+            seen.append(len(atoms))
+            return decode(atoms)
+
+        positivize(semantic_l(dataclasses.replace(t, decode=decode)), three_chain())
+        assert seen == [2, 3]
 
 
 class TestPositivize:

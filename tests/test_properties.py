@@ -11,6 +11,7 @@ from poslog.algebra import lattice_isomorphic, prime_filter_poset, up_algebra
 from poslog.errors import BudgetExceeded
 from poslog.functors import (carrier_labels, multiset_functor, poly_functor,
                              pow_functor, powerset)
+from poslog.io import format_label, render_poset
 from poslog.order import (FinPoset, Preorder, bits, down_closure, poset_isomorphism,
                           poset_quotient, transitive_closure, up_closure)
 from poslog.posetify import cross_check, egli_milner_leq, posetify_powerset
@@ -132,6 +133,18 @@ def test_multiset_step_relation_matches_the_label_formula(drawn):
                     all((v, w) in leq for v, w in zip(xa, perm))
                     for perm in permutations(xb)):
                 want.add((i, j))
+    assert r.rel == want
+
+
+@checked
+@given(posets(max_size=4))
+def test_polynomial_step_relation_matches_the_label_formula(drawn):
+    x, leq = drawn
+    t = poly_functor([("f", 2, ("k",)), ("g", 1, ("u", "v")), ("c", 0, ("w",)),
+                      ("h", 3, ("z",))])
+    r = t.step_relation(x)
+    want = {(i, j) for i, a in enumerate(r.carrier) for j, b in enumerate(r.carrier)
+            if a[:2] == b[:2] and all((v, w) in leq for v, w in zip(a[2], b[2]))}
     assert r.rel == want
 
 
@@ -304,3 +317,44 @@ def test_positive_semantics_delta_refused_on_five_states(model, formula):
     interpret_positive(c, valuation, formula, "direct")
     with pytest.raises(BudgetExceeded, match="would enumerate 4294967296 items"):
         interpret_positive(c, valuation, formula, "delta")
+
+
+# 1, 1.0 and True are equal but print apart, so a memo keyed by value
+# would give one of them the text of another.
+SCALARS = st.sampled_from(["a", "b", "ab", "", 0, 1, 1.0, True, False, None])
+
+
+def nested(children):
+    return st.frozensets(children, max_size=3) | st.lists(children, max_size=3).map(tuple)
+
+
+@st.composite
+def labelled_posets(draw, max_size=6):
+    """A poset whose labels nest frozensets and tuples around scalars and
+    around members drawn from a pool, so that several labels hold the
+    same member object."""
+    pool = draw(st.lists(st.recursive(SCALARS, nested, max_leaves=4),
+                         min_size=1, max_size=5))
+    label = st.recursive(st.sampled_from(pool) | SCALARS, nested, max_leaves=6)
+    n = draw(st.integers(0, max_size))
+    labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    candidates = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
+    return FinPoset.from_pairs(labels, [(labels[i], labels[j]) for i, j in chosen],
+                               complete=True)
+
+
+@checked
+@given(labelled_posets())
+def test_the_renderer_formats_each_element_and_cover_in_order(x):
+    names, covers = render_poset(x)
+    assert names == [format_label(e) for e in x.elements]
+    assert covers == [[format_label(a), format_label(b)] for a, b in x.covers()]
+
+
+def test_the_renderer_keeps_equal_members_of_other_types_apart():
+    one = frozenset({1})
+    x = FinPoset.chain([(one, "x"), (frozenset({True}), one), (1.0, (1,))])
+    assert render_poset(x) == (["({1},x)", "({True},{1})", "(1.0,(1))"],
+                               [["({1},x)", "({True},{1})"],
+                                ["({True},{1})", "(1.0,(1))"]])
