@@ -238,7 +238,7 @@ def free_ba(gens: tuple,
     if len(gens) > max_generators:
         raise BudgetExceeded(
             f"free boolean algebra on {len(gens)} generators "
-            f"(budget {max_generators})")
+            f"(budget {max_generators})", flag="--max-generators")
     return FinBoolAlg(atoms=powerset(gens))
 
 

@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -184,7 +185,12 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: parsing leaves it unchanged and returns a fresh namespace,
+    and argparse looks up ``sys.stdout`` and ``sys.stderr`` only when it
+    prints."""
     parser = argparse.ArgumentParser(
         prog="poslog",
         description="order liftings, negation-free syntax liftings, and "
@@ -256,7 +262,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except BudgetExceeded as exc:
-        print(f"budget refused: {exc}", file=sys.stderr)
+        print(f"budget refused: {exc}; raise it with {exc.flag}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"malformed input: {exc}", file=sys.stderr)

@@ -15,7 +15,12 @@ class InputError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """An enumeration would exceed the configured budget."""
+    """An enumeration would exceed the configured budget; ``flag`` is the
+    command-line option that raises it."""
+
+    def __init__(self, message: str, flag: str = "--max-enum"):
+        super().__init__(message)
+        self.flag = flag
 
 
 def _count(size: int) -> str:

@@ -123,8 +123,9 @@ class TestFreeBA:
         assert free_ba(("x", "y")[:n]).size() == size
 
     def test_budget_refusal(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as refused:
             free_ba(tuple(range(9)), max_generators=8)
+        assert refused.value.flag == "--max-generators"
 
     def test_generator_embedding(self):
         fb = free_ba(("g", "h"))

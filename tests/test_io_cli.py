@@ -17,7 +17,7 @@ from poslog.io import (format_label, lattice_dot, load_coalgebra,
                        load_lattice, load_poset, load_valuation, poset_dot,
                        poset_to_dict)
 from poslog.algebra import up_algebra
-from poslog.cli import main
+from poslog.cli import build_parser, main
 from poslog.order import FinPoset
 from poslog.positivize import SYNTAXES
 from poslog.semantics import MAX_FORMULA_DEPTH
@@ -257,7 +257,8 @@ class TestCli:
         path.write_text(json.dumps(lattice))
         rc, out, err = run_main(*argv, str(path))
         assert (rc, out) == (2, "")
-        assert err == f"budget refused: {refused} (budget {2 ** 20})\n"
+        assert err == (f"budget refused: {refused} (budget {2 ** 20}); "
+                       "raise it with --max-enum\n")
 
     def test_semantic_nb_refused_at_the_ordered_double_before_the_ambient_is_built(
             self, tmp_path):
@@ -278,7 +279,7 @@ class TestCli:
             tracemalloc.stop()
         assert (rc, out) == (2, "")
         assert err == ("budget refused: nb on an atom set would enumerate "
-                       f"{2 ** 128} items (budget {2 ** 20})\n")
+                       f"{2 ** 128} items (budget {2 ** 20}); raise it with --max-enum\n")
         assert peak < 2 ** 20
 
     def test_semantic_nb_on_a_boolean_spectrum_refused_before_the_ambient_is_built(
@@ -299,7 +300,7 @@ class TestCli:
             tracemalloc.stop()
         assert (rc, out) == (2, "")
         assert err == ("budget refused: boolean algebra carrier would enumerate "
-                       f"2^65536 items (budget {2 ** 20})\n")
+                       f"2^65536 items (budget {2 ** 20}); raise it with --max-enum\n")
         assert peak < 2 ** 20
 
     def test_semantic_nb_on_a_non_boolean_spectrum_refused_at_the_inserter(self, tmp_path):
@@ -314,7 +315,7 @@ class TestCli:
                                 "--lattice", str(lattice))
         assert (rc, out) == (2, "")
         assert err == (f"budget refused: inserter sweep would enumerate {2 ** 256} "
-                       f"items (budget {2 ** 20})\n")
+                       f"items (budget {2 ** 20}); raise it with --max-enum\n")
 
     def test_posetify_dot_export(self, files, tmp_path):
         out = tmp_path / "out.dot"
@@ -357,6 +358,45 @@ class TestCli:
         rc, out, err = run_main(*argv, flag, value)
         assert rc == 3 and out == ""
         assert f"argument {flag}: must be positive" in err
+
+    def test_a_refusal_names_the_flag_that_raises_its_cap(self, files):
+        rc, out, err = run_main("posetify", "--functor", "pow", "--max-enum", "3",
+                                "--poset", str(files / "chain2.json"))
+        assert (rc, out) == (2, "")
+        assert err == ("budget refused: pow cross-check comparison would enumerate "
+                       "16 items (budget 3); raise it with --max-enum\n")
+        rc, out, err = run_main("positivize", "--syntax", "free", "--max-generators", "2",
+                                "--lattice", str(files / "threechain.json"))
+        assert (rc, out) == (2, "")
+        assert err == ("budget refused: free boolean algebra on 4 generators "
+                       "(budget 2); raise it with --max-generators\n")
+
+    def test_main_builds_its_parser_once_and_answers_alike_every_call(self, files):
+        """``main`` may be called many times in one process: the parser is
+        built on the first call only, and a second round of the same calls
+        (every verb, an unknown flag, a budget of zero and ``--help``)
+        answers exactly as the first did."""
+        chain2 = str(files / "chain2.json")
+        calls = [
+            ("posetify", "--functor", "pow", "--poset", chain2),
+            ("positivize", "--syntax", "dunn", "--lattice", str(files / "threechain.json")),
+            ("dualize", "--poset", chain2),
+            ("interpret", "--coalgebra", str(files / "kripke.json"),
+             "--valuation", str(files / "val.json"), "--formula", "(dia p)"),
+            ("verify", "--suite", "order"),
+            ("posetify", "--functor", "pow", "--poset", chain2, "--frob"),
+            ("posetify", "--functor", "pow", "--poset", chain2, "--max-enum", "0"),
+            ("--help",),
+        ]
+        build_parser.cache_clear()
+        first, second = ([run_main(*argv) for argv in calls] for _ in range(2))
+        assert build_parser.cache_info().misses == 1
+        assert second == first
+        assert [rc for rc, _, _ in first] == [0, 0, 0, 0, 0, 3, 3, 0]
+        (_, _, unknown), (_, _, zero), (_, usage, _) = first[5:]
+        assert "unrecognized arguments: --frob" in unknown
+        assert "argument --max-enum: must be positive" in zero
+        assert usage.startswith("usage: poslog")
 
     def test_positivize_free(self, files):
         r = run_cli("positivize", "--syntax", "free",

@@ -7,13 +7,15 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from poslog.algebra import lattice_isomorphic, prime_filter_poset, up_algebra
+from poslog.algebra import (BAHom, FinBoolAlg, ba_inserter, lattice_from_elements,
+                            lattice_isomorphic, prime_filter_poset, up_algebra)
 from poslog.errors import BudgetExceeded
 from poslog.functors import (carrier_labels, multiset_functor, poly_functor,
                              pow_functor, powerset)
 from poslog.io import format_label, render_poset
-from poslog.order import (FinPoset, Preorder, bits, down_closure, poset_isomorphism,
-                          poset_quotient, transitive_closure, up_closure)
+from poslog.order import (FinPoset, Preorder, _close_rows, bits, down_closure,
+                          poset_isomorphism, poset_quotient, transitive_closure,
+                          up_closure)
 from poslog.posetify import cross_check, egli_milner_leq, posetify_powerset
 from poslog.semantics import (BOT, TOP, Coalgebra, box, conj, dia, disj,
                               interpret_positive, var)
@@ -358,3 +360,34 @@ def test_the_renderer_keeps_equal_members_of_other_types_apart():
     assert render_poset(x) == (["({1},x)", "({True},{1})", "(1.0,(1))"],
                                [["({1},x)", "({True},{1})"],
                                 ["({True},{1})", "(1.0,(1))"]])
+
+
+@st.composite
+def hom_pairs(draw):
+    """Two homs ``h1, h2: B -> C`` with a common source of 1 to 10 atoms
+    and a common target of up to 6: random dual maps from the target atoms
+    to the source atoms."""
+    n, m = draw(st.integers(1, 10)), draw(st.integers(0, 6))
+    source, target = FinBoolAlg(tuple(range(n))), FinBoolAlg(tuple(range(m)))
+    duals = st.lists(st.integers(0, n - 1), min_size=m, max_size=m).map(tuple)
+    return BAHom(source, target, draw(duals)), BAHom(source, target, draw(duals))
+
+
+@checked
+@given(hom_pairs())
+def test_the_inserter_is_the_upsets_of_the_preorder_of_the_dual_edges(homs):
+    """``h1(b) <= h2(b)`` iff ``dual1[k] in b`` implies ``dual2[k] in b``
+    for every target atom ``k``: the members are the up-sets of the
+    preorder that the edges ``dual1[k] -> dual2[k]`` generate, and their
+    join-irreducibles are its principal up-sets, the closed rows."""
+    h1, h2 = homs
+    n = len(h1.source.atoms)
+    rows = [1 << i for i in range(n)]
+    for s1, s2 in zip(h1.dual, h2.dual):
+        rows[s1] |= 1 << s2
+    rows = _close_rows(rows)
+    upsets = [b for b in range(1 << n) if all(not rows[i] & ~b for i in bits(b))]
+    members = ba_inserter(h1, h2)
+    assert members == upsets
+    irreducibles = lattice_from_elements(members).lattice.spectrum.elements
+    assert irreducibles == tuple(sorted(set(rows)))
