@@ -238,7 +238,8 @@ def free_ba(gens: tuple,
     if len(gens) > max_generators:
         raise BudgetExceeded(
             f"free boolean algebra on {len(gens)} generators "
-            f"(budget {max_generators})", flag="--max-generators")
+            f"(budget {max_generators})", stage="free boolean algebra",
+            requested=len(gens), cap=max_generators, flag="--max-generators")
     return FinBoolAlg(atoms=powerset(gens))
 
 

@@ -15,12 +15,16 @@ class InputError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """An enumeration would exceed the configured budget; ``flag`` is the
-    command-line option that raises it."""
+    """An enumeration would exceed the configured budget.
 
-    def __init__(self, message: str, flag: str = "--max-enum"):
+    ``stage`` names what would be enumerated, ``requested`` is its size,
+    ``cap`` the budget it exceeds and ``flag`` the command-line option that
+    raises the cap."""
+
+    def __init__(self, message: str, *, stage: str, requested: int, cap: int,
+                 flag: str = "--max-enum"):
         super().__init__(message)
-        self.flag = flag
+        self.stage, self.requested, self.cap, self.flag = stage, requested, cap, flag
 
 
 def _count(size: int) -> str:
@@ -36,5 +40,5 @@ def _count(size: int) -> str:
 def check_enum_budget(size: int, max_enum: int, what: str) -> None:
     if size > max_enum:
         raise BudgetExceeded(
-            f"{what} would enumerate {_count(size)} items (budget {max_enum})"
-        )
+            f"{what} would enumerate {_count(size)} items (budget {max_enum})",
+            stage=what, requested=size, cap=max_enum)

@@ -8,9 +8,10 @@ on the comparable-pair set would bust the budget) and modal clauses.
 
 An element of ``T(X)`` is a *code*: for ``pow`` the mask of a subset (bit
 ``j`` for ``X[j]``), for ``nb`` and ``mnb`` a mask over subset masks, for
-``bag`` and ``poly`` a tuple.  ``on_obj`` returns the codes (a ``range``
-where they are dense), ``on_mor`` maps codes to codes, and ``decode(X)``
-maps a code to its label, built only where labels are shown or compared.
+``bag`` the sorted tuple of its element indices, and for ``poly`` its
+position in the carrier.  ``on_obj`` returns the codes (a ``range`` where
+they are dense), ``on_mor`` maps codes to codes, and ``decode(X)`` maps a
+code to its label, built only where labels are shown or compared.
 """
 
 from __future__ import annotations
@@ -77,11 +78,17 @@ def carrier_labels(t: SetFunctor, s: tuple) -> tuple:
     return tuple(map(t.decode(s), t.on_obj(s)))
 
 
+def _index_map(f: Mapping, src: tuple, dst: tuple) -> list:
+    """Entry ``j``: the index in ``dst`` of the image under ``f`` of
+    ``src[j]``."""
+    pos = {v: i for i, v in enumerate(dst)}
+    return [pos[f[v]] for v in src]
+
+
 def _images(f: Mapping, src: tuple, dst: tuple) -> list:
     """Entry ``k``: the mask over ``dst`` of the image under ``f`` of the
     subset of mask ``k`` of ``src``."""
-    pos = {v: i for i, v in enumerate(dst)}
-    return unions([1 << pos[f[v]] for v in src])
+    return unions([1 << i for i in _index_map(f, src, dst)])
 
 
 def _family_decode(s: tuple) -> Callable:
@@ -127,10 +134,10 @@ def _nb_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
     """A family goes to the subsets of ``dst`` whose preimage it holds: an
     OR-linear map, tabulated by doubling from the images ``g[k]`` of the
     one-member families (the subsets whose preimage has mask ``k``)."""
-    pos = {v: i for i, v in enumerate(dst)}
+    image = _index_map(f, src, dst)
     g = [0] * (1 << len(src))
     for u in range(1 << len(dst)):
-        g[sum(1 << j for j, v in enumerate(src) if u >> pos[f[v]] & 1)] |= 1 << u
+        g[sum(1 << j for j, i in enumerate(image) if u >> i & 1)] |= 1 << u
     return unions(g).__getitem__
 
 
@@ -234,25 +241,20 @@ def mnb_functor() -> SetFunctor:
 
 def _mset_obj(d: int):
     def obj(s: tuple) -> tuple:
-        return tuple(tuple((s[i], len(list(run))) for i, run in groupby(combo))
-                     for k in range(d + 1)
+        return tuple(combo for k in range(d + 1)
                      for combo in combinations_with_replacement(range(len(s)), k))
 
     return obj
 
 
+def _mset_decode(s: tuple) -> Callable:
+    """A multiset as its ``(label, multiplicity)`` pairs, in element order."""
+    return lambda code: tuple((s[i], len(list(run))) for i, run in groupby(code))
+
+
 def _mset_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
-    pos = {v: k for k, v in enumerate(dst)}
-    image = {v: pos[f[v]] for v in src}  # source label -> target index
-
-    def act(m: tuple) -> tuple:
-        counts = {}
-        for label, c in m:
-            k = image[label]
-            counts[k] = counts.get(k, 0) + c
-        return tuple((dst[k], c) for k, c in sorted(counts.items()))
-
-    return act
+    image = _index_map(f, src, dst)
+    return lambda code: tuple(sorted(map(image.__getitem__, code)))
 
 
 def _mset_step(d: int):
@@ -263,15 +265,12 @@ def _mset_step(d: int):
         multiplicity, one element of its up-set."""
         carrier = _mset_obj(d)(x.elements)
         check_enum_budget(len(carrier) ** 2, max_enum, "multiset order lifting")
-        # each multiset as the sorted tuple of its element indices
-        flat = [tuple(x.index(label) for label, c in m for _ in range(c))
-                for m in carrier]
-        position = {f: k for k, f in enumerate(flat)}
+        position = {c: k for k, c in enumerate(carrier)}
         ups = [tuple(bits(m)) for m in x.upmask]
         succ = []
-        for f in flat:
+        for c in carrier:
             row = 0
-            for above in product(*(ups[v] for v in f)):
+            for above in product(*(ups[v] for v in c)):
                 row |= 1 << position[tuple(sorted(above))]
             succ.append(row)
         return Preorder(carrier, tuple(succ))
@@ -291,21 +290,45 @@ def multiset_functor(degree: int = 3) -> SetFunctor:
     return SetFunctor(
         f"bag:{degree}", _mset_obj(degree), _mset_mor,
         lambda n: math.comb(n + degree, degree),
-        _mset_step(degree))
+        _mset_step(degree), decode=_mset_decode)
 
 
 # ------------------------------------------------------------ polynomial
 
+def _poly_size(signature: tuple, n: int) -> int:
+    return sum(len(coeffs) * n ** arity for _, arity, coeffs in signature)
+
+
 def _poly_obj(signature: tuple):
-    def obj(s: tuple) -> tuple:
-        return tuple((name, coeff, args) for name, arity, coeffs in signature
-                     for coeff in coeffs for args in product(s, repeat=arity))
+    """The codes ``0 .. |T(s)|-1``: a block per symbol, a sub-block per
+    coefficient, and within it the argument indices as the digits, base
+    ``|s|``, of the offset (the first argument most significant)."""
+    return lambda s: range(_poly_size(signature, len(s)))
 
-    return obj
+
+def _poly_decode(signature: tuple):
+    """Decoding tabulates the labels ``(name, coeff, args)`` in carrier order."""
+    return lambda s: tuple((name, coeff, args) for name, arity, coeffs in signature
+                           for coeff in coeffs
+                           for args in product(s, repeat=arity)).__getitem__
 
 
-def _poly_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
-    return lambda e: (e[0], e[1], tuple(f[v] for v in e[2]))
+def _poly_mor(signature: tuple):
+    def mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
+        """Tabulated: each argument digit is replaced by the index of its
+        image, and the symbol and coefficient are kept."""
+        image = _index_map(f, src, dst)
+        table, offset = [], 0
+        for _, arity, coeffs in signature:
+            args = [0]  # the images of the argument tuples, in product order
+            for _ in range(arity):
+                args = [a * len(dst) + w for a in args for w in image]
+            for _ in coeffs:
+                table += [offset + a for a in args]
+                offset += len(dst) ** arity
+        return table.__getitem__
+
+    return mor
 
 
 def _block_rows(ups: tuple, arity: int) -> list:
@@ -358,12 +381,10 @@ def poly_functor(signature) -> SetFunctor:
             raise InputError(f"symbol {name!r} appears twice in the signature")
         seen.add(name)
 
-    def estimate(n: int) -> int:
-        return sum(len(coeffs) * n ** arity for _, arity, coeffs in sig)
-
     fmt = ",".join(f"{name}:{arity}:{len(coeffs)}" for name, arity, coeffs in sig)
-    return SetFunctor(f"poly:sigma={fmt}", _poly_obj(sig), _poly_mor,
-                      estimate, _poly_step(sig))
+    return SetFunctor(f"poly:sigma={fmt}", _poly_obj(sig), _poly_mor(sig),
+                      lambda n: _poly_size(sig, n), _poly_step(sig),
+                      decode=_poly_decode(sig))
 
 
 # ------------------------------------------------------------ dispatching
@@ -451,7 +472,9 @@ def lift_relation_generic(t: SetFunctor, x: FinPoset,
     if t.step_relation is None:
         raise BudgetExceeded(
             f"{t.name} on {len(xsq)} comparable pairs exceeds the budget "
-            f"and no closed-form lifting is available")
+            f"and no closed-form lifting is available",
+            stage=f"{t.name} on the comparable pairs",
+            requested=t.size_estimate(len(xsq)), cap=max_enum)
     r = t.step_relation(x, max_enum)
     if r.carrier != t.on_obj(x.elements):
         raise AssertionError(f"{t.name}: closed-form lifting disagrees on carrier")

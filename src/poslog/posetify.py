@@ -11,7 +11,8 @@ two routes agree via an isomorphism that commutes with the projection maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 from typing import Callable, Sequence
 
 from .errors import DEFAULT_MAX_ENUM, InputError, check_enum_budget
@@ -137,6 +138,13 @@ def posetify_mnb(x: FinPoset,
     member of the first family refines upward to one of the second, every
     member of the second refines downward to one of the first.
 
+    Computed a row at a time on family masks.  ``col[s]`` holds the
+    families ``G`` with a member ``b`` such that ``up(b) <= up(s)``, and
+    ``has[d]`` those that hold the subset ``d``.  The row of ``F`` is the
+    AND of ``col[s]`` over its members ``s``, less every family that holds
+    a subset ``d`` outside ``Psi(F)``, the subsets ``d`` with
+    ``down(a) <= down(d)`` for some member ``a`` of ``F``.
+
     No transitive closure step: the comparison formula is transitive as
     given (asserted).  Class representatives are by least index; the
     canonical-form recipe that closes each family downward merges classes
@@ -148,13 +156,22 @@ def posetify_mnb(x: FinPoset,
                       "up-closed family comparison")
     fams = t.on_obj(x.elements)
     up, down = subset_closures(x)
-    ups = [[up[a] for a in bits(fam)] for fam in fams]
-    downs = [[down[a] for a in bits(fam)] for fam in fams]
-    succ = tuple(sum(1 << j for j in range(len(fams))
-                     if all(any(not ub & ~ua for ub in ups[j]) for ua in ups[i]) and
-                     all(any(not da & ~db for da in downs[i]) for db in downs[j]))
-                 for i in range(len(fams)))
-    pre = Preorder(fams, succ)
+    subsets = range(len(up))
+    has = [0] * len(up)
+    for k, fam in enumerate(fams):
+        for d in bits(fam):
+            has[d] |= 1 << k
+    col = [reduce(or_, (has[b] for b in subsets if not up[b] & ~up[s]), 0)
+           for s in subsets]
+    psi = [sum(1 << d for d in subsets if not down[a] & ~down[d]) for a in subsets]
+    every_family, every_subset = (1 << len(fams)) - 1, (1 << len(up)) - 1
+    succ = []
+    for fam in fams:
+        members = bits(fam)
+        outside = every_subset & ~reduce(or_, map(psi.__getitem__, members), 0)
+        succ.append(reduce(and_, map(col.__getitem__, members), every_family)
+                    & ~reduce(or_, map(has.__getitem__, bits(outside)), 0))
+    pre = Preorder(fams, tuple(succ))
     if not pre.is_transitive():
         raise AssertionError("family comparison should be transitive as given")
     poset, projection = poset_quotient(pre)
@@ -196,10 +213,12 @@ def posetify_analytic(t: SetFunctor, x: FinPoset,
     if t.step_relation is None:
         raise InputError(f"{t.name} has no closed-form lifting")
     r = t.step_relation(x, max_enum)
-    if not r.is_transitive() or not r.is_antisymmetric():
+    try:  # the poset checks the axioms
+        order = FinPoset(r.carrier, r.succ)
+    except InputError as exc:
         raise AssertionError(
-            f"{t.name}: lifted relation is not already a partial order")
-    return Posetification(FinPoset(r.carrier, r.succ), tuple(range(len(r.carrier))),
+            f"{t.name}: lifted relation is not already a partial order") from exc
+    return Posetification(order, tuple(range(len(r.carrier))),
                           r.carrier, r, t.decode(x.elements))
 
 
@@ -243,11 +262,10 @@ def cross_check(t: SetFunctor, x: FinPoset,
     if len(set(phi)) != len(phi) or len(phi) != len(clo.order):
         return CrossCheck(False, "class counts differ", gen, clo)
     g, c = gen.order, clo.order
+    identity = phi == list(range(len(phi)))
     for i, row in enumerate(g.upmask):
         want = c.upmask[phi[i]]
-        image = 0
-        for j in bits(row):
-            image |= 1 << phi[j]
+        image = row if identity else sum(1 << phi[j] for j in bits(row))
         if image != want:
             j = next(j for j in range(len(phi))
                      if (row >> j & 1) != (want >> phi[j] & 1))

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from poslog.errors import BudgetExceeded, InputError
-from poslog.functors import (DEDEKIND, _mnb_obj, carrier_labels, lift_relation_generic,
-                             mnb_functor,
+from poslog.algebra import free_ba
+from poslog.errors import DEFAULT_MAX_ENUM, BudgetExceeded, InputError
+from poslog.functors import (DEDEKIND, _mnb_obj, apply_obj, carrier_labels,
+                             lift_relation_generic, mnb_functor,
                              multiset_functor, nb_functor, parse_functor,
                              poly_functor, pow_functor, powerset)
 from poslog.order import FinPoset, transitive_closure
@@ -113,8 +114,9 @@ class TestMorphismMaps:
         t = multiset_functor(3)
         xs, ys = ("a", "b", "c"), ("x",)
         act = t.on_mor({v: "x" for v in xs}, xs, ys)
+        label, label_ys = t.decode(xs), t.decode(ys)
         for e in t.on_obj(xs):
-            assert sum(c for _, c in act(e)) == sum(c for _, c in e)
+            assert sum(c for _, c in label_ys(act(e))) == sum(c for _, c in label(e))
 
 
 class TestLifting:
@@ -173,6 +175,26 @@ class TestLifting:
         r = lift_relation_generic(t, chain3)
         assert len(r.carrier) == DEDEKIND[3]
         assert transitive_closure(r).carrier == r.carrier
+
+
+@pytest.mark.parametrize("refuse, stage, requested, cap, flag, message", [
+    (lambda: apply_obj(nb_functor(), tuple("abcde")), "nb on a set", 1 << 32,
+     DEFAULT_MAX_ENUM, "--max-enum",
+     "nb on a set would enumerate 4294967296 items (budget 1048576)"),
+    (lambda: free_ba(tuple("abc"), max_generators=2), "free boolean algebra", 3, 2,
+     "--max-generators", "free boolean algebra on 3 generators (budget 2)"),
+    (lambda: lift_relation_generic(nb_functor(), FinPoset.chain("pq"), max_enum=100),
+     "nb on the comparable pairs", 256, 100, "--max-enum",
+     "nb on 3 comparable pairs exceeds the budget and no closed-form lifting "
+     "is available"),
+], ids=["check_enum_budget", "free_ba", "lift_relation_generic"])
+def test_a_refusal_carries_its_stage_size_and_cap(refuse, stage, requested, cap, flag,
+                                                  message):
+    with pytest.raises(BudgetExceeded) as refused:
+        refuse()
+    exc = refused.value
+    assert (exc.stage, exc.requested, exc.cap, exc.flag, str(exc)) == \
+        (stage, requested, cap, flag, message)
 
 
 class TestDelegation:

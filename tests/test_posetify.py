@@ -8,7 +8,7 @@ from poslog.errors import BudgetExceeded
 from poslog.functors import (_mnb_obj, carrier_labels, lift_relation_generic,
                              mnb_functor, multiset_functor, nb_functor,
                              poly_functor, pow_functor, powerset)
-from poslog.order import FinPoset, cotensor2, transitive_closure
+from poslog.order import FinPoset, Preorder, cotensor2, transitive_closure
 from poslog.posetify import (closed_form, convex_closure, cross_check,
                              egli_milner_leq, posetify_generic, posetify_mnb,
                              posetify_nb, posetify_powerset)
@@ -189,6 +189,23 @@ class TestCrossCheck:
         first = next((a, b) for a in gen.elements for b in gen.elements
                      if gen.leq(a, b) != flat.result.leq(phi[a], phi[b]))
         assert not r.ok and r.detail == f"order differs at {first!r}"
+
+    def test_reports_where_the_orders_differ_when_both_are_on_the_carrier(self):
+        """The analytic closed form keeps every element of the carrier, so
+        the class map between the routes is the identity."""
+        t = multiset_functor(3)
+        real = closed_form(t, chain("p", "q"))
+        flat = dataclasses.replace(real, order=FinPoset.discrete(real.order.elements))
+        r = cross_check(dataclasses.replace(t, closed_form=lambda t, x, max_enum: flat),
+                        chain("p", "q"))
+        assert not r.ok and r.detail == "order differs at ((('p', 1),), (('q', 1),))"
+
+    def test_analytic_closed_form_asserts_a_partial_order(self):
+        t = multiset_functor(2)
+        full = lambda x, max_enum: Preorder(t.on_obj(x.elements), (0b111,) * 3)
+        with pytest.raises(AssertionError, match="^bag:2: lifted relation is not "
+                           "already a partial order$"):
+            closed_form(dataclasses.replace(t, step_relation=full), chain("p"))
 
     def test_reports_projections_that_split_a_class(self):
         x = chain("p", "q", "r")

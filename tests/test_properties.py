@@ -2,7 +2,8 @@
 computation against its definition, written out here on labels and on
 sets of pairs."""
 
-from itertools import combinations, permutations
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,13 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 from poslog.algebra import (BAHom, FinBoolAlg, ba_inserter, lattice_from_elements,
                             lattice_isomorphic, prime_filter_poset, up_algebra)
 from poslog.errors import BudgetExceeded
-from poslog.functors import (carrier_labels, multiset_functor, poly_functor,
+from poslog.functors import (_mnb_obj, carrier_labels, multiset_functor, poly_functor,
                              pow_functor, powerset)
 from poslog.io import format_label, render_poset
 from poslog.order import (FinPoset, Preorder, _close_rows, bits, down_closure,
-                          poset_isomorphism, poset_quotient, transitive_closure,
-                          up_closure)
-from poslog.posetify import cross_check, egli_milner_leq, posetify_powerset
+                          enumerate_poset_types, poset_isomorphism, poset_quotient,
+                          transitive_closure, up_closure)
+from poslog.posetify import (cross_check, egli_milner_leq, posetify_mnb,
+                             posetify_powerset)
 from poslog.semantics import (BOT, TOP, Coalgebra, box, conj, dia, disj,
                               interpret_positive, var)
 from poslog.verify import iso_representatives
@@ -126,10 +128,12 @@ def test_multiset_step_relation_matches_the_label_formula(drawn):
         return [label for label, c in m for _ in range(c)]
 
     x, leq = drawn
-    r = multiset_functor(2).step_relation(x)
+    t = multiset_functor(2)
+    r = t.step_relation(x)
+    labels = carrier_labels(t, x.elements)
     want = set()
-    for i, a in enumerate(r.carrier):
-        for j, b in enumerate(r.carrier):
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
             xa, xb = expand(a), expand(b)
             if len(xa) == len(xb) and any(
                     all((v, w) in leq for v, w in zip(xa, perm))
@@ -145,19 +149,120 @@ def test_polynomial_step_relation_matches_the_label_formula(drawn):
     t = poly_functor([("f", 2, ("k",)), ("g", 1, ("u", "v")), ("c", 0, ("w",)),
                       ("h", 3, ("z",))])
     r = t.step_relation(x)
-    want = {(i, j) for i, a in enumerate(r.carrier) for j, b in enumerate(r.carrier)
+    labels = carrier_labels(t, x.elements)
+    want = {(i, j) for i, a in enumerate(labels) for j, b in enumerate(labels)
             if a[:2] == b[:2] and all((v, w) in leq for v, w in zip(a[2], b[2]))}
     assert r.rel == want
 
 
-@pytest.mark.parametrize("t", [pow_functor(), multiset_functor(2),
-                               poly_functor([("f", 2, ("k",)), ("c", 0, ("u", "v"))])],
-                         ids=lambda t: t.name)
+@pytest.mark.parametrize("t, max_size", [
+    pytest.param(t, size, id=t.name) for t, size in (
+        (pow_functor(), 4), (multiset_functor(2), 5), (multiset_functor(3), 5),
+        (poly_functor([("f", 2, ("k",)), ("c", 0, ("u", "v"))]), 5))])
 @settings(checked, max_examples=25)
-@given(drawn=posets(max_size=4))
-def test_both_routes_agree(t, drawn):
-    r = cross_check(t, drawn[0])
+@given(data=st.data())
+def test_both_routes_agree(t, max_size, data):
+    r = cross_check(t, data.draw(posets(max_size=max_size))[0])
     assert r.ok, r.detail
+
+
+def family_rows_pairwise(x):
+    """The order on the up-closed families over ``x``, pair by pair: ``F <= G``
+    when every member of ``F`` has a member of ``G`` whose up-closure lies
+    inside its own, and every member of ``G`` has a member of ``F`` whose
+    down-closure lies inside its own."""
+    families = [bits(fam) for fam in _mnb_obj(x.elements)]
+    up = [x.up_of(a) for a in range(1 << len(x))]
+    down = [x.down_of(a) for a in range(1 << len(x))]
+
+    def leq(f, g):
+        return all(any(not up[b] & ~up[a] for b in g) for a in f) and \
+            all(any(not down[a] & ~down[b] for a in f) for b in g)
+
+    return tuple(sum(1 << j for j, g in enumerate(families) if leq(f, g))
+                 for f in families)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_family_rows_match_the_pairwise_comparison_on_every_type(n):
+    for x in enumerate_poset_types(LABELS[:n]):
+        assert posetify_mnb(x).witness.succ == family_rows_pairwise(x)
+
+
+@settings(checked, max_examples=20)
+@given(posets(max_size=4))
+def test_family_rows_match_the_pairwise_comparison(drawn):
+    x, _ = drawn
+    assert posetify_mnb(x).witness.succ == family_rows_pairwise(x)
+
+
+SIGNATURE = (("c", 0, ("u", "v")), ("g", 1, ("k",)), ("f", 2, ("k", "l")),
+             ("h", 3, ("m",)))
+
+
+def bag_labels(d):
+    """The multisets of at most ``d`` members of ``s``, by size, then in
+    lexicographic order of their members' positions, each as its
+    ``(label, count)`` pairs in element order."""
+    return lambda s: tuple(
+        tuple(sorted(Counter(combo).items(), key=lambda kv: s.index(kv[0])))
+        for k in range(d + 1) for combo in combinations_with_replacement(s, k))
+
+
+def bag_image(f, dst, label):
+    counts = Counter()
+    for v, c in label:
+        counts[f[v]] += c
+    return tuple(sorted(counts.items(), key=lambda kv: dst.index(kv[0])))
+
+
+def poly_labels(s):
+    return tuple((name, coeff, args) for name, arity, coeffs in SIGNATURE
+                 for coeff in coeffs for args in product(s, repeat=arity))
+
+
+def poly_image(f, dst, label):
+    name, coeff, args = label
+    return name, coeff, tuple(f[v] for v in args)
+
+
+# each coded functor with its carrier and its action written on labels
+CODED = [*((multiset_functor(d), bag_labels(d), bag_image) for d in (1, 2, 3)),
+         (poly_functor(SIGNATURE), poly_labels, poly_image)]
+
+
+@st.composite
+def maps(draw, count=1):
+    """Sets ``s0, ..., s_count`` of at most 5 labels, and a random map from
+    each to the next, as a dict (a nonempty set maps to a nonempty one)."""
+    sizes = [draw(st.integers(0, 5))]
+    for _ in range(count):
+        sizes.append(draw(st.integers(1 if sizes[-1] else 0, 5)))
+    sets = [tuple(f"{chr(ord('p') + k)}{i}" for i in range(n)) for k, n in enumerate(sizes)]
+    funcs = [{v: draw(st.sampled_from(dst)) for v in src} for src, dst in zip(sets, sets[1:])]
+    return sets, funcs
+
+
+@pytest.mark.parametrize("t, labels, image", [pytest.param(*c, id=c[0].name) for c in CODED])
+@settings(checked, max_examples=30)
+@given(maps())
+def test_coded_functor_decodes_to_the_label_formula(t, labels, image, drawn):
+    (src, dst), (f,) = drawn
+    assert carrier_labels(t, src) == labels(src)
+    assert carrier_labels(t, dst) == labels(dst)
+    act, label, label_dst = t.on_mor(f, src, dst), t.decode(src), t.decode(dst)
+    for code in t.on_obj(src):
+        assert label_dst(act(code)) == image(f, dst, label(code))
+
+
+@pytest.mark.parametrize("t", [t for t, _, _ in CODED], ids=lambda t: t.name)
+@settings(checked, max_examples=30)
+@given(maps(count=2))
+def test_coded_functor_preserves_composition(t, drawn):
+    (xs, ys, zs), (f, g) = drawn
+    gf = t.on_mor({v: g[f[v]] for v in xs}, xs, zs)
+    tf, tg = t.on_mor(f, xs, ys), t.on_mor(g, ys, zs)
+    assert [gf(c) for c in t.on_obj(xs)] == [tg(tf(c)) for c in t.on_obj(xs)]
 
 
 @checked
