@@ -19,7 +19,9 @@ class BudgetExceeded(RuntimeError):
 
     ``stage`` names what would be enumerated, ``requested`` is its size,
     ``cap`` the budget it exceeds and ``flag`` the command-line option that
-    raises the cap."""
+    raises the cap.  The sizes of ``nb`` and ``mnb`` on 9 or more points are
+    not computed: ``requested`` is then ``functors.HUGE`` (2^400), which
+    stands for "too large to count", not for the size itself."""
 
     def __init__(self, message: str, *, stage: str, requested: int, cap: int,
                  flag: str = "--max-enum"):

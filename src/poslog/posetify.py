@@ -262,10 +262,11 @@ def cross_check(t: SetFunctor, x: FinPoset,
     if len(set(phi)) != len(phi) or len(phi) != len(clo.order):
         return CrossCheck(False, "class counts differ", gen, clo)
     g, c = gen.order, clo.order
-    identity = phi == list(range(len(phi)))
     for i, row in enumerate(g.upmask):
         want = c.upmask[phi[i]]
-        image = row if identity else sum(1 << phi[j] for j in bits(row))
+        image = 0
+        for j in bits(row):
+            image |= 1 << phi[j]
         if image != want:
             j = next(j for j in range(len(phi))
                      if (row >> j & 1) != (want >> phi[j] & 1))

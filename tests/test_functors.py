@@ -6,7 +6,7 @@ import pytest
 
 from poslog.algebra import free_ba
 from poslog.errors import DEFAULT_MAX_ENUM, BudgetExceeded, InputError
-from poslog.functors import (DEDEKIND, _mnb_obj, apply_obj, carrier_labels,
+from poslog.functors import (DEDEKIND, HUGE, _mnb_obj, apply_obj, carrier_labels,
                              lift_relation_generic, mnb_functor,
                              multiset_functor, nb_functor, parse_functor,
                              poly_functor, pow_functor, powerset)
@@ -187,7 +187,14 @@ class TestLifting:
      "nb on the comparable pairs", 256, 100, "--max-enum",
      "nb on 3 comparable pairs exceeds the budget and no closed-form lifting "
      "is available"),
-], ids=["check_enum_budget", "free_ba", "lift_relation_generic"])
+    # 2^1024 families on the 10 pairs of a 4-chain: past 8 points the size of
+    # nb is not computed, and HUGE stands in for it
+    (lambda: lift_relation_generic(nb_functor(), FinPoset.chain("pqrs")),
+     "nb on the comparable pairs", HUGE, DEFAULT_MAX_ENUM, "--max-enum",
+     "nb on 10 comparable pairs exceeds the budget and no closed-form lifting "
+     "is available"),
+], ids=["check_enum_budget", "free_ba", "lift_relation_generic",
+        "lift_relation_generic_uncounted"])
 def test_a_refusal_carries_its_stage_size_and_cap(refuse, stage, requested, cap, flag,
                                                   message):
     with pytest.raises(BudgetExceeded) as refused:
