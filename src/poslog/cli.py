@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import io as pio
@@ -25,7 +24,7 @@ from .verify import SUITES, run_suite
 
 
 def _emit(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+    print(pio.json_text(data))
 
 
 def _poset_report(p) -> dict:
@@ -45,8 +44,11 @@ def cmd_posetify(args) -> int:
               "method": args.method}
     if args.method == "both":
         result = cross_check(t, poset, args.max_enum)
-        report["generic"] = _poset_report(result.generic.result)
         report["closed"] = _poset_report(result.closed.result)
+        # equal posets print the same: render the closed form's once
+        report["generic"] = report["closed"] \
+            if result.generic.result == result.closed.result \
+            else _poset_report(result.generic.result)
         report["agree"] = result.ok
         report["detail"] = result.detail
         chosen = result.closed

@@ -8,6 +8,7 @@ deterministic byte for byte for a fixed input.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .algebra import FinBoolAlg, FinDistLattice, boolean_as_lattice, up_algebra
@@ -47,11 +48,12 @@ def _name(label, memo: dict) -> str:
     if isinstance(label, frozenset):
         text = memo.get(id(label))
         if text is None:
-            text = memo[id(label)] = \
-                "{" + ",".join(sorted([_name(v, memo) for v in label])) + "}"
+            text = memo[id(label)] = "{" + ",".join(sorted(
+                [v if v.__class__ is str else _name(v, memo) for v in label])) + "}"
         return text
     if isinstance(label, tuple):
-        return "(" + ",".join([_name(v, memo) for v in label]) + ")"
+        return "(" + ",".join(
+            [v if v.__class__ is str else _name(v, memo) for v in label]) + ")"
     return str(label)
 
 
@@ -122,6 +124,46 @@ def load_valuation(data: Any) -> dict:
             raise InputError(f"valuation of {name!r} must be a list")
         out[name] = frozenset(_labels(states, f"states of {name!r}"))
     return out
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, built
+    with the C string escaper and ``str.join``: with ``indent`` set,
+    ``json.dumps`` runs its pure-Python encoder.  Dict keys must be
+    strings; a scalar other than a string, bool, None or int goes to
+    ``json.dumps``.  ``indent`` is the newline and indentation that come
+    before a closing bracket of ``value``.  A value held under several
+    keys of one dict, such as a report shared by two routes, is written
+    once."""
+    if value.__class__ is str:
+        return _quote(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [_quote(v) if v.__class__ is str else json_text(v, inner)
+             for v in value]) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        texts, parts = {}, []  # id of a value -> its text
+        for k in sorted(value):
+            v = value[k]
+            text = texts.get(id(v))
+            if text is None:
+                text = texts[id(v)] = json_text(v, inner)
+            parts.append(_quote(k) + ": " + text)
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 def read_json(path: str) -> Any:

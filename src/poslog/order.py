@@ -14,8 +14,9 @@ quotient and isomorphism search are integer operations on these rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import permutations
+from operator import or_
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from .errors import InputError
@@ -363,8 +364,10 @@ class Preorder:
         return frozenset((i, j) for i, row in enumerate(self.succ) for j in bits(row))
 
     def is_transitive(self) -> bool:
+        """Whether each row holds the rows of its members.  That depends
+        only on the row's value, so each distinct row is checked once."""
         succ = self.succ
-        return all(not succ[j] & ~row for row in succ for j in bits(row))
+        return all(not succ[j] & ~row for row in set(succ) for j in bits(row))
 
     def is_antisymmetric(self) -> bool:
         succ = self.succ
@@ -415,9 +418,20 @@ def cotensor2(x: FinPoset) -> tuple:
     ups = x.upmask
     pairs = [(i, j) for i in range(len(x)) for j in bits(ups[i])]
     labels = tuple((x.elements[i], x.elements[j]) for i, j in pairs)
-    poset = FinPoset(labels, tuple(
-        sum(1 << k for k, (a, b) in enumerate(pairs) if ups[i] >> a & 1 and ups[j] >> b & 1)
-        for i, j in pairs))
+    # column masks: the pairs whose first (second) member is each element
+    cols = ([0] * len(x), [0] * len(x))
+    for k, pair in enumerate(pairs):
+        for side, a in zip(cols, pair):
+            side[a] |= 1 << k
+
+    def spread(side, rows):  # the pairs with that member in each row
+        return [reduce(or_, map(side.__getitem__, bits(row)), 0) for row in rows]
+
+    # (a, b) is above (i, j) iff a is above i and b above j, and dually
+    up1, up2 = (spread(side, ups) for side in cols)
+    down1, down2 = (spread(side, x.downmask) for side in cols)
+    poset = FinPoset._trusted(labels, tuple(up1[i] & up2[j] for i, j in pairs),
+                              tuple(down1[i] & down2[j] for i, j in pairs))
     first = MonotoneMap(poset, x, tuple(i for i, _ in pairs))
     second = MonotoneMap(poset, x, tuple(j for _, j in pairs))
     return poset, first, second

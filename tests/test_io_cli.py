@@ -13,12 +13,14 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from poslog.errors import InputError
-from poslog.io import (format_label, lattice_dot, load_coalgebra,
+from poslog.io import (format_label, json_text, lattice_dot, load_coalgebra,
                        load_lattice, load_poset, load_valuation, poset_dot,
-                       poset_to_dict)
+                       poset_to_dict, render_poset)
 from poslog.algebra import up_algebra
 from poslog.cli import build_parser, main
+from poslog.functors import parse_functor
 from poslog.order import FinPoset
+from poslog.posetify import cross_check
 from poslog.positivize import SYNTAXES
 from poslog.semantics import MAX_FORMULA_DEPTH
 from poslog.verify import SUITES, small_posets
@@ -87,6 +89,28 @@ class TestJson:
             with pytest.raises(InputError):
                 load_coalgebra({"carrier": ["x", "y"],
                                 "structure": {"x": bad, "y": []}})
+
+
+# strings rich in what JSON escapes: quotes, backslashes, control
+# characters, and characters outside ASCII on and off the BMP
+JSON_STRINGS = st.text() | st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€\u2028😀'))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_STRINGS,
+    lambda kids: st.lists(kids) | st.dictionaries(JSON_STRINGS, kids),
+    max_leaves=40)
+
+
+@settings(database=None, deadline=None)
+@given(JSON_VALUES)
+def test_json_text_is_the_text_of_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_text_writes_a_shared_value_as_json_dumps_does():
+    shared = {"covers": [["a", "b"]], "elements": ["a", "b"], "size": 2}
+    value = {"closed": shared, "generic": shared, "nested": {"x": shared},
+             "list": [shared, shared, (1, "é")], "empty": [{}, [], ()]}
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 class TestDot:
@@ -158,6 +182,27 @@ class TestCli:
         assert r.returncode == 0
         report = json.loads(r.stdout)
         assert report["agree"] and report["closed"]["size"] == 4
+
+    def test_posetify_both_prints_each_route_when_they_differ(self, tmp_path):
+        """On the 3-chain the generic route names a class of subsets by
+        its least member, {a,c}, and the closed form by its convex set,
+        {a,b,c}: the two renderings differ and both are printed.  The
+        multiset lifting needs no quotient, so there the routes agree."""
+        poset = tmp_path / "chain3.json"
+        poset.write_text(json.dumps({"elements": ["a", "b", "c"],
+                                     "leq": [["a", "b"], ["b", "c"]]}))
+        x = load_poset(json.loads(poset.read_text()))
+        for functor, same in (("pow", False), ("bag:2", True)):
+            rc, out, _ = run_main("posetify", "--functor", functor,
+                                  "--poset", str(poset), "--method", "both")
+            report = json.loads(out)
+            assert rc == 0 and report["agree"]
+            routes = cross_check(parse_functor(functor), x)
+            for key, route in (("generic", routes.generic), ("closed", routes.closed)):
+                names, covers = render_poset(route.result)
+                assert report[key] == {"size": len(names), "elements": names,
+                                       "covers": covers}
+            assert (report["generic"] == report["closed"]) == same
 
     def test_posetify_deterministic_output(self, files):
         args = ("posetify", "--functor", "mnb",

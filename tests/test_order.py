@@ -162,6 +162,22 @@ class TestCotensor:
             for (c, d) in xsq.elements:
                 assert xsq.leq((a, b), (c, d)) == (p.leq(a, c) and p.leq(b, d))
 
+    def test_column_masks_match_the_pairwise_formula(self):
+        """The row of each pair against the componentwise order written
+        out over all pairs, and its down-sets against those a checked
+        poset derives, on every type of at most four elements."""
+        for n in range(5):
+            for p in enumerate_poset_types(tuple("abcd"[:n])):
+                ups = p.upmask
+                pairs = [(i, j) for i in range(n) for j in bits(ups[i])]
+                want = FinPoset(
+                    tuple((p.elements[i], p.elements[j]) for i, j in pairs),
+                    tuple(sum(1 << k for k, (a, b) in enumerate(pairs)
+                              if ups[i] >> a & 1 and ups[j] >> b & 1)
+                          for i, j in pairs))
+                got = cotensor2(p)[0]
+                assert got == want and got.downmask == want.downmask
+
     def test_projections_and_section(self):
         p = chain("p", "q")
         xsq, p0, p1 = cotensor2(p)

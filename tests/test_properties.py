@@ -301,6 +301,27 @@ def preorder(n, pairs):
     return Preorder(tuple(range(n)), tuple(succ))
 
 
+@st.composite
+def relations_with_repeated_rows(draw, max_size=8, groups=3):
+    """A reflexive relation in which the indices of each of a few groups
+    share one row: the whole group plus random extra indices.  Some are
+    transitive, most are not."""
+    n = draw(st.integers(1, max_size))
+    group = draw(st.lists(st.integers(0, groups - 1), min_size=n, max_size=n))
+    extra = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=groups,
+                          max_size=groups))
+    rows = [extra[g] | sum(1 << i for i in range(n) if group[i] == g) for g in group]
+    return n, frozenset((i, j) for i, row in enumerate(rows) for j in bits(row))
+
+
+@checked
+@given(st.one_of(relations(), relations_with_repeated_rows()))
+def test_transitivity_matches_the_pairwise_formula(drawn):
+    n, pairs = drawn
+    want = all((a, d) in pairs for a, b in pairs for c, d in pairs if b == c)
+    assert preorder(n, pairs).is_transitive() == want
+
+
 @checked
 @given(relations())
 def test_transitive_closure_matches_the_pair_fixpoint(drawn):
