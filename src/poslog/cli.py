@@ -1,19 +1,21 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 verification or cross-check failure (with the
-counterexample printed), 2 enumeration budget refusal, 3 malformed input.
+counterexample printed), 2 enumeration budget refusal, 3 malformed input
+or bad usage.
 All structured output is JSON with sorted keys, so a fixed input yields
 byte-identical output.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
+import contextlib
+import re
 import sys
+from types import SimpleNamespace
 
 from . import io as pio
-from .algebra import prime_filter_poset, up_algebra
+from .algebra import lattice_isomorphic, prime_filter_poset, up_algebra
 from .errors import (BudgetExceeded, DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS,
                      InputError)
 from .functors import parse_functor
@@ -80,7 +82,6 @@ def cmd_positivize(args) -> int:
     }
     if args.check_closed_form:
         want = l.closed_form(lattice)
-        from .algebra import lattice_isomorphic
         agree = lattice_isomorphic(p.result, want) is not None
         report["closed_form_size"] = want.size(args.max_enum)
         report["agree"] = agree
@@ -181,86 +182,167 @@ def _budget(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise ValueError(f"invalid int value: {text!r}") from None
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+        raise ValueError(f"must be positive, not {value}")
     return value
 
 
-@functools.lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared by every
-    later one: parsing leaves it unchanged and returns a fresh namespace,
-    and argparse looks up ``sys.stdout`` and ``sys.stderr`` only when it
-    prints."""
-    parser = argparse.ArgumentParser(
-        prog="poslog",
-        description="order liftings, negation-free syntax liftings, and "
-                    "exhaustive verification for finite modal logics")
-    sub = parser.add_subparsers(dest="command", required=True)
+class UsageError(Exception):
+    """Bad usage: the verb (None before it) and the message."""
 
-    def common(p):
-        p.add_argument("--max-enum", type=_budget, default=DEFAULT_MAX_ENUM,
-                       help="largest enumeration allowed before refusal")
-        p.add_argument("--max-generators", type=_budget,
-                       default=DEFAULT_MAX_GENERATORS,
-                       help="largest free-algebra generator set allowed")
 
-    p = sub.add_parser("posetify", help="lift a set functor to a poset")
-    p.add_argument("--functor", required=True,
-                   help="pow | nb | mnb | bag:<d> | poly:sigma=name:arity:coeffsize,...")
-    p.add_argument("--poset", required=True, help="poset JSON file")
-    p.add_argument("--method", choices=("generic", "closed", "both"),
-                   default="both")
-    p.add_argument("--dot", help="write the lifted poset as Graphviz DOT")
-    common(p)
-    p.set_defaults(fn=cmd_posetify)
+def _choice(verb, name: str, value: str, choices) -> str:
+    if choices is not None and value not in choices:
+        raise UsageError(verb, f"argument {name}: invalid choice: {value!r} "
+                               f"(choose from {', '.join(map(repr, choices))})")
+    return value
 
-    p = sub.add_parser("positivize", help="lift a boolean syntax functor to a lattice")
-    p.add_argument("--syntax", required=True, choices=SYNTAXES)
-    p.add_argument("--lattice", required=True, help="lattice JSON file")
-    p.add_argument("--check-closed-form", action="store_true")
-    p.add_argument("--dot", help="write the lifted lattice as Graphviz DOT")
-    common(p)
-    p.set_defaults(fn=cmd_positivize)
 
-    p = sub.add_parser("dualize", help="swap between posets and their upset lattices")
-    p.add_argument("--lattice", help="lattice JSON file")
-    p.add_argument("--poset", help="poset JSON file")
-    common(p)
-    p.set_defaults(fn=cmd_dualize)
+# verb -> (handler, help, flags).  A flag is (name, default, kind, help):
+# the default is REQUIRED for a flag that must be given and False for a
+# switch, which takes no value; the kind is a tuple of choices, a function
+# that converts the value or raises ValueError, or None for the text.  The
+# value is stored under the name without its leading "--", "-" as "_".
+REQUIRED, HELP = object(), ("-h", "--help")
+COMMON = (("--max-enum", DEFAULT_MAX_ENUM, _budget,
+           "largest enumeration allowed before refusal"),
+          ("--max-generators", DEFAULT_MAX_GENERATORS, _budget,
+           "largest free-algebra generator set allowed"))
+VERBS = {
+    "posetify": (cmd_posetify, "lift a set functor to a poset", (
+        ("--functor", REQUIRED, None,
+         "pow | nb | mnb | bag:<d> | poly:sigma=name:arity:coeffsize,..."),
+        ("--poset", REQUIRED, None, "poset JSON file"),
+        ("--method", "both", ("generic", "closed", "both"), None),
+        ("--dot", None, None, "write the lifted poset as Graphviz DOT"), *COMMON)),
+    "positivize": (cmd_positivize, "lift a boolean syntax functor to a lattice", (
+        ("--syntax", REQUIRED, SYNTAXES, None),
+        ("--lattice", REQUIRED, None, "lattice JSON file"),
+        ("--check-closed-form", False, None, None),
+        ("--dot", None, None, "write the lifted lattice as Graphviz DOT"), *COMMON)),
+    "dualize": (cmd_dualize, "swap between posets and their upset lattices", (
+        ("--lattice", None, None, "lattice JSON file"),
+        ("--poset", None, None, "poset JSON file"), *COMMON)),
+    "interpret": (cmd_interpret, "evaluate a modal formula on a coalgebra", (
+        ("--coalgebra", REQUIRED, None, "coalgebra JSON file"),
+        ("--valuation", REQUIRED, None, "valuation JSON file"),
+        ("--formula", REQUIRED, None, "s-expression formula"),
+        ("--mode", "both", ("boolean", "positive", "both"), None), *COMMON)),
+    "verify": (cmd_verify, "run a named verification suite", (
+        ("--suite", "all", None, "order | algebra | posetify | positivize | semantics | all"),
+        *COMMON)),
+    "export-dot": (cmd_export_dot, "render a poset or lattice as Graphviz DOT", (
+        ("--input", REQUIRED, None, "poset or lattice JSON file"),
+        ("--out", None, None, "output file (default stdout)"), *COMMON)),
+}
 
-    p = sub.add_parser("interpret", help="evaluate a modal formula on a coalgebra")
-    p.add_argument("--coalgebra", required=True, help="coalgebra JSON file")
-    p.add_argument("--valuation", required=True, help="valuation JSON file")
-    p.add_argument("--formula", required=True, help="s-expression formula")
-    p.add_argument("--mode", choices=("boolean", "positive", "both"),
-                   default="both")
-    common(p)
-    p.set_defaults(fn=cmd_interpret)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", default="all",
-                   help="order | algebra | posetify | positivize | semantics | all")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+def _usage(verb=None, full=False) -> str:
+    """The usage line of ``verb``, or of the top level; with ``full``, the
+    help text, with a row for each verb or for each flag of ``verb``."""
+    flags = VERBS[verb][2] if verb else ()
+    spans = [name if default is False else f"{name} {{{','.join(kind)}}}"
+             if isinstance(kind, tuple) else f"{name} {name[2:].replace('-', '_').upper()}"
+             for name, default, kind, _ in flags]
+    line = " ".join([f"usage: poslog {verb} [-h]" if verb else
+                     f"usage: poslog [-h] {{{','.join(VERBS)}}} ...",
+                     *(s if f[1] is REQUIRED else f"[{s}]" for s, f in zip(spans, flags))])
+    if not full:
+        return line
+    rows = [] if verb else [(v, text) for v, (_, text, _) in VERBS.items()] + [("", "")]
+    rows += [("-h, --help", "show this help message and exit"),
+             *zip(spans, (f[3] for f in flags))]
+    about = [] if verb else ["order liftings, negation-free syntax liftings, and exhaustive "
+                             "verification for finite modal logics", ""]
+    return "\n".join([line, "", *about, *(
+        f"  {left:<22}{text or ''}".rstrip() if len(left) < 22 else
+        f"  {left}\n{'':24}{text}" if text else f"  {left}" for left, text in rows)])
 
-    p = sub.add_parser("export-dot", help="render a poset or lattice as Graphviz DOT")
-    p.add_argument("--input", required=True, help="poset or lattice JSON file")
-    p.add_argument("--out", help="output file (default stdout)")
-    common(p)
-    p.set_defaults(fn=cmd_export_dot)
 
-    return parser
+def _read(token: str, names, verb):
+    """How argparse reads ``token`` among the option ``names``: None for a
+    value, else ``(name, the value after "=" or None)``, the name None for
+    an unknown option."""
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, value = token.partition("=")
+    value = value if eq else None
+    if head in names:
+        found = [head]
+    elif token[1] == "-":  # a unique prefix of a long option
+        found = [name for name in names if name.startswith(head)]
+    else:  # letters run on to -h: more h repeat it, anything else is its value
+        found, value = ["-h"] if token.startswith("-h") else [], token[2:]
+    if len(found) > 1:
+        raise UsageError(verb, f"ambiguous option: {token} could match {', '.join(found)}")
+    if not found:  # argparse reads a negative number, or a token with a space, as a value
+        return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else (None, None)
+    if found == ["-h"] and value:
+        value = value.lstrip("h") or None
+    return found[0], value
+
+
+def parse_args(argv: list) -> SimpleNamespace | str:
+    """Read ``argv`` through VERBS as argparse would (see README "CLI"):
+    the flags of the verb as a namespace, with its handler as ``fn``, or
+    the help text that ``-h`` asks for.  Bad usage raises UsageError."""
+    reads, verb, flags, values, extras, i = [], None, {}, {}, [], 0
+    while i < len(argv):
+        if verb is None:  # up to the verb, a token at a time; "--" is one, unless last
+            reads.append((None, None) if argv[i:] == ["--"] else None if argv[i] == "--"
+                         else _read(argv[i], HELP, None))
+        (name, value), i = reads[i] or (None, None), i + 1
+        if verb is None and reads[i - 1] is None:
+            verb, rest = _choice(None, "command", argv[i - 1], VERBS), argv[i:]
+            flags = {f[0]: f for f in VERBS[verb][2]}
+            values = {n: f[1] for n, f in flags.items() if f[1] is not REQUIRED}
+            cut = rest.index("--") if "--" in rest else len(rest)  # values after it
+            reads += [_read(token, HELP + tuple(flags), verb) for token in rest[:cut]
+                      ] + [(None, None)] + [None] * len(rest[cut + 1:])
+        elif name is None:
+            extras.append(argv[i - 1])
+        elif name in HELP or flags[name][1] is False:  # a flag that takes no value
+            if value is not None:
+                raise UsageError(verb, f"argument {'-h/--help' if name in HELP else name}: "
+                                       f"ignored explicit argument {value!r}")
+            if name in HELP:
+                return _usage(verb, full=True)
+            values[name] = True
+        elif value is None and reads[i] is not None:
+            raise UsageError(verb, f"argument {name}: expected one argument")
+        else:
+            value, i = (argv[i], i + 1) if value is None else (value, i)
+            kind = flags[name][2]
+            if not callable(kind):
+                values[name] = _choice(verb, name, value, kind)
+                continue
+            try:
+                values[name] = kind(value)
+            except ValueError as exc:
+                raise UsageError(verb, f"argument {name}: {exc}") from None
+    if verb is None:
+        raise UsageError(None, "the following arguments are required: command")
+    if missing := [n for n in flags if n not in values]:
+        raise UsageError(verb, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(fn=VERBS[verb][0],
+                           **{n[2:].replace("-", "_"): v for n, v in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage; 2 is reserved for budget refusals
-        return 0 if exc.code == 0 else 3
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    except UsageError as exc:
+        verb, message = exc.args
+        print(f"{_usage(verb)}\nposlog{' ' + verb if verb else ''}: error: {message}",
+              file=sys.stderr)
+        return 3
+    if isinstance(args, str):
+        with contextlib.suppress(OSError):  # as argparse, e.g. for a help piped to head
+            print(args)
+        return 0
     try:
         return args.fn(args)
     except BudgetExceeded as exc:

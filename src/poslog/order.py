@@ -274,13 +274,13 @@ def subset_closures(x: FinPoset) -> tuple:
     return unions(x.upmask), unions(x.downmask)
 
 
-def egli_milner_rows(x: FinPoset) -> tuple:
+def egli_milner_rows(x: FinPoset, closures: Optional[tuple] = None) -> tuple:
     """The Egli-Milner order on all subsets of ``x`` as successor masks
     over subset masks: ``a <= b`` iff every member of ``a`` lies below a
     member of ``b`` and every member of ``b`` above a member of ``a``, that
     is ``a`` is inside the down-closure of ``b`` and ``b`` inside the
-    up-closure of ``a``."""
-    up, down = subset_closures(x)
+    up-closure of ``a``.  ``closures`` is ``subset_closures(x)``, if known."""
+    up, down = closures or subset_closures(x)
     rows = []
     for a, ua in enumerate(up):
         row = 0

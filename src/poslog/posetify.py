@@ -115,8 +115,8 @@ def posetify_powerset(x: FinPoset,
     t = pow_functor()
     carrier = t.on_obj(x.elements)
     check_enum_budget(len(carrier) ** 2, max_enum, "convex powerset")
-    up, down = subset_closures(x)
-    rows = egli_milner_rows(x)
+    up, down = closures = subset_closures(x)
+    rows = egli_milner_rows(x, closures)
     seen = {}  # convex mask -> class index, in first-seen order
     e = tuple(seen.setdefault(u & d, len(seen)) for u, d in zip(up, down))
     ups = []

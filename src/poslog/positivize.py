@@ -178,9 +178,10 @@ def positivize(l: BAFunctor, a: FinDistLattice,
         # on_obj and on_mor below would refuse them
         atoms = l.count_atoms(galg)
         l.count_atoms(gh1.target)
-        if gh1 == gh2:
-            # so lh1 == lh2, and the whole ambient carrier is the result
-            check_enum_budget(1 << atoms, max_enum, "boolean algebra carrier")
+        # the whole ambient carrier is the result when gh1 == gh2 (so lh1 ==
+        # lh2), else the inserter sweeps it: refused before any label is built
+        check_enum_budget(1 << atoms, max_enum,
+                          "boolean algebra carrier" if gh1 == gh2 else "inserter sweep")
     lga = l.on_obj(galg)
     lh1 = l.on_mor(gh1)
     lh2 = l.on_mor(gh2)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,7 @@ from poslog.io import (format_label, json_text, lattice_dot, load_coalgebra,
                        load_lattice, load_poset, load_valuation, poset_dot,
                        poset_to_dict, render_poset)
 from poslog.algebra import up_algebra
-from poslog.cli import build_parser, main
+from poslog.cli import VERBS, main
 from poslog.functors import parse_functor
 from poslog.order import FinPoset
 from poslog.posetify import cross_check
@@ -417,10 +418,9 @@ class TestCli:
                        "(budget 2); raise it with --max-generators\n")
 
     def test_main_builds_its_parser_once_and_answers_alike_every_call(self, files):
-        """``main`` may be called many times in one process: the parser is
-        built on the first call only, and a second round of the same calls
-        (every verb, an unknown flag, a budget of zero and ``--help``)
-        answers exactly as the first did."""
+        """``main`` may be called many times in one process: a second round
+        of the same calls (every verb, an unknown flag, a budget of zero and
+        ``--help``) answers exactly as the first did."""
         chain2 = str(files / "chain2.json")
         calls = [
             ("posetify", "--functor", "pow", "--poset", chain2),
@@ -433,9 +433,7 @@ class TestCli:
             ("posetify", "--functor", "pow", "--poset", chain2, "--max-enum", "0"),
             ("--help",),
         ]
-        build_parser.cache_clear()
         first, second = ([run_main(*argv) for argv in calls] for _ in range(2))
-        assert build_parser.cache_info().misses == 1
         assert second == first
         assert [rc for rc, _, _ in first] == [0, 0, 0, 0, 0, 3, 3, 0]
         (_, _, unknown), (_, _, zero), (_, usage, _) = first[5:]
@@ -556,6 +554,284 @@ class TestCli:
         assert lines[0] == f"FAIL order/{name}: KeyError: 'missing'"
         assert all(line.startswith("PASS order/") for line in lines[1:-1])
         assert lines[-1] == f"{len(rest)}/{len(rest) + 1} checks passed"
+
+
+# ------------------------------------------------------------ CLI grammar
+
+# argv -> (exit code, stdout key, stderr key), recorded with the argparse
+# parser the CLI had before its grammar table.  An argv is split as a
+# shell would and ``{name}`` stands for a fixture file.  The stdout key of
+# a help text is its usage head with the flags and choice sets it names,
+# since only its layout may change; of other output, a digest.  The
+# stderr key is the ``error:`` line of a usage error, else all of stderr.
+CLI_GRAMMAR = [
+    ('posetify --functor pow --poset {chain2} --method generic --dot {out} --max-enum 100 '
+     '--max-generators 5', 0,
+     'e077e65544f611bb', ''),
+    ('posetify --functor pow --poset {chain2} --method closed', 0,
+     'fd4e03893599eeaa', ''),
+    ('posetify --functor bag:2 --poset {chain2} --method both', 0,
+     '3c579ad33751ff75', ''),
+    ('positivize --syntax dunn --lattice {threechain} --check-closed-form --dot {out} '
+     '--max-enum 1000 --max-generators 5', 0,
+     '6e2a2d888770f746', ''),
+    ('positivize --syntax free --lattice {threechain}', 0,
+     '1516bf8995e53e21', ''),
+    ('dualize --lattice {threechain} --max-enum 100 --max-generators 5', 0,
+     '7edf9228e62a1140', ''),
+    ('dualize --poset {chain2}', 0,
+     '580cda6593c8a166', ''),
+    ("interpret --coalgebra {kripke} --valuation {val} --formula '(dia p)' --mode boolean "
+     '--max-enum 100 --max-generators 5', 0,
+     '9025d9316dc0be6c', ''),
+    ("interpret --coalgebra {coalg} --valuation {val} --formula '(and p (dia p))' --mode "
+     'positive', 0,
+     '17da029c60056641', ''),
+    ("interpret --coalgebra {coalg} --valuation {val} --formula '(dia p)'", 0,
+     'e94b5760e8588388', ''),
+    ('verify --suite nope --max-enum 5 --max-generators 5', 3,
+     '',
+     "malformed input: unknown suite 'nope'; pick from order, algebra, posetify, "
+     'positivize, semantics, all'),
+    ('export-dot --input {chain2} --out {out} --max-enum 100 --max-generators 5', 0,
+     '', ''),
+    ('export-dot --input {threechain}', 0,
+     '3ce244b132dcd02e', ''),
+    ('posetify --functor=pow --poset={chain2} --method=closed', 0,
+     'fd4e03893599eeaa', ''),
+    ('posetify --func pow --pos {chain2} --meth closed --max-e 100 --max-g=5', 0,
+     'fd4e03893599eeaa', ''),
+    ('positivize --syntax=dunn --lat {threechain} --check', 0,
+     '6e2a2d888770f746', ''),
+    ('posetify --functor pow --poset {chain2} --method generic --method closed', 0,
+     'fd4e03893599eeaa', ''),
+    ('posetify --functor nope --poset {chain2} --functor pow', 0,
+     'a4ddfeb07f797e5d', ''),
+    ('posetify --m x', 3,
+     '',
+     'poslog posetify: error: ambiguous option: --m could match --method, --max-enum, '
+     '--max-generators'),
+    ('posetify --ma=5', 3,
+     '',
+     'poslog posetify: error: ambiguous option: --ma=5 could match --max-enum, '
+     '--max-generators'),
+    ('posetify --=x', 3,
+     '',
+     'poslog posetify: error: ambiguous option: --=x could match --help, --functor, '
+     '--poset, --method, --dot, --max-enum, --max-generators'),
+    ('posetify --method fast --m', 3,
+     '',
+     'poslog posetify: error: ambiguous option: --m could match --method, --max-enum, '
+     '--max-generators'),
+    ('verify --suite x y --max', 3,
+     '',
+     'poslog verify: error: ambiguous option: --max could match --max-enum, '
+     '--max-generators'),
+    ('posetify --functor', 3,
+     '', 'poslog posetify: error: argument --functor: expected one argument'),
+    ('posetify --functor pow --poset', 3,
+     '', 'poslog posetify: error: argument --poset: expected one argument'),
+    ('posetify --functor --poset {chain2}', 3,
+     '', 'poslog posetify: error: argument --functor: expected one argument'),
+    ('posetify --functor -- pow --poset {chain2}', 3,
+     '', 'poslog posetify: error: argument --functor: expected one argument'),
+    ('posetify --functor -x --poset {chain2}', 3,
+     '', 'poslog posetify: error: argument --functor: expected one argument'),
+    ('posetify --functor=-x --poset {chain2}', 3,
+     '', "malformed input: unknown functor '-x'"),
+    ('posetify --functor pow --poset -x', 3,
+     '', 'poslog posetify: error: argument --poset: expected one argument'),
+    ('dualize --lattice -1', 3,
+     '', "malformed input: cannot read -1: [Errno 2] No such file or directory: '-1'"),
+    ("dualize --poset '-x y'", 3,
+     '', "malformed input: cannot read -x y: [Errno 2] No such file or directory: '-x y'"),
+    ('dualize --poset -', 3,
+     '', "malformed input: cannot read -: [Errno 2] No such file or directory: '-'"),
+    ('verify --suite -1.5', 3,
+     '',
+     "malformed input: unknown suite '-1.5'; pick from order, algebra, posetify, "
+     'positivize, semantics, all'),
+    ('posetify --functor pow --poset {chain2} --max-enum -1', 3,
+     '', 'poslog posetify: error: argument --max-enum: must be positive, not -1'),
+    ('posetify --functor pow --poset {chain2} --max-enum 0', 3,
+     '', 'poslog posetify: error: argument --max-enum: must be positive, not 0'),
+    ('posetify --functor pow --poset {chain2} --max-enum x', 3,
+     '', "poslog posetify: error: argument --max-enum: invalid int value: 'x'"),
+    ('posetify --functor pow --poset {chain2} --max-enum=', 3,
+     '', "poslog posetify: error: argument --max-enum: invalid int value: ''"),
+    ('posetify --functor pow --poset {chain2} --max-generators 0x10', 3,
+     '', "poslog posetify: error: argument --max-generators: invalid int value: '0x10'"),
+    ('verify --suite nope --max-enum +7', 3,
+     '',
+     "malformed input: unknown suite 'nope'; pick from order, algebra, posetify, "
+     'positivize, semantics, all'),
+    ('posetify --functor pow --poset {chain2} --frob', 3,
+     '', 'poslog: error: unrecognized arguments: --frob'),
+    ('posetify --functor pow --poset {chain2} --frob value', 3,
+     '', 'poslog: error: unrecognized arguments: --frob value'),
+    ('posetify --functor pow --poset {chain2} stray', 3,
+     '', 'poslog: error: unrecognized arguments: stray'),
+    ('posetify --functor pow --poset {chain2} -- --method generic', 3,
+     '', 'poslog: error: unrecognized arguments: -- --method generic'),
+    ('posetify --functor pow --poset {chain2} ---method generic', 3,
+     '', 'poslog: error: unrecognized arguments: ---method generic'),
+    ('--frob posetify --functor pow --poset {chain2} -1', 3,
+     '', 'poslog: error: unrecognized arguments: --frob -1'),
+    ('posetify --frob', 3,
+     '', 'poslog posetify: error: the following arguments are required: --functor, --poset'),
+    ('posetify --poset {chain2}', 3,
+     '', 'poslog posetify: error: the following arguments are required: --functor'),
+    ('positivize', 3,
+     '',
+     'poslog positivize: error: the following arguments are required: --syntax, --lattice'),
+    ('interpret --coalgebra {kripke} --formula p', 3,
+     '', 'poslog interpret: error: the following arguments are required: --valuation'),
+    ('posetify --functor pow --poset {chain2} --method fast', 3,
+     '',
+     "poslog posetify: error: argument --method: invalid choice: 'fast' (choose from "
+     "'generic', 'closed', 'both')"),
+    ('positivize --syntax frob --lattice {threechain}', 3,
+     '',
+     "poslog positivize: error: argument --syntax: invalid choice: 'frob' (choose from "
+     "'dunn', 'free', 'semantic:pow', 'semantic:mnb', 'semantic:nb')"),
+    ('interpret --coalgebra {kripke} --valuation {val} --formula p --mode sideways', 3,
+     '',
+     "poslog interpret: error: argument --mode: invalid choice: 'sideways' (choose from "
+     "'boolean', 'positive', 'both')"),
+    ('positivize --syntax dunn --lattice {threechain} --check-closed-form=x', 3,
+     '',
+     "poslog positivize: error: argument --check-closed-form: ignored explicit argument 'x'"),
+    ('positivize --syntax dunn --lattice {threechain} --check-closed-form=', 3,
+     '',
+     "poslog positivize: error: argument --check-closed-form: ignored explicit argument ''"),
+    ('-h', 0,
+     'usage: poslog --help {posetify,positivize,dualize,interpret,verify,export-dot}', ''),
+    ('--help', 0,
+     'usage: poslog --help {posetify,positivize,dualize,interpret,verify,export-dot}', ''),
+    ('--he', 0,
+     'usage: poslog --help {posetify,positivize,dualize,interpret,verify,export-dot}', ''),
+    ('-hhh', 0,
+     'usage: poslog --help {posetify,positivize,dualize,interpret,verify,export-dot}', ''),
+    ('-hx', 3,
+     '', "poslog: error: argument -h/--help: ignored explicit argument 'x'"),
+    ('-h=', 3,
+     '', "poslog: error: argument -h/--help: ignored explicit argument ''"),
+    ('--help=x', 3,
+     '', "poslog: error: argument -h/--help: ignored explicit argument 'x'"),
+    ('--frob -h', 0,
+     'usage: poslog --help {posetify,positivize,dualize,interpret,verify,export-dot}', ''),
+    ('-h posetify', 0,
+     'usage: poslog --help {posetify,positivize,dualize,interpret,verify,export-dot}', ''),
+    ('posetify -h', 0,
+     'usage: poslog posetify --dot --functor --help --max-enum --max-generators --method '
+     '--poset {generic,closed,both}',
+     ''),
+    ('posetify --help', 0,
+     'usage: poslog posetify --dot --functor --help --max-enum --max-generators --method '
+     '--poset {generic,closed,both}',
+     ''),
+    ('positivize -h', 0,
+     'usage: poslog positivize --check-closed-form --dot --help --lattice --max-enum '
+     '--max-generators --syntax {dunn,free,semantic:pow,semantic:mnb,semantic:nb}',
+     ''),
+    ('positivize --help', 0,
+     'usage: poslog positivize --check-closed-form --dot --help --lattice --max-enum '
+     '--max-generators --syntax {dunn,free,semantic:pow,semantic:mnb,semantic:nb}',
+     ''),
+    ('dualize -h', 0,
+     'usage: poslog dualize --help --lattice --max-enum --max-generators --poset', ''),
+    ('dualize --help', 0,
+     'usage: poslog dualize --help --lattice --max-enum --max-generators --poset', ''),
+    ('interpret -h', 0,
+     'usage: poslog interpret --coalgebra --formula --help --max-enum --max-generators '
+     '--mode --valuation {boolean,positive,both}',
+     ''),
+    ('interpret --help', 0,
+     'usage: poslog interpret --coalgebra --formula --help --max-enum --max-generators '
+     '--mode --valuation {boolean,positive,both}',
+     ''),
+    ('verify -h', 0,
+     'usage: poslog verify --help --max-enum --max-generators --suite', ''),
+    ('verify --help', 0,
+     'usage: poslog verify --help --max-enum --max-generators --suite', ''),
+    ('export-dot -h', 0,
+     'usage: poslog export-dot --help --input --max-enum --max-generators --out', ''),
+    ('export-dot --help', 0,
+     'usage: poslog export-dot --help --input --max-enum --max-generators --out', ''),
+    ('posetify --h', 0,
+     'usage: poslog posetify --dot --functor --help --max-enum --max-generators --method '
+     '--poset {generic,closed,both}',
+     ''),
+    ('posetify -hh', 0,
+     'usage: poslog posetify --dot --functor --help --max-enum --max-generators --method '
+     '--poset {generic,closed,both}',
+     ''),
+    ('posetify -hx', 3,
+     '', "poslog posetify: error: argument -h/--help: ignored explicit argument 'x'"),
+    ('posetify -h=x', 3,
+     '', "poslog posetify: error: argument -h/--help: ignored explicit argument 'x'"),
+    ('posetify --help=', 3,
+     '', "poslog posetify: error: argument -h/--help: ignored explicit argument ''"),
+    ('posetify --frob -h', 0,
+     'usage: poslog posetify --dot --functor --help --max-enum --max-generators --method '
+     '--poset {generic,closed,both}',
+     ''),
+    ('posetify --method fast -h', 3,
+     '',
+     "poslog posetify: error: argument --method: invalid choice: 'fast' (choose from "
+     "'generic', 'closed', 'both')"),
+    ('posetify -h --method fast', 0,
+     'usage: poslog posetify --dot --functor --help --max-enum --max-generators --method '
+     '--poset {generic,closed,both}',
+     ''),
+    ('posetify --functor pow --poset {chain2} --method=fast --help', 3,
+     '',
+     "poslog posetify: error: argument --method: invalid choice: 'fast' (choose from "
+     "'generic', 'closed', 'both')"),
+    ('', 3,
+     '', 'poslog: error: the following arguments are required: command'),
+    ('frob', 3,
+     '',
+     "poslog: error: argument command: invalid choice: 'frob' (choose from 'posetify', "
+     "'positivize', 'dualize', 'interpret', 'verify', 'export-dot')"),
+    ('pos', 3,
+     '',
+     "poslog: error: argument command: invalid choice: 'pos' (choose from 'posetify', "
+     "'positivize', 'dualize', 'interpret', 'verify', 'export-dot')"),
+    ('-- posetify', 3,
+     '',
+     "poslog: error: argument command: invalid choice: '--' (choose from 'posetify', "
+     "'positivize', 'dualize', 'interpret', 'verify', 'export-dot')"),
+    ('-1', 3,
+     '',
+     "poslog: error: argument command: invalid choice: '-1' (choose from 'posetify', "
+     "'positivize', 'dualize', 'interpret', 'verify', 'export-dot')"),
+    ('--frob', 3,
+     '', 'poslog: error: the following arguments are required: command'),
+]
+
+
+def stdout_key(out: str) -> str:
+    if out.startswith("usage: "):
+        head = re.match(r"usage: poslog( [a-z-]+)?", out)[0]
+        return " ".join([head, *sorted(set(re.findall(r"--[\w-]+", out))),
+                         *sorted(set(re.findall(r"\{[^}]*\}", out)))])
+    return out and hashlib.sha256(out.encode()).hexdigest()[:16]
+
+
+def stderr_key(err: str) -> str:
+    return next((line for line in err.splitlines() if ": error: " in line), err.strip())
+
+
+@pytest.mark.parametrize("argv, rc, out_key, err_key", CLI_GRAMMAR)
+def test_cli_grammar(files, argv, rc, out_key, err_key):
+    names = {name: str(files / f"{name}.json")
+             for name in ("chain2", "threechain", "coalg", "kripke", "val")}
+    got_rc, out, err = run_main(*(a.format(out=files / "out.dot", **names)
+                                  for a in shlex.split(argv)))
+    assert (got_rc, stdout_key(out), stderr_key(err)) == (rc, out_key, err_key)
+    if ": error: " in err_key:
+        assert err.startswith("usage: poslog") and err.count("\n") >= 2
 
 
 # ---------------------------------------------------------------- CLI fuzz
@@ -721,3 +997,40 @@ def test_other_verbs_fuzz_exit_with_a_contract_code(files, data):
     assert rc in (0, 1, 2, 3) and "Traceback" not in err
     if rc == 1:
         assert json.loads(out)["agree"] is False
+
+
+FLAGS = sorted({flag[0] for _, _, flags in VERBS.values() for flag in flags})
+VALUES = st.sampled_from(["pow", "nb", "bag:2", "dunn", "free", "semantic:nb", "both",
+                          "generic", "boolean", "order", "0", "7", "-1", "-2.5", "-x",
+                          "- x", "-", "--", "", "(dia p)", "p", "{poset}", "{lattice}"]) \
+    | st.text(max_size=3)
+ARGV_TOKENS = st.one_of(
+    st.sampled_from([*VERBS, "frob", "-h", "--help", "-hx", "-hh", "--"]),
+    st.sampled_from(FLAGS),
+    st.builds(lambda flag, k: flag[:k], st.sampled_from(FLAGS), st.integers(2, 8)),
+    st.builds("{}={}".format, st.sampled_from(FLAGS + ["--help", "--x", "--m"]), VALUES),
+    VALUES)
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(argv=st.lists(ARGV_TOKENS, max_size=8))
+def test_parser_fuzz_exits_with_a_contract_code(files, argv):
+    """Whatever the soup of verbs, flags, prefixes, ``--x=y`` forms, ``-h``
+    and dash-leading values, ``main`` returns a contract code with no
+    traceback, and prints nothing to stdout on bad usage.  A ``verify``
+    request ends on an unknown suite, which wins as the last value, so no
+    suite runs."""
+    inputs = {"{poset}": (files / "fuzz-poset.json", (files / "chain2.json").read_text()),
+              "{lattice}": (files / "fuzz-lattice.json",
+                            (files / "threechain.json").read_text())}
+    for path, text in inputs.values():  # --dot or --out may have written over them
+        if not path.exists() or path.read_text() != text:
+            path.write_text(text)
+    for name, (path, _) in inputs.items():
+        argv = [token.replace(name, str(path)) for token in argv]
+    if "verify" in argv:
+        argv += ["--suite", "nope"]
+    rc, out, err = run_main(*argv)
+    event(f"exit {rc}")
+    assert rc in (0, 1, 2, 3) and "Traceback" not in err
+    assert rc != 3 or out == ""

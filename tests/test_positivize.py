@@ -7,7 +7,8 @@ import pytest
 from poslog.algebra import (FinBoolAlg, LatticeHom, boolean_as_lattice,
                             lattice_identity, lattice_isomorphic, up_algebra)
 from poslog.errors import BudgetExceeded, InputError
-from poslog.functors import mnb_functor, pow_functor
+from poslog.functors import mnb_functor, nb_functor, parse_functor, pow_functor
+from poslog.io import load_poset
 from poslog.order import FinPoset, MonotoneMap
 from poslog.positivize import (beta, closed_form_dunn, closed_form_fu,
                                dunn_axiom_check, free_l, parse_syntax,
@@ -116,6 +117,35 @@ class TestPositivize:
     def test_mnb_syntax_runs(self):
         p = positivize(semantic_l(mnb_functor()), three_chain())
         assert len(p.members) >= 2
+
+    def test_inserter_sweep_refused_before_the_ordered_double_is_lifted(self, monkeypatch):
+        """On the spectrum a<b, c the semantic nb lifting would sweep 2^256
+        candidate members.  The sweep is refused from the atom count, before
+        nb lifts the comparison homs and builds the algebra on the 65,536
+        families of the ordered double's 4 comparable pairs."""
+        built = []
+        post_init = FinBoolAlg.__post_init__
+        monkeypatch.setattr(FinBoolAlg, "__post_init__",
+                            lambda b: built.append(len(b.atoms)) or post_init(b))
+        a = up_algebra(load_poset({"elements": ["a", "b", "c"], "leq": [["a", "b"]]}))
+        with pytest.raises(BudgetExceeded) as refused:
+            positivize(semantic_l(nb_functor()), a)
+        assert (refused.value.stage, refused.value.requested) == ("inserter sweep", 2 ** 256)
+        assert built and max(built) < 2 ** 16
+
+    @pytest.mark.parametrize("functor, atoms", [("poly:sigma=c:0:5", 5), ("bag:0", 1)])
+    def test_a_functor_blind_to_the_order_is_refused_as_the_inserter_sweep(self, functor,
+                                                                           atoms):
+        """A constant functor lifts both comparison homs of a non-Boolean
+        lattice to the same hom, so the lifting is the whole ambient
+        algebra.  That is known only once the homs are lifted, so an
+        ambient carrier over the budget is refused as the inserter sweep
+        over it, with the same size."""
+        l = semantic_l(parse_functor(functor))
+        assert len(positivize(l, three_chain()).members) == 2 ** atoms
+        with pytest.raises(BudgetExceeded) as refused:
+            positivize(l, three_chain(), 2 ** atoms - 1)
+        assert (refused.value.stage, refused.value.requested) == ("inserter sweep", 2 ** atoms)
 
     def test_free_budget_refusal_on_large_spectrum(self):
         # a 4-point spectrum gives a 16-element envelope carrier: too many
