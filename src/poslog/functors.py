@@ -263,8 +263,9 @@ def _mset_step(d: int):
         every element of ``a`` to one above it; so the multisets above
         ``a`` are those formed by choosing, for each element of ``a`` with
         multiplicity, one element of its up-set."""
+        check_enum_budget(math.comb(len(x) + d, d) ** 2, max_enum,
+                          "multiset order lifting")
         carrier = _mset_obj(d)(x.elements)
-        check_enum_budget(len(carrier) ** 2, max_enum, "multiset order lifting")
         position = {c: k for k, c in enumerate(carrier)}
         ups = [tuple(bits(m)) for m in x.upmask]
         succ = []
@@ -353,8 +354,9 @@ def _poly_step(signature: tuple):
         """``a <= b`` when both carry the same symbol and coefficient and
         every argument of ``a`` lies below the matching one of ``b``: each
         block of one symbol and coefficient is a power of ``x``."""
+        check_enum_budget(_poly_size(signature, len(x)) ** 2, max_enum,
+                          "polynomial order lifting")
         carrier = _poly_obj(signature)(x.elements)
-        check_enum_budget(len(carrier) ** 2, max_enum, "polynomial order lifting")
         succ = []
         for _, arity, coeffs in signature:
             rows = _block_rows(x.upmask, arity)

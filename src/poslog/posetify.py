@@ -113,8 +113,8 @@ def posetify_powerset(x: FinPoset,
     upper-and-lower-bound order, with convex closure as projection, all
     computed on subset masks."""
     t = pow_functor()
+    check_enum_budget(t.size_estimate(len(x)) ** 2, max_enum, "convex powerset")
     carrier = t.on_obj(x.elements)
-    check_enum_budget(len(carrier) ** 2, max_enum, "convex powerset")
     up, down = closures = subset_closures(x)
     rows = egli_milner_rows(x, closures)
     seen = {}  # convex mask -> class index, in first-seen order

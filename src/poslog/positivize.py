@@ -17,13 +17,13 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .algebra import (BAHom, FinBoolAlg, FinDistLattice, LatticeHom,
-                      assert_sublattice, ba_inserter, boolean_as_lattice,
-                      free_ba, free_ba_generator, free_ba_map, free_over_dl_G,
-                      g_of_hom, kernel_K, lattice_from_elements, tensor2,
-                      up_algebra)
+                      ba_inserter, boolean_as_lattice, free_ba,
+                      free_ba_generator, free_ba_map, free_over_dl_G, g_of_hom,
+                      kernel_K, tensor2, up_algebra)
 from .errors import (DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS, InputError,
                      check_enum_budget)
 from .functors import SetFunctor, parse_functor, pow_functor
+from .order import FinPoset, _close_rows, bits
 from .posetify import closed_form
 
 
@@ -159,6 +159,43 @@ class Positivication:
         return not self.h1.apply(candidate) & ~self.h2.apply(candidate)
 
 
+def _edge_preorder_lattice(h1: BAHom, h2: BAHom, members: Sequence, labels,
+                           max_enum: int) -> tuple:
+    """The inserter of ``h1, h2`` as a lattice, from the preorder that the
+    edges ``h1.dual[k] -> h2.dual[k]`` generate on the source atoms, and
+    checked against ``members``, the inserter found by its definition.
+
+    Homs act by preimage along their dual maps, so ``h1(b) <= h2(b)`` iff
+    every edge that starts in ``b`` ends in ``b``: the inserter is the sets
+    closed under the preorder, and its join-irreducibles are the closed
+    rows ``reach[i]``, in increasing order under reverse inclusion and
+    labelled by ``labels``.  Every member must be closed and the closed
+    sets as many as the members; a member stands for the irreducibles
+    inside it.  Returns ``(result, embed)``."""
+    reach = [1 << i for i in range(len(h1.source.atoms))]
+    for s, t in zip(h1.dual, h2.dual):
+        reach[s] |= 1 << t
+    reach = _close_rows(reach)
+    irreducibles = sorted(set(reach))
+    index = {j: k for k, j in enumerate(irreducibles)}
+    below = [1 << index[j] for j in reach]  # the irreducible of each atom
+
+    def restrict(m: int) -> int:
+        s = 0
+        for i in bits(m):
+            if reach[i] & ~m:
+                raise AssertionError("inserter member is not closed under the dual edges")
+            s |= below[i]
+        return s
+
+    ups = tuple(map(restrict, irreducibles))
+    result = up_algebra(FinPoset(tuple(map(labels, irreducibles)), ups))
+    embed = {restrict(m): m for m in members}
+    if result.size(max_enum) != len(members):
+        raise AssertionError("inserter members are not the closed sets of the dual edges")
+    return result, embed
+
+
 def positivize(l: BAFunctor, a: FinDistLattice,
                max_enum: int = DEFAULT_MAX_ENUM) -> Positivication:
     """Compute the lifted functor at ``a`` by the inserter construction.
@@ -166,8 +203,10 @@ def positivize(l: BAFunctor, a: FinDistLattice,
     When the two comparison homs coincide (exactly the Boolean case, where
     the ordered double collapses), the inserter is the whole ambient
     algebra: the sweep is skipped and the members are ``range(size)``.
-    Otherwise the spectrum of the lifted lattice, its join-irreducible
-    members, is labelled by their atoms.
+    Otherwise two routes run and must agree: the sweep of the ambient
+    algebra finds the members by the definition, and the preorder of the
+    dual edges gives the spectrum of the lifted lattice, its
+    join-irreducible members, labelled by their atoms.
     """
     galg, unit = free_over_dl_G(a)
     t2 = tensor2(a)
@@ -189,13 +228,8 @@ def positivize(l: BAFunctor, a: FinDistLattice,
         result, members = boolean_as_lattice(lga), lga.carrier(max_enum)
         embed = members
     else:
-        members = ba_inserter(lh1, lh2, max_enum)
-        check_enum_budget(len(members) ** 2, max_enum, "sublattice audit")
-        assert_sublattice(members, lga)
-        sub = lattice_from_elements(members, max_enum)
-        spectrum = sub.lattice.spectrum
-        result = up_algebra(spectrum.relabel(map(lga.labels, spectrum.elements)))
-        members, embed = sub.members, sub.embed
+        members = tuple(ba_inserter(lh1, lh2, max_enum))
+        result, embed = _edge_preorder_lattice(lh1, lh2, members, lga.labels, max_enum)
     box_of = (lambda x: l.box(galg, unit.apply(x))) if l.box else None
     diamond_of = (lambda x: l.diamond(galg, unit.apply(x))) if l.diamond else None
     return Positivication(result, members, embed, lga, lh1, lh2, box_of, diamond_of)

@@ -245,6 +245,55 @@ class TestCli:
         assert rc == 2 and "budget" in err.getvalue()
         assert peak < 5 * 2 ** 20
 
+    @pytest.mark.parametrize("n, argv, stage", [
+        # 2^63 subsets: a range too long for len()
+        (63, ("posetify", "--functor", "pow", "--method", "closed", "--poset"),
+         "convex powerset"),
+        (70, ("interpret", "--mode", "positive", "--formula", "(dia p)", "--coalgebra"),
+         "convex powerset"),
+        # 10^20 argument tuples: the same for a polynomial's range of codes
+        (10, ("posetify", "--functor", "poly:sigma=f:20:1", "--method", "closed",
+              "--poset"), "polynomial order lifting"),
+        # 36,361,101 multisets, refused before any is built
+        (600, ("posetify", "--functor", "bag:3", "--method", "closed", "--poset"),
+         "multiset order lifting"),
+    ], ids=["pow-63", "interpret-70", "poly-arity-20", "bag3-600"])
+    def test_a_closed_form_over_the_budget_is_refused_without_a_traceback(
+            self, tmp_path, n, argv, stage):
+        """The closed forms count their carrier from the functor's size
+        estimate before they build or measure it."""
+        labels = [f"e{i}" for i in range(n)]
+        path, extra = tmp_path / "poset.json", ()
+        path.write_text(json.dumps({"elements": labels}))
+        if argv[0] == "interpret":
+            path, valuation = tmp_path / "coalgebra.json", tmp_path / "valuation.json"
+            path.write_text(json.dumps({"carrier": labels,
+                                        "structure": {a: [a] for a in labels}}))
+            valuation.write_text(json.dumps({"p": labels[:1]}))
+            extra = ("--valuation", str(valuation))
+        r = run_cli(*argv, str(path), *extra)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith(f"budget refused: {stage} would enumerate ")
+
+    def test_the_multiset_order_is_refused_before_its_carrier_is_built(self, tmp_path):
+        """bag:3 on a 600-element antichain has 36,361,101 multisets; the
+        square of that count is refused before one of them is built."""
+        poset = tmp_path / "antichain600.json"
+        poset.write_text(json.dumps({"elements": [f"e{i}" for i in range(600)]}))
+        tracemalloc.start()
+        try:
+            rc, out, err = run_main("posetify", "--functor", "bag:3", "--method", "closed",
+                                    "--poset", str(poset))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, out) == (2, "")
+        assert err == (f"budget refused: multiset order lifting would enumerate "
+                       f"{36_361_101 ** 2} items (budget {2 ** 20}); "
+                       "raise it with --max-enum\n")
+        assert peak < 2 ** 20
+
     def test_repeated_polynomial_symbol_exit_three(self, files):
         rc, out, err = run_main("posetify", "--functor", "poly:sigma=f:1:1,f:1:1",
                                 "--poset", str(files / "chain2.json"))

@@ -1,19 +1,24 @@
 """Syntax liftings to distributive lattices and their closed forms."""
 
+import contextlib
 import dataclasses
+import io
+import json
 
 import pytest
 
-from poslog.algebra import (FinBoolAlg, LatticeHom, boolean_as_lattice,
-                            lattice_identity, lattice_isomorphic, up_algebra)
-from poslog.errors import BudgetExceeded, InputError
+from poslog.algebra import (BAHom, FinBoolAlg, LatticeHom, ba_inserter, boolean_as_lattice,
+                            lattice_from_elements, lattice_identity, lattice_isomorphic,
+                            up_algebra)
+from poslog.cli import main
+from poslog.errors import DEFAULT_MAX_ENUM, BudgetExceeded, InputError
 from poslog.functors import mnb_functor, nb_functor, parse_functor, pow_functor
 from poslog.io import load_poset
 from poslog.order import FinPoset, MonotoneMap
-from poslog.positivize import (beta, closed_form_dunn, closed_form_fu,
-                               dunn_axiom_check, free_l, parse_syntax,
+from poslog.positivize import (SYNTAXES, _edge_preorder_lattice, beta, closed_form_dunn,
+                               closed_form_fu, dunn_axiom_check, free_l, parse_syntax,
                                positivize, positivize_mor, semantic_l)
-from poslog.verify import DUALITY_CASES, check_duality_rule
+from poslog.verify import DUALITY_CASES, check_duality_rule, iso_representatives
 
 
 def chain(*labels):
@@ -261,3 +266,111 @@ class TestParseSyntax:
     def test_unknown(self, bad):
         with pytest.raises(InputError):
             parse_syntax(bad)
+
+
+def sweep_and_rebuild(p):
+    """The lifted lattice as the sweep and the rebuild over its
+    join-irreducibles give it, relabelled by their atoms: ``(result,
+    members, embed)``."""
+    sub = lattice_from_elements(ba_inserter(p.h1, p.h2))
+    spectrum = sub.lattice.spectrum
+    result = up_algebra(spectrum.relabel(map(p.ambient.labels, spectrum.elements)))
+    return result, sub.members, sub.embed
+
+
+def strict_pairs(x):
+    return " ".join(f"{a}<{b}" for a, b in x.covers())
+
+
+# The liftings over at most 4 spectrum elements that were refused while a
+# quadratic audit paired up the members: (syntax, spectrum size, its
+# strict pairs, number of members).  They are answered now, and checked
+# against their closed forms.
+FORMERLY_REFUSED = (
+    ("dunn", 4, "a<b", 4096),
+    ("dunn", 4, "a<b a<c", 1296),
+    ("dunn", 4, "a<c b<c", 1296),
+    ("semantic:mnb", 3, "a<b", 5760),
+    ("semantic:mnb", 3, "a<b a<c", 1256),
+    ("semantic:mnb", 3, "a<c b<c", 1256),
+)
+
+# Every syntax on every spectrum type of at most 3 elements, and dunn on
+# the 16 types of 4 elements.
+ROUTE_CASES = [(syntax, x) for syntax in SYNTAXES for x in iso_representatives(3)] + \
+    [("dunn", x) for x in iso_representatives(4) if len(x) == 4]
+
+
+class TestDualEdgeRoute:
+    """The lifted lattice built from the preorder of the dual edges is the
+    one the sweep and the rebuild give, output order included."""
+
+    @pytest.mark.parametrize("syntax, x", ROUTE_CASES,
+                             ids=[f"{s}-{len(x)}:{strict_pairs(x)}" for s, x in ROUTE_CASES])
+    def test_the_lifting_is_the_sweep_and_rebuild(self, syntax, x):
+        l = parse_syntax(syntax)
+        try:
+            p = positivize(l, up_algebra(x))
+        except BudgetExceeded as exc:
+            # refused before the routes split, at the stages the parent refused at
+            assert exc.stage in ("boolean algebra carrier", "free boolean algebra",
+                                 "inserter sweep") or exc.stage.endswith(" on an atom set")
+            return
+        if p.h1 == p.h2:
+            assert p.result == boolean_as_lattice(p.ambient)
+            assert p.members is p.embed and p.members == p.ambient.carrier()
+            return
+        refused = [n for s, size, pairs, n in FORMERLY_REFUSED
+                   if (s, size, pairs) == (syntax, len(x), strict_pairs(x))]
+        if refused:
+            assert len(p.members) == refused[0] and refused[0] ** 2 > DEFAULT_MAX_ENUM
+            assert lattice_isomorphic(p.result, l.closed_form(up_algebra(x))) is not None
+            assert p.result.size() == len(p.members) == len(p.embed)
+            return
+        result, members, embed = sweep_and_rebuild(p)
+        assert p.result == result and p.members == members
+        assert list(p.embed.items()) == list(embed.items())
+
+    @pytest.mark.parametrize("members, why", [
+        ((0, 1, 2, 3), "member is not closed"),  # {0} leaves by the edge 0 -> 1
+        ((0, 3), "members are not the closed sets"),  # the closed {1} is missing
+    ])
+    def test_a_sweep_that_is_not_the_closed_sets_is_refused(self, members, why):
+        b, c = FinBoolAlg((0, 1)), FinBoolAlg((0,))
+        h1, h2 = BAHom(b, c, (0,)), BAHom(b, c, (1,))
+        assert _edge_preorder_lattice(h1, h2, (0, 2, 3), b.labels, DEFAULT_MAX_ENUM)[1] \
+            == {0: 0, 1: 2, 3: 3}
+        with pytest.raises(AssertionError, match=why):
+            _edge_preorder_lattice(h1, h2, members, b.labels, DEFAULT_MAX_ENUM)
+
+    @pytest.mark.parametrize("pairs, size", [(pairs, n) for s, _, pairs, n
+                                             in FORMERLY_REFUSED if s == "dunn"])
+    def test_a_formerly_refused_dunn_lifting_agrees_with_its_closed_form(
+            self, tmp_path, pairs, size):
+        lattice = tmp_path / "lattice.json"
+        lattice.write_text(json.dumps({"type": "dl", "spectrum": {
+            "elements": ["a", "b", "c", "d"], "leq": [p.split("<") for p in pairs.split()]}}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["positivize", "--syntax", "dunn", "--lattice", str(lattice),
+                       "--check-closed-form"])
+        report = json.loads(out.getvalue())
+        assert rc == 0 and report["agree"] is True
+        assert report["result_size"] == report["closed_form_size"] == size
+
+    def test_interpret_answers_both_routes_on_a_formerly_refused_carrier(self, tmp_path):
+        """On the carrier a<b, a<c, d the reference route lifts to 1,296
+        members; it answers and agrees with the one-step clauses."""
+        coalgebra, valuation = tmp_path / "coalgebra.json", tmp_path / "valuation.json"
+        coalgebra.write_text(json.dumps({
+            "carrier": {"elements": ["a", "b", "c", "d"], "leq": [["a", "b"], ["a", "c"]]},
+            "structure": {"a": ["a"], "b": ["b"], "c": ["a", "c"], "d": ["d"]}}))
+        valuation.write_text(json.dumps({"p": ["b", "c"], "q": ["b", "c", "d"]}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["interpret", "--coalgebra", str(coalgebra), "--valuation",
+                       str(valuation), "--formula", "(or (box p) (dia (and p q)))",
+                       "--mode", "both"])
+        report = json.loads(out.getvalue())
+        assert rc == 0 and report["routes_agree"] is True
+        assert report["satisfying"]["positive"] == ["b", "c"]
