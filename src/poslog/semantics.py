@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import up_algebra
 from .errors import DEFAULT_MAX_ENUM, InputError, check_enum_budget
@@ -196,18 +196,27 @@ class Coalgebra:
         object.__setattr__(self, "succ", tuple(succ))
 
 
-def check_positive_coalgebra(c: Coalgebra,
-                             pos: Posetification) -> None:
-    """Structure values must be lifted-carrier elements (convex sets, the
-    codes of ``pos.order``) and the map must be monotone for the lifted
-    order (the witness relation on all subsets)."""
-    convex, lifted, x = set(pos.order.elements), pos.witness.succ, c.carrier
-    for i, s in enumerate(c.succ):
-        if s not in convex:
+def check_positive_coalgebra(c: Coalgebra) -> None:
+    """Structure values must be convex sets (each the meet of its up- and
+    down-closure) and the map must be monotone for the Egli-Milner order:
+    ``i <= j`` needs ``succ[i]`` inside the down-closure of ``succ[j]`` and
+    ``succ[j]`` inside the up-closure of ``succ[i]``.  Bit operations on
+    the state masks, with no lifted carrier."""
+    x, succ = c.carrier, c.succ
+    upmask, downmask = x.upmask, x.downmask
+    up, down = [], []
+    for i, s in enumerate(succ):
+        u = d = 0
+        for k in bits(s):
+            u |= upmask[k]
+            d |= downmask[k]
+        if u & d != s:
             raise InputError(f"successor set of {x.elements[i]!r} is not convex")
-    for i, s in enumerate(c.succ):
-        for j in bits(x.upmask[i]):
-            if not lifted[s] >> c.succ[j] & 1:
+        up.append(u)
+        down.append(d)
+    for i, s in enumerate(succ):
+        for j in bits(upmask[i] ^ (1 << i)):  # every set is below itself
+            if s & ~down[j] or succ[j] & ~up[i]:
                 raise InputError(f"structure map is not monotone between "
                                  f"{x.elements[i]!r} and {x.elements[j]!r}")
 
@@ -281,18 +290,35 @@ def injectivity_check(domain: Iterable, fn: Callable) -> tuple:
 class DeltaPrime:
     """The lifted semantic component at one poset.
 
-    For every element of the lifted modal algebra, push it through the
-    boolean component over the underlying set and transfer the resulting
-    saturated predicate along the projection.  Saturation (the predicate
-    is an up-closed union of classes) is asserted for every element, as is
-    uniqueness of the transfer.  ``table`` maps each member to the mask of
-    the classes (the indices of the lifted poset ``order``) it holds.
+    An element of the lifted modal algebra is pushed through the boolean
+    component over the underlying set, and the resulting saturated
+    predicate is transferred along the projection to the mask of the
+    classes (the indices of the lifted poset) it holds.  ``image`` does
+    this for one member and asserts that the predicate is saturated (an
+    up-closed union of classes), that it transfers uniquely and that it
+    lands on an up-set.  ``apply`` runs it the first time a member is
+    asked for and remembers the answer, and refuses a mask that is not a
+    member; ``table`` runs it on every member.
     """
 
-    table: dict
+    members: Sequence
+    image: Callable[[int], int]
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def apply(self, member: int) -> int:
-        return self.table[member]
+        """The predicate of ``member``, which must be one of ``members``."""
+        try:
+            return self.memo[member]
+        except KeyError:
+            if member not in self.members:
+                raise AssertionError("modal image left the lifted algebra") from None
+            out = self.memo[member] = self.image(member)
+            return out
+
+    @property
+    def table(self) -> dict:
+        """Every member with its predicate: the full, checked tabulation."""
+        return {m: self.apply(m) for m in self.members}
 
 
 def delta_prime(t, delta_factory, x: FinPoset, pos: Posetification,
@@ -302,10 +328,10 @@ def delta_prime(t, delta_factory, x: FinPoset, pos: Posetification,
         raise AssertionError("ambient algebra does not match the component domain")
     if pos.witness is None:
         raise InputError("lifting carries no witness relation to saturate against")
-    succ, e = pos.witness.succ, pos.e
-    table = {}
-    for m in lifted.members:
-        ms = dp.apply(m)  # powerset codes are carrier indices
+    succ, e, order = pos.witness.succ, pos.e, pos.order
+
+    def image(member: int) -> int:
+        ms = dp.apply(member)  # powerset codes are carrier indices
         if any(succ[i] & ~ms for i in bits(ms)):
             raise AssertionError("semantic image is not saturated for the lifted order")
         u = 0  # the classes the image meets
@@ -313,10 +339,11 @@ def delta_prime(t, delta_factory, x: FinPoset, pos: Posetification,
             u |= 1 << e[i]
         if sum(1 << i for i, k in enumerate(e) if u >> k & 1) != ms:
             raise AssertionError("saturated image transfers to more than one upset")
-        if pos.order.up_of(u) != u:
+        if order.up_of(u) != u:
             raise AssertionError("transferred predicate is not an upset")
-        table[m] = u
-    return DeltaPrime(table)
+        return u
+
+    return DeltaPrime(lifted.members, image)
 
 
 # ----------------------------------------------------------- interpreters
@@ -403,8 +430,6 @@ def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
     x = c.carrier
     vals = check_valuation(valuation, x, positive=True)
     if method == "direct":
-        pos = _pow_lifting(x, max_enum)
-
         def modal(op: str, u: int) -> int:
             if op == "dia":
                 return sum(1 << i for i, s in enumerate(c.succ) if s & u)
@@ -414,12 +439,10 @@ def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
 
         def modal(op: str, u: int) -> int:
             elem = lifted.diamond_of(u) if op == "dia" else lifted.box_of(u)
-            if elem not in dprime.table:
-                raise AssertionError("modal image left the lifted algebra")
             pred = dprime.apply(elem)  # a mask of lifted classes
             return sum(1 << i for i, s in enumerate(c.succ) if pred >> pos.e[s] & 1)
     if not c.positive_checked:
-        check_positive_coalgebra(c, pos)
+        check_positive_coalgebra(c)
         object.__setattr__(c, "positive_checked", True)
     out = _evaluate(phi, vals, (1 << len(x)) - 1, modal)
     if x.up_of(out) != out:
@@ -437,4 +460,4 @@ def delta_pow_injective(states: tuple,
 def delta_prime_injective(x: FinPoset,
                           max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
     _, _, dprime = _positive_context(x, max_enum)
-    return injectivity_check(list(dprime.table), dprime.apply)
+    return injectivity_check(dprime.members, dprime.apply)

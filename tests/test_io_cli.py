@@ -249,8 +249,9 @@ class TestCli:
         # 2^63 subsets: a range too long for len()
         (63, ("posetify", "--functor", "pow", "--method", "closed", "--poset"),
          "convex powerset"),
-        (70, ("interpret", "--mode", "positive", "--formula", "(dia p)", "--coalgebra"),
-         "convex powerset"),
+        # the boolean route's semantic component: 2^70 rows of 2^70 bits
+        (70, ("interpret", "--mode", "both", "--formula", "(dia p)", "--coalgebra"),
+         "semantic component construction"),
         # 10^20 argument tuples: the same for a polynomial's range of codes
         (10, ("posetify", "--functor", "poly:sigma=f:20:1", "--method", "closed",
               "--poset"), "polynomial order lifting"),
@@ -275,6 +276,72 @@ class TestCli:
         assert (r.returncode, r.stdout) == (2, "")
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith(f"budget refused: {stage} would enumerate ")
+
+    @pytest.mark.parametrize("n", [70, 1000])
+    def test_positive_mode_answers_at_the_size_of_the_model(self, tmp_path, n):
+        """The positive route checks the coalgebra on state masks and needs
+        no lifted carrier, so a discrete coalgebra of any size is answered."""
+        labels = [f"e{i}" for i in range(n)]
+        coalg, valuation = tmp_path / "coalgebra.json", tmp_path / "valuation.json"
+        coalg.write_text(json.dumps({"carrier": labels,
+                                     "structure": {a: [a] for a in labels}}))
+        valuation.write_text(json.dumps({"p": labels[:1]}))
+        r = run_cli("interpret", "--mode", "positive", "--formula", "(dia (box p))",
+                    "--coalgebra", str(coalg), "--valuation", str(valuation))
+        assert (r.returncode, r.stderr) == (0, "")
+        assert json.loads(r.stdout)["satisfying"] == {"positive": ["e0"]}
+
+    # The smallest antichain that each functor and method refuses, found by
+    # counting up from one element: 2^n subsets squared pass 2^20 at 11,
+    # neighbourhood families squared at 4 (the closed form collapses the
+    # discrete components first, so it answers 4 and refuses 5), up-closed
+    # families squared at 5, C(n+3, 3) multisets squared at 17 and
+    # n^2 + 2 polynomial terms squared at 32.  Each row: the functor, the
+    # size for the closed form, the size for generic and both, and the
+    # closed form's stage.
+    @pytest.mark.parametrize("method", ["closed", "generic", "both"])
+    @pytest.mark.parametrize("functor, closed_n, generic_n, closed_stage", [
+        ("pow", 11, 11, "convex powerset"),
+        ("nb", 5, 4, "neighbourhood families on components"),
+        ("mnb", 5, 5, "up-closed family comparison"),
+        ("bag:3", 17, 17, "multiset order lifting"),
+        ("poly:sigma=f:2:1,c:0:2", 32, 32, "polynomial order lifting"),
+    ], ids=["pow", "nb", "mnb", "bag3", "poly"])
+    def test_the_smallest_antichain_over_the_budget_is_refused_small(
+            self, tmp_path, functor, closed_n, generic_n, closed_stage, method):
+        """Exit 2 naming the stage, with under 1 MB allocated on the way."""
+        if method == "closed":
+            n, stage = closed_n, closed_stage
+        else:
+            kind = "lifted relation" if method == "generic" else "cross-check comparison"
+            n, stage = generic_n, f"{functor} {kind}"
+        poset = tmp_path / "antichain.json"
+        poset.write_text(json.dumps({"elements": [f"e{i}" for i in range(n)]}))
+        self._assert_refused_small(("posetify", "--functor", functor, "--method", method,
+                                    "--poset", str(poset)), stage)
+
+    def test_interpret_both_on_eleven_states_is_refused_small(self, tmp_path):
+        labels = [f"e{i}" for i in range(11)]
+        coalg, valuation = tmp_path / "coalgebra.json", tmp_path / "valuation.json"
+        coalg.write_text(json.dumps({"carrier": labels,
+                                     "structure": {a: [a] for a in labels}}))
+        valuation.write_text(json.dumps({"p": labels[:1]}))
+        self._assert_refused_small(("interpret", "--mode", "both", "--formula", "(dia p)",
+                                    "--coalgebra", str(coalg),
+                                    "--valuation", str(valuation)),
+                                   "semantic component construction")
+
+    @staticmethod
+    def _assert_refused_small(argv, stage):
+        tracemalloc.start()
+        try:
+            rc, out, err = run_main(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"budget refused: {stage} would enumerate ")
+        assert peak < 2 ** 20
 
     def test_the_multiset_order_is_refused_before_its_carrier_is_built(self, tmp_path):
         """bag:3 on a 600-element antichain has 36,361,101 multisets; the

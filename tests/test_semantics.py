@@ -1,17 +1,22 @@
 """Formulas, interpretation, the semantic component and its lifting."""
 
+from itertools import product
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poslog import semantics
 from poslog.errors import InputError
 from poslog.functors import nb_functor, pow_functor, powerset
-from poslog.order import FinPoset, enumerate_posets, up_closure
-from poslog.semantics import (BOT, TOP, Coalgebra, box, conj, delta_pow,
-                              delta_pow_injective, delta_prime_injective,
-                              dia, disj, interpret_boolean,
+from poslog.order import FinPoset, bits, enumerate_posets, up_closure
+from poslog.posetify import posetify_powerset
+from poslog.semantics import (BOT, TOP, Coalgebra, box, check_positive_coalgebra,
+                              conj, delta_pow, delta_pow_injective, delta_prime,
+                              delta_prime_injective, dia, disj, interpret_boolean,
                               interpret_positive, neg, parse_formula, var,
                               _positive_context)
-from poslog.verify import monotone_coalgebras, small_posets
+from poslog.verify import iso_representatives, monotone_coalgebras, small_posets
 
 
 def chain(*labels):
@@ -80,12 +85,75 @@ class TestCoalgebra:
         calls = []
         check = semantics.check_positive_coalgebra
         monkeypatch.setattr(semantics, "check_positive_coalgebra",
-                            lambda c, pos: calls.append(c) or check(c, pos))
+                            lambda c: calls.append(c) or check(c))
         c = Coalgebra(chain("x", "y"), {"x": ["y"], "y": ["y"]})
         for method in ("direct", "delta", "direct"):
             for text in ("(dia p)", "(box p)"):
                 interpret_positive(c, {"p": ["y"]}, parse_formula(text), method)
         assert calls == [c] and c.positive_checked
+
+
+def convex_powerset_check(c):
+    """The coalgebra check as it read on the convex powerset: every
+    successor set a code of the lifted order, every comparable pair of
+    states related by the witness relation on all subsets."""
+    pos = posetify_powerset(c.carrier)
+    convex, lifted, x = set(pos.order.elements), pos.witness.succ, c.carrier
+    for i, s in enumerate(c.succ):
+        if s not in convex:
+            raise InputError(f"successor set of {x.elements[i]!r} is not convex")
+    for i, s in enumerate(c.succ):
+        for j in bits(x.upmask[i]):
+            if not lifted[s] >> c.succ[j] & 1:
+                raise InputError(f"structure map is not monotone between "
+                                 f"{x.elements[i]!r} and {x.elements[j]!r}")
+
+
+def check_outcome(check, c):
+    """``None`` when ``check`` accepts ``c``, else its message."""
+    try:
+        check(c)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def coalgebra_of_masks(p, masks):
+    return Coalgebra(p, {x: p.labels(m) for x, m in zip(p.elements, masks)})
+
+
+class TestCoalgebraCheckOnMasks:
+    """The mask check against the convex-powerset check it replaces."""
+
+    def test_agrees_on_every_successor_map_up_to_three_states(self):
+        accepted = 0
+        for p in small_posets(3):
+            for masks in product(range(1 << len(p)), repeat=len(p)):
+                c = coalgebra_of_masks(p, masks)
+                want = check_outcome(convex_powerset_check, c)
+                assert check_outcome(check_positive_coalgebra, c) == want, \
+                    (p.elements, p.upmask, masks)
+                accepted += want is None
+        assert accepted > 100  # both verdicts are exercised
+
+    @settings(database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_agrees_on_drawn_maps_up_to_five_states(self, data):
+        n = data.draw(st.integers(0, 5))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                             st.integers(0, max(n - 1, 0)))))
+        labels = ("a", "b", "c", "d", "e")[:n]
+        p = FinPoset.from_pairs(labels, [(labels[i], labels[j]) for i, j in pairs
+                                         if i < j], complete=True)
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+        shape = data.draw(st.sampled_from(["any", "convex", "constant"]))
+        if shape != "any":  # convex sets, and for "constant" a monotone map
+            masks = [p.up_of(m) & p.down_of(m) for m in masks]
+            if shape == "constant" and masks:
+                masks = [masks[0]] * n
+        c = coalgebra_of_masks(p, masks)
+        assert check_outcome(check_positive_coalgebra, c) == \
+            check_outcome(convex_powerset_check, c)
 
 
 PQ = FinPoset.discrete(("p", "q"))
@@ -144,6 +212,46 @@ class TestDeltaPrime:
                 for d in pos.result.elements:
                     if pos.result.leq(c, d):
                         assert d in pred
+
+    def test_on_demand_images_equal_the_eager_table(self):
+        """Each member applied alone, in reverse order, gives the image the
+        full tabulation gives, written out here as the eager loop."""
+        for p in iso_representatives(3):
+            pos, lifted, _ = _positive_context(p, 1 << 20)
+            dp, e = delta_pow(p.elements), pos.e
+            eager = {}
+            for m in lifted.members:
+                ms = dp.apply(m)
+                u = 0
+                for i in bits(ms):
+                    u |= 1 << e[i]
+                eager[m] = u
+            fresh = delta_prime(pow_functor(), delta_pow, p, pos, lifted)
+            assert not fresh.memo
+            for m in reversed(lifted.members):
+                assert fresh.apply(m) == eager[m]
+            assert delta_prime(pow_functor(), delta_pow, p, pos, lifted).table == eager
+
+    def test_a_non_saturated_image_raises_on_its_first_apply(self):
+        """Construction asks for no image; the first ``apply`` asserts
+        saturation, and a failed image is not remembered."""
+        p = chain("x", "y")
+        pos, lifted, _ = _positive_context(p, 1 << 20)
+        # the subset {x} alone: {y} and {x, y} lie above it in the lifted order
+        stub = lambda states: SimpleNamespace(apply=lambda member: 1 << p.mask(["x"]))
+        dprime = delta_prime(pow_functor(), stub, p, pos, lifted)
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="not saturated"):
+                dprime.apply(lifted.ambient.top)
+        assert not dprime.memo
+
+    def test_a_mask_outside_the_lifted_algebra_is_refused(self):
+        pos, lifted, dprime = _positive_context(chain("x", "y"), 1 << 20)
+        outside = next(m for m in range(1 << len(lifted.ambient.atoms))
+                       if m not in lifted.members)
+        with pytest.raises(AssertionError, match="left the lifted algebra"):
+            dprime.apply(outside)
+        assert outside not in dprime.memo
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_injective_on_small_posets(self, n):
