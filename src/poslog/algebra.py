@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (BudgetExceeded, DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS,
                      InputError, check_enum_budget)
@@ -249,17 +249,16 @@ def free_ba_generator(fb: FinBoolAlg, g) -> int:
     return sum(1 << k for k, v in enumerate(fb.atoms) if g in v)
 
 
-def free_ba_map(source_gens: tuple, target_gens: tuple, f: Mapping,
+def free_ba_map(source_gens: tuple, target_gens: tuple, image: Sequence,
                 max_generators: int = DEFAULT_MAX_GENERATORS) -> BAHom:
-    """The hom between free algebras induced by a function on generators.
+    """The hom between free algebras induced by the function on generators
+    that sends ``source_gens[j]`` to ``target_gens[image[j]]``.
 
     Dually, a target valuation ``v`` pulls back to the valuation
     ``{g | f(g) in v}``; this sends generators to generators.
     """
     src = free_ba(tuple(source_gens), max_generators)
     dst = free_ba(tuple(target_gens), max_generators)
-    index = {g: j for j, g in enumerate(target_gens)}
-    image = tuple(index[f[g]] for g in source_gens)
     return BAHom(src, dst, tuple(_preimage(image, v) for v in range(len(dst.atoms))))
 
 

@@ -21,7 +21,8 @@ from .errors import (BudgetExceeded, DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS,
 from .functors import parse_functor
 from .posetify import closed_form, cross_check, posetify_generic
 from .positivize import SYNTAXES, parse_syntax, positivize
-from .semantics import interpret_boolean, interpret_positive, parse_formula
+from .semantics import (count_delta_pow, interpret_boolean, interpret_positive,
+                        parse_formula)
 from .verify import SUITES, run_suite
 
 
@@ -123,25 +124,30 @@ def cmd_interpret(args) -> int:
     valuation = pio.load_valuation(pio.read_json(args.valuation))
     formula = parse_formula(args.formula)
     discrete_carrier = not coalg.carrier.covers()
+    if args.mode == "boolean" and not discrete_carrier:
+        raise InputError("boolean interpretation needs a discrete carrier")
     report = {"formula": str(formula), "mode": args.mode}
     out = {}
-    if args.mode == "boolean" or (args.mode == "both" and discrete_carrier):
-        if not discrete_carrier:
-            raise InputError("boolean interpretation needs a discrete carrier")
-        out["boolean"] = sorted(map(pio.format_label,
-                                    interpret_boolean(coalg, valuation, formula,
-                                                      args.max_enum)))
-    if args.mode in ("positive", "both"):
+    if args.mode != "boolean":
+        # linear in the model, this route meets the input errors of every route
         direct = interpret_positive(coalg, valuation, formula, "direct",
                                     args.max_enum)
         out["positive"] = sorted(map(pio.format_label, direct))
+    if args.mode == "both":
+        # the boolean route is counted, and the reference route counts its
+        # own before it builds, so a refusal comes before either has run
+        if discrete_carrier:
+            count_delta_pow(len(coalg.carrier), args.max_enum)
+        ref = interpret_positive(coalg, valuation, formula, "delta",
+                                 args.max_enum)
+        out["reference"] = sorted(map(pio.format_label, ref))
+        report["routes_agree"] = (direct == ref)
+    if args.mode != "positive" and discrete_carrier:
+        out["boolean"] = sorted(map(pio.format_label,
+                                    interpret_boolean(coalg, valuation, formula,
+                                                      args.max_enum)))
         if args.mode == "both":
-            ref = interpret_positive(coalg, valuation, formula, "delta",
-                                     args.max_enum)
-            out["reference"] = sorted(map(pio.format_label, ref))
-            report["routes_agree"] = (direct == ref)
-            if "boolean" in out:
-                report["boolean_agrees"] = (out["boolean"] == out["positive"])
+            report["boolean_agrees"] = (out["boolean"] == out["positive"])
     report["satisfying"] = out
     _emit(report)
     if args.mode == "both" and not report.get("routes_agree", True):

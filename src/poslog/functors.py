@@ -10,8 +10,11 @@ An element of ``T(X)`` is a *code*: for ``pow`` the mask of a subset (bit
 ``j`` for ``X[j]``), for ``nb`` and ``mnb`` a mask over subset masks, for
 ``bag`` the sorted tuple of its element indices, and for ``poly`` its
 position in the carrier.  ``on_obj`` returns the codes (a ``range`` where
-they are dense), ``on_mor`` maps codes to codes, and ``decode(X)`` maps a
-code to its label, built only where labels are shown or compared.
+they are dense), ``on_mor(image, n)`` maps codes to codes along the map
+sending element ``j`` of the source to element ``image[j]`` of an
+``n``-element target (an index assignment, the one format of maps), and
+``decode(X)`` maps a code to its label, built only where labels are shown
+or compared.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, groupby, product
 from operator import and_, or_
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceeded, DEFAULT_MAX_ENUM, InputError, check_enum_budget
 from .order import FinPoset, Preorder, bits, cotensor2, egli_milner_rows, unions
@@ -64,7 +67,7 @@ class SetFunctor:
 
     name: str
     on_obj: Callable[[tuple], tuple]
-    on_mor: Callable[[Mapping, tuple, tuple], Callable]
+    on_mor: Callable[[Sequence, int], Callable]
     size_estimate: Callable[[int], int]
     step_relation: Optional[Callable[[FinPoset, int], Preorder]] = None
     closed_form: Callable[["SetFunctor", FinPoset, int], object] = _analytic_closed_form
@@ -78,17 +81,10 @@ def carrier_labels(t: SetFunctor, s: tuple) -> tuple:
     return tuple(map(t.decode(s), t.on_obj(s)))
 
 
-def _index_map(f: Mapping, src: tuple, dst: tuple) -> list:
-    """Entry ``j``: the index in ``dst`` of the image under ``f`` of
-    ``src[j]``."""
-    pos = {v: i for i, v in enumerate(dst)}
-    return [pos[f[v]] for v in src]
-
-
-def _images(f: Mapping, src: tuple, dst: tuple) -> list:
-    """Entry ``k``: the mask over ``dst`` of the image under ``f`` of the
-    subset of mask ``k`` of ``src``."""
-    return unions([1 << i for i in _index_map(f, src, dst)])
+def _images(image: Sequence) -> list:
+    """Entry ``k``: the mask of the image under ``image`` of the subset of
+    mask ``k`` of its source."""
+    return unions([1 << i for i in image])
 
 
 def _family_decode(s: tuple) -> Callable:
@@ -121,7 +117,7 @@ def _pow_box(n: int, u: int) -> int:
 
 def pow_functor() -> SetFunctor:
     return SetFunctor("pow", lambda s: range(1 << len(s)),
-                      lambda f, src, dst: _images(f, src, dst).__getitem__,
+                      lambda image, n: _images(image).__getitem__,
                       lambda n: 1 << n, _pow_step,
                       lambda t, x, m: _posetify().posetify_powerset(x, m),
                       diamond=_pow_diamond, box=_pow_box,
@@ -130,13 +126,12 @@ def pow_functor() -> SetFunctor:
 
 # ----------------------------------------------------------- neighbourhood
 
-def _nb_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
-    """A family goes to the subsets of ``dst`` whose preimage it holds: an
+def _nb_mor(image: Sequence, n: int) -> Callable:
+    """A family goes to the target subsets whose preimage it holds: an
     OR-linear map, tabulated by doubling from the images ``g[k]`` of the
     one-member families (the subsets whose preimage has mask ``k``)."""
-    image = _index_map(f, src, dst)
-    g = [0] * (1 << len(src))
-    for u in range(1 << len(dst)):
+    g = [0] * (1 << len(image))
+    for u in range(1 << n):
         g[sum(1 << j for j, i in enumerate(image) if u >> i & 1)] |= 1 << u
     return unions(g).__getitem__
 
@@ -184,11 +179,11 @@ def _mnb_obj(s: tuple) -> tuple:
     return tuple(families)
 
 
-def _mnb_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
+def _mnb_mor(image: Sequence, n: int) -> Callable:
     """A family goes to the up-closure of the images of its members: the
     union of the principal families of those images."""
-    principal = _principals(len(dst))
-    g = [principal[img] for img in _images(f, src, dst)]
+    principal = _principals(n)
+    g = [principal[img] for img in _images(image)]
     return lambda family: reduce(or_, map(g.__getitem__, bits(family)), 0)
 
 
@@ -209,7 +204,7 @@ def _mnb_step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
     _, first, second = cotensor2(x)
     principal = _principals(len(x))
     gens = {(principal[a], principal[b]) for a, b in
-            zip(*(unions([1 << i for i in p.assignment]) for p in (first, second)))}
+            zip(_images(first.assignment), _images(second.assignment))}
     closed = {(0, 0)} | gens
     frontier = list(closed)
     while frontier:
@@ -252,8 +247,7 @@ def _mset_decode(s: tuple) -> Callable:
     return lambda code: tuple((s[i], len(list(run))) for i, run in groupby(code))
 
 
-def _mset_mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
-    image = _index_map(f, src, dst)
+def _mset_mor(image: Sequence, n: int) -> Callable:
     return lambda code: tuple(sorted(map(image.__getitem__, code)))
 
 
@@ -315,18 +309,17 @@ def _poly_decode(signature: tuple):
 
 
 def _poly_mor(signature: tuple):
-    def mor(f: Mapping, src: tuple, dst: tuple) -> Callable:
+    def mor(image: Sequence, n: int) -> Callable:
         """Tabulated: each argument digit is replaced by the index of its
         image, and the symbol and coefficient are kept."""
-        image = _index_map(f, src, dst)
         table, offset = [], 0
         for _, arity, coeffs in signature:
             args = [0]  # the images of the argument tuples, in product order
             for _ in range(arity):
-                args = [a * len(dst) + w for a in args for w in image]
+                args = [a * n + w for a in args for w in image]
             for _ in coeffs:
                 table += [offset + a for a in args]
-                offset += len(dst) ** arity
+                offset += n ** arity
         return table.__getitem__
 
     return mor
@@ -435,11 +428,11 @@ def apply_obj(t: SetFunctor, s: tuple, max_enum: int = DEFAULT_MAX_ENUM) -> tupl
     return t.on_obj(tuple(s))
 
 
-def apply_mor(t: SetFunctor, f: Mapping, src: tuple, dst: tuple,
+def apply_mor(t: SetFunctor, image: Sequence, n: int,
               max_enum: int = DEFAULT_MAX_ENUM) -> Callable:
-    check_enum_budget(max(t.size_estimate(len(src)), t.size_estimate(len(dst))),
+    check_enum_budget(max(t.size_estimate(len(image)), t.size_estimate(n)),
                       max_enum, f"{t.name} on a function")
-    return t.on_mor(dict(f), tuple(src), tuple(dst))
+    return t.on_mor(tuple(image), n)
 
 
 def lift_relation_generic(t: SetFunctor, x: FinPoset,
@@ -464,8 +457,8 @@ def lift_relation_generic(t: SetFunctor, x: FinPoset,
         check_enum_budget(t.size_estimate(len(x)) ** 2, max_enum,
                           f"{t.name} lifted relation")
         carrier = t.on_obj(x.elements)
-        f0 = t.on_mor(p0.as_dict(), xsq.elements, x.elements)
-        f1 = t.on_mor(p1.as_dict(), xsq.elements, x.elements)
+        f0 = t.on_mor(p0.assignment, len(x))
+        f1 = t.on_mor(p1.assignment, len(x))
         idx = {e: k for k, e in enumerate(carrier)}
         succ = [0] * len(carrier)
         for c in t.on_obj(xsq.elements):

@@ -101,18 +101,27 @@ class FinPoset:
 
         With ``complete=True`` the reflexive-transitive closure of the pairs
         is taken first, so inputs may omit implied pairs (this is the JSON
-        convention).  Antisymmetry is always enforced.
+        convention).  Antisymmetry is always enforced; on rows closed here
+        (the down-set rows from the reversed pairs) it is all that can fail.
         """
         elems = tuple(elements)
         index = {e: i for i, e in enumerate(elems)}
         ups = [1 << i for i in range(len(elems))]
+        downs = ups[:]
         for a, b in pairs:
             if a not in index or b not in index:
                 raise InputError(f"pair ({a!r}, {b!r}) mentions unknown element")
             ups[index[a]] |= 1 << index[b]
-        if complete:
-            ups = _close_rows(ups)
-        return cls(elems, tuple(ups))
+            downs[index[b]] |= 1 << index[a]
+        if not complete:
+            return cls(elems, tuple(ups))
+        p = cls._trusted(elems, _close_rows(ups), _close_rows(downs))
+        for i, (up, down) in enumerate(zip(p.upmask, p.downmask)):
+            both = up & down & ~(1 << i)
+            if both:
+                raise InputError(f"antisymmetry fails between {elems[i]!r} "
+                                 f"and {elems[(both & -both).bit_length() - 1]!r}")
+        return p
 
     @classmethod
     def _trusted(cls, elements: Iterable, upmask: tuple, downmask: tuple):
@@ -324,10 +333,6 @@ class MonotoneMap:
     def of(self, label):
         return self.target.elements[self.assignment[self.source.index(label)]]
 
-    def as_dict(self) -> dict:
-        return {e: self.target.elements[self.assignment[i]]
-                for i, e in enumerate(self.source.elements)}
-
     def then(self, other: "MonotoneMap") -> "MonotoneMap":
         """Composite ``other after self``."""
         if self.target is not other.source and self.target != other.source:
@@ -442,31 +447,26 @@ def diagonal_section(x: FinPoset, xsq: FinPoset) -> MonotoneMap:
 
 
 def connected_components(x: FinPoset) -> tuple:
-    """Components of the comparability graph.
+    """Components of the comparability graph, by index.
 
-    Returns ``(component_labels, component_of)`` where each component is
-    labelled by its least-index member and ``component_of`` maps every
-    element label to its component label.
+    Returns ``(reps, comp)``: ``reps[c]`` is the least index of component
+    ``c``, and ``comp[i]`` is the component of element ``i``, so ``comp``
+    is the index assignment of the collapse onto the components.
     """
-    n = len(x)
-    comp = [-1] * n
+    comp = [-1] * len(x)
     reps = []
-    for i in range(n):
+    for i in range(len(x)):
         if comp[i] != -1:
             continue
         reps.append(i)
         reach = frontier = 1 << i
         while frontier:
-            step = 0
-            for k in bits(frontier):
-                step |= x.upmask[k] | x.downmask[k]
+            step = x.up_of(frontier) | x.down_of(frontier)
             frontier = step & ~reach
             reach |= step
         for k in bits(reach):
-            comp[k] = i
-    labels = tuple(x.elements[r] for r in reps)
-    component_of = {x.elements[i]: x.elements[comp[i]] for i in range(n)}
-    return labels, component_of
+            comp[k] = len(reps) - 1
+    return tuple(reps), tuple(comp)
 
 
 def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[dict]:

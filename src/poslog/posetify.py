@@ -186,14 +186,15 @@ def posetify_nb(x: FinPoset,
     is discrete on the families over the set of connected components, and
     the projection is the functor applied to the component collapse."""
     nb = nb_functor()
-    comps, comp_of = connected_components(x)
+    reps, comp = connected_components(x)
+    comps = tuple(map(x.elements.__getitem__, reps))
     check_enum_budget(nb.size_estimate(len(comps)), max_enum,
                       "neighbourhood families on components")
     check_enum_budget(nb.size_estimate(len(x)), max_enum,
                       "neighbourhood families on the carrier")
     result = FinPoset.discrete(nb.on_obj(comps))
     carrier = nb.on_obj(x.elements)
-    e = tuple(map(nb.on_mor(comp_of, x.elements, comps), carrier))
+    e = tuple(map(nb.on_mor(comp, len(comps)), carrier))
     witness = None
     if len(carrier) ** 2 <= max_enum:
         classes = [0] * len(result)  # the mask of the members of each class

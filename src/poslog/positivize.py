@@ -77,7 +77,7 @@ def semantic_l(t: SetFunctor, max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
 
     def on_mor(h: BAHom) -> BAHom:
         src, dst = h.source.atoms, h.target.atoms
-        act = t.on_mor(dict(zip(dst, (src[s] for s in h.dual))), dst, src)
+        act = t.on_mor(h.dual, len(src))  # T of the dual atom map
         index = {c: k for k, c in enumerate(codes(src))}
         return BAHom(algebra(src), algebra(dst),
                      tuple(index[act(c)] for c in codes(dst)))
@@ -104,9 +104,8 @@ def free_l(max_generators: int = DEFAULT_MAX_GENERATORS,
         return free_ba(gens_of(b), max_generators)
 
     def on_mor(h: BAHom) -> BAHom:
-        src, dst = gens_of(h.source), gens_of(h.target)
-        return free_ba_map(src, dst, {g: dst[h.apply(x)] for x, g in enumerate(src)},
-                           max_generators)
+        return free_ba_map(gens_of(h.source), gens_of(h.target),
+                           tuple(map(h.apply, h.source.carrier(max_enum))), max_generators)
 
     def box(b: FinBoolAlg, x: int) -> int:
         return free_ba_generator(on_obj(b), b.labels(x))

@@ -258,10 +258,14 @@ class DeltaPow:
         return out
 
 
+def count_delta_pow(n: int, max_enum: int = DEFAULT_MAX_ENUM) -> None:
+    """Refuse the semantic component over ``n`` states before building it."""
+    check_enum_budget((1 << n) ** 2, max_enum, "semantic component construction")
+
+
 def delta_pow(states: tuple, max_enum: int = DEFAULT_MAX_ENUM) -> DeltaPow:
     states = tuple(states)
-    check_enum_budget((1 << len(states)) ** 2, max_enum,
-                      "semantic component construction")
+    count_delta_pow(len(states), max_enum)
     n, diamond = len(states), pow_functor().diamond
     every, full = (1 << (1 << n)) - 1, (1 << n) - 1
     atom_image = []

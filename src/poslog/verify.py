@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import Iterator
 from . import algebra as alg
 from . import semantics as sem
 from .errors import DEFAULT_MAX_ENUM, BudgetExceeded
@@ -139,30 +140,25 @@ def check_cotensor(max_enum=DEFAULT_MAX_ENUM):
                 want = p.leq(a, c) and p.leq(b, d)
                 if xsq.leq((a, b), (c, d)) != want:
                     return False, "componentwise order wrong"
-        i = diagonal_section(p, xsq)
-        for e in p.elements:
-            if p0.of(i.of(e)) != e or p1.of(i.of(e)) != e:
-                return False, "diagonal is not a common section"
+        i = diagonal_section(p, xsq).assignment
+        if any(p0.assignment[k] != j or p1.assignment[k] != j for j, k in enumerate(i)):
+            return False, "diagonal is not a common section"
     return True, f"{len(small_posets(3))} posets checked"
 
 
 def check_components(max_enum=DEFAULT_MAX_ENUM):
     for p in small_posets(3):
-        comps, comp_of = connected_components(p)
+        reps, comp = connected_components(p)
         xsq, p0, p1 = cotensor2(p)
-        for w in xsq.elements:
-            if comp_of[w[0]] != comp_of[w[1]]:
-                return False, "collapse does not coequalise the projections"
+        if any(comp[i] != comp[j] for i, j in zip(p0.assignment, p1.assignment)):
+            return False, "collapse does not coequalise the projections"
         # independent route: symmetrise the order and quotient
         sym = tuple(u | d for u, d in zip(p.upmask, p.downmask))
         q, proj = poset_quotient(transitive_closure(Preorder(p.elements, sym)))
-        if len(q) != len(comps):
+        if len(q) != len(reps):
             return False, f"component count differs on {p.elements}"
-        for a in p.elements:
-            for b in p.elements:
-                same = comp_of[a] == comp_of[b]
-                if same != (proj[p.index(a)] == proj[p.index(b)]):
-                    return False, "component partition differs"
+        if comp != proj:  # both number their classes in order of least member
+            return False, "component partition differs"
     return True, "components match the symmetrised quotient"
 
 
@@ -212,8 +208,8 @@ def check_nbhd_iso(max_enum=DEFAULT_MAX_ENUM):
     for src_n in (1, 2):
         for dst_n in (1, 2):
             xs, ys = LABELS[:src_n], LABELS[:dst_n]
-            for f in all_functions(xs, ys):
-                act, hom = nb.on_mor(f, xs, ys), alg.free_ba_map(xs, ys, f)
+            for f in all_functions(src_n, dst_n):
+                act, hom = nb.on_mor(f, dst_n), alg.free_ba_map(xs, ys, f)
                 for fam in nb.on_obj(xs):
                     if alg.nbhd_to_free(ys, act(fam)) != \
                             hom.apply(alg.nbhd_to_free(xs, fam)):
@@ -221,10 +217,10 @@ def check_nbhd_iso(max_enum=DEFAULT_MAX_ENUM):
     return True, "bijective and natural on sets of size <= 2"
 
 
-def all_functions(xs: tuple, ys: tuple) -> list:
-    """Every function from ``xs`` to ``ys``, as dicts, the value at the
-    first of ``xs`` varying slowest."""
-    return [dict(zip(xs, values)) for values in product(ys, repeat=len(xs))]
+def all_functions(m: int, n: int) -> Iterator[tuple]:
+    """Every map from an ``m``-element set to an ``n``-element one, as an
+    index assignment, the image of element 0 varying slowest."""
+    return product(range(n), repeat=m)
 
 
 def check_kernel(max_enum=DEFAULT_MAX_ENUM):
@@ -232,10 +228,11 @@ def check_kernel(max_enum=DEFAULT_MAX_ENUM):
     for p in posets:
         a = alg.up_algebra(p)
         k, embed = alg.kernel_K(a, max_enum)
-        comps, comp_of = connected_components(p)
-        if (1 << len(comps)) != (1 << len(k.atoms)):
+        reps, comp = connected_components(p)
+        if (1 << len(reps)) != (1 << len(k.atoms)):
             return False, f"kernel size wrong on {p.elements}"
-        comp_sets = {p.mask(e for e in p.elements if comp_of[e] == c) for c in comps}
+        comp_sets = {sum(1 << i for i, ci in enumerate(comp) if ci == c)
+                     for c in range(len(reps))}
         atom_sets = {embed[1 << i] for i in range(len(k.atoms))}
         if comp_sets != atom_sets:
             return False, f"kernel atoms differ from components on {p.elements}"
@@ -407,9 +404,9 @@ def check_nb_collapse(max_enum=DEFAULT_MAX_ENUM):
     if len(pos.order) != 4 or pos.order.covers():
         return False, "two-chain collapse is not 4 discrete points"
     for p in iso_representatives(4):
-        comps, _ = connected_components(p)
+        reps, _ = connected_components(p)
         pos = posetify_nb(p, max_enum)
-        if len(pos.order) != 1 << (1 << len(comps)):
+        if len(pos.order) != 1 << (1 << len(reps)):
             return False, f"size wrong on {p.elements}"
         if pos.order.covers():
             return False, f"result not discrete on {p.elements}"
@@ -675,10 +672,9 @@ def check_discrete_agreement(max_enum=DEFAULT_MAX_ENUM):
     formulas = linear_formulas(2, ("v",))
     for n in (1, 2):
         p = FinPoset.discrete(LABELS[:n])
-        subsets = list(powerset(p.elements))
-        structures = all_functions(p.elements, tuple(subsets))
-        for st in structures:
-            c = sem.Coalgebra(p, st)
+        subsets = powerset(p.elements)
+        for st in all_functions(n, len(subsets)):
+            c = sem.Coalgebra(p, dict(zip(p.elements, map(subsets.__getitem__, st))))
             for u in subsets:
                 val = {"v": u}
                 for f in formulas:

@@ -134,27 +134,27 @@ class TestFreeBA:
         assert fb.neg(g) | g == fb.top
 
     def test_map_identity(self):
-        h = free_ba_map(("g",), ("g",), {"g": "g"})
+        h = free_ba_map(("g",), ("g",), (0,))
         fb = free_ba(("g",))
         for e in fb.carrier():
             assert h.apply(e) == e
 
     def test_map_collapse_checked_on_all_elements(self):
         # oracle: the dual action on valuations, computed from scratch
-        f = {"g": "z", "h": "z"}
-        h = free_ba_map(("g", "h"), ("z",), f)
-        src, dst = free_ba(("g", "h")), free_ba(("z",))
+        gens, targets, image = ("g", "h"), ("z",), (0, 0)
+        h = free_ba_map(gens, targets, image)
+        src, dst = free_ba(gens), free_ba(targets)
         assert src.size() == 16 and dst.size() == 4
         for e in src.carrier():
             want = frozenset(v for v in dst.atoms
-                             if frozenset(g for g in ("g", "h") if f[g] in v)
+                             if frozenset(g for g, i in zip(gens, image) if targets[i] in v)
                              in src.labels(e))
             assert dst.labels(h.apply(e)) == want
         for g in ("g", "h"):
             assert h.apply(free_ba_generator(src, g)) == free_ba_generator(dst, "z")
 
     def test_map_injection_preserves_generators(self):
-        h = free_ba_map(("g",), ("g", "h"), {"g": "g"})
+        h = free_ba_map(("g",), ("g", "h"), (0,))
         assert h.apply(free_ba_generator(free_ba(("g",)), "g")) == \
             free_ba_generator(free_ba(("g", "h")), "g")
 
@@ -176,8 +176,8 @@ class TestFamilyTranslation:
     def test_bijective_and_natural(self):
         nb = nb_functor()
         xs, ys = ("p", "q"), ("z",)
-        f = {"p": "z", "q": "z"}
-        act, label = nb.on_mor(f, xs, ys), nb.decode(xs)
+        f = (0, 0)  # both to z
+        act, label = nb.on_mor(f, len(ys)), nb.decode(xs)
         hom = free_ba_map(xs, ys, f)
         seen = set()
         for code in nb.on_obj(xs):

@@ -59,7 +59,8 @@ REQUESTS = [
       for mode in ("positive", "both") for formula in FORMULAS),
     *(f"export-dot --input @{name}" for name in sorted(FILES)
       if name.startswith(("dl-", "poset-", "ba")) or name == "vee.json"),
-    *(f"verify --suite {suite}" for suite in ("order", "algebra")),
+    *(f"verify --suite {suite}"
+      for suite in ("order", "algebra", "posetify", "positivize", "semantics")),
 ]
 
 
@@ -74,7 +75,8 @@ def resolve(argv: str, directory) -> list:
 # recorded before the algebra and semantics layers moved to masks; the
 # two verify suites (their PASS lines) before isomorphism types were
 # found by canonical extension; the posetify requests before the lifted
-# posets were rendered in one pass.
+# posets were rendered in one pass; the posetify, positivize and
+# semantics suites before functor actions took index assignments.
 GOLDEN = [
     ('positivize --syntax dunn --lattice @dl-empty.json', 0, '74b95a54db1d0663'),
     ('positivize --syntax dunn --lattice @dl-empty.json --check-closed-form', 0, '180ff37504f03182'),
@@ -288,6 +290,9 @@ GOLDEN = [
     ('export-dot --input @vee.json', 0, '6c98db2d6a898633'),
     ('verify --suite order', 0, '755f05e722b51265'),
     ('verify --suite algebra', 0, '700bac69c69c4b6b'),
+    ('verify --suite posetify', 0, '004aebdacff5f555'),
+    ('verify --suite positivize', 0, 'e5e5353ec14ba337'),
+    ('verify --suite semantics', 0, 'da8508280a79c467'),
 ]
 
 

@@ -23,6 +23,7 @@ from poslog.functors import parse_functor
 from poslog.order import FinPoset
 from poslog.posetify import cross_check
 from poslog.positivize import SYNTAXES
+from poslog import semantics
 from poslog.semantics import MAX_FORMULA_DEPTH
 from poslog.verify import SUITES, small_posets
 
@@ -330,6 +331,28 @@ class TestCli:
                                     "--coalgebra", str(coalg),
                                     "--valuation", str(valuation)),
                                    "semantic component construction")
+
+    def test_interpret_both_counts_every_route_before_running_one(self, tmp_path,
+                                                                  monkeypatch):
+        """On ten discrete states the boolean route fits the budget and the
+        reference route does not: the refusal comes before the boolean
+        route builds its semantic component, and an unbound variable is
+        still reported before the refusal."""
+        labels = [f"e{i}" for i in range(10)]
+        coalg, valuation = tmp_path / "coalgebra.json", tmp_path / "valuation.json"
+        coalg.write_text(json.dumps({"carrier": labels,
+                                     "structure": {a: [a] for a in labels}}))
+        valuation.write_text(json.dumps({"p": labels[:1]}))
+        built = []
+        monkeypatch.setattr(semantics, "delta_pow", lambda *args: built.append(args))
+        argv = ("interpret", "--mode", "both", "--coalgebra", str(coalg),
+                "--valuation", str(valuation), "--formula")
+        assert run_main(*argv, "(dia (box p))") == (
+            2, "", f"budget refused: boolean algebra carrier would enumerate "
+                   f"{2 ** 2 ** 10} items (budget {2 ** 20}); raise it with --max-enum\n")
+        assert run_main(*argv, "(dia (box q))") == (
+            3, "", "malformed input: unbound variable 'q'\n")
+        assert built == []
 
     @staticmethod
     def _assert_refused_small(argv, stage):

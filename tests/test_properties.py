@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from poslog.algebra import (BAHom, FinBoolAlg, ba_inserter, lattice_from_elements,
                             lattice_isomorphic, prime_filter_poset, up_algebra)
-from poslog.errors import BudgetExceeded
-from poslog.functors import (_mnb_obj, carrier_labels, multiset_functor, poly_functor,
-                             pow_functor, powerset)
+from poslog.errors import BudgetExceeded, InputError
+from poslog.functors import (_mnb_obj, carrier_labels, mnb_functor, multiset_functor,
+                             nb_functor, poly_functor, pow_functor, powerset)
 from poslog.io import format_label, render_poset
 from poslog.order import (FinPoset, Preorder, _close_rows, bits, down_closure,
                           enumerate_poset_types, poset_isomorphism, poset_quotient,
@@ -232,14 +232,16 @@ CODED = [*((multiset_functor(d), bag_labels(d), bag_image) for d in (1, 2, 3)),
 
 
 @st.composite
-def maps(draw, count=1):
-    """Sets ``s0, ..., s_count`` of at most 5 labels, and a random map from
-    each to the next, as a dict (a nonempty set maps to a nonempty one)."""
-    sizes = [draw(st.integers(0, 5))]
+def maps(draw, count=1, max_size=5):
+    """Sets ``s0, ..., s_count`` of at most ``max_size`` labels, and a
+    random map from each to the next, as an index assignment (a nonempty
+    set maps to a nonempty one)."""
+    sizes = [draw(st.integers(0, max_size))]
     for _ in range(count):
-        sizes.append(draw(st.integers(1 if sizes[-1] else 0, 5)))
+        sizes.append(draw(st.integers(1 if sizes[-1] else 0, max_size)))
     sets = [tuple(f"{chr(ord('p') + k)}{i}" for i in range(n)) for k, n in enumerate(sizes)]
-    funcs = [{v: draw(st.sampled_from(dst)) for v in src} for src, dst in zip(sets, sets[1:])]
+    funcs = [tuple(draw(st.integers(0, n - 1)) for _ in range(m))
+             for m, n in zip(sizes, sizes[1:])]
     return sets, funcs
 
 
@@ -250,18 +252,34 @@ def test_coded_functor_decodes_to_the_label_formula(t, labels, image, drawn):
     (src, dst), (f,) = drawn
     assert carrier_labels(t, src) == labels(src)
     assert carrier_labels(t, dst) == labels(dst)
-    act, label, label_dst = t.on_mor(f, src, dst), t.decode(src), t.decode(dst)
+    act, label, label_dst = t.on_mor(f, len(dst)), t.decode(src), t.decode(dst)
+    on_labels = dict(zip(src, map(dst.__getitem__, f)))  # src[j] to dst[f[j]]
     for code in t.on_obj(src):
-        assert label_dst(act(code)) == image(f, dst, label(code))
+        assert label_dst(act(code)) == image(on_labels, dst, label(code))
 
 
-@pytest.mark.parametrize("t", [t for t, _, _ in CODED], ids=lambda t: t.name)
+# every functor with the largest set its laws are drawn on: a neighbourhood
+# carrier over 4 elements has 65,536 codes, an up-closed one over 5 has 7,581
+LAWFUL = [*((t, 5) for t, _, _ in CODED), (pow_functor(), 5), (nb_functor(), 3),
+          (mnb_functor(), 4)]
+
+
+@pytest.mark.parametrize("t, max_size", [pytest.param(*c, id=c[0].name) for c in LAWFUL])
 @settings(checked, max_examples=30)
-@given(maps(count=2))
-def test_coded_functor_preserves_composition(t, drawn):
-    (xs, ys, zs), (f, g) = drawn
-    gf = t.on_mor({v: g[f[v]] for v in xs}, xs, zs)
-    tf, tg = t.on_mor(f, xs, ys), t.on_mor(g, ys, zs)
+@given(data=st.data())
+def test_coded_functor_preserves_identity(t, max_size, data):
+    xs = LABELS[:data.draw(st.integers(0, max_size))]
+    act = t.on_mor(range(len(xs)), len(xs))
+    assert [act(c) for c in t.on_obj(xs)] == list(t.on_obj(xs))
+
+
+@pytest.mark.parametrize("t, max_size", [pytest.param(*c, id=c[0].name) for c in LAWFUL])
+@settings(checked, max_examples=30)
+@given(data=st.data())
+def test_coded_functor_preserves_composition(t, max_size, data):
+    (xs, ys, zs), (f, g) = data.draw(maps(count=2, max_size=max_size))
+    gf = t.on_mor(tuple(g[i] for i in f), len(zs))
+    tf, tg = t.on_mor(f, len(ys)), t.on_mor(g, len(zs))
     assert [gf(c) for c in t.on_obj(xs)] == [tg(tf(c)) for c in t.on_obj(xs)]
 
 
@@ -272,6 +290,34 @@ def test_equal_tables_give_equal_posets(drawn):
     twin = FinPoset.from_pairs(x.elements, sorted(leq, reverse=True))
     assert twin == x and hash(twin) == hash(x)
     assert twin.upmask == x.upmask and twin.downmask == x.downmask
+
+
+@st.composite
+def pair_lists(draw, max_size=6):
+    """Labels in a shuffled order and a random list of pairs over them,
+    cycles included."""
+    labels = draw(st.permutations(LABELS[:draw(st.integers(0, max_size))]))
+    if not labels:
+        return labels, []
+    return labels, draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels))))
+
+
+@checked
+@given(pair_lists())
+def test_closed_pairs_give_the_poset_of_their_closed_rows(drawn):
+    labels, pairs = drawn
+    rows = [1 << i for i in range(len(labels))]
+    for a, b in pairs:
+        rows[labels.index(a)] |= 1 << labels.index(b)
+    try:
+        want = FinPoset(tuple(labels), _close_rows(rows))
+    except InputError as refused:
+        with pytest.raises(InputError) as got:
+            FinPoset.from_pairs(labels, pairs, complete=True)
+        assert str(got.value) == str(refused)
+        return
+    got = FinPoset.from_pairs(labels, pairs, complete=True)
+    assert got == want and got.downmask == want.downmask
 
 
 @checked
