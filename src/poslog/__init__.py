@@ -7,8 +7,8 @@ closed forms and transfer properties by exhaustive computation.
 
 from .errors import BudgetExceeded, InputError
 from .order import (FinPoset, MonotoneMap, Preorder, connected_components,
-                    cotensor2, down_closure, poset_isomorphism,
-                    poset_quotient, transitive_closure, up_closure)
+                    cotensor2, poset_isomorphism, poset_quotient,
+                    transitive_closure)
 from .algebra import (BAHom, FinBoolAlg, FinDistLattice, LatticeHom,
                       boolean_as_lattice, dl_inserter, free_ba,
                       free_ba_generator, free_ba_map, free_over_dl_G,

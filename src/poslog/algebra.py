@@ -540,7 +540,8 @@ def reflexive_pair_swap_check(prod: ProductBA, sub) -> bool:
 
 
 def lattice_isomorphic(a: FinDistLattice, b: FinDistLattice):
-    """An isomorphism witness between the dual posets, or None.
+    """An isomorphism of the spectra, as the index assignment that
+    :func:`poset_isomorphism` returns, or None.
 
     Two finite distributive lattices are isomorphic exactly when their
     spectra are.

@@ -119,11 +119,21 @@ def cmd_dualize(args) -> int:
     return 0
 
 
+def _state_names(x, mask: int) -> list:
+    return sorted(map(pio.format_label, x.labels(mask)))
+
+
 def cmd_interpret(args) -> int:
     coalg = pio.load_coalgebra(pio.read_json(args.coalgebra))
-    valuation = pio.load_valuation(pio.read_json(args.valuation))
+    x = coalg.carrier
+    valuation = {}
+    for name, states in pio.load_valuation(pio.read_json(args.valuation)).items():
+        try:
+            valuation[name] = x.mask(states)
+        except ValueError:  # a bit outside the carrier, which the interpreters refuse
+            valuation[name] = 1 << len(x)
     formula = parse_formula(args.formula)
-    discrete_carrier = not coalg.carrier.covers()
+    discrete_carrier = not x.covers()
     if args.mode == "boolean" and not discrete_carrier:
         raise InputError("boolean interpretation needs a discrete carrier")
     report = {"formula": str(formula), "mode": args.mode}
@@ -132,20 +142,19 @@ def cmd_interpret(args) -> int:
         # linear in the model, this route meets the input errors of every route
         direct = interpret_positive(coalg, valuation, formula, "direct",
                                     args.max_enum)
-        out["positive"] = sorted(map(pio.format_label, direct))
+        out["positive"] = _state_names(x, direct)
     if args.mode == "both":
         # the boolean route is counted, and the reference route counts its
         # own before it builds, so a refusal comes before either has run
         if discrete_carrier:
-            count_delta_pow(len(coalg.carrier), args.max_enum)
+            count_delta_pow(len(x), args.max_enum)
         ref = interpret_positive(coalg, valuation, formula, "delta",
                                  args.max_enum)
-        out["reference"] = sorted(map(pio.format_label, ref))
+        out["reference"] = _state_names(x, ref)
         report["routes_agree"] = (direct == ref)
     if args.mode != "positive" and discrete_carrier:
-        out["boolean"] = sorted(map(pio.format_label,
-                                    interpret_boolean(coalg, valuation, formula,
-                                                      args.max_enum)))
+        out["boolean"] = _state_names(x, interpret_boolean(coalg, valuation, formula,
+                                                           args.max_enum))
         if args.mode == "both":
             report["boolean_agrees"] = (out["boolean"] == out["positive"])
     report["satisfying"] = out

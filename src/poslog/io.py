@@ -107,12 +107,19 @@ def load_coalgebra(data: Any) -> Coalgebra:
     structure = data["structure"]
     if not isinstance(structure, dict):
         raise InputError("'structure' must map states to successor lists")
-    successors = {}
     for x, states in structure.items():
         if not isinstance(states, list):
             raise InputError(f"successors of {x!r} must be a list of states")
-        successors[x] = frozenset(_labels(states, f"successors of {x!r}"))
-    return Coalgebra(poset, successors)
+        _labels(states, f"successors of {x!r}")
+    succ = []
+    for x in poset.elements:
+        if x not in structure:
+            raise InputError(f"structure map undefined at {x!r}")
+        try:
+            succ.append(poset.mask(structure[x]))
+        except ValueError:
+            raise InputError(f"successors of {x!r} leave the carrier") from None
+    return Coalgebra(poset, tuple(succ))
 
 
 def load_valuation(data: Any) -> dict:

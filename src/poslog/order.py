@@ -2,13 +2,14 @@
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share between concurrent readers.
-At the label level, subsets of a carrier are plain frozensets of labels,
-which makes set equality structural.  Internally a relation on an indexed
-carrier has one form: a tuple of int bitmasks, one row per index, where
-bit ``j`` of row ``i`` says that ``i`` is related to ``j``.  A poset
-stores its up-sets this way (and derives its down-sets and a label ->
-index dict), a :class:`Preorder` its successors; order queries, closure,
-quotient and isomorphism search are integer operations on these rows.
+A subset of an indexed carrier is an int bitmask, bit ``j`` for the
+``j``-th element, and a relation has one form: a tuple of such masks, one
+row per index, where bit ``j`` of row ``i`` says that ``i`` is related to
+``j``.  A poset stores its up-sets this way (and derives its down-sets and
+a label -> index dict), a :class:`Preorder` its successors; order queries,
+closure, quotient and isomorphism search are integer operations on these
+rows.  Labels are converted only at the edge: :meth:`FinPoset.index`,
+``mask``, ``labels`` and ``leq``, and :meth:`MonotoneMap.of_dict`.
 """
 
 from __future__ import annotations
@@ -199,12 +200,6 @@ class FinPoset:
             out |= self.downmask[j]
         return out
 
-    def up_set(self, label) -> frozenset:
-        return self.labels(self.upmask[self.index(label)])
-
-    def down_set(self, label) -> frozenset:
-        return self.labels(self.downmask[self.index(label)])
-
     @cached_property
     def refinement(self) -> tuple:
         """``(key, colours)``: the colour refinement of the elements.
@@ -251,20 +246,6 @@ class FinPoset:
         """Cover pairs (a, b) with a < b and nothing strictly between."""
         elems = self.elements
         return [(elems[i], elems[j]) for i, j in self.cover_indices()]
-
-
-def up_closure(x: FinPoset, s: Iterable) -> frozenset:
-    """Smallest up-closed superset of ``s`` in ``x``."""
-    return x.labels(x.up_of(x.mask(s)))
-
-
-def down_closure(x: FinPoset, s: Iterable) -> frozenset:
-    return x.labels(x.down_of(x.mask(s)))
-
-
-def is_upset(x: FinPoset, s: Iterable) -> bool:
-    m = x.mask(s)
-    return x.up_of(m) == m
 
 
 def unions(masks) -> list:
@@ -329,9 +310,6 @@ class MonotoneMap:
     def of_dict(cls, source: FinPoset, target: FinPoset, mapping: Mapping):
         assignment = tuple(target.index(mapping[e]) for e in source.elements)
         return cls(source, target, assignment)
-
-    def of(self, label):
-        return self.target.elements[self.assignment[self.source.index(label)]]
 
     def then(self, other: "MonotoneMap") -> "MonotoneMap":
         """Composite ``other after self``."""
@@ -469,8 +447,9 @@ def connected_components(x: FinPoset) -> tuple:
     return tuple(reps), tuple(comp)
 
 
-def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[dict]:
-    """An order isomorphism ``p -> q`` as a label dict, or None.
+def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[tuple]:
+    """An order isomorphism ``p -> q`` as an index assignment (element
+    ``i`` of ``p`` goes to element ``iso[i]`` of ``q``), or None.
 
     The refinement keys propose (see :attr:`FinPoset.refinement`): posets
     with different keys are not isomorphic.  For equal keys a backtracking
@@ -488,7 +467,7 @@ def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[dict]:
     candidates = [[j for j in range(n) if cq[j] == cp[i]] for i in range(n)]
     pu, qu = p.upmask, q.upmask
     order = sorted(range(n), key=lambda i: len(candidates[i]))
-    assigned: dict = {}
+    placed = []  # the pairs (i, j) assigned so far, in search order
     used = [False] * n
 
     def extend(k: int) -> bool:
@@ -499,23 +478,21 @@ def poset_isomorphism(p: FinPoset, q: FinPoset) -> Optional[dict]:
             if used[j]:
                 continue
             ok = True
-            for i2, j2 in assigned.items():
+            for i2, j2 in placed:
                 if (pu[i] >> i2 & 1) != (qu[j] >> j2 & 1) or \
                         (pu[i2] >> i & 1) != (qu[j2] >> j & 1):
                     ok = False
                     break
             if ok:
-                assigned[i] = j
+                placed.append((i, j))
                 used[j] = True
                 if extend(k + 1):
                     return True
-                del assigned[i]
+                placed.pop()
                 used[j] = False
         return False
 
-    if not extend(0):
-        return None
-    return {p.elements[i]: q.elements[j] for i, j in assigned.items()}
+    return tuple(j for _, j in sorted(placed)) if extend(0) else None
 
 
 def _down_closed(ups: tuple) -> list:

@@ -34,9 +34,8 @@ class Posetification:
     relation on the carrier that induced the quotient.  The witness may be
     None when the carrier is too large to store a quadratic relation (the
     discrete neighbourhood collapse on four-element posets).  ``decode``
-    labels the codes of ``order``, ``decode_carrier`` (when they differ)
-    those of the carrier; ``result`` is ``order`` over labels, sharing its
-    rows.
+    labels the codes of ``order``; ``result`` is ``order`` over labels,
+    sharing its rows.
     """
 
     order: FinPoset
@@ -44,21 +43,10 @@ class Posetification:
     carrier: Sequence
     witness: Preorder | None
     decode: Callable
-    decode_carrier: Callable | None = None
 
     @cached_property
     def result(self) -> FinPoset:
         return self.order.relabel(map(self.decode, self.order.elements))
-
-    @cached_property
-    def positions(self) -> dict:
-        """Carrier label -> carrier index; decodes the carrier once."""
-        label = self.decode_carrier or self.decode
-        return {label(c): i for i, c in enumerate(self.carrier)}
-
-    def image(self, v):
-        """The label of the class of the carrier element labelled ``v``."""
-        return self.result.elements[self.e[self.positions[v]]]
 
     def validate(self) -> None:
         """Best-effort structural audit; poset axioms are already enforced
@@ -94,17 +82,10 @@ def posetify_generic(t: SetFunctor, x: FinPoset,
 
 # --------------------------------------------------------------- powerset
 
-def convex_closure(x: FinPoset, s: frozenset) -> frozenset:
-    """Everything between two members of ``s``."""
-    m = x.mask(s)
-    return x.labels(x.up_of(m) & x.down_of(m))
-
-
-def egli_milner_leq(x: FinPoset, a: frozenset, b: frozenset) -> bool:
-    """Every member of ``a`` lies below one of ``b``, and every member of
-    ``b`` above one of ``a``."""
-    ma, mb = x.mask(a), x.mask(b)
-    return not ma & ~x.down_of(mb) and not mb & ~x.up_of(ma)
+def count_convex_powerset(n: int, max_enum: int = DEFAULT_MAX_ENUM) -> None:
+    """Refuse the convex powerset over ``n`` elements before building it:
+    its witness relates every pair of subsets."""
+    check_enum_budget(pow_functor().size_estimate(n) ** 2, max_enum, "convex powerset")
 
 
 def posetify_powerset(x: FinPoset,
@@ -112,8 +93,8 @@ def posetify_powerset(x: FinPoset,
     """Closed form for the powerset: convex subsets under the pairwise
     upper-and-lower-bound order, with convex closure as projection, all
     computed on subset masks."""
+    count_convex_powerset(len(x), max_enum)
     t = pow_functor()
-    check_enum_budget(t.size_estimate(len(x)) ** 2, max_enum, "convex powerset")
     carrier = t.on_obj(x.elements)
     up, down = closures = subset_closures(x)
     rows = egli_milner_rows(x, closures)
@@ -201,8 +182,7 @@ def posetify_nb(x: FinPoset,
         for k, c in enumerate(e):
             classes[c] |= 1 << k
         witness = Preorder(carrier, tuple(classes[c] for c in e))
-    return Posetification(result, e, carrier, witness, nb.decode(comps),
-                          nb.decode(x.elements))
+    return Posetification(result, e, carrier, witness, nb.decode(comps))
 
 
 # ------------------------------------------------------- analytic functors

@@ -6,10 +6,11 @@ lifting, where satisfaction sets are upsets.  Both a direct recursion and
 a reference route through the lifted semantic transformation are provided;
 the two are kept in agreement by the verification suite.
 
-Inside, successor sets, valuations and satisfaction sets are state masks
-(bit ``i`` for the ``i``-th carrier element), and the semantic components
-map masks to masks.  The interpreters take valuations as label sets and
-return the satisfying labels.
+Successor sets, valuations and satisfaction sets are state masks (bit
+``i`` for the ``i``-th carrier element), and the semantic components map
+masks to masks: the interpreters take a valuation of masks and return the
+mask of the satisfying states.  Labels are read and shown by ``io`` and
+``cli``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .algebra import up_algebra
 from .errors import DEFAULT_MAX_ENUM, InputError, check_enum_budget
 from .functors import carrier_labels, nb_functor, pow_functor
 from .order import FinPoset, bits
-from .posetify import Posetification, posetify_powerset
+from .posetify import Posetification, count_convex_powerset, posetify_powerset
 from .positivize import Positivication, positivize, semantic_l
 
 
@@ -170,30 +171,25 @@ def parse_formula(text: str) -> Formula:
 class Coalgebra:
     """A successor-set coalgebra over a poset carrier.
 
-    A plain set carrier is the discrete poset.  ``structure`` maps each
-    state to its successor labels; ``succ[i]`` is the successor mask of
-    the ``i``-th state.  For positive semantics the structure map must be
-    monotone for the lifted order and land on convex sets; this is checked
-    by :func:`check_positive_coalgebra` at the first positive
-    interpretation, not at construction, and ``positive_checked`` records
-    that it passed.
+    A plain set carrier is the discrete poset.  ``succ[i]`` is the mask
+    of the successors of the ``i``-th state; construction checks that
+    there is one per state and that it stays inside the carrier.  For
+    positive semantics the structure map must be monotone for the lifted
+    order and land on convex sets; this is checked by
+    :func:`check_positive_coalgebra` at the first positive interpretation,
+    not at construction, and ``positive_checked`` records that it passed.
     """
 
     carrier: FinPoset
-    structure: dict
-    succ: tuple = field(init=False, repr=False)
+    succ: tuple
     positive_checked: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
-        succ = []
-        for x in self.carrier.elements:
-            if x not in self.structure:
-                raise InputError(f"structure map undefined at {x!r}")
-            try:
-                succ.append(self.carrier.mask(self.structure[x]))
-            except ValueError:
-                raise InputError(f"successors of {x!r} leave the carrier") from None
-        object.__setattr__(self, "succ", tuple(succ))
+        n = len(self.carrier)
+        if len(self.succ) != n:
+            raise InputError("successor table does not match carrier")
+        if any(s < 0 or s >> n for s in self.succ):
+            raise InputError("successor index out of range")
 
 
 def check_positive_coalgebra(c: Coalgebra) -> None:
@@ -221,18 +217,15 @@ def check_positive_coalgebra(c: Coalgebra) -> None:
                                  f"{x.elements[i]!r} and {x.elements[j]!r}")
 
 
-def check_valuation(valuation: dict, carrier: FinPoset,
-                    positive: bool) -> dict:
-    """The valuation with each label set as its state mask."""
-    out = {}
-    for name, s in valuation.items():
-        try:
-            out[name] = carrier.mask(s)
-        except ValueError:
-            raise InputError(f"valuation of {name!r} leaves the carrier") from None
-        if positive and carrier.up_of(out[name]) != out[name]:
+def _refuse_valuation(x: FinPoset, valuation: dict, positive: bool) -> None:
+    """Refuse a valuation mask with a bit outside the carrier and, for
+    positive semantics, one that is not an up-set, in the valuation's
+    order."""
+    for name, m in valuation.items():
+        if m < 0 or m >> len(x):
+            raise InputError(f"valuation of {name!r} leaves the carrier")
+        if positive and x.up_of(m) != m:
             raise InputError(f"valuation of {name!r} is not an upset")
-    return out
 
 
 # ------------------------------------------------- the semantic component
@@ -380,8 +373,10 @@ def _evaluate(phi: Formula, vals: dict, states: int,
 
 
 def interpret_boolean(c: Coalgebra, valuation: dict, phi: Formula,
-                      max_enum: int = DEFAULT_MAX_ENUM) -> frozenset:
-    """Kripke semantics over a set-based successor coalgebra.
+                      max_enum: int = DEFAULT_MAX_ENUM) -> int:
+    """Kripke semantics over a set-based successor coalgebra: the mask of
+    the states satisfying ``phi`` when each variable holds at the states
+    of its mask in ``valuation``.
 
     Modal clauses go through the semantic component: a state satisfies the
     formula when its successor set lands in the component's image of the
@@ -389,7 +384,7 @@ def interpret_boolean(c: Coalgebra, valuation: dict, phi: Formula,
     set therefore refutes every diamond and satisfies every box.
     """
     x = c.carrier
-    vals = check_valuation(valuation, x, positive=False)
+    _refuse_valuation(x, valuation, positive=False)
     dp = delta_pow(x.elements, max_enum)
     t = pow_functor()
 
@@ -398,7 +393,7 @@ def interpret_boolean(c: Coalgebra, valuation: dict, phi: Formula,
         pred = dp.apply(clause(len(x), u))
         return sum(1 << i for i, s in enumerate(c.succ) if pred >> s & 1)
 
-    return x.labels(_evaluate(phi, vals, (1 << len(x)) - 1, modal))
+    return _evaluate(phi, valuation, (1 << len(x)) - 1, modal)
 
 
 @lru_cache(maxsize=64)
@@ -408,18 +403,23 @@ def _pow_lifting(carrier: FinPoset, max_enum: int) -> Posetification:
 
 @lru_cache(maxsize=64)
 def _positive_context(carrier: FinPoset, max_enum: int):
-    """Shared machinery for the reference route over one poset."""
-    pos = _pow_lifting(carrier, max_enum)
+    """Shared machinery for the reference route over one poset.  The
+    convex powerset is counted first but built last, so that a carrier
+    that ``positivize`` refuses never builds its relation on all subsets."""
+    count_convex_powerset(len(carrier), max_enum)
     lifted = positivize(semantic_l(pow_functor(), max_enum),
                         up_algebra(carrier), max_enum)
+    pos = _pow_lifting(carrier, max_enum)
     dprime = delta_prime(pow_functor(), delta_pow, carrier, pos, lifted)
     return pos, lifted, dprime
 
 
 def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
                        method: str = "direct",
-                       max_enum: int = DEFAULT_MAX_ENUM) -> frozenset:
-    """Negation-free semantics over a monotone convex-successor coalgebra.
+                       max_enum: int = DEFAULT_MAX_ENUM) -> int:
+    """Negation-free semantics over a monotone convex-successor coalgebra:
+    the mask of the states satisfying ``phi`` under a valuation of up-set
+    masks.
 
     ``method='direct'`` uses the one-step clauses (diamond: successor set
     meets the subformula; box: successor set contained in it).
@@ -432,7 +432,7 @@ def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
     if method not in ("direct", "delta"):
         raise InputError(f"unknown method {method!r}")
     x = c.carrier
-    vals = check_valuation(valuation, x, positive=True)
+    _refuse_valuation(x, valuation, positive=True)
     if method == "direct":
         def modal(op: str, u: int) -> int:
             if op == "dia":
@@ -448,10 +448,10 @@ def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
     if not c.positive_checked:
         check_positive_coalgebra(c)
         object.__setattr__(c, "positive_checked", True)
-    out = _evaluate(phi, vals, (1 << len(x)) - 1, modal)
+    out = _evaluate(phi, valuation, (1 << len(x)) - 1, modal)
     if x.up_of(out) != out:
         raise AssertionError("positive satisfaction set is not an upset")
-    return x.labels(out)
+    return out
 
 
 def delta_pow_injective(states: tuple,

@@ -77,12 +77,14 @@ class TestJson:
 
     def test_coalgebra_and_valuation(self):
         c = load_coalgebra({"carrier": ["x", "y"],
-                            "structure": {"x": ["y"], "y": []}})
-        assert c.structure["x"] == {"y"}
+                            "structure": {"x": ["y", "y"], "y": [], "w": ["zz"]}})
+        assert c.succ == (0b10, 0)  # successor masks; keys off the carrier are ignored
         v = load_valuation({"p": ["x"]})
         assert v == {"p": frozenset(["x"])}
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^successors of 'x' leave the carrier$"):
             load_coalgebra({"carrier": ["x"], "structure": {"x": ["zz"]}})
+        with pytest.raises(InputError, match="^structure map undefined at 'y'$"):
+            load_coalgebra({"carrier": ["x", "y"], "structure": {"x": []}})
         with pytest.raises(InputError):
             load_coalgebra({"carrier": [["x"]], "structure": {}})
         with pytest.raises(InputError):
@@ -353,6 +355,84 @@ class TestCli:
         assert run_main(*argv, "(dia (box q))") == (
             3, "", "malformed input: unbound variable 'q'\n")
         assert built == []
+
+    # (carrier, structure, valuation, formula, {mode: the error it prints})
+    CHAIN_XY = {"elements": ["x", "y"], "leq": [["x", "y"]]}
+    GOOD = {"x": ["y"], "y": ["y"]}
+    INPUT_ERRORS = [
+        (["x", "y"], {"x": ["y"]}, {"p": ["y"]}, "(dia p)",
+         dict.fromkeys(("boolean", "positive", "both"), "structure map undefined at 'y'")),
+        (["x", "y"], {"x": ["z"], "y": []}, {"p": ["y"]}, "(dia p)",
+         dict.fromkeys(("boolean", "positive", "both"), "successors of 'x' leave the carrier")),
+        (["x", "y"], GOOD, {"p": ["z"]}, "(dia p)",
+         dict.fromkeys(("boolean", "positive", "both"), "valuation of 'p' leaves the carrier")),
+        (CHAIN_XY, GOOD, {"p": ["z"]}, "(dia p)",
+         dict.fromkeys(("positive", "both"), "valuation of 'p' leaves the carrier")),
+        (CHAIN_XY, GOOD, {"p": ["x"]}, "(dia p)",
+         dict.fromkeys(("positive", "both"), "valuation of 'p' is not an upset")),
+        # a negated formula is refused before the valuation is looked at ...
+        (["x", "y"], GOOD, {"p": ["z"]}, "(not p)",
+         {"boolean": "valuation of 'p' leaves the carrier",
+          "positive": "positive interpretation needs a negation-free formula",
+          "both": "positive interpretation needs a negation-free formula"}),
+        # ... and each variable is checked in turn
+        (CHAIN_XY, GOOD, {"p": ["x"], "q": ["z"]}, "(dia p)",
+         dict.fromkeys(("positive", "both"), "valuation of 'p' is not an upset")),
+        (CHAIN_XY, GOOD, {"q": ["z"], "p": ["x"]}, "(dia p)",
+         dict.fromkeys(("positive", "both"), "valuation of 'q' leaves the carrier")),
+    ]
+
+    @pytest.mark.parametrize("carrier, structure, valuation, formula, errors", INPUT_ERRORS,
+                             ids=["structure-undefined", "successors-leave",
+                                  "valuation-leaves", "valuation-leaves-a-poset",
+                                  "not-an-upset", "negation-first", "upset-first",
+                                  "leaves-first"])
+    def test_interpret_input_errors_and_their_precedence(self, tmp_path, carrier, structure,
+                                                         valuation, formula, errors):
+        """Labels become masks in ``io`` and ``cli``; each malformed input
+        keeps its message, and the first of several is reported."""
+        coalg, val = tmp_path / "coalgebra.json", tmp_path / "valuation.json"
+        coalg.write_text(json.dumps({"carrier": carrier, "structure": structure}))
+        val.write_text(json.dumps(valuation))
+        for mode, error in errors.items():
+            assert run_main("interpret", "--coalgebra", str(coalg), "--valuation", str(val),
+                            "--formula", formula, "--mode", mode) == \
+                (3, "", f"malformed input: {error}\n")
+
+    # the stage at which interpret --mode both refuses n states, None if it answers
+    REFUSAL_STAGES = {
+        "antichain": [None] * 4 + ["boolean algebra carrier"] * 6
+                     + ["semantic component construction"] * 2,
+        "chain": [None] * 4 + ["inserter sweep"] + ["pow on an atom set"] * 5
+                 + ["convex powerset"] * 2}
+
+    @pytest.mark.parametrize("shape", REFUSAL_STAGES)
+    def test_interpret_both_refuses_before_building_the_convex_powerset(
+            self, tmp_path, monkeypatch, shape):
+        """The reference route counts the convex powerset first and builds
+        it last, so a carrier that the lifted algebra refuses never builds
+        it; every refusal keeps its stage."""
+        built = []
+        real = semantics.posetify_powerset
+        monkeypatch.setattr(semantics, "posetify_powerset",
+                            lambda x, max_enum: built.append(len(x)) or real(x, max_enum))
+        coalg, val = tmp_path / "coalgebra.json", tmp_path / "valuation.json"
+        for n, stage in enumerate(self.REFUSAL_STAGES[shape], 1):
+            labels = [f"e{i}" for i in range(n)]
+            carrier = labels if shape == "antichain" else {
+                "elements": labels, "leq": [list(pair) for pair in zip(labels, labels[1:])]}
+            coalg.write_text(json.dumps({"carrier": carrier,
+                                         "structure": {a: [a] for a in labels}}))
+            val.write_text(json.dumps({"p": labels[-1:]}))
+            rc, out, err = run_main("interpret", "--mode", "both", "--formula",
+                                    "(dia (box p))", "--coalgebra", str(coalg),
+                                    "--valuation", str(val))
+            if stage is None:
+                assert (rc, err) == (0, "") and json.loads(out)["routes_agree"]
+            else:
+                assert (rc, out) == (2, "")
+                assert err.startswith(f"budget refused: {stage} would enumerate "), n
+        assert all(n <= 4 for n in built)
 
     @staticmethod
     def _assert_refused_small(argv, stage):

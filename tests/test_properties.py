@@ -12,16 +12,14 @@ from poslog.algebra import (BAHom, FinBoolAlg, ba_inserter, lattice_from_element
                             lattice_isomorphic, prime_filter_poset, up_algebra)
 from poslog.errors import BudgetExceeded, InputError
 from poslog.functors import (_mnb_obj, carrier_labels, mnb_functor, multiset_functor,
-                             nb_functor, poly_functor, pow_functor, powerset)
+                             nb_functor, poly_functor, pow_functor)
 from poslog.io import format_label, render_poset
-from poslog.order import (FinPoset, Preorder, _close_rows, bits, down_closure,
-                          enumerate_poset_types, poset_isomorphism, poset_quotient,
-                          transitive_closure, up_closure)
-from poslog.posetify import (cross_check, egli_milner_leq, posetify_mnb,
-                             posetify_powerset)
+from poslog.order import (FinPoset, Preorder, _close_rows, bits, enumerate_poset_types,
+                          poset_isomorphism, poset_quotient, transitive_closure)
+from poslog.posetify import cross_check, posetify_mnb, posetify_powerset
 from poslog.semantics import (BOT, TOP, Coalgebra, box, conj, dia, disj,
                               interpret_positive, var)
-from poslog.verify import iso_representatives
+from poslog.verify import egli_milner, iso_representatives
 
 # no example database on disk, and no per-example deadline on a slow host
 checked = settings(database=None, deadline=None)
@@ -74,9 +72,9 @@ def test_bits_match_the_binary_digits(mask):
 @given(posets())
 def test_order_queries_match_the_up_table(drawn):
     x, leq = drawn
-    for a in x.elements:
-        assert x.up_set(a) == {b for b in x.elements if (a, b) in leq}
-        assert x.down_set(a) == {b for b in x.elements if (b, a) in leq}
+    for i, a in enumerate(x.elements):
+        assert x.upmask[i] == x.mask({b for b in x.elements if (a, b) in leq})
+        assert x.downmask[i] == x.mask({b for b in x.elements if (b, a) in leq})
         for b in x.elements:
             assert x.leq(a, b) == ((a, b) in leq)
     assert x.covers() == [
@@ -91,8 +89,9 @@ def test_order_queries_match_the_up_table(drawn):
 def test_closures_match_their_definitions(data):
     x, leq = data.draw(posets())
     s = data.draw(subsets_of(x))
-    assert up_closure(x, s) == {b for b in x.elements if any((a, b) in leq for a in s)}
-    assert down_closure(x, s) == {a for a in x.elements if any((a, b) in leq for b in s)}
+    m = x.mask(s)
+    assert x.up_of(m) == x.mask({b for b in x.elements if any((a, b) in leq for a in s)})
+    assert x.down_of(m) == x.mask({a for a in x.elements if any((a, b) in leq for b in s)})
 
 
 def egli_milner_by_definition(leq, a, b):
@@ -103,11 +102,12 @@ def egli_milner_by_definition(leq, a, b):
 @checked
 @given(posets(max_size=5))
 def test_egli_milner_matches_the_forall_exists_formula(drawn):
+    """The mask oracle of the verification suite against the definition."""
     x, leq = drawn
-    subsets = powerset(x.elements)
-    for a in subsets:
-        for b in subsets:
-            assert egli_milner_leq(x, a, b) == egli_milner_by_definition(leq, a, b)
+    for a in range(1 << len(x)):
+        for b in range(1 << len(x)):
+            assert egli_milner(x, a, b) == \
+                egli_milner_by_definition(leq, x.labels(a), x.labels(b))
 
 
 @checked
@@ -402,10 +402,12 @@ def test_a_relabelled_reordered_poset_has_the_same_key(data):
                             [(rename[a], rename[b]) for a, b in leq])
     assert y.refinement[0] == x.refinement[0]
     iso = poset_isomorphism(x, y)
-    assert iso is not None and sorted(iso.values()) == sorted(y.elements)
-    for a in x.elements:
-        for b in x.elements:
-            assert y.leq(iso[a], iso[b]) == ((a, b) in leq)
+    assert iso is not None and sorted(iso) == list(range(len(y)))
+    for i, a in enumerate(x.elements):
+        for j, b in enumerate(x.elements):
+            # both up-set tables, and the relation they were built from
+            assert y.upmask[iso[i]] >> iso[j] & 1 == x.upmask[i] >> j & 1 == \
+                ((a, b) in leq)
 
 
 def isomorphic_by_brute_force(x, xleq, y, yleq):
@@ -426,8 +428,12 @@ def test_isomorphism_found_exactly_when_brute_force_finds_one(data):
     iso = poset_isomorphism(x, y)
     assert (iso is not None) == isomorphic_by_brute_force(x, xleq, y, yleq)
     if iso is not None:
-        assert all(((a, b) in xleq) == ((iso[a], iso[b]) in yleq)
-                   for a in x.elements for b in x.elements)
+        image = [y.elements[j] for j in iso]
+        assert sorted(iso) == list(range(n))
+        for i, a in enumerate(x.elements):
+            for j, b in enumerate(x.elements):
+                assert ((a, b) in xleq) == ((image[i], image[j]) in yleq)
+                assert x.upmask[i] >> j & 1 == y.upmask[iso[i]] >> iso[j] & 1
 
 
 @checked
@@ -454,15 +460,15 @@ def positive_models(draw, shapes):
     sets that keep the structure map monotone, and up-closed values for
     ``v`` and ``w``."""
     x = draw(shapes)
-    convex = posetify_powerset(x).result.elements
+    convex = posetify_powerset(x).order.elements  # the convex subset masks
     gamma = {}
-    for a in sorted(x.elements, key=lambda a: len(x.down_set(a))):
+    for i in sorted(range(len(x)), key=lambda i: x.downmask[i].bit_count()):
         fits = [c for c in convex
-                if all(egli_milner_leq(x, gamma[b], c) for b in gamma if x.leq(b, a))]
+                if all(egli_milner(x, gamma[j], c) for j in gamma if x.leq_idx(j, i))]
         assume(fits)
-        gamma[a] = draw(st.sampled_from(fits))
-    valuation = {name: up_closure(x, draw(subsets_of(x))) for name in ("v", "w")}
-    return Coalgebra(x, gamma), valuation
+        gamma[i] = draw(st.sampled_from(fits))
+    valuation = {name: x.up_of(x.mask(draw(subsets_of(x)))) for name in ("v", "w")}
+    return Coalgebra(x, tuple(gamma[i] for i in range(len(x)))), valuation
 
 
 @settings(checked, max_examples=60)
@@ -474,7 +480,7 @@ def test_positive_semantics_direct_equals_delta(model, formula):
     included."""
     c, valuation = model
     direct = interpret_positive(c, valuation, formula, "direct")
-    assert up_closure(c.carrier, direct) == direct
+    assert c.carrier.up_of(direct) == direct
     assert interpret_positive(c, valuation, formula, "delta") == direct
 
 
