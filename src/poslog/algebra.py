@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (BudgetExceeded, DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS,
-                     InputError, check_enum_budget)
+from .errors import InputError, check_enum_budget, check_generator_budget
 from .functors import powerset
 from .order import (FinPoset, MonotoneMap, bits, cotensor2, diagonal_section,
                     poset_isomorphism, unions)
@@ -59,8 +58,8 @@ class FinBoolAlg:
     def size(self) -> int:
         return 1 << len(self.atoms)
 
-    def carrier(self, max_enum: int = DEFAULT_MAX_ENUM) -> range:
-        check_enum_budget(self.size(), max_enum, "boolean algebra carrier")
+    def carrier(self) -> range:
+        check_enum_budget(self.size(), "boolean algebra carrier")
         return range(self.size())
 
     def labels(self, a: int) -> frozenset:
@@ -85,12 +84,11 @@ class FinDistLattice:
     def bot(self) -> int:
         return 0
 
-    def size(self, max_enum: int = DEFAULT_MAX_ENUM) -> int:
+    def size(self) -> int:
         """The number of upsets, counted without building them: among the
         upsets of a set of spectrum elements, those without its first
         element ``j`` avoid the down-set of ``j``, the others hold its up-set."""
-        check_enum_budget(1 << len(self.spectrum), max_enum,
-                          "distributive lattice carrier")
+        check_enum_budget(1 << len(self.spectrum), "distributive lattice carrier")
         ups, downs = self.spectrum.upmask, self.spectrum.downmask
 
         @lru_cache(maxsize=None)
@@ -102,10 +100,9 @@ class FinDistLattice:
 
         return count((1 << len(self.spectrum)) - 1)
 
-    def carrier(self, max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
+    def carrier(self) -> tuple:
         """The upset masks, in increasing order."""
-        check_enum_budget(1 << len(self.spectrum), max_enum,
-                          "distributive lattice carrier")
+        check_enum_budget(1 << len(self.spectrum), "distributive lattice carrier")
         return tuple(k for k, up in enumerate(unions(self.spectrum.upmask)) if up == k)
 
 
@@ -153,17 +150,6 @@ def _preimage(assignment: tuple, a: int) -> int:
     return sum(1 << k for k, s in enumerate(assignment) if a >> s & 1)
 
 
-def ba_compose(g: BAHom, f: BAHom) -> BAHom:
-    """The composite ``g after f``; duals compose the other way round."""
-    if f.target != g.source:
-        raise InputError("homs do not compose")
-    return BAHom(f.source, g.target, tuple(f.dual[s] for s in g.dual))
-
-
-def ba_identity(b: FinBoolAlg) -> BAHom:
-    return BAHom(b, b, tuple(range(len(b.atoms))))
-
-
 @dataclass(frozen=True)
 class LatticeHom:
     """A lattice homomorphism stored as a monotone map between spectra."""
@@ -192,8 +178,7 @@ def lattice_identity(a: FinDistLattice) -> LatticeHom:
     return LatticeHom(a, a, ident)
 
 
-def prime_filter_poset(a: FinDistLattice,
-                       max_enum: int = DEFAULT_MAX_ENUM) -> FinPoset:
+def prime_filter_poset(a: FinDistLattice) -> FinPoset:
     """The poset of prime filters of ``a``, ordered by inclusion.
 
     Computed from first principles: every filter of a finite lattice is
@@ -203,7 +188,7 @@ def prime_filter_poset(a: FinDistLattice,
     that poset up to isomorphism; it is the oracle for the duality round
     trip.
     """
-    elems = a.carrier(max_enum)
+    elems = a.carrier()
     gens = []
     for m in elems:
         if m == a.bot:
@@ -223,8 +208,7 @@ def prime_filter_poset(a: FinDistLattice,
     return FinPoset(tuple(gens), ups)
 
 
-def free_ba(gens: tuple,
-            max_generators: int = DEFAULT_MAX_GENERATORS) -> FinBoolAlg:
+def free_ba(gens: tuple) -> FinBoolAlg:
     """The free Boolean algebra on ``gens``: atoms are the valuations.
 
     A valuation is labelled by the set of generators it sends to true, and
@@ -235,11 +219,7 @@ def free_ba(gens: tuple,
     gens = tuple(gens)
     if len(set(gens)) != len(gens):
         raise InputError("generators must be distinct")
-    if len(gens) > max_generators:
-        raise BudgetExceeded(
-            f"free boolean algebra on {len(gens)} generators "
-            f"(budget {max_generators})", stage="free boolean algebra",
-            requested=len(gens), cap=max_generators, flag="--max-generators")
+    check_generator_budget(len(gens))
     return FinBoolAlg(atoms=powerset(gens))
 
 
@@ -249,21 +229,19 @@ def free_ba_generator(fb: FinBoolAlg, g) -> int:
     return sum(1 << k for k, v in enumerate(fb.atoms) if g in v)
 
 
-def free_ba_map(source_gens: tuple, target_gens: tuple, image: Sequence,
-                max_generators: int = DEFAULT_MAX_GENERATORS) -> BAHom:
+def free_ba_map(source_gens: tuple, target_gens: tuple, image: Sequence) -> BAHom:
     """The hom between free algebras induced by the function on generators
     that sends ``source_gens[j]`` to ``target_gens[image[j]]``.
 
     Dually, a target valuation ``v`` pulls back to the valuation
     ``{g | f(g) in v}``; this sends generators to generators.
     """
-    src = free_ba(tuple(source_gens), max_generators)
-    dst = free_ba(tuple(target_gens), max_generators)
+    src = free_ba(tuple(source_gens))
+    dst = free_ba(tuple(target_gens))
     return BAHom(src, dst, tuple(_preimage(image, v) for v in range(len(dst.atoms))))
 
 
-def nbhd_to_free(xs: tuple, family: int,
-                 max_generators: int = DEFAULT_MAX_GENERATORS) -> int:
+def nbhd_to_free(xs: tuple, family: int) -> int:
     """Translate a family of subsets of ``xs``, given by its ``nb`` code
     (bit ``k`` for the subset of mask ``k``), into the free algebra on
     ``xs``.
@@ -275,7 +253,7 @@ def nbhd_to_free(xs: tuple, family: int,
     bijection; callers may rely on that but the computation here follows
     the term shape.
     """
-    fb = free_ba(tuple(xs), max_generators)
+    fb = free_ba(tuple(xs))
     gens = [free_ba_generator(fb, g) for g in xs]
     result = fb.bot
     for a in bits(family):
@@ -286,7 +264,7 @@ def nbhd_to_free(xs: tuple, family: int,
     return result
 
 
-def kernel_K(a: FinDistLattice, max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
+def kernel_K(a: FinDistLattice) -> tuple:
     """The largest Boolean subalgebra of a distributive lattice.
 
     Carrier = complemented elements.  Returns ``(ba, embed)`` where the
@@ -294,7 +272,7 @@ def kernel_K(a: FinDistLattice, max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
     ``embed[k]`` is the union of the atoms in the mask ``k``, an element of
     ``a``.
     """
-    elems = a.carrier(max_enum)
+    elems = a.carrier()
     members = set(elems)
     complemented = [m for m in elems if (m ^ a.top) in members]
     atoms = [m for m in complemented
@@ -364,8 +342,7 @@ class SubLattice:
     embed: dict
 
 
-def lattice_from_elements(members: Iterable,
-                          max_enum: int = DEFAULT_MAX_ENUM) -> SubLattice:
+def lattice_from_elements(members: Iterable) -> SubLattice:
     """Rebuild a family of masks, closed under ``|`` and ``&``, as a
     lattice over its join-irreducibles.
 
@@ -376,7 +353,7 @@ def lattice_from_elements(members: Iterable,
     members = list(members)
     if not members:
         raise InputError("a lattice needs at least one element")
-    check_enum_budget(len(members), max_enum, "sublattice reconstruction")
+    check_enum_budget(len(members), "sublattice reconstruction")
     bot = members[0]
     for m in members:
         bot &= m
@@ -396,7 +373,7 @@ def lattice_from_elements(members: Iterable,
     restrict = {m: sum(1 << k for k, j in enumerate(irreducibles) if not j & ~m)
                 for m in members}
     embed = {s: m for m, s in restrict.items()}
-    if len(embed) != len(members) or lat.size(max_enum) != len(members):
+    if len(embed) != len(members) or lat.size() != len(members):
         raise AssertionError("input family is not a distributive lattice")
     for s, m in embed.items():
         joined = bot
@@ -407,7 +384,7 @@ def lattice_from_elements(members: Iterable,
     return SubLattice(lat, tuple(members), embed)
 
 
-def dl_inserter(f, g, max_enum: int = DEFAULT_MAX_ENUM) -> SubLattice:
+def dl_inserter(f, g) -> SubLattice:
     """The sublattice ``{b | f(b) <= g(b)}`` of the common source of f, g.
 
     ``f`` and ``g`` may be lattice homs, Boolean homs, or any objects with
@@ -416,13 +393,12 @@ def dl_inserter(f, g, max_enum: int = DEFAULT_MAX_ENUM) -> SubLattice:
     """
     if f.source != g.source:
         raise InputError("inserter needs a common source")
-    members = [b for b in f.source.carrier(max_enum) if not f.apply(b) & ~g.apply(b)]
+    members = [b for b in f.source.carrier() if not f.apply(b) & ~g.apply(b)]
     assert_sublattice(members, f.source)
-    return lattice_from_elements(members, max_enum)
+    return lattice_from_elements(members)
 
 
-def ba_inserter(h1: BAHom, h2: BAHom,
-                max_enum: int = DEFAULT_MAX_ENUM) -> list:
+def ba_inserter(h1: BAHom, h2: BAHom) -> list:
     """Members of ``{b | h1(b) <= h2(b)}`` swept with bitmask images.
 
     Same value as the generic inserter membership scan, but linear-time per
@@ -432,7 +408,7 @@ def ba_inserter(h1: BAHom, h2: BAHom,
     if h1.source != h2.source or h1.target != h2.target:
         raise InputError("inserter needs a common source and target")
     n = len(h1.source.atoms)
-    check_enum_budget(1 << n, max_enum, "inserter sweep")
+    check_enum_budget(1 << n, "inserter sweep")
     pre1 = [0] * n
     pre2 = [0] * n
     for k, s in enumerate(h1.dual):

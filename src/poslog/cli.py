@@ -17,7 +17,7 @@ from types import SimpleNamespace
 from . import io as pio
 from .algebra import lattice_isomorphic, prime_filter_poset, up_algebra
 from .errors import (BudgetExceeded, DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS,
-                     InputError)
+                     InputError, budget)
 from .functors import parse_functor
 from .posetify import closed_form, cross_check, posetify_generic
 from .positivize import SYNTAXES, parse_syntax, positivize
@@ -41,12 +41,12 @@ def _write_dot(text: str, path: str) -> None:
 
 
 def cmd_posetify(args) -> int:
-    t = parse_functor(args.functor, args.max_enum)
+    t = parse_functor(args.functor)
     poset = pio.load_poset(pio.read_json(args.poset))
     report = {"functor": t.name, "poset": pio.poset_to_dict(poset),
               "method": args.method}
     if args.method == "both":
-        result = cross_check(t, poset, args.max_enum)
+        result = cross_check(t, poset)
         report["closed"] = _poset_report(result.closed.result)
         # equal posets print the same: render the closed form's once
         report["generic"] = report["closed"] \
@@ -60,9 +60,9 @@ def cmd_posetify(args) -> int:
             return 1
     else:
         if args.method == "generic":
-            chosen = posetify_generic(t, poset, args.max_enum)
+            chosen = posetify_generic(t, poset)
         else:
-            chosen = closed_form(t, poset, args.max_enum)
+            chosen = closed_form(t, poset)
         report["result"] = _poset_report(chosen.result)
     if args.dot:
         _write_dot(pio.poset_dot(chosen.result, title=f"{t.name} lifting"),
@@ -73,8 +73,8 @@ def cmd_posetify(args) -> int:
 
 def cmd_positivize(args) -> int:
     lattice = pio.as_lattice(pio.load_lattice(pio.read_json(args.lattice)))
-    l = parse_syntax(args.syntax, args.max_enum, args.max_generators)
-    p = positivize(l, lattice, args.max_enum)
+    l = parse_syntax(args.syntax)
+    p = positivize(l, lattice)
     report = {
         "syntax": args.syntax,
         "input_spectrum": pio.poset_to_dict(lattice.spectrum),
@@ -84,14 +84,13 @@ def cmd_positivize(args) -> int:
     if args.check_closed_form:
         want = l.closed_form(lattice)
         agree = lattice_isomorphic(p.result, want) is not None
-        report["closed_form_size"] = want.size(args.max_enum)
+        report["closed_form_size"] = want.size()
         report["agree"] = agree
         if not agree:
             _emit(report)
             return 1
     if args.dot:
-        _write_dot(pio.lattice_dot(p.result, title=f"{args.syntax} lifting",
-                                   max_enum=args.max_enum), args.dot)
+        _write_dot(pio.lattice_dot(p.result, title=f"{args.syntax} lifting"), args.dot)
     _emit(report)
     return 0
 
@@ -102,7 +101,7 @@ def cmd_dualize(args) -> int:
     if args.poset:
         poset = pio.load_poset(pio.read_json(args.poset))
         lat = up_algebra(poset)
-        elems = lat.carrier(args.max_enum)
+        elems = lat.carrier()
         _emit({"poset": _poset_report(poset),
                "upset_lattice": {
                    "size": len(elems),
@@ -111,8 +110,8 @@ def cmd_dualize(args) -> int:
     obj = pio.load_lattice(pio.read_json(args.lattice))
     lat = pio.as_lattice(obj)
     spectrum = lat.spectrum
-    computed = prime_filter_poset(lat, args.max_enum)
-    _emit({"lattice_size": len(lat.carrier(args.max_enum)),
+    computed = prime_filter_poset(lat)
+    _emit({"lattice_size": len(lat.carrier()),
            "spectrum": _poset_report(spectrum),
            "prime_filters": _poset_report(
                computed.relabel(map(spectrum.labels, computed.elements)))})
@@ -140,21 +139,18 @@ def cmd_interpret(args) -> int:
     out = {}
     if args.mode != "boolean":
         # linear in the model, this route meets the input errors of every route
-        direct = interpret_positive(coalg, valuation, formula, "direct",
-                                    args.max_enum)
+        direct = interpret_positive(coalg, valuation, formula, "direct")
         out["positive"] = _state_names(x, direct)
     if args.mode == "both":
         # the boolean route is counted, and the reference route counts its
         # own before it builds, so a refusal comes before either has run
         if discrete_carrier:
-            count_delta_pow(len(x), args.max_enum)
-        ref = interpret_positive(coalg, valuation, formula, "delta",
-                                 args.max_enum)
+            count_delta_pow(len(x))
+        ref = interpret_positive(coalg, valuation, formula, "delta")
         out["reference"] = _state_names(x, ref)
         report["routes_agree"] = (direct == ref)
     if args.mode != "positive" and discrete_carrier:
-        out["boolean"] = _state_names(x, interpret_boolean(coalg, valuation, formula,
-                                                           args.max_enum))
+        out["boolean"] = _state_names(x, interpret_boolean(coalg, valuation, formula))
         if args.mode == "both":
             report["boolean_agrees"] = (out["boolean"] == out["positive"])
     report["satisfying"] = out
@@ -169,7 +165,7 @@ def cmd_verify(args) -> int:
         raise InputError(
             f"unknown suite {args.suite!r}; pick from "
             f"{', '.join(list(SUITES) + ['all'])}")
-    outcomes = run_suite(args.suite, args.max_enum)
+    outcomes = run_suite(args.suite)
     failed = 0
     for o in outcomes:
         status = "PASS" if o.ok else "FAIL"
@@ -183,7 +179,7 @@ def cmd_export_dot(args) -> int:
     data = pio.read_json(args.input)
     if isinstance(data, dict) and "type" in data:
         lat = pio.as_lattice(pio.load_lattice(data))
-        dot = pio.lattice_dot(lat, max_enum=args.max_enum)
+        dot = pio.lattice_dot(lat)
     else:
         dot = pio.poset_dot(pio.load_poset(data))
     if args.out:
@@ -359,7 +355,8 @@ def main(argv=None) -> int:
             print(args)
         return 0
     try:
-        return args.fn(args)
+        with budget(args.max_enum, args.max_generators):
+            return args.fn(args)
     except BudgetExceeded as exc:
         print(f"budget refused: {exc}; raise it with {exc.flag}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement, groupby, product
 from operator import and_, or_
 from typing import Callable, Optional, Sequence
 
-from .errors import BudgetExceeded, DEFAULT_MAX_ENUM, InputError, check_enum_budget
+from .errors import BudgetExceeded, InputError, check_enum_budget, current_budget, fits
 from .order import FinPoset, Preorder, bits, cotensor2, egli_milner_rows, unions
 
 # Numbers of up-closed families over an n-element set, n = 0..8.
@@ -49,16 +49,16 @@ def _posetify():
     return posetify
 
 
-def _analytic_closed_form(t: SetFunctor, x: FinPoset, max_enum: int):
+def _analytic_closed_form(t: SetFunctor, x: FinPoset):
     """The step relation is already the lifted order (multisets, polynomials)."""
-    return _posetify().posetify_analytic(t, x, max_enum)
+    return _posetify().posetify_analytic(t, x)
 
 
 @dataclass(frozen=True)
 class SetFunctor:
     """Behaviour interface of a finitary set endofunctor.
 
-    ``closed_form(t, x, max_enum)`` posetifies ``t`` at ``x``; it is given
+    ``closed_form(t, x)`` posetifies ``t`` at ``x``; it is given
     ``t`` so that a ``dataclasses.replace`` copy runs its own fields.  The
     predicate liftings ``diamond(n, u)`` and ``box(n, u)`` return the mask
     of the codes of ``T(X)``, for an ``n``-element set X, that satisfy the
@@ -69,8 +69,8 @@ class SetFunctor:
     on_obj: Callable[[tuple], tuple]
     on_mor: Callable[[Sequence, int], Callable]
     size_estimate: Callable[[int], int]
-    step_relation: Optional[Callable[[FinPoset, int], Preorder]] = None
-    closed_form: Callable[["SetFunctor", FinPoset, int], object] = _analytic_closed_form
+    step_relation: Optional[Callable[[FinPoset], Preorder]] = None
+    closed_form: Callable[["SetFunctor", FinPoset], object] = _analytic_closed_form
     diamond: Optional[Callable[[int, int], int]] = None
     box: Optional[Callable[[int, int], int]] = None
     decode: Callable[[tuple], Callable] = lambda s: (lambda code: code)
@@ -94,12 +94,12 @@ def _family_decode(s: tuple) -> Callable:
 
 # ---------------------------------------------------------------- powerset
 
-def _pow_step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
+def _pow_step(x: FinPoset) -> Preorder:
     """The direct formula for the one-step lifting of the order to subsets:
     every element of ``a`` lies below something in ``b`` and every element
     of ``b`` lies above something in ``a`` (the Egli-Milner order, computed
     on subset masks)."""
-    check_enum_budget((1 << len(x)) ** 2, max_enum, "powerset order lifting")
+    check_enum_budget((1 << len(x)) ** 2, "powerset order lifting")
     return Preorder(range(1 << len(x)), egli_milner_rows(x))
 
 
@@ -119,7 +119,7 @@ def pow_functor() -> SetFunctor:
     return SetFunctor("pow", lambda s: range(1 << len(s)),
                       lambda image, n: _images(image).__getitem__,
                       lambda n: 1 << n, _pow_step,
-                      lambda t, x, m: _posetify().posetify_powerset(x, m),
+                      lambda t, x: _posetify().posetify_powerset(x),
                       diamond=_pow_diamond, box=_pow_box,
                       decode=lambda s: powerset(s).__getitem__)
 
@@ -139,7 +139,7 @@ def _nb_mor(image: Sequence, n: int) -> Callable:
 def nb_functor() -> SetFunctor:
     return SetFunctor("nb", lambda s: range(1 << (1 << len(s))), _nb_mor,
                       lambda n: (1 << (1 << n)) if n < 9 else HUGE,
-                      closed_form=lambda t, x, m: _posetify().posetify_nb(x, m),
+                      closed_form=lambda t, x: _posetify().posetify_nb(x),
                       decode=_family_decode)
 
 
@@ -187,7 +187,7 @@ def _mnb_mor(image: Sequence, n: int) -> Callable:
     return lambda family: reduce(or_, map(g.__getitem__, bits(family)), 0)
 
 
-def _mnb_step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
+def _mnb_step(x: FinPoset) -> Preorder:
     """One-step lifting for up-closed families, without materialising the
     functor on the comparable-pair set.
 
@@ -198,8 +198,8 @@ def _mnb_step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
     comparable pairs, plus the empty pair.
     """
     pairs = sum(m.bit_count() for m in x.upmask)
-    check_enum_budget(1 << pairs, max_enum, "order lifting generators")
-    check_enum_budget(mnb_size(len(x)) ** 2, max_enum, "order lifting closure")
+    check_enum_budget(1 << pairs, "order lifting generators")
+    check_enum_budget(mnb_size(len(x)) ** 2, "order lifting closure")
     carrier = _mnb_obj(x.elements)
     _, first, second = cotensor2(x)
     principal = _principals(len(x))
@@ -228,7 +228,7 @@ def mnb_size(n: int) -> int:
 
 def mnb_functor() -> SetFunctor:
     return SetFunctor("mnb", _mnb_obj, _mnb_mor, mnb_size, _mnb_step,
-                      lambda t, x, m: _posetify().posetify_mnb(x, m),
+                      lambda t, x: _posetify().posetify_mnb(x),
                       decode=_family_decode)
 
 
@@ -252,13 +252,12 @@ def _mset_mor(image: Sequence, n: int) -> Callable:
 
 
 def _mset_step(d: int):
-    def step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
+    def step(x: FinPoset) -> Preorder:
         """``a <= b`` when some bijection between the two multisets sends
         every element of ``a`` to one above it; so the multisets above
         ``a`` are those formed by choosing, for each element of ``a`` with
         multiplicity, one element of its up-set."""
-        check_enum_budget(math.comb(len(x) + d, d) ** 2, max_enum,
-                          "multiset order lifting")
+        check_enum_budget(math.comb(len(x) + d, d) ** 2, "multiset order lifting")
         carrier = _mset_obj(d)(x.elements)
         position = {c: k for k, c in enumerate(carrier)}
         ups = [tuple(bits(m)) for m in x.upmask]
@@ -343,12 +342,11 @@ def _block_rows(ups: tuple, arity: int) -> list:
 
 
 def _poly_step(signature: tuple):
-    def step(x: FinPoset, max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
+    def step(x: FinPoset) -> Preorder:
         """``a <= b`` when both carry the same symbol and coefficient and
         every argument of ``a`` lies below the matching one of ``b``: each
         block of one symbol and coefficient is a power of ``x``."""
-        check_enum_budget(_poly_size(signature, len(x)) ** 2, max_enum,
-                          "polynomial order lifting")
+        check_enum_budget(_poly_size(signature, len(x)) ** 2, "polynomial order lifting")
         carrier = _poly_obj(signature)(x.elements)
         succ = []
         for _, arity, coeffs in signature:
@@ -384,10 +382,10 @@ def poly_functor(signature) -> SetFunctor:
 
 # ------------------------------------------------------------ dispatching
 
-def parse_functor(text: str, max_enum: int = DEFAULT_MAX_ENUM) -> SetFunctor:
+def parse_functor(text: str) -> SetFunctor:
     """Parse a CLI functor name: pow, nb, mnb, bag:<d>, poly:sigma=....
 
-    A polynomial's coefficient labels are counted against ``max_enum``
+    A polynomial's coefficient labels are counted against the budget
     before they are built: on any nonempty poset the functor's carrier has
     at least that many elements."""
     if text == "pow":
@@ -416,27 +414,25 @@ def parse_functor(text: str, max_enum: int = DEFAULT_MAX_ENUM) -> SetFunctor:
                 entries.append((parts[0], int(parts[1]), int(parts[2])))
             except ValueError as exc:
                 raise InputError(f"bad signature entry {entry!r}") from exc
-        check_enum_budget(sum(max(csize, 0) for _, _, csize in entries), max_enum,
+        check_enum_budget(sum(max(csize, 0) for _, _, csize in entries),
                           "polynomial coefficients")
         return poly_functor([(name, arity, tuple(f"{name}.{i}" for i in range(csize)))
                              for name, arity, csize in entries])
     raise InputError(f"unknown functor {text!r}")
 
 
-def apply_obj(t: SetFunctor, s: tuple, max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
-    check_enum_budget(t.size_estimate(len(s)), max_enum, f"{t.name} on a set")
+def apply_obj(t: SetFunctor, s: tuple) -> tuple:
+    check_enum_budget(t.size_estimate(len(s)), f"{t.name} on a set")
     return t.on_obj(tuple(s))
 
 
-def apply_mor(t: SetFunctor, image: Sequence, n: int,
-              max_enum: int = DEFAULT_MAX_ENUM) -> Callable:
+def apply_mor(t: SetFunctor, image: Sequence, n: int) -> Callable:
     check_enum_budget(max(t.size_estimate(len(image)), t.size_estimate(n)),
-                      max_enum, f"{t.name} on a function")
+                      f"{t.name} on a function")
     return t.on_mor(tuple(image), n)
 
 
-def lift_relation_generic(t: SetFunctor, x: FinPoset,
-                          max_enum: int = DEFAULT_MAX_ENUM) -> Preorder:
+def lift_relation_generic(t: SetFunctor, x: FinPoset) -> Preorder:
     """The one-step lifting of the order of ``x`` to the carrier ``T(VX)``.
 
     Pairs are the images, under the two projections, of the functor applied
@@ -450,12 +446,10 @@ def lift_relation_generic(t: SetFunctor, x: FinPoset,
     many steps again, so the square of the carrier is counted against the
     budget before that route starts.
     """
-    check_enum_budget(t.size_estimate(len(x)), max_enum,
-                      f"{t.name} on the carrier")
+    check_enum_budget(t.size_estimate(len(x)), f"{t.name} on the carrier")
     xsq, p0, p1 = cotensor2(x)
-    if t.size_estimate(len(xsq)) <= max_enum:
-        check_enum_budget(t.size_estimate(len(x)) ** 2, max_enum,
-                          f"{t.name} lifted relation")
+    if fits(t.size_estimate(len(xsq))):
+        check_enum_budget(t.size_estimate(len(x)) ** 2, f"{t.name} lifted relation")
         carrier = t.on_obj(x.elements)
         f0 = t.on_mor(p0.assignment, len(x))
         f1 = t.on_mor(p1.assignment, len(x))
@@ -469,8 +463,8 @@ def lift_relation_generic(t: SetFunctor, x: FinPoset,
             f"{t.name} on {len(xsq)} comparable pairs exceeds the budget "
             f"and no closed-form lifting is available",
             stage=f"{t.name} on the comparable pairs",
-            requested=t.size_estimate(len(xsq)), cap=max_enum)
-    r = t.step_relation(x, max_enum)
+            requested=t.size_estimate(len(xsq)), cap=current_budget().max_enum)
+    r = t.step_relation(x)
     if r.carrier != t.on_obj(x.elements):
         raise AssertionError(f"{t.name}: closed-form lifting disagrees on carrier")
     return r

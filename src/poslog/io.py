@@ -12,7 +12,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .algebra import FinBoolAlg, FinDistLattice, boolean_as_lattice, up_algebra
-from .errors import DEFAULT_MAX_ENUM, InputError
+from .errors import InputError
 from .order import FinPoset, bits
 from .semantics import Coalgebra
 
@@ -111,12 +111,18 @@ def load_coalgebra(data: Any) -> Coalgebra:
         if not isinstance(states, list):
             raise InputError(f"successors of {x!r} must be a list of states")
         _labels(states, f"successors of {x!r}")
-    succ = []
+    succ, owner = [], {}  # the state of each structure key met so far
     for x in poset.elements:
-        if x not in structure:
+        # JSON object keys are strings: a state that is not has its JSON text
+        key = x if isinstance(x, str) else json.dumps(x)
+        if key in owner:
+            raise InputError(f"states {owner[key]!r} and {x!r} share the "
+                             f"structure key {key!r}")
+        owner[key] = x
+        if key not in structure:
             raise InputError(f"structure map undefined at {x!r}")
         try:
-            succ.append(poset.mask(structure[x]))
+            succ.append(poset.mask(structure[key]))
         except ValueError:
             raise InputError(f"successors of {x!r} leave the carrier") from None
     return Coalgebra(poset, tuple(succ))
@@ -207,12 +213,11 @@ def poset_dot(p: FinPoset, title: str = "") -> str:
     return _dot_lines(p.elements, p.covers(), title)
 
 
-def lattice_dot(lat: FinDistLattice, title: str = "",
-                max_enum: int = DEFAULT_MAX_ENUM) -> str:
+def lattice_dot(lat: FinDistLattice, title: str = "") -> str:
     """Hasse diagram of the element order of a lattice, read off the
     spectrum: an upset is covered by the upsets that add one element to
     it, a maximal element of its complement."""
-    x, elems = lat.spectrum, lat.carrier(max_enum)
+    x, elems = lat.spectrum, lat.carrier()
     labels = {u: x.labels(u) for u in elems}
     covers = [(labels[u], labels[u | 1 << j]) for u in elems
               for j in bits(lat.top & ~u) if not x.upmask[j] & ~u & ~(1 << j)]

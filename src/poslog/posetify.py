@@ -15,7 +15,7 @@ from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Callable, Sequence
 
-from .errors import DEFAULT_MAX_ENUM, InputError, check_enum_budget
+from .errors import InputError, check_enum_budget, fits
 from .functors import (SetFunctor, lift_relation_generic, mnb_functor,
                        nb_functor, pow_functor)
 from .order import (FinPoset, Preorder, bits, connected_components,
@@ -71,10 +71,9 @@ class Posetification:
                 raise AssertionError("classes disagree with the relation")
 
 
-def posetify_generic(t: SetFunctor, x: FinPoset,
-                     max_enum: int = DEFAULT_MAX_ENUM) -> Posetification:
+def posetify_generic(t: SetFunctor, x: FinPoset) -> Posetification:
     """Lift, close, quotient: the universal construction done literally."""
-    r = lift_relation_generic(t, x, max_enum)
+    r = lift_relation_generic(t, x)
     closed = transitive_closure(r)
     poset, projection = poset_quotient(closed)
     return Posetification(poset, projection, closed.carrier, closed, t.decode(x.elements))
@@ -82,18 +81,17 @@ def posetify_generic(t: SetFunctor, x: FinPoset,
 
 # --------------------------------------------------------------- powerset
 
-def count_convex_powerset(n: int, max_enum: int = DEFAULT_MAX_ENUM) -> None:
+def count_convex_powerset(n: int) -> None:
     """Refuse the convex powerset over ``n`` elements before building it:
     its witness relates every pair of subsets."""
-    check_enum_budget(pow_functor().size_estimate(n) ** 2, max_enum, "convex powerset")
+    check_enum_budget(pow_functor().size_estimate(n) ** 2, "convex powerset")
 
 
-def posetify_powerset(x: FinPoset,
-                      max_enum: int = DEFAULT_MAX_ENUM) -> Posetification:
+def posetify_powerset(x: FinPoset) -> Posetification:
     """Closed form for the powerset: convex subsets under the pairwise
     upper-and-lower-bound order, with convex closure as projection, all
     computed on subset masks."""
-    count_convex_powerset(len(x), max_enum)
+    count_convex_powerset(len(x))
     t = pow_functor()
     carrier = t.on_obj(x.elements)
     up, down = closures = subset_closures(x)
@@ -113,8 +111,7 @@ def posetify_powerset(x: FinPoset,
 
 # ------------------------------------------------- monotone neighbourhood
 
-def posetify_mnb(x: FinPoset,
-                 max_enum: int = DEFAULT_MAX_ENUM) -> Posetification:
+def posetify_mnb(x: FinPoset) -> Posetification:
     """Closed form for up-closed families via the direct comparison: every
     member of the first family refines upward to one of the second, every
     member of the second refines downward to one of the first.
@@ -133,8 +130,7 @@ def posetify_mnb(x: FinPoset,
     verification suite).
     """
     t = mnb_functor()
-    check_enum_budget(t.size_estimate(len(x)) ** 2, max_enum,
-                      "up-closed family comparison")
+    check_enum_budget(t.size_estimate(len(x)) ** 2, "up-closed family comparison")
     fams = t.on_obj(x.elements)
     up, down = subset_closures(x)
     subsets = range(len(up))
@@ -161,23 +157,20 @@ def posetify_mnb(x: FinPoset,
 
 # ----------------------------------------------------------- neighbourhood
 
-def posetify_nb(x: FinPoset,
-                max_enum: int = DEFAULT_MAX_ENUM) -> Posetification:
+def posetify_nb(x: FinPoset) -> Posetification:
     """Closed form for arbitrary neighbourhood families: the lifted poset
     is discrete on the families over the set of connected components, and
     the projection is the functor applied to the component collapse."""
     nb = nb_functor()
     reps, comp = connected_components(x)
     comps = tuple(map(x.elements.__getitem__, reps))
-    check_enum_budget(nb.size_estimate(len(comps)), max_enum,
-                      "neighbourhood families on components")
-    check_enum_budget(nb.size_estimate(len(x)), max_enum,
-                      "neighbourhood families on the carrier")
+    check_enum_budget(nb.size_estimate(len(comps)), "neighbourhood families on components")
+    check_enum_budget(nb.size_estimate(len(x)), "neighbourhood families on the carrier")
     result = FinPoset.discrete(nb.on_obj(comps))
     carrier = nb.on_obj(x.elements)
     e = tuple(map(nb.on_mor(comp, len(comps)), carrier))
     witness = None
-    if len(carrier) ** 2 <= max_enum:
+    if fits(len(carrier) ** 2):
         classes = [0] * len(result)  # the mask of the members of each class
         for k, c in enumerate(e):
             classes[c] |= 1 << k
@@ -187,13 +180,12 @@ def posetify_nb(x: FinPoset,
 
 # ------------------------------------------------------- analytic functors
 
-def posetify_analytic(t: SetFunctor, x: FinPoset,
-                      max_enum: int = DEFAULT_MAX_ENUM) -> Posetification:
+def posetify_analytic(t: SetFunctor, x: FinPoset) -> Posetification:
     """Closed form for multiset and polynomial functors: the one-step
     lifted relation is already a partial order, so nothing is collapsed."""
     if t.step_relation is None:
         raise InputError(f"{t.name} has no closed-form lifting")
-    r = t.step_relation(x, max_enum)
+    r = t.step_relation(x)
     try:  # the poset checks the axioms
         order = FinPoset(r.carrier, r.succ)
     except InputError as exc:
@@ -205,9 +197,8 @@ def posetify_analytic(t: SetFunctor, x: FinPoset,
 
 # ------------------------------------------------------------ dispatching
 
-def closed_form(t: SetFunctor, x: FinPoset,
-                max_enum: int = DEFAULT_MAX_ENUM) -> Posetification:
-    return t.closed_form(t, x, max_enum)
+def closed_form(t: SetFunctor, x: FinPoset) -> Posetification:
+    return t.closed_form(t, x)
 
 
 @dataclass(frozen=True)
@@ -218,8 +209,7 @@ class CrossCheck:
     closed: Posetification
 
 
-def cross_check(t: SetFunctor, x: FinPoset,
-                max_enum: int = DEFAULT_MAX_ENUM) -> CrossCheck:
+def cross_check(t: SetFunctor, x: FinPoset) -> CrossCheck:
     """Run both routes and match them up.
 
     Because both projections are surjective, an isomorphism commuting with
@@ -230,10 +220,9 @@ def cross_check(t: SetFunctor, x: FinPoset,
     bitmask of the other.  The comparison is quadratic in the carrier, so
     its budget is checked before either route runs.
     """
-    check_enum_budget(t.size_estimate(len(x)) ** 2, max_enum,
-                      f"{t.name} cross-check comparison")
-    gen = posetify_generic(t, x, max_enum)
-    clo = closed_form(t, x, max_enum)
+    check_enum_budget(t.size_estimate(len(x)) ** 2, f"{t.name} cross-check comparison")
+    gen = posetify_generic(t, x)
+    clo = closed_form(t, x)
     phi = [-1] * len(gen.order)  # generic class index -> closed class index
     for i, (src, dst) in enumerate(zip(gen.e, clo.e)):
         if phi[src] not in (-1, dst):

@@ -20,8 +20,7 @@ from .algebra import (BAHom, FinBoolAlg, FinDistLattice, LatticeHom,
                       ba_inserter, boolean_as_lattice, free_ba,
                       free_ba_generator, free_ba_map, free_over_dl_G, g_of_hom,
                       kernel_K, tensor2, up_algebra)
-from .errors import (DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS, InputError,
-                     check_enum_budget)
+from .errors import InputError, check_enum_budget
 from .functors import SetFunctor, parse_functor, pow_functor
 from .order import FinPoset, _close_rows, bits
 from .posetify import closed_form
@@ -48,7 +47,7 @@ class BAFunctor:
     count_atoms: Optional[Callable[[FinBoolAlg], int]] = None
 
 
-def semantic_l(t: SetFunctor, max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
+def semantic_l(t: SetFunctor) -> BAFunctor:
     """The semantically presented syntax functor: powerset of the functor
     applied to the atom set.
 
@@ -60,19 +59,22 @@ def semantic_l(t: SetFunctor, max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
 
     The codes and the algebra of the last two atom sets are kept, so that
     one ``positivize`` call, which meets the ambient atom set and that of
-    the ordered double, builds and decodes each once."""
+    the ordered double, builds and decodes each once.  Every call counts
+    the codes, so a build kept from a larger budget is refused under a
+    smaller one."""
 
-    @lru_cache(maxsize=2)
+    build = lru_cache(maxsize=2)(t.on_obj)
+
     def codes(atoms: tuple):
-        check_enum_budget(t.size_estimate(len(atoms)), max_enum,
-                          f"{t.name} on an atom set")
-        return t.on_obj(atoms)
+        check_enum_budget(t.size_estimate(len(atoms)), f"{t.name} on an atom set")
+        return build(atoms)
 
     @lru_cache(maxsize=2)
     def algebra(atoms: tuple) -> FinBoolAlg:
         return FinBoolAlg(atoms=tuple(map(t.decode(atoms), codes(atoms))))
 
     def on_obj(b: FinBoolAlg) -> FinBoolAlg:
+        codes(b.atoms)  # counts them, though the algebra may be kept
         return algebra(b.atoms)
 
     def on_mor(h: BAHom) -> BAHom:
@@ -86,47 +88,44 @@ def semantic_l(t: SetFunctor, max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
         return None if clause is None else (lambda b, x: clause(len(b.atoms), x))
 
     return BAFunctor(f"semantic:{t.name}", on_obj, on_mor,
-                     lambda a: up_algebra(closed_form(t, a.spectrum, max_enum).result),
+                     lambda a: up_algebra(closed_form(t, a.spectrum).result),
                      modal(t.diamond), modal(t.box),
                      lambda b: len(codes(b.atoms)))
 
 
-def free_l(max_generators: int = DEFAULT_MAX_GENERATORS,
-           max_enum: int = DEFAULT_MAX_ENUM) -> BAFunctor:
+def free_l() -> BAFunctor:
     """One unary modality obeying no equations: the free Boolean algebra
     over the carrier, with the box generator given by the unit.  The
     generators are labelled by the labels of the elements, in mask order."""
 
     def gens_of(b: FinBoolAlg) -> tuple:
-        return tuple(map(b.labels, b.carrier(max_enum)))
+        return tuple(map(b.labels, b.carrier()))
 
     def on_obj(b: FinBoolAlg) -> FinBoolAlg:
-        return free_ba(gens_of(b), max_generators)
+        return free_ba(gens_of(b))
 
     def on_mor(h: BAHom) -> BAHom:
         return free_ba_map(gens_of(h.source), gens_of(h.target),
-                           tuple(map(h.apply, h.source.carrier(max_enum))), max_generators)
+                           tuple(map(h.apply, h.source.carrier())))
 
     def box(b: FinBoolAlg, x: int) -> int:
         return free_ba_generator(on_obj(b), b.labels(x))
 
-    return BAFunctor("free", on_obj, on_mor,
-                     lambda a: closed_form_fu(a, max_enum, max_generators), box=box)
+    return BAFunctor("free", on_obj, on_mor, closed_form_fu, box=box)
 
 
 SYNTAXES = ("dunn", "free", "semantic:pow", "semantic:mnb", "semantic:nb")
 
 
-def parse_syntax(text: str, max_enum: int = DEFAULT_MAX_ENUM,
-                 max_generators: int = DEFAULT_MAX_GENERATORS) -> BAFunctor:
+def parse_syntax(text: str) -> BAFunctor:
     """Parse a syntax name: ``dunn`` (the same as ``semantic:pow``), ``free``,
     or ``semantic:<functor>`` for any name :func:`parse_functor` accepts."""
     if text == "free":
-        return free_l(max_generators, max_enum)
+        return free_l()
     if text == "dunn":
         text = "semantic:pow"
     if text.startswith("semantic:"):
-        return semantic_l(parse_functor(text[len("semantic:"):], max_enum), max_enum)
+        return semantic_l(parse_functor(text[len("semantic:"):]))
     raise InputError(f"unknown syntax {text!r}")
 
 
@@ -158,8 +157,7 @@ class Positivication:
         return not self.h1.apply(candidate) & ~self.h2.apply(candidate)
 
 
-def _edge_preorder_lattice(h1: BAHom, h2: BAHom, members: Sequence, labels,
-                           max_enum: int) -> tuple:
+def _edge_preorder_lattice(h1: BAHom, h2: BAHom, members: Sequence, labels) -> tuple:
     """The inserter of ``h1, h2`` as a lattice, from the preorder that the
     edges ``h1.dual[k] -> h2.dual[k]`` generate on the source atoms, and
     checked against ``members``, the inserter found by its definition.
@@ -190,13 +188,12 @@ def _edge_preorder_lattice(h1: BAHom, h2: BAHom, members: Sequence, labels,
     ups = tuple(map(restrict, irreducibles))
     result = up_algebra(FinPoset(tuple(map(labels, irreducibles)), ups))
     embed = {restrict(m): m for m in members}
-    if result.size(max_enum) != len(members):
+    if result.size() != len(members):
         raise AssertionError("inserter members are not the closed sets of the dual edges")
     return result, embed
 
 
-def positivize(l: BAFunctor, a: FinDistLattice,
-               max_enum: int = DEFAULT_MAX_ENUM) -> Positivication:
+def positivize(l: BAFunctor, a: FinDistLattice) -> Positivication:
     """Compute the lifted functor at ``a`` by the inserter construction.
 
     When the two comparison homs coincide (exactly the Boolean case, where
@@ -218,17 +215,17 @@ def positivize(l: BAFunctor, a: FinDistLattice,
         l.count_atoms(gh1.target)
         # the whole ambient carrier is the result when gh1 == gh2 (so lh1 ==
         # lh2), else the inserter sweeps it: refused before any label is built
-        check_enum_budget(1 << atoms, max_enum,
+        check_enum_budget(1 << atoms,
                           "boolean algebra carrier" if gh1 == gh2 else "inserter sweep")
     lga = l.on_obj(galg)
     lh1 = l.on_mor(gh1)
     lh2 = l.on_mor(gh2)
     if lh1 == lh2:
-        result, members = boolean_as_lattice(lga), lga.carrier(max_enum)
+        result, members = boolean_as_lattice(lga), lga.carrier()
         embed = members
     else:
-        members = tuple(ba_inserter(lh1, lh2, max_enum))
-        result, embed = _edge_preorder_lattice(lh1, lh2, members, lga.labels, max_enum)
+        members = tuple(ba_inserter(lh1, lh2))
+        result, embed = _edge_preorder_lattice(lh1, lh2, members, lga.labels)
     box_of = (lambda x: l.box(galg, unit.apply(x))) if l.box else None
     diamond_of = (lambda x: l.diamond(galg, unit.apply(x))) if l.diamond else None
     return Positivication(result, members, embed, lga, lh1, lh2, box_of, diamond_of)
@@ -273,8 +270,7 @@ class Beta:
         return x
 
 
-def beta(l: BAFunctor, b: FinBoolAlg,
-         max_enum: int = DEFAULT_MAX_ENUM) -> Beta:
+def beta(l: BAFunctor, b: FinBoolAlg) -> Beta:
     """The isomorphism between the lifting at ``W b`` and ``W (l b)``.
 
     The free Boolean envelope of a Boolean lattice is the algebra itself
@@ -282,34 +278,30 @@ def beta(l: BAFunctor, b: FinBoolAlg,
     included image have literally equal carriers; this is checked element
     by element.
     """
-    p = positivize(l, boolean_as_lattice(b), max_enum)
+    p = positivize(l, boolean_as_lattice(b))
     lb = l.on_obj(b)
     wlb = boolean_as_lattice(lb)
     if p.ambient != lb:
         raise AssertionError("envelope of a Boolean lattice did not collapse")
     if p.result != wlb:
         raise AssertionError("lifting at a Boolean lattice is not the inclusion")
-    if any(p.embed[r] != r for r in p.result.carrier(max_enum)):
+    if any(p.embed[r] != r for r in p.result.carrier()):
         raise AssertionError("comparison is not the identity on elements")
     return Beta(p.result, wlb, len(p.members))
 
 
-def closed_form_dunn(a: FinDistLattice,
-                     max_enum: int = DEFAULT_MAX_ENUM) -> FinDistLattice:
+def closed_form_dunn(a: FinDistLattice) -> FinDistLattice:
     """Closed form for the lifting of normal modal logic: upsets of the
     convex-powerset lifting of the spectrum."""
-    return semantic_l(pow_functor(), max_enum).closed_form(a)
+    return semantic_l(pow_functor()).closed_form(a)
 
 
-def closed_form_fu(a: FinDistLattice,
-                   max_enum: int = DEFAULT_MAX_ENUM,
-                   max_generators: int = DEFAULT_MAX_GENERATORS) -> FinDistLattice:
+def closed_form_fu(a: FinDistLattice) -> FinDistLattice:
     """Closed form for the lifting of the free unary-modality logic: the
     free Boolean algebra over the carrier of the largest Boolean
     subalgebra, included back into lattices."""
-    k, _ = kernel_K(a, max_enum)
-    gens = tuple(k.carrier(max_enum))
-    return boolean_as_lattice(free_ba(gens, max_generators))
+    k, _ = kernel_K(a)
+    return boolean_as_lattice(free_ba(tuple(k.carrier())))
 
 
 @dataclass(frozen=True)
@@ -319,8 +311,7 @@ class DunnReport:
     pairs_checked: int
 
 
-def dunn_axiom_check(a: FinDistLattice,
-                     max_enum: int = DEFAULT_MAX_ENUM) -> DunnReport:
+def dunn_axiom_check(a: FinDistLattice) -> DunnReport:
     """Exhaustively verify the positive modal axioms inside the lifted
     lattice of normal modal logic over ``a``.
 
@@ -328,11 +319,10 @@ def dunn_axiom_check(a: FinDistLattice,
     sublattice; the (in)equations are then evaluated with ambient mask
     operations, which agree with the sublattice ones.
     """
-    l = semantic_l(pow_functor(), max_enum)
-    p = positivize(l, a, max_enum)
+    p = positivize(semantic_l(pow_functor()), a)
     members = set(p.members)
     failures = []
-    elems = a.carrier(max_enum)
+    elems = a.carrier()
     box = {x: p.box_of(x) for x in elems}
     dia = {x: p.diamond_of(x) for x in elems}
     for x in elems:

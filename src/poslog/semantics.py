@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import up_algebra
-from .errors import DEFAULT_MAX_ENUM, InputError, check_enum_budget
+from .errors import Budget, InputError, check_enum_budget, current_budget
 from .functors import carrier_labels, nb_functor, pow_functor
 from .order import FinPoset, bits
 from .posetify import Posetification, count_convex_powerset, posetify_powerset
@@ -251,14 +251,14 @@ class DeltaPow:
         return out
 
 
-def count_delta_pow(n: int, max_enum: int = DEFAULT_MAX_ENUM) -> None:
+def count_delta_pow(n: int) -> None:
     """Refuse the semantic component over ``n`` states before building it."""
-    check_enum_budget((1 << n) ** 2, max_enum, "semantic component construction")
+    check_enum_budget((1 << n) ** 2, "semantic component construction")
 
 
-def delta_pow(states: tuple, max_enum: int = DEFAULT_MAX_ENUM) -> DeltaPow:
+def delta_pow(states: tuple) -> DeltaPow:
     states = tuple(states)
-    count_delta_pow(len(states), max_enum)
+    count_delta_pow(len(states))
     n, diamond = len(states), pow_functor().diamond
     every, full = (1 << (1 << n)) - 1, (1 << n) - 1
     atom_image = []
@@ -372,8 +372,7 @@ def _evaluate(phi: Formula, vals: dict, states: int,
     return rec(phi)
 
 
-def interpret_boolean(c: Coalgebra, valuation: dict, phi: Formula,
-                      max_enum: int = DEFAULT_MAX_ENUM) -> int:
+def interpret_boolean(c: Coalgebra, valuation: dict, phi: Formula) -> int:
     """Kripke semantics over a set-based successor coalgebra: the mask of
     the states satisfying ``phi`` when each variable holds at the states
     of its mask in ``valuation``.
@@ -385,7 +384,7 @@ def interpret_boolean(c: Coalgebra, valuation: dict, phi: Formula,
     """
     x = c.carrier
     _refuse_valuation(x, valuation, positive=False)
-    dp = delta_pow(x.elements, max_enum)
+    dp = delta_pow(x.elements)
     t = pow_functor()
 
     def modal(op: str, u: int) -> int:
@@ -396,27 +395,27 @@ def interpret_boolean(c: Coalgebra, valuation: dict, phi: Formula,
     return _evaluate(phi, valuation, (1 << len(x)) - 1, modal)
 
 
+# Keyed on the budget in force, so that nothing built under one budget is
+# handed out under another.
 @lru_cache(maxsize=64)
-def _pow_lifting(carrier: FinPoset, max_enum: int) -> Posetification:
-    return posetify_powerset(carrier, max_enum)
+def _pow_lifting(carrier: FinPoset, budget: Budget) -> Posetification:
+    return posetify_powerset(carrier)
 
 
 @lru_cache(maxsize=64)
-def _positive_context(carrier: FinPoset, max_enum: int):
+def _positive_context(carrier: FinPoset, budget: Budget):
     """Shared machinery for the reference route over one poset.  The
     convex powerset is counted first but built last, so that a carrier
     that ``positivize`` refuses never builds its relation on all subsets."""
-    count_convex_powerset(len(carrier), max_enum)
-    lifted = positivize(semantic_l(pow_functor(), max_enum),
-                        up_algebra(carrier), max_enum)
-    pos = _pow_lifting(carrier, max_enum)
+    count_convex_powerset(len(carrier))
+    lifted = positivize(semantic_l(pow_functor()), up_algebra(carrier))
+    pos = _pow_lifting(carrier, budget)
     dprime = delta_prime(pow_functor(), delta_pow, carrier, pos, lifted)
     return pos, lifted, dprime
 
 
 def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
-                       method: str = "direct",
-                       max_enum: int = DEFAULT_MAX_ENUM) -> int:
+                       method: str = "direct") -> int:
     """Negation-free semantics over a monotone convex-successor coalgebra:
     the mask of the states satisfying ``phi`` under a valuation of up-set
     masks.
@@ -439,7 +438,7 @@ def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
                 return sum(1 << i for i, s in enumerate(c.succ) if s & u)
             return sum(1 << i for i, s in enumerate(c.succ) if not s & ~u)
     else:
-        pos, lifted, dprime = _positive_context(x, max_enum)
+        pos, lifted, dprime = _positive_context(x, current_budget())
 
         def modal(op: str, u: int) -> int:
             elem = lifted.diamond_of(u) if op == "dia" else lifted.box_of(u)
@@ -454,14 +453,12 @@ def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
     return out
 
 
-def delta_pow_injective(states: tuple,
-                        max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
-    dp = delta_pow(tuple(states), max_enum)
-    check_enum_budget(1 << (1 << len(dp.states)), max_enum, "semantic component domain")
+def delta_pow_injective(states: tuple) -> tuple:
+    dp = delta_pow(tuple(states))
+    check_enum_budget(1 << (1 << len(dp.states)), "semantic component domain")
     return injectivity_check(nb_functor().on_obj(dp.states), dp.apply)
 
 
-def delta_prime_injective(x: FinPoset,
-                          max_enum: int = DEFAULT_MAX_ENUM) -> tuple:
-    _, _, dprime = _positive_context(x, max_enum)
+def delta_prime_injective(x: FinPoset) -> tuple:
+    _, _, dprime = _positive_context(x, current_budget())
     return injectivity_check(dprime.members, dprime.apply)

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterator
 from . import algebra as alg
 from . import semantics as sem
-from .errors import DEFAULT_MAX_ENUM, BudgetExceeded
+from .errors import BudgetExceeded, current_budget
 from .functors import (lift_relation_generic, mnb_functor, multiset_functor,
                        nb_functor, poly_functor, pow_functor)
 from .order import (FinPoset, MonotoneMap, Preorder, bits, connected_components,
@@ -70,7 +70,7 @@ def _contained(r: Preorder, s: Preorder) -> bool:
     return all(not a & ~b for a, b in zip(r.succ, s.succ))
 
 
-def check_closure_laws(max_enum=DEFAULT_MAX_ENUM):
+def check_closure_laws():
     rels3 = _reflexive_relations(3)
     for r in rels3:
         c = transitive_closure(r)
@@ -112,7 +112,7 @@ def _random_reflexive_relation(n: int, rng) -> Preorder:
     return Preorder(carrier, tuple(succ))
 
 
-def check_quotient(max_enum=DEFAULT_MAX_ENUM):
+def check_quotient():
     count = 0
     for r in _reflexive_relations(3):
         c = transitive_closure(r)
@@ -128,7 +128,7 @@ def check_quotient(max_enum=DEFAULT_MAX_ENUM):
     return True, f"{count} quotients on 3-element carriers"
 
 
-def check_cotensor(max_enum=DEFAULT_MAX_ENUM):
+def check_cotensor():
     for p in small_posets(3):
         xsq, p0, p1 = cotensor2(p)
         expected = [(a, b) for a in p.elements for b in p.elements if p.leq(a, b)]
@@ -145,7 +145,7 @@ def check_cotensor(max_enum=DEFAULT_MAX_ENUM):
     return True, f"{len(small_posets(3))} posets checked"
 
 
-def check_components(max_enum=DEFAULT_MAX_ENUM):
+def check_components():
     for p in small_posets(3):
         reps, comp = connected_components(p)
         xsq, p0, p1 = cotensor2(p)
@@ -163,11 +163,11 @@ def check_components(max_enum=DEFAULT_MAX_ENUM):
 
 # ---------------------------------------------------------------- algebra
 
-def check_birkhoff(max_enum=DEFAULT_MAX_ENUM):
+def check_birkhoff():
     posets = list(small_posets(3)) + [p for p in iso_representatives(4) if len(p) == 4]
     for p in posets:
         a = alg.up_algebra(p)
-        pf = alg.prime_filter_poset(a, max_enum)
+        pf = alg.prime_filter_poset(a)
         if poset_isomorphism(p, pf) is None:
             return False, f"spectrum round trip fails on {p.elements}"
         b = alg.up_algebra(pf)
@@ -176,7 +176,7 @@ def check_birkhoff(max_enum=DEFAULT_MAX_ENUM):
     return True, f"{len(posets)} posets round-tripped"
 
 
-def check_free_ba(max_enum=DEFAULT_MAX_ENUM):
+def check_free_ba():
     for n in range(4):
         gens = LABELS[:n]
         fb = alg.free_ba(gens)
@@ -189,7 +189,7 @@ def check_free_ba(max_enum=DEFAULT_MAX_ENUM):
     return True, "sizes 2^2^n for n <= 3"
 
 
-def check_nbhd_iso(max_enum=DEFAULT_MAX_ENUM):
+def check_nbhd_iso():
     nb = nb_functor()
     for n in range(3):
         xs = LABELS[:n]
@@ -222,11 +222,11 @@ def all_functions(m: int, n: int) -> Iterator[tuple]:
     return product(range(n), repeat=m)
 
 
-def check_kernel(max_enum=DEFAULT_MAX_ENUM):
+def check_kernel():
     posets = list(small_posets(3)) + [p for p in iso_representatives(4) if len(p) == 4]
     for p in posets:
         a = alg.up_algebra(p)
-        k, embed = alg.kernel_K(a, max_enum)
+        k, embed = alg.kernel_K(a)
         reps, comp = connected_components(p)
         if (1 << len(reps)) != (1 << len(k.atoms)):
             return False, f"kernel size wrong on {p.elements}"
@@ -238,25 +238,25 @@ def check_kernel(max_enum=DEFAULT_MAX_ENUM):
     return True, f"{len(posets)} lattices"
 
 
-def check_gw_collapse(max_enum=DEFAULT_MAX_ENUM):
+def check_gw_collapse():
     for n in range(4):
         b = alg.FinBoolAlg(atoms=LABELS[:n])
         g, unit = alg.free_over_dl_G(alg.boolean_as_lattice(b))
         if g != b:
             return False, f"free envelope of a Boolean lattice moved ({n} atoms)"
-        for x in b.carrier(max_enum):
+        for x in b.carrier():
             if unit.apply(x) != x:
                 return False, "unit is not the identity on a Boolean lattice"
     return True, "collapse is the identity for <= 3 atoms"
 
 
-def check_tensor2(max_enum=DEFAULT_MAX_ENUM):
+def check_tensor2():
     for p in small_posets(3):
         a = alg.up_algebra(p)
         t2 = alg.tensor2(a)
-        k, embed = alg.kernel_K(a, max_enum)
+        k, embed = alg.kernel_K(a)
         complemented = set(embed)
-        for u in a.carrier(max_enum):
+        for u in a.carrier():
             x1, x2 = t2.in1.apply(u), t2.in2.apply(u)
             if x1 & ~x2:
                 return False, f"left copy not below right copy at {p.labels(u)}"
@@ -271,15 +271,15 @@ def check_tensor2(max_enum=DEFAULT_MAX_ENUM):
     return True, "ordered double checked on all spectra <= 3"
 
 
-def check_dl_inserter(max_enum=DEFAULT_MAX_ENUM):
+def check_dl_inserter():
     for p in small_posets(3):
         a = alg.up_algebra(p)
         galg, unit = alg.free_over_dl_G(a)
         t2 = alg.tensor2(a)
         h1 = alg.g_of_hom(t2.in1)
         h2 = alg.g_of_hom(t2.in2)
-        sub = alg.dl_inserter(h1, h2, max_enum)
-        expected = {unit.apply(u) for u in a.carrier(max_enum)}
+        sub = alg.dl_inserter(h1, h2)
+        expected = {unit.apply(u) for u in a.carrier()}
         if set(sub.members) != expected:
             return False, f"inserter members differ on {p.elements}"
         if alg.lattice_isomorphic(sub.lattice, a) is None:
@@ -287,10 +287,10 @@ def check_dl_inserter(max_enum=DEFAULT_MAX_ENUM):
     return True, "upset image recovered on all spectra <= 3"
 
 
-def check_reflexive_pairs(max_enum=DEFAULT_MAX_ENUM):
+def check_reflexive_pairs():
     b = alg.FinBoolAlg(atoms=("a1", "a2"))
     prod = alg.product_ba(b, b)
-    diag = {prod.pair(x, x) for x in b.carrier(max_enum)}
+    diag = {prod.pair(x, x) for x in b.carrier()}
     count = 0
     for sub in alg.subalgebras(prod.algebra):
         if not diag <= sub:
@@ -309,14 +309,14 @@ def two_into_three() -> tuple:
         three.spectrum, two.spectrum, {"p": "s", "q": "s"}))
 
 
-def check_dual_composition(max_enum=DEFAULT_MAX_ENUM):
+def check_dual_composition():
     two, three, f = two_into_three()
     four = alg.up_algebra(FinPoset.chain(("x", "y", "z")))
     g = alg.LatticeHom(three, four,
                        MonotoneMap.of_dict(four.spectrum, three.spectrum,
                                            {"x": "p", "y": "p", "z": "q"}))
     gf = alg.lattice_compose(g, f)
-    for u in two.carrier(max_enum):
+    for u in two.carrier():
         if gf.apply(u) != g.apply(f.apply(u)):
             return False, "element action of a composite differs"
     for t in range(len(four.spectrum)):
@@ -332,13 +332,13 @@ def _oracle_functors():
             poly_functor([("f", 2, ("k",))]), mnb_functor())
 
 
-def check_posetify_oracles(max_enum=DEFAULT_MAX_ENUM):
+def check_posetify_oracles():
     checked, nb = 0, nb_functor()
     for t in (*_oracle_functors(), nb):
         for p in small_posets(3):
             if t is nb and len(cotensor2(p)[0]) > 3:
                 continue  # families over more than 3 comparable pairs
-            r = cross_check(t, p, max_enum)
+            r = cross_check(t, p)
             if not r.ok:
                 return False, f"{t.name} on {p.elements}: {r.detail}"
             checked += 1
@@ -352,9 +352,9 @@ def egli_milner(x: FinPoset, a: int, b: int) -> bool:
     return not a & ~x.down_of(b) and not b & ~x.up_of(a)
 
 
-def check_powerset_closed_form(max_enum=DEFAULT_MAX_ENUM):
+def check_powerset_closed_form():
     chain3 = FinPoset.chain(("p", "q", "r"))
-    pos = posetify_powerset(chain3, max_enum)
+    pos = posetify_powerset(chain3)
     codes = pos.order.elements  # the convex subset masks, bit 0 for p
     if set(codes) != {0, 0b1, 0b10, 0b100, 0b11, 0b110, 0b111} or len(codes) != 7:
         return False, "convex subsets of the 3-chain are wrong"
@@ -375,20 +375,20 @@ def check_powerset_closed_form(max_enum=DEFAULT_MAX_ENUM):
     return True, "7 convex sets on the 3-chain; closure laws on chains <= 4"
 
 
-def check_analytic_antisymmetry(max_enum=DEFAULT_MAX_ENUM):
+def check_analytic_antisymmetry():
     for t in (multiset_functor(3), poly_functor([("f", 2, ("k",))])):
         for p in small_posets(3):
-            r = lift_relation_generic(t, p, max_enum)
+            r = lift_relation_generic(t, p)
             if not r.is_antisymmetric():
                 return False, f"{t.name} lifting not antisymmetric on {p.elements}"
-            pos = posetify_generic(t, p, max_enum)
+            pos = posetify_generic(t, p)
             if pos.e != tuple(range(len(r.carrier))):
                 return False, f"{t.name} quotient is not the identity on {p.elements}"
     return True, "lifted relations antisymmetric; quotient trivial"
 
 
-def check_mnb_order(max_enum=DEFAULT_MAX_ENUM):
-    pos = posetify_mnb(two_chain(), max_enum)
+def check_mnb_order():
+    pos = posetify_mnb(two_chain())
     # families as masks over subset masks: {{p, q}} and {{q}, {p, q}}
     fam_a, fam_b = 1 << 0b11, 1 << 0b10 | 1 << 0b11
     a_cls, b_cls = (pos.e[pos.carrier.index(fam)] for fam in (fam_a, fam_b))
@@ -396,20 +396,20 @@ def check_mnb_order(max_enum=DEFAULT_MAX_ENUM):
             pos.order.leq_idx(b_cls, a_cls):
         return False, "the two-chain example is not strictly ordered"
     for p in small_posets(3):
-        direct = posetify_mnb(p, max_enum).witness
-        generic = transitive_closure(lift_relation_generic(mnb_functor(), p, max_enum))
+        direct = posetify_mnb(p).witness
+        generic = transitive_closure(lift_relation_generic(mnb_functor(), p))
         if direct != generic:
             return False, f"family comparison differs from the closure on {p.elements}"
     return True, "strict example holds; comparison equals the closure"
 
 
-def check_nb_collapse(max_enum=DEFAULT_MAX_ENUM):
-    pos = posetify_nb(two_chain(), max_enum)
+def check_nb_collapse():
+    pos = posetify_nb(two_chain())
     if len(pos.order) != 4 or pos.order.covers():
         return False, "two-chain collapse is not 4 discrete points"
     for p in iso_representatives(4):
         reps, _ = connected_components(p)
-        pos = posetify_nb(p, max_enum)
+        pos = posetify_nb(p)
         if len(pos.order) != 1 << (1 << len(reps)):
             return False, f"size wrong on {p.elements}"
         if pos.order.covers():
@@ -417,12 +417,12 @@ def check_nb_collapse(max_enum=DEFAULT_MAX_ENUM):
     return True, "2^2^components for all posets <= 4 (up to iso)"
 
 
-def check_discrete_identity(max_enum=DEFAULT_MAX_ENUM):
+def check_discrete_identity():
     functors = list(_oracle_functors()) + [nb_functor()]
     for t in functors:
         for n in range(4):
             p = FinPoset.discrete(LABELS[:n])
-            pos = posetify_generic(t, p, max_enum)
+            pos = posetify_generic(t, p)
             if pos.order.covers():
                 return False, f"{t.name} on a discrete set is not discrete"
             if len(pos.order) != len(pos.e):
@@ -430,20 +430,20 @@ def check_discrete_identity(max_enum=DEFAULT_MAX_ENUM):
     return True, "all functors are unchanged on discrete posets"
 
 
-def check_pow_transitive(max_enum=DEFAULT_MAX_ENUM):
+def check_pow_transitive():
     for p in small_posets(3):
-        r = lift_relation_generic(pow_functor(), p, max_enum)
+        r = lift_relation_generic(pow_functor(), p)
         if transitive_closure(r) != r:
             return False, f"one-step powerset lifting not transitive on {p.elements}"
     return True, "one-step lifting already transitive"
 
 
-def check_mnb_transitivity_probe(max_enum=DEFAULT_MAX_ENUM):
+def check_mnb_transitivity_probe():
     """Informational: does the one-step lifting for up-closed families ever
     fail transitivity at this scale?  The outcome is recorded either way."""
     failures = []
     for p in small_posets(3):
-        r = lift_relation_generic(mnb_functor(), p, max_enum)
+        r = lift_relation_generic(mnb_functor(), p)
         if transitive_closure(r) != r:
             failures.append(p.elements)
     if failures:
@@ -453,50 +453,50 @@ def check_mnb_transitivity_probe(max_enum=DEFAULT_MAX_ENUM):
 
 # -------------------------------------------------------------- positivize
 
-def check_dunn_closed_form(max_enum=DEFAULT_MAX_ENUM):
-    l = semantic_l(pow_functor(), max_enum)
+def check_dunn_closed_form():
+    l = semantic_l(pow_functor())
     for p in small_posets(3):
         a = alg.up_algebra(p)
-        got = positivize(l, a, max_enum).result
-        want = closed_form_dunn(a, max_enum)
+        got = positivize(l, a).result
+        want = closed_form_dunn(a)
         if alg.lattice_isomorphic(got, want) is None:
             return False, f"lifted lattice differs on spectrum {p.elements}"
-    three = positivize(l, three_chain_lattice(), max_enum)
-    size = three.result.size(max_enum)
+    three = positivize(l, three_chain_lattice())
+    size = three.result.size()
     if size != 8 or len(three.members) != 8:
         return False, f"lifting of the 3-element chain has {size} elements, not 8"
     return True, "inserter matches the convex closed form on spectra <= 3"
 
 
-def check_dunn_axioms(max_enum=DEFAULT_MAX_ENUM):
+def check_dunn_axioms():
     for p in small_posets(3):
-        report = dunn_axiom_check(alg.up_algebra(p), max_enum)
+        report = dunn_axiom_check(alg.up_algebra(p))
         if not report.ok:
             return False, f"axiom failures on spectrum {p.elements}: {report.failures[:3]}"
     return True, "all interaction laws hold on spectra <= 3"
 
 
-def check_fu_closed_form(max_enum=DEFAULT_MAX_ENUM):
+def check_fu_closed_form():
     l = free_l()
     for p in small_posets(2):
         a = alg.up_algebra(p)
-        got = positivize(l, a, max_enum).result
-        want = closed_form_fu(a, max_enum)
+        got = positivize(l, a).result
+        want = closed_form_fu(a)
         if alg.lattice_isomorphic(got, want) is None:
             return False, f"free-modality lifting differs on spectrum {p.elements}"
     a = three_chain_lattice()
-    three = positivize(l, a, max_enum)
-    size = three.result.size(max_enum)
+    three = positivize(l, a)
+    size = three.result.size()
     if size != 16 or len(three.members) != 16:
         return False, f"lifting of the 3-element chain has {size} elements, not 16"
-    if alg.lattice_isomorphic(three.result, closed_form_fu(a, max_enum)) is None:
+    if alg.lattice_isomorphic(three.result, closed_form_fu(a)) is None:
         return False, "free-modality lifting differs on the 3-element chain"
     return True, "inserter matches the kernel closed form on spectra <= 2"
 
 
-def check_fu_box_side_condition(max_enum=DEFAULT_MAX_ENUM):
+def check_fu_box_side_condition():
     a = three_chain_lattice()
-    p = positivize(free_l(), a, max_enum)
+    p = positivize(free_l(), a)
     middle = a.spectrum.mask(["q"])
     if p.is_member(p.box_of(middle)):
         return False, "box of the non-complemented middle element slipped in"
@@ -507,22 +507,22 @@ def check_fu_box_side_condition(max_enum=DEFAULT_MAX_ENUM):
     return True, "box is only defined on the Boolean kernel"
 
 
-def check_beta(max_enum=DEFAULT_MAX_ENUM):
-    for l in (semantic_l(pow_functor(), max_enum), free_l()):
+def check_beta():
+    for l in (semantic_l(pow_functor()), free_l()):
         for n in range(3):
             b = alg.FinBoolAlg(atoms=LABELS[:n])
-            bta = beta(l, b, max_enum)
+            bta = beta(l, b)
             lb_size = l.on_obj(b).size()
             if bta.size != lb_size:
                 return False, f"{l.name}: lifting at a {n}-atom algebra has the wrong size"
     return True, "lifting agrees with inclusion on Boolean algebras <= 2 atoms"
 
 
-def check_positivize_mor(max_enum=DEFAULT_MAX_ENUM):
-    l = semantic_l(pow_functor(), max_enum)
+def check_positivize_mor():
+    l = semantic_l(pow_functor())
     two, three, h = two_into_three()
-    p_two = positivize(l, two, max_enum)
-    p_three = positivize(l, three, max_enum)
+    p_two = positivize(l, two)
+    p_three = positivize(l, three)
     action = positivize_mor(l, h, p_two, p_three)
     ident = positivize_mor(l, alg.lattice_identity(three), p_three, p_three)
     if any(k != v for k, v in ident.items()):
@@ -543,16 +543,16 @@ DUALITY_CASES = (*((name, 2) for name in ("pow", "mnb", "nb", "bag:2", POLY)),
                  *((name, 3) for name in ("pow", "bag:2", POLY)))
 
 
-def check_duality_rule(max_enum=DEFAULT_MAX_ENUM, cases=DUALITY_CASES):
+def check_duality_rule(cases=DUALITY_CASES):
     """Positivication of ``P T`` at ``Up(X)`` is ``Up(T'(X))``: the inserter
     route against the functor's own closed form."""
     checked = 0
     for name, size in cases:
-        l = parse_syntax(f"semantic:{name}", max_enum)
+        l = parse_syntax(f"semantic:{name}")
         for p in small_posets(size):
             if size < 3 or len(p) == 3:
                 a = alg.up_algebra(p)
-                if alg.lattice_isomorphic(positivize(l, a, max_enum).result,
+                if alg.lattice_isomorphic(positivize(l, a).result,
                                           l.closed_form(a)) is None:
                     return False, f"{l.name} differs on spectrum {p.elements}"
                 checked += 1
@@ -562,20 +562,20 @@ def check_duality_rule(max_enum=DEFAULT_MAX_ENUM, cases=DUALITY_CASES):
 
 # -------------------------------------------------------------- semantics
 
-def check_delta_pow_injective(max_enum=DEFAULT_MAX_ENUM):
+def check_delta_pow_injective():
     for n in range(4):
-        ok, cex = sem.delta_pow_injective(LABELS[:n], max_enum)
+        ok, cex = sem.delta_pow_injective(LABELS[:n])
         if not ok:
             label = nb_functor().decode(LABELS[:n])
             return False, f"not injective at a {n}-element set: {tuple(map(label, cex))}"
     return True, "injective at all sets <= 3"
 
 
-def check_delta_prime_injective(max_enum=DEFAULT_MAX_ENUM):
+def check_delta_prime_injective():
     for p in small_posets(3):
-        ok, cex = sem.delta_prime_injective(p, max_enum)
+        ok, cex = sem.delta_prime_injective(p)
         if not ok:
-            label = sem._positive_context(p, max_enum)[1].ambient.labels
+            label = sem._positive_context(p, current_budget())[1].ambient.labels
             return False, f"not injective at {p.elements}: {tuple(map(label, cex))}"
     return True, "injective at all posets <= 3 (saturation asserted throughout)"
 
@@ -636,11 +636,11 @@ def _coherence_formulas() -> list:
         sem.conj(sem.disj(v, sem.BOT), sem.box(sem.dia(v)))]
 
 
-def check_semantics_coherence(max_enum=DEFAULT_MAX_ENUM):
+def check_semantics_coherence():
     # modal predicates agree for every upset, independently of any coalgebra
     for p in small_posets(3):
-        pos, lifted, dprime = sem._positive_context(p, max_enum)
-        for u in alg.up_algebra(p).carrier(max_enum):
+        pos, lifted, dprime = sem._positive_context(p, current_budget())
+        for u in alg.up_algebra(p).carrier():
             # masks of the convex sets (the classes of the lifting) by index
             dia_direct = sum(1 << k for k, c in enumerate(pos.order.elements) if c & u)
             box_direct = sum(1 << k for k, c in enumerate(pos.order.elements)
@@ -653,8 +653,8 @@ def check_semantics_coherence(max_enum=DEFAULT_MAX_ENUM):
     # the posets <= 2, a sample of both over the 3-element posets
     formulas = _coherence_formulas()
     for p in iso_representatives(3):
-        convex = sem._pow_lifting(p, max_enum).order.elements
-        upsets = alg.up_algebra(p).carrier(max_enum)
+        convex = sem._pow_lifting(p, current_budget()).order.elements
+        upsets = alg.up_algebra(p).carrier()
         if len(p) < 3:
             models = monotone_coalgebras(p, convex)
         else:
@@ -663,8 +663,8 @@ def check_semantics_coherence(max_enum=DEFAULT_MAX_ENUM):
             for u in upsets:
                 val = {"v": u}
                 for f in formulas:
-                    direct = sem.interpret_positive(c, val, f, "direct", max_enum)
-                    ref = sem.interpret_positive(c, val, f, "delta", max_enum)
+                    direct = sem.interpret_positive(c, val, f, "direct")
+                    ref = sem.interpret_positive(c, val, f, "delta")
                     if direct != ref:
                         return False, f"routes differ on {p.elements}: {f}"
                     if p.up_of(direct) != direct:
@@ -672,7 +672,7 @@ def check_semantics_coherence(max_enum=DEFAULT_MAX_ENUM):
     return True, "direct and reference semantics agree on all posets <= 3"
 
 
-def check_discrete_agreement(max_enum=DEFAULT_MAX_ENUM):
+def check_discrete_agreement():
     formulas = linear_formulas(2, ("v",))
     for n in (1, 2):
         p = FinPoset.discrete(LABELS[:n])
@@ -683,8 +683,8 @@ def check_discrete_agreement(max_enum=DEFAULT_MAX_ENUM):
                 for f in formulas:
                     if not f.is_positive:
                         continue
-                    if sem.interpret_boolean(c, val, f, max_enum) != \
-                            sem.interpret_positive(c, val, f, "direct", max_enum):
+                    if sem.interpret_boolean(c, val, f) != \
+                            sem.interpret_positive(c, val, f, "direct"):
                         return False, f"semantics differ on a discrete {n}-set: {f}"
     return True, "boolean and positive semantics agree on discrete carriers"
 
@@ -745,7 +745,7 @@ class CheckOutcome:
     detail: str
 
 
-def run_suite(name: str, max_enum: int = DEFAULT_MAX_ENUM) -> list:
+def run_suite(name: str) -> list:
     """The outcome of every check of suite ``name``, or of every suite for
     ``all``; an unknown name raises ``KeyError``.  A check that raises
     fails with the exception as its detail; a budget refusal is not a
@@ -755,7 +755,7 @@ def run_suite(name: str, max_enum: int = DEFAULT_MAX_ENUM) -> list:
     for suite in names:
         for check_name, fn in SUITES[suite]:
             try:
-                ok, detail = fn(max_enum)
+                ok, detail = fn()
             except AssertionError as exc:
                 ok, detail = False, f"assertion: {exc}"
             except BudgetExceeded:

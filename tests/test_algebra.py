@@ -11,7 +11,7 @@ from poslog.algebra import (FinBoolAlg, LatticeHom,
                             prime_filter_poset, product_ba,
                             reflexive_pair_swap_check, subalgebras, tensor2,
                             up_algebra)
-from poslog.errors import BudgetExceeded, InputError
+from poslog.errors import BudgetExceeded, InputError, budget
 from poslog.functors import nb_functor
 from poslog.order import FinPoset, MonotoneMap, enumerate_posets, poset_isomorphism
 
@@ -72,7 +72,8 @@ class TestLattices:
 
     def test_carrier_budget(self):
         with pytest.raises(BudgetExceeded):
-            up_algebra(FinPoset.discrete(tuple(range(25)))).carrier(max_enum=1 << 20)
+            with budget(max_enum=1 << 20):
+                up_algebra(FinPoset.discrete(tuple(range(25)))).carrier()
 
 
 class TestSpectrum:
@@ -122,7 +123,8 @@ class TestFreeBA:
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded) as refused:
-            free_ba(tuple(range(9)), max_generators=8)
+            with budget(max_generators=8):
+                free_ba(tuple(range(9)))
         assert refused.value.flag == "--max-generators"
 
     def test_generator_embedding(self):

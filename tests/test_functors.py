@@ -5,7 +5,7 @@ import math
 import pytest
 
 from poslog.algebra import free_ba
-from poslog.errors import DEFAULT_MAX_ENUM, BudgetExceeded, InputError
+from poslog.errors import DEFAULT_MAX_ENUM, BudgetExceeded, InputError, budget
 from poslog.functors import (DEDEKIND, HUGE, _mnb_obj, apply_obj, carrier_labels,
                              lift_relation_generic, mnb_functor,
                              multiset_functor, nb_functor, parse_functor,
@@ -177,13 +177,21 @@ class TestLifting:
         assert transitive_closure(r).carrier == r.carrier
 
 
+def under(fn, **caps):
+    """``fn`` run inside ``budget(**caps)``."""
+    def run():
+        with budget(**caps):
+            return fn()
+    return run
+
+
 @pytest.mark.parametrize("refuse, stage, requested, cap, flag, message", [
     (lambda: apply_obj(nb_functor(), tuple("abcde")), "nb on a set", 1 << 32,
      DEFAULT_MAX_ENUM, "--max-enum",
      "nb on a set would enumerate 4294967296 items (budget 1048576)"),
-    (lambda: free_ba(tuple("abc"), max_generators=2), "free boolean algebra", 3, 2,
+    (under(lambda: free_ba(tuple("abc")), max_generators=2), "free boolean algebra", 3, 2,
      "--max-generators", "free boolean algebra on 3 generators (budget 2)"),
-    (lambda: lift_relation_generic(nb_functor(), FinPoset.chain("pq"), max_enum=100),
+    (under(lambda: lift_relation_generic(nb_functor(), FinPoset.chain("pq")), max_enum=100),
      "nb on the comparable pairs", 256, 100, "--max-enum",
      "nb on 3 comparable pairs exceeds the budget and no closed-form lifting "
      "is available"),

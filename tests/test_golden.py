@@ -314,3 +314,61 @@ def test_stdout_matches_the_recorded_digest(directory, argv, code, digest):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = main(resolve(argv, directory))
     assert (rc, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]) == (code, digest)
+
+
+# (request, exit code, stderr line): every budget refusal of a request at
+# the largest --max-enum below what it needs, recorded before the budget
+# moved from parameters into a context.  Each verb at a budget one below
+# the least at which a fixture above passes (the positive route of
+# interpret needs none), each verify suite at --max-enum 1, and the
+# generator cap.
+REFUSALS = [
+    ('posetify --functor pow --poset @poset-chain3.json --method generic --max-enum 63', 2, 'budget refused: powerset order lifting would enumerate 64 items (budget 63); raise it with --max-enum'),
+    ('posetify --functor pow --poset @poset-chain3.json --method closed --max-enum 63', 2, 'budget refused: convex powerset would enumerate 64 items (budget 63); raise it with --max-enum'),
+    ('posetify --functor pow --poset @poset-chain3.json --method both --max-enum 63', 2, 'budget refused: pow cross-check comparison would enumerate 64 items (budget 63); raise it with --max-enum'),
+    ('posetify --functor nb --poset @poset-chain2.json --method generic --max-enum 255', 2, 'budget refused: nb on 3 comparable pairs exceeds the budget and no closed-form lifting is available; raise it with --max-enum'),
+    ('posetify --functor nb --poset @poset-chain3.json --method closed --max-enum 255', 2, 'budget refused: neighbourhood families on the carrier would enumerate 256 items (budget 255); raise it with --max-enum'),
+    ('posetify --functor nb --poset @poset-chain2.json --method both --max-enum 255', 2, 'budget refused: nb cross-check comparison would enumerate 256 items (budget 255); raise it with --max-enum'),
+    ('posetify --functor mnb --poset @poset-chain3.json --method generic --max-enum 399', 2, 'budget refused: order lifting closure would enumerate 400 items (budget 399); raise it with --max-enum'),
+    ('posetify --functor mnb --poset @poset-chain3.json --method closed --max-enum 399', 2, 'budget refused: up-closed family comparison would enumerate 400 items (budget 399); raise it with --max-enum'),
+    ('posetify --functor mnb --poset @poset-chain3.json --method both --max-enum 399', 2, 'budget refused: mnb cross-check comparison would enumerate 400 items (budget 399); raise it with --max-enum'),
+    ('posetify --functor bag:3 --poset @poset-chain3.json --method generic --max-enum 399', 2, 'budget refused: bag:3 lifted relation would enumerate 400 items (budget 399); raise it with --max-enum'),
+    ('posetify --functor bag:3 --poset @poset-chain3.json --method closed --max-enum 399', 2, 'budget refused: multiset order lifting would enumerate 400 items (budget 399); raise it with --max-enum'),
+    ('posetify --functor bag:3 --poset @poset-chain3.json --method both --max-enum 399', 2, 'budget refused: bag:3 cross-check comparison would enumerate 400 items (budget 399); raise it with --max-enum'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-chain3.json --method generic --max-enum 120', 2, 'budget refused: poly:sigma=f:2:1,c:0:2 lifted relation would enumerate 121 items (budget 120); raise it with --max-enum'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-chain3.json --method closed --max-enum 120', 2, 'budget refused: polynomial order lifting would enumerate 121 items (budget 120); raise it with --max-enum'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @poset-chain3.json --method both --max-enum 120', 2, 'budget refused: poly:sigma=f:2:1,c:0:2 cross-check comparison would enumerate 121 items (budget 120); raise it with --max-enum'),
+    ('positivize --syntax dunn --lattice @dl-chain2.json --max-enum 15', 2, 'budget refused: inserter sweep would enumerate 16 items (budget 15); raise it with --max-enum'),
+    ('positivize --syntax dunn --lattice @dl-chain2.json --check-closed-form --max-enum 15', 2, 'budget refused: inserter sweep would enumerate 16 items (budget 15); raise it with --max-enum'),
+    ('positivize --syntax free --lattice @dl-chain2.json --max-enum 65535', 2, 'budget refused: inserter sweep would enumerate 65536 items (budget 65535); raise it with --max-enum'),
+    ('positivize --syntax free --lattice @dl-chain2.json --check-closed-form --max-enum 65535', 2, 'budget refused: inserter sweep would enumerate 65536 items (budget 65535); raise it with --max-enum'),
+    ('positivize --syntax semantic:pow --lattice @dl-chain2.json --max-enum 15', 2, 'budget refused: inserter sweep would enumerate 16 items (budget 15); raise it with --max-enum'),
+    ('positivize --syntax semantic:pow --lattice @dl-chain2.json --check-closed-form --max-enum 15', 2, 'budget refused: inserter sweep would enumerate 16 items (budget 15); raise it with --max-enum'),
+    ('positivize --syntax semantic:mnb --lattice @dl-chain2.json --max-enum 63', 2, 'budget refused: inserter sweep would enumerate 64 items (budget 63); raise it with --max-enum'),
+    ('positivize --syntax semantic:mnb --lattice @dl-chain2.json --check-closed-form --max-enum 63', 2, 'budget refused: inserter sweep would enumerate 64 items (budget 63); raise it with --max-enum'),
+    ('positivize --syntax semantic:nb --lattice @dl-chain2.json --max-enum 65535', 2, 'budget refused: inserter sweep would enumerate 65536 items (budget 65535); raise it with --max-enum'),
+    ('positivize --syntax semantic:nb --lattice @dl-chain2.json --check-closed-form --max-enum 65535', 2, 'budget refused: inserter sweep would enumerate 65536 items (budget 65535); raise it with --max-enum'),
+    ('interpret --coalgebra @kripke.json --valuation @val-kripke.json --mode boolean --formula (dia_(box_(or_p_q))) --max-enum 63', 2, 'budget refused: semantic component construction would enumerate 64 items (budget 63); raise it with --max-enum'),
+    ('interpret --coalgebra @kripke.json --valuation @val-kripke.json --mode positive --formula (dia_(box_(or_p_q))) --max-enum 1', 0, ''),
+    ('interpret --coalgebra @kripke.json --valuation @val-kripke.json --mode both --formula (dia_(box_(or_p_q))) --max-enum 255', 2, 'budget refused: boolean algebra carrier would enumerate 256 items (budget 255); raise it with --max-enum'),
+    ('interpret --coalgebra @monotone.json --valuation @val-monotone.json --mode positive --formula (dia_(box_(or_p_q))) --max-enum 1', 0, ''),
+    ('interpret --coalgebra @monotone.json --valuation @val-monotone.json --mode both --formula (dia_(box_(or_p_q))) --max-enum 15', 2, 'budget refused: convex powerset would enumerate 16 items (budget 15); raise it with --max-enum'),
+    ('dualize --poset @poset-chain3.json --max-enum 7', 2, 'budget refused: distributive lattice carrier would enumerate 8 items (budget 7); raise it with --max-enum'),
+    ('dualize --lattice @dl-chain3.json --max-enum 7', 2, 'budget refused: distributive lattice carrier would enumerate 8 items (budget 7); raise it with --max-enum'),
+    ('dualize --lattice @ba3.json --max-enum 7', 2, 'budget refused: distributive lattice carrier would enumerate 8 items (budget 7); raise it with --max-enum'),
+    ('export-dot --input @dl-chain3.json --max-enum 7', 2, 'budget refused: distributive lattice carrier would enumerate 8 items (budget 7); raise it with --max-enum'),
+    ('verify --suite order --max-enum 1', 0, ''),
+    ('verify --suite algebra --max-enum 1', 2, 'budget refused: distributive lattice carrier would enumerate 2 items (budget 1); raise it with --max-enum'),
+    ('verify --suite posetify --max-enum 1', 2, 'budget refused: pow cross-check comparison would enumerate 4 items (budget 1); raise it with --max-enum'),
+    ('verify --suite positivize --max-enum 1', 2, 'budget refused: boolean algebra carrier would enumerate 2 items (budget 1); raise it with --max-enum'),
+    ('verify --suite semantics --max-enum 1', 2, 'budget refused: semantic component domain would enumerate 2 items (budget 1); raise it with --max-enum'),
+    ('positivize --syntax free --lattice @dl-chain2.json --max-generators 2', 2, 'budget refused: free boolean algebra on 4 generators (budget 2); raise it with --max-generators'),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusal_matches_the_recorded_line(directory, argv, code, line):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(resolve(argv, directory))
+    assert (rc, err.getvalue()) == (code, line and line + "\n")

@@ -380,13 +380,17 @@ class TestCli:
          dict.fromkeys(("positive", "both"), "valuation of 'p' is not an upset")),
         (CHAIN_XY, GOOD, {"q": ["z"], "p": ["x"]}, "(dia p)",
          dict.fromkeys(("positive", "both"), "valuation of 'q' leaves the carrier")),
+        # a state that is not a string has its JSON text as its structure key
+        ([1, "1"], {"1": [1]}, {"p": [1]}, "(dia p)",
+         dict.fromkeys(("boolean", "positive", "both"),
+                       "states 1 and '1' share the structure key '1'")),
     ]
 
     @pytest.mark.parametrize("carrier, structure, valuation, formula, errors", INPUT_ERRORS,
                              ids=["structure-undefined", "successors-leave",
                                   "valuation-leaves", "valuation-leaves-a-poset",
                                   "not-an-upset", "negation-first", "upset-first",
-                                  "leaves-first"])
+                                  "leaves-first", "states-share-a-key"])
     def test_interpret_input_errors_and_their_precedence(self, tmp_path, carrier, structure,
                                                          valuation, formula, errors):
         """Labels become masks in ``io`` and ``cli``; each malformed input
@@ -398,6 +402,20 @@ class TestCli:
             assert run_main("interpret", "--coalgebra", str(coalg), "--valuation", str(val),
                             "--formula", formula, "--mode", mode) == \
                 (3, "", f"malformed input: {error}\n")
+
+    @pytest.mark.parametrize("mode", ["boolean", "positive", "both"])
+    def test_interpret_numeric_state_labels(self, tmp_path, mode):
+        """The structure of a state that is a number is read at its JSON
+        text, the only key a JSON object can hold for it."""
+        coalg, val = tmp_path / "coalgebra.json", tmp_path / "valuation.json"
+        coalg.write_text(json.dumps({"carrier": [1, 2], "structure": {"1": [1], "2": [2]}}))
+        val.write_text(json.dumps({"p": [2]}))
+        rc, out, err = run_main("interpret", "--coalgebra", str(coalg), "--valuation",
+                                str(val), "--formula", "(dia p)", "--mode", mode)
+        routes = {"boolean": ["boolean"], "positive": ["positive"],
+                  "both": ["boolean", "positive", "reference"]}[mode]
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["satisfying"] == dict.fromkeys(routes, ["2"])
 
     # the stage at which interpret --mode both refuses n states, None if it answers
     REFUSAL_STAGES = {
@@ -415,7 +433,7 @@ class TestCli:
         built = []
         real = semantics.posetify_powerset
         monkeypatch.setattr(semantics, "posetify_powerset",
-                            lambda x, max_enum: built.append(len(x)) or real(x, max_enum))
+                            lambda x: built.append(len(x)) or real(x))
         coalg, val = tmp_path / "coalgebra.json", tmp_path / "valuation.json"
         for n, stage in enumerate(self.REFUSAL_STAGES[shape], 1):
             labels = [f"e{i}" for i in range(n)]
@@ -762,7 +780,7 @@ class TestCli:
         assert run_cli("verify", "--suite", "nope").returncode == 3
 
     def test_verify_reports_a_crashing_check_as_its_fail_line(self, monkeypatch):
-        def crashes(max_enum):
+        def crashes():
             raise KeyError("missing")
 
         (name, _), *rest = SUITES["order"]

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from poslog.errors import BudgetExceeded
+from poslog.errors import BudgetExceeded, budget
 from poslog.functors import (_mnb_obj, lift_relation_generic, mnb_functor,
                              multiset_functor, nb_functor, poly_functor,
                              pow_functor)
@@ -94,10 +94,11 @@ class TestMnb:
     def test_budget_refused_before_the_families_are_enumerated(self):
         x = FinPoset.discrete(("a", "b", "c", "d", "e"))
         before = _mnb_obj.cache_info().currsize
-        with pytest.raises(BudgetExceeded, match="would enumerate 57471561 items"):
-            posetify_mnb(x, max_enum=100)
-        with pytest.raises(BudgetExceeded, match="would enumerate 57471561 items"):
-            mnb_functor().step_relation(x, max_enum=100)
+        with budget(max_enum=100):
+            with pytest.raises(BudgetExceeded, match="would enumerate 57471561 items"):
+                posetify_mnb(x)
+            with pytest.raises(BudgetExceeded, match="would enumerate 57471561 items"):
+                mnb_functor().step_relation(x)
         assert _mnb_obj.cache_info().currsize == before
 
 
@@ -140,7 +141,7 @@ class TestCrossCheck:
         x = chain("p", "q")
         real = closed_form(pow_functor(), x)
         flat = dataclasses.replace(real, order=FinPoset.discrete(real.order.elements))
-        t = dataclasses.replace(pow_functor(), closed_form=lambda t, x, max_enum: flat)
+        t = dataclasses.replace(pow_functor(), closed_form=lambda t, x: flat)
         r = cross_check(t, x)
         gen = r.generic
         # a subset's code is its carrier index on both routes
@@ -157,13 +158,13 @@ class TestCrossCheck:
         t = multiset_functor(3)
         real = closed_form(t, chain("p", "q"))
         flat = dataclasses.replace(real, order=FinPoset.discrete(real.order.elements))
-        r = cross_check(dataclasses.replace(t, closed_form=lambda t, x, max_enum: flat),
+        r = cross_check(dataclasses.replace(t, closed_form=lambda t, x: flat),
                         chain("p", "q"))
         assert not r.ok and r.detail == "order differs at ((('p', 1),), (('q', 1),))"
 
     def test_analytic_closed_form_asserts_a_partial_order(self):
         t = multiset_functor(2)
-        full = lambda x, max_enum: Preorder(t.on_obj(x.elements), (0b111,) * 3)
+        full = lambda x: Preorder(t.on_obj(x.elements), (0b111,) * 3)
         with pytest.raises(AssertionError, match="^bag:2: lifted relation is not "
                            "already a partial order$"):
             closed_form(dataclasses.replace(t, step_relation=full), chain("p"))
@@ -174,7 +175,7 @@ class TestCrossCheck:
         e = list(real.e)
         e[0b101], e[0b010] = e[0b010], e[0b101]  # {p, r} and {q} trade classes
         split = dataclasses.replace(real, e=tuple(e))
-        t = dataclasses.replace(pow_functor(), closed_form=lambda t, x, max_enum: split)
+        t = dataclasses.replace(pow_functor(), closed_form=lambda t, x: split)
         r = cross_check(t, x)
         assert not r.ok and r.detail.startswith("projections disagree at ")
 

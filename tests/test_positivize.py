@@ -11,7 +11,7 @@ from poslog.algebra import (BAHom, FinBoolAlg, LatticeHom, ba_inserter, boolean_
                             lattice_from_elements, lattice_identity, lattice_isomorphic,
                             up_algebra)
 from poslog.cli import main
-from poslog.errors import DEFAULT_MAX_ENUM, BudgetExceeded, InputError
+from poslog.errors import DEFAULT_MAX_ENUM, BudgetExceeded, InputError, budget
 from poslog.functors import mnb_functor, nb_functor, parse_functor, pow_functor
 from poslog.io import load_poset
 from poslog.order import FinPoset, MonotoneMap
@@ -41,16 +41,17 @@ class TestSemanticFunctor:
         assert len(lb.atoms) == 4  # subsets of a 2-set
 
     def test_functor_laws_on_sample_homs(self):
-        from poslog.algebra import BAHom, ba_compose, ba_identity
+        from poslog.algebra import BAHom
         for l in (semantic_l(pow_functor()), free_l()):
             b = FinBoolAlg(atoms=("x", "y"))
             c = FinBoolAlg(atoms=("z",))
-            ident = l.on_mor(ba_identity(b))
+            ident = l.on_mor(BAHom(b, b, tuple(range(len(b.atoms)))))
             for e in l.on_obj(b).carrier():
                 assert ident.apply(e) == e
             f = BAHom(b, c, (0,))  # the dual atom map by index: z -> x
             g = BAHom(c, b, (0, 0))  # x, y -> z
-            lhs = l.on_mor(ba_compose(g, f))
+            # g after f: the duals compose the other way round
+            lhs = l.on_mor(BAHom(f.source, g.target, tuple(f.dual[s] for s in g.dual)))
             rhs_f, rhs_g = l.on_mor(f), l.on_mor(g)
             for e in l.on_obj(b).carrier():
                 assert lhs.apply(e) == rhs_g.apply(rhs_f.apply(e))
@@ -148,8 +149,8 @@ class TestPositivize:
         over it, with the same size."""
         l = semantic_l(parse_functor(functor))
         assert len(positivize(l, three_chain()).members) == 2 ** atoms
-        with pytest.raises(BudgetExceeded) as refused:
-            positivize(l, three_chain(), 2 ** atoms - 1)
+        with budget(max_enum=2 ** atoms - 1), pytest.raises(BudgetExceeded) as refused:
+            positivize(l, three_chain())
         assert (refused.value.stage, refused.value.requested) == ("inserter sweep", 2 ** atoms)
 
     def test_free_budget_refusal_on_large_spectrum(self):
@@ -338,10 +339,10 @@ class TestDualEdgeRoute:
     def test_a_sweep_that_is_not_the_closed_sets_is_refused(self, members, why):
         b, c = FinBoolAlg((0, 1)), FinBoolAlg((0,))
         h1, h2 = BAHom(b, c, (0,)), BAHom(b, c, (1,))
-        assert _edge_preorder_lattice(h1, h2, (0, 2, 3), b.labels, DEFAULT_MAX_ENUM)[1] \
+        assert _edge_preorder_lattice(h1, h2, (0, 2, 3), b.labels)[1] \
             == {0: 0, 1: 2, 3: 3}
         with pytest.raises(AssertionError, match=why):
-            _edge_preorder_lattice(h1, h2, members, b.labels, DEFAULT_MAX_ENUM)
+            _edge_preorder_lattice(h1, h2, members, b.labels)
 
     @pytest.mark.parametrize("pairs, size", [(pairs, n) for s, _, pairs, n
                                              in FORMERLY_REFUSED if s == "dunn"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poslog import semantics
-from poslog.errors import InputError
+from poslog.errors import InputError, current_budget
 from poslog.functors import nb_functor, pow_functor, powerset
 from poslog.order import FinPoset, bits, enumerate_posets
 from poslog.posetify import posetify_powerset
@@ -189,7 +189,7 @@ class TestDeltaComponent:
 
 class TestDeltaPrime:
     def test_two_chain_examples(self):
-        pos, lifted, dprime = _positive_context(chain("x", "y"), 1 << 20)
+        pos, lifted, dprime = _positive_context(chain("x", "y"), current_budget())
         classes = pos.result.labels  # a predicate is a mask of lifted classes
         up_y = chain("x", "y").mask(["y"])
         dia_pred = classes(dprime.apply(lifted.diamond_of(up_y)))
@@ -200,7 +200,7 @@ class TestDeltaPrime:
         assert top_pred == frozenset(pos.result.elements)
 
     def test_predicates_are_upsets_in_lifted_order(self):
-        pos, lifted, dprime = _positive_context(chain("x", "y"), 1 << 20)
+        pos, lifted, dprime = _positive_context(chain("x", "y"), current_budget())
         for member, pred in dprime.table.items():
             pred = pos.result.labels(pred)
             for c in pred:
@@ -212,7 +212,7 @@ class TestDeltaPrime:
         """Each member applied alone, in reverse order, gives the image the
         full tabulation gives, written out here as the eager loop."""
         for p in iso_representatives(3):
-            pos, lifted, _ = _positive_context(p, 1 << 20)
+            pos, lifted, _ = _positive_context(p, current_budget())
             dp, e = delta_pow(p.elements), pos.e
             eager = {}
             for m in lifted.members:
@@ -231,7 +231,7 @@ class TestDeltaPrime:
         """Construction asks for no image; the first ``apply`` asserts
         saturation, and a failed image is not remembered."""
         p = chain("x", "y")
-        pos, lifted, _ = _positive_context(p, 1 << 20)
+        pos, lifted, _ = _positive_context(p, current_budget())
         # the subset {x} alone: {y} and {x, y} lie above it in the lifted order
         stub = lambda states: SimpleNamespace(apply=lambda member: 1 << p.mask(["x"]))
         dprime = delta_prime(pow_functor(), stub, p, pos, lifted)
@@ -241,7 +241,7 @@ class TestDeltaPrime:
         assert not dprime.memo
 
     def test_a_mask_outside_the_lifted_algebra_is_refused(self):
-        pos, lifted, dprime = _positive_context(chain("x", "y"), 1 << 20)
+        pos, lifted, dprime = _positive_context(chain("x", "y"), current_budget())
         outside = next(m for m in range(1 << len(lifted.ambient.atoms))
                        if m not in lifted.members)
         with pytest.raises(AssertionError, match="left the lifted algebra"):
@@ -315,7 +315,7 @@ class TestPositiveInterpretation:
 class TestCoherence:
     def test_formula_level_agreement_on_sampled_models(self):
         p = chain("x", "y", "z")
-        pos, _, _ = _positive_context(p, 1 << 20)
+        pos, _, _ = _positive_context(p, current_budget())
         formulas = [dia(var("p")), box(var("p")),
                     box(dia(var("p"))), conj(var("p"), dia(var("p"))),
                     disj(box(var("p")), dia(box(var("p"))))]
