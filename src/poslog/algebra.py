@@ -17,7 +17,7 @@ up to isomorphism (the latter); see :func:`prime_filter_poset`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -120,6 +120,27 @@ def boolean_as_lattice(b: FinBoolAlg) -> FinDistLattice:
     return FinDistLattice(spectrum=FinPoset.discrete(b.atoms))
 
 
+def _preimage_rows(assignment: tuple, n: int) -> tuple:
+    """Row ``s`` is the mask of the indices ``k`` with ``assignment[k] ==
+    s``, for each ``s`` below ``n``."""
+    rows = [0] * n
+    for k, s in enumerate(assignment):
+        rows[s] |= 1 << k
+    return tuple(rows)
+
+
+def _apply_rows(rows: tuple, a: int) -> int:
+    """The union of the rows of the set bits of ``a``; bits at or above
+    ``len(rows)`` contribute nothing."""
+    out = 0
+    a &= (1 << len(rows)) - 1
+    while a:
+        low = a & -a
+        out |= rows[low.bit_length() - 1]
+        a ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class BAHom:
     """A Boolean algebra homomorphism stored by its dual atom map.
@@ -127,44 +148,55 @@ class BAHom:
     ``dual[k]`` is the index of the source atom that the k-th target atom
     maps to, an assignment as :class:`MonotoneMap` stores one; the
     element-level action is preimage, which preserves all operations.
+    Construction stores the preimage row of each source atom (``rows[s]``,
+    the mask of the target atoms that ``dual`` sends to ``s``), and
+    ``apply`` takes the union of the rows of an element's atoms.  The rows
+    are derived from ``dual``, so they take no part in equality, hashing
+    or the repr.
     """
 
     source: FinBoolAlg
     target: FinBoolAlg
     dual: tuple
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.dual) != len(self.target.atoms):
             raise InputError("dual map does not cover the target atoms")
+        atoms = range(len(self.source.atoms))
         for s in self.dual:
-            if s not in range(len(self.source.atoms)):
+            if s not in atoms:
                 raise InputError(f"dual map hits unknown atom {s!r}")
+        object.__setattr__(self, "rows", _preimage_rows(self.dual, len(atoms)))
 
     def apply(self, a: int) -> int:
-        return _preimage(self.dual, a)
-
-
-def _preimage(assignment: tuple, a: int) -> int:
-    """The mask of the indices ``k`` whose image ``assignment[k]`` is in
-    the mask ``a``."""
-    return sum(1 << k for k, s in enumerate(assignment) if a >> s & 1)
+        return _apply_rows(self.rows, a)
 
 
 @dataclass(frozen=True)
 class LatticeHom:
-    """A lattice homomorphism stored as a monotone map between spectra."""
+    """A lattice homomorphism stored as a monotone map between spectra.
+
+    As :class:`BAHom` does, construction stores the preimage row of each
+    source spectrum element (``rows[s]``, the target spectrum elements
+    that the dual map sends to ``s``), outside equality, hashing and the
+    repr; ``apply`` takes the union of the rows of an up-set's elements.
+    """
 
     source: FinDistLattice
     target: FinDistLattice
     dual: MonotoneMap
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dual.source != self.target.spectrum or \
                 self.dual.target != self.source.spectrum:
             raise InputError("dual map must go from target spectrum to source spectrum")
+        object.__setattr__(self, "rows", _preimage_rows(self.dual.assignment,
+                                                        len(self.source.spectrum)))
 
     def apply(self, u: int) -> int:
-        return _preimage(self.dual.assignment, u)
+        return _apply_rows(self.rows, u)
 
 
 def lattice_compose(g: LatticeHom, f: LatticeHom) -> LatticeHom:
@@ -183,25 +215,29 @@ def prime_filter_poset(a: FinDistLattice) -> FinPoset:
 
     Computed from first principles: every filter of a finite lattice is
     principal, so we enumerate generators and test primality directly.
-    Each prime filter is labelled by its generating element, an upset
-    mask.  For a lattice stored as the upsets of a poset this reproduces
-    that poset up to isomorphism; it is the oracle for the duality round
-    trip.
+    The filter of a nonzero ``m`` is prime when ``m <= x | y`` implies
+    ``m <= x`` or ``m <= y``.  By induction on the number of joinands this
+    is the same for every finite join, so it holds exactly when ``m`` is
+    not below the join of all the elements not above it: one pass over
+    the lattice per candidate, folding that join and stopping at the
+    first partial join above ``m``, where testing every pair would take a
+    pass per element.  Each prime filter is labelled by its generating
+    element, an upset mask.  For a lattice stored as the upsets of a poset
+    this reproduces that poset up to isomorphism; it is the oracle for the
+    duality round trip.
     """
     elems = a.carrier()
     gens = []
     for m in elems:
         if m == a.bot:
             continue
-        prime = True
+        rest = a.bot  # the join of the elements not above m, so far
         for x in elems:
-            for y in elems:
-                if not m & ~(x | y) and m & ~x and m & ~y:
-                    prime = False
+            if m & ~x:
+                rest |= x
+                if not m & ~rest:
                     break
-            if not prime:
-                break
-        if prime:
+        else:
             gens.append(m)
     # filter inclusion: {x : x >= m} <= {x : x >= m'} iff m' <= m
     ups = tuple(sum(1 << k for k, m2 in enumerate(gens) if not m2 & ~m) for m in gens)
@@ -234,11 +270,12 @@ def free_ba_map(source_gens: tuple, target_gens: tuple, image: Sequence) -> BAHo
     that sends ``source_gens[j]`` to ``target_gens[image[j]]``.
 
     Dually, a target valuation ``v`` pulls back to the valuation
-    ``{g | f(g) in v}``; this sends generators to generators.
+    ``{g | f(g) in v}``, the union of the preimage rows of the generators
+    in ``v``; this sends generators to generators.
     """
     src = free_ba(tuple(source_gens))
     dst = free_ba(tuple(target_gens))
-    return BAHom(src, dst, tuple(_preimage(image, v) for v in range(len(dst.atoms))))
+    return BAHom(src, dst, tuple(unions(_preimage_rows(image, len(target_gens)))))
 
 
 def nbhd_to_free(xs: tuple, family: int) -> int:
@@ -409,12 +446,7 @@ def ba_inserter(h1: BAHom, h2: BAHom) -> list:
         raise InputError("inserter needs a common source and target")
     n = len(h1.source.atoms)
     check_enum_budget(1 << n, "inserter sweep")
-    pre1 = [0] * n
-    pre2 = [0] * n
-    for k, s in enumerate(h1.dual):
-        pre1[s] |= 1 << k
-    for k, s in enumerate(h2.dual):
-        pre2[s] |= 1 << k
+    pre1, pre2 = h1.rows, h2.rows
     members = []
     for mask in range(1 << n):
         img1 = 0

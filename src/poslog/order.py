@@ -205,28 +205,36 @@ class FinPoset:
         """``(key, colours)``: the colour refinement of the elements.
 
         Every element starts coloured by the sizes of its up- and down-set;
-        each round recolours it by its colour and the sorted colours of its
-        up-set and of its down-set, until the partition is stable.  Colours
-        are numbered by sorted signature, so they do not depend on the
-        labelling.  ``colours`` is the final colour of each index; ``key``
-        is the history, the sorted signatures of every round.  Isomorphic
-        posets have equal keys, and an isomorphism maps each element to
-        one of the same final colour.  The history is needed: the final
-        colour multiset alone takes only 16 values on the 63 isomorphism
-        types of 5-element posets, while the key takes 63.
+        each round recolours it by its colour and by how many elements of
+        each colour class its up-set and its down-set hold: the popcounts
+        of its two rows against each class mask, the classes taken in
+        colour order.  A multiset of colours is its count per colour, so
+        this is the partition that sorting the colours of the up- and
+        down-set would give.  The first round that splits no class ends
+        the refinement.  Colours are numbered by sorted signature, so they
+        do not depend on the labelling.  ``colours`` is the final colour
+        of each index; ``key`` is the history, the sorted signatures of
+        every round.  Isomorphic posets have equal keys, and an
+        isomorphism maps each element to one of the same final colour.
+        The history is needed: the final colour multiset alone takes only
+        16 values on the 63 isomorphism types of 5-element posets and 32 on
+        the 318 of 6, while the key takes 63 and 318.
         """
         ups, downs = self.upmask, self.downmask
         colours = [(u.bit_count(), d.bit_count()) for u, d in zip(ups, downs)]
         history = []
         while True:
-            sig = [(colours[i],
-                    tuple(sorted(colours[j] for j in bits(ups[i]))),
-                    tuple(sorted(colours[j] for j in bits(downs[i]))))
-                   for i in range(len(ups))]
+            classes = {}
+            for i, c in enumerate(colours):
+                classes[c] = classes.get(c, 0) | 1 << i
+            masks = [classes[c] for c in sorted(classes)]
+            sig = [(c, tuple([(u & m).bit_count() for m in masks]),
+                    tuple([(d & m).bit_count() for m in masks]))
+                   for c, u, d in zip(colours, ups, downs)]
             history.append(tuple(sorted(sig)))
             canon = {s: k for k, s in enumerate(sorted(set(sig)))}
             new = [canon[s] for s in sig]
-            if new == colours:
+            if len(canon) == len(classes):
                 return tuple(history), tuple(new)
             colours = new
 

@@ -154,7 +154,10 @@ class Positivication:
     diamond_of: Optional[Callable[[int], int]] = None
 
     def is_member(self, candidate: int) -> bool:
-        return not self.h1.apply(candidate) & ~self.h2.apply(candidate)
+        """Whether ``candidate`` is a mask of the ambient algebra with
+        ``h1(candidate) <= h2(candidate)``: a member of the inserter."""
+        return not candidate >> len(self.ambient.atoms) and \
+            not self.h1.apply(candidate) & ~self.h2.apply(candidate)
 
 
 def _edge_preorder_lattice(h1: BAHom, h2: BAHom, members: Sequence, labels) -> tuple:

@@ -295,10 +295,12 @@ class DeltaPrime:
     up-closed union of classes), that it transfers uniquely and that it
     lands on an up-set.  ``apply`` runs it the first time a member is
     asked for and remembers the answer, and refuses a mask that is not a
-    member; ``table`` runs it on every member.
+    member by ``is_member``, the inserter's definition of one;
+    ``table`` runs it on every member.
     """
 
     members: Sequence
+    is_member: Callable[[int], bool]
     image: Callable[[int], int]
     memo: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -307,7 +309,7 @@ class DeltaPrime:
         try:
             return self.memo[member]
         except KeyError:
-            if member not in self.members:
+            if not self.is_member(member):
                 raise AssertionError("modal image left the lifted algebra") from None
             out = self.memo[member] = self.image(member)
             return out
@@ -340,7 +342,7 @@ def delta_prime(t, delta_factory, x: FinPoset, pos: Posetification,
             raise AssertionError("transferred predicate is not an upset")
         return u
 
-    return DeltaPrime(lifted.members, image)
+    return DeltaPrime(lifted.members, lifted.is_member, image)
 
 
 # ----------------------------------------------------------- interpreters
@@ -395,13 +397,8 @@ def interpret_boolean(c: Coalgebra, valuation: dict, phi: Formula) -> int:
     return _evaluate(phi, valuation, (1 << len(x)) - 1, modal)
 
 
-# Keyed on the budget in force, so that nothing built under one budget is
-# handed out under another.
-@lru_cache(maxsize=64)
-def _pow_lifting(carrier: FinPoset, budget: Budget) -> Posetification:
-    return posetify_powerset(carrier)
-
-
+# Keyed on the budget in force, which the body does not otherwise read, so
+# that nothing built under one budget is handed out under another.
 @lru_cache(maxsize=64)
 def _positive_context(carrier: FinPoset, budget: Budget):
     """Shared machinery for the reference route over one poset.  The
@@ -409,9 +406,19 @@ def _positive_context(carrier: FinPoset, budget: Budget):
     that ``positivize`` refuses never builds its relation on all subsets."""
     count_convex_powerset(len(carrier))
     lifted = positivize(semantic_l(pow_functor()), up_algebra(carrier))
-    pos = _pow_lifting(carrier, budget)
+    pos = posetify_powerset(carrier)
     dprime = delta_prime(pow_functor(), delta_pow, carrier, pos, lifted)
     return pos, lifted, dprime
+
+
+def positive_context(x: FinPoset) -> tuple:
+    """``(pos, lifted, dprime)``: the reference route over ``x`` under the
+    budget in force.  ``pos`` is the convex-powerset lifting of ``x``,
+    ``lifted`` the positivication of normal modal logic at the up-sets of
+    ``x`` and ``dprime`` the lifted semantic component between them.  The
+    result is cached per poset and budget, so nothing built under one
+    budget is handed out under another."""
+    return _positive_context(x, current_budget())
 
 
 def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
@@ -438,7 +445,7 @@ def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
                 return sum(1 << i for i, s in enumerate(c.succ) if s & u)
             return sum(1 << i for i, s in enumerate(c.succ) if not s & ~u)
     else:
-        pos, lifted, dprime = _positive_context(x, current_budget())
+        pos, lifted, dprime = positive_context(x)
 
         def modal(op: str, u: int) -> int:
             elem = lifted.diamond_of(u) if op == "dia" else lifted.box_of(u)
@@ -460,5 +467,5 @@ def delta_pow_injective(states: tuple) -> tuple:
 
 
 def delta_prime_injective(x: FinPoset) -> tuple:
-    _, _, dprime = _positive_context(x, current_budget())
+    _, _, dprime = positive_context(x)
     return injectivity_check(dprime.members, dprime.apply)

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterator
 from . import algebra as alg
 from . import semantics as sem
-from .errors import BudgetExceeded, current_budget
+from .errors import BudgetExceeded
 from .functors import (lift_relation_generic, mnb_functor, multiset_functor,
                        nb_functor, poly_functor, pow_functor)
 from .order import (FinPoset, MonotoneMap, Preorder, bits, connected_components,
@@ -575,7 +575,7 @@ def check_delta_prime_injective():
     for p in small_posets(3):
         ok, cex = sem.delta_prime_injective(p)
         if not ok:
-            label = sem._positive_context(p, current_budget())[1].ambient.labels
+            label = sem.positive_context(p)[1].ambient.labels
             return False, f"not injective at {p.elements}: {tuple(map(label, cex))}"
     return True, "injective at all posets <= 3 (saturation asserted throughout)"
 
@@ -639,7 +639,7 @@ def _coherence_formulas() -> list:
 def check_semantics_coherence():
     # modal predicates agree for every upset, independently of any coalgebra
     for p in small_posets(3):
-        pos, lifted, dprime = sem._positive_context(p, current_budget())
+        pos, lifted, dprime = sem.positive_context(p)
         for u in alg.up_algebra(p).carrier():
             # masks of the convex sets (the classes of the lifting) by index
             dia_direct = sum(1 << k for k, c in enumerate(pos.order.elements) if c & u)
@@ -653,7 +653,7 @@ def check_semantics_coherence():
     # the posets <= 2, a sample of both over the 3-element posets
     formulas = _coherence_formulas()
     for p in iso_representatives(3):
-        convex = sem._pow_lifting(p, current_budget()).order.elements
+        convex = sem.positive_context(p)[0].order.elements
         upsets = alg.up_algebra(p).carrier()
         if len(p) < 3:
             models = monotone_coalgebras(p, convex)

@@ -12,8 +12,8 @@ from poslog.errors import (Budget, BudgetExceeded, DEFAULT_MAX_ENUM, DEFAULT_MAX
 from poslog.functors import pow_functor
 from poslog.order import FinPoset
 from poslog.positivize import free_l, semantic_l
-from poslog.semantics import (Coalgebra, _positive_context, delta_pow, delta_prime,
-                              interpret_positive, parse_formula)
+from poslog.semantics import (Coalgebra, delta_pow, delta_prime, interpret_positive,
+                              parse_formula, positive_context)
 
 
 def test_the_default_budget_is_the_flag_defaults():
@@ -64,7 +64,7 @@ def test_a_reused_semantic_functor_is_refused_under_a_smaller_budget():
 
 def test_delta_prime_reads_the_budget():
     x = FinPoset.chain("xy")
-    pos, lifted, _ = _positive_context(x, current_budget())
+    pos, lifted, _ = positive_context(x)
     with budget(max_enum=15), pytest.raises(BudgetExceeded) as refused:
         delta_prime(pow_functor(), delta_pow, x, pos, lifted)
     assert refused.value.stage == "semantic component construction"

@@ -299,6 +299,13 @@ class TestEnumeration:
         assert len(buckets) == 63
         assert tuple(enumerate_poset_types(labels)) == reps
 
+    @pytest.mark.parametrize("n, types, multisets", [(5, 63, 16), (6, 318, 32)])
+    def test_the_key_separates_the_types_and_the_final_colours_do_not(self, n, types,
+                                                                      multisets):
+        refinements = [p.refinement for p in enumerate_poset_types("abcdef"[:n])]
+        assert len({key for key, _ in refinements}) == types
+        assert len({tuple(sorted(colours)) for _, colours in refinements}) == multisets
+
     def test_type_counts_up_to_six_labels(self):
         # OEIS A000112
         counts = [sum(1 for _ in enumerate_poset_types("abcdef"[:n])) for n in range(7)]

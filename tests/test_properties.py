@@ -8,14 +8,16 @@ from itertools import combinations, combinations_with_replacement, permutations,
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from poslog.algebra import (BAHom, FinBoolAlg, ba_inserter, lattice_from_elements,
-                            lattice_isomorphic, prime_filter_poset, up_algebra)
+from poslog.algebra import (BAHom, FinBoolAlg, LatticeHom, ba_inserter,
+                            lattice_from_elements, lattice_isomorphic, prime_filter_poset,
+                            up_algebra)
 from poslog.errors import BudgetExceeded, InputError
 from poslog.functors import (_mnb_obj, carrier_labels, mnb_functor, multiset_functor,
                              nb_functor, poly_functor, pow_functor)
 from poslog.io import format_label, render_poset
-from poslog.order import (FinPoset, Preorder, _close_rows, bits, enumerate_poset_types,
-                          poset_isomorphism, poset_quotient, transitive_closure)
+from poslog.order import (FinPoset, MonotoneMap, Preorder, _close_rows, bits,
+                          enumerate_poset_types, enumerate_posets, poset_isomorphism,
+                          poset_quotient, transitive_closure)
 from poslog.posetify import cross_check, posetify_mnb, posetify_powerset
 from poslog.semantics import (BOT, TOP, Coalgebra, box, conj, dia, disj,
                               interpret_positive, var)
@@ -24,7 +26,7 @@ from poslog.verify import egli_milner, iso_representatives
 # no example database on disk, and no per-example deadline on a slow host
 checked = settings(database=None, deadline=None)
 
-LABELS = ("a", "b", "c", "d", "e", "f")
+LABELS = ("a", "b", "c", "d", "e", "f", "g")
 
 
 @st.composite
@@ -564,3 +566,134 @@ def test_the_inserter_is_the_upsets_of_the_preorder_of_the_dual_edges(homs):
     assert members == upsets
     irreducibles = lattice_from_elements(members).lattice.spectrum.elements
     assert irreducibles == tuple(sorted(set(rows)))
+
+
+# ------------------------------------------- the scans the oracles replaced
+#
+# Each oracle below once scanned the whole lattice or assignment; the scans
+# are kept here as references, and the oracles must give their answers.
+
+def prime_filters_by_pairs(a):
+    """The generators of the prime filters of ``a``, in carrier order: the
+    nonzero ``m`` with no pair ``x, y`` such that ``m <= x | y`` while ``m``
+    is below neither."""
+    elems = a.carrier()
+    return [m for m in elems if m != a.bot and
+            not any(not m & ~(x | y) and m & ~x and m & ~y for x in elems for y in elems)]
+
+
+def preimage_by_scan(assignment, a):
+    """The mask of the indices ``k`` whose image ``assignment[k]`` is in
+    the mask ``a``."""
+    return sum(1 << k for k, s in enumerate(assignment) if a >> s & 1)
+
+
+def refinement_by_sorted_colours(x):
+    """The final colours of the refinement where each round recolours an
+    element by its colour and the sorted colours of its up-set and of its
+    down-set, colours numbered by sorted signature, until a round leaves
+    every colour as it was."""
+    ups, downs = x.upmask, x.downmask
+    colours = [(u.bit_count(), d.bit_count()) for u, d in zip(ups, downs)]
+    while True:
+        sig = [(colours[i],
+                tuple(sorted(colours[j] for j in bits(ups[i]))),
+                tuple(sorted(colours[j] for j in bits(downs[i]))))
+               for i in range(len(ups))]
+        canon = {s: k for k, s in enumerate(sorted(set(sig)))}
+        new = [canon[s] for s in sig]
+        if new == colours:
+            return new
+        colours = new
+
+
+def partition(colours):
+    """The classes of a colouring, each as its sorted indices, in order."""
+    classes = {}
+    for i, c in enumerate(colours):
+        classes.setdefault(c, set()).add(i)
+    return sorted(map(sorted, classes.values()))
+
+
+@checked
+@given(posets(max_size=7))
+def test_prime_filters_are_those_of_the_pair_scan(drawn):
+    a = up_algebra(drawn[0])
+    gens = prime_filters_by_pairs(a)
+    spectrum = prime_filter_poset(a)
+    assert spectrum.elements == tuple(gens)
+    assert spectrum.upmask == tuple(sum(1 << k for k, m2 in enumerate(gens) if not m2 & ~m)
+                                    for m in gens)
+
+
+@st.composite
+def ba_homs(draw, max_size=7):
+    """A hom from an algebra of up to ``max_size`` atoms to one of up to
+    ``max_size``, from a random dual assignment, and a mask that may have
+    bits above the source atoms."""
+    n = draw(st.integers(0, max_size))
+    m = draw(st.integers(0, max_size)) if n else 0  # no atom maps to an empty source
+    dual = tuple(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))) if n else ()
+    h = BAHom(FinBoolAlg(tuple(range(n))), FinBoolAlg(tuple(range(m))), dual)
+    return h, draw(st.integers(0, (1 << (n + 3)) - 1))
+
+
+@checked
+@given(ba_homs())
+def test_a_boolean_hom_acts_as_the_preimage_scan(drawn):
+    h, mask = drawn
+    assert h.apply(mask) == preimage_by_scan(h.dual, mask)
+
+
+@checked
+@given(hom_pairs())
+def test_the_inserter_is_the_sweep_of_the_preimage_scans(homs):
+    h1, h2 = homs
+    assert ba_inserter(h1, h2) == [
+        b for b in range(1 << len(h1.source.atoms))
+        if not preimage_by_scan(h1.dual, b) & ~preimage_by_scan(h2.dual, b)]
+
+
+@st.composite
+def lattice_homs(draw, max_size=7):
+    """A lattice hom ``Up(x) -> Up(y)`` from a random monotone map from
+    ``y`` to ``x``, built in an order where each element of ``y`` comes
+    after the elements below it, each image drawn above the images of
+    those; and a mask that may have bits above the spectrum of ``x``."""
+    x, _ = draw(posets(max_size=max_size, min_size=1))
+    y, _ = draw(posets(max_size=max_size))
+    images = [None] * len(y)
+    for i in sorted(range(len(y)), key=lambda i: y.downmask[i].bit_count()):
+        allowed = (1 << len(x)) - 1
+        for j in bits(y.downmask[i] & ~(1 << i)):
+            allowed &= x.upmask[images[j]]
+        assume(allowed)
+        images[i] = draw(st.sampled_from(bits(allowed)))
+    dual = MonotoneMap(y, x, tuple(images))
+    return LatticeHom(up_algebra(x), up_algebra(y), dual), \
+        draw(st.integers(0, (1 << (len(x) + 3)) - 1))
+
+
+@checked
+@given(lattice_homs())
+def test_a_lattice_hom_acts_as_the_preimage_scan(drawn):
+    h, mask = drawn
+    assert h.apply(mask) == preimage_by_scan(h.dual.assignment, mask)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_refinement_partitions_are_those_of_sorted_colours_on_every_poset(n):
+    for x in enumerate_posets(LABELS[:n]):
+        assert partition(x.refinement[1]) == partition(refinement_by_sorted_colours(x))
+
+
+@checked
+@given(st.data())
+def test_refinement_partitions_are_those_of_sorted_colours(data):
+    x, leq = data.draw(posets(max_size=7))
+    assert partition(x.refinement[1]) == partition(refinement_by_sorted_colours(x))
+    rename = dict(zip(x.elements, data.draw(st.permutations(range(len(x))))))
+    order = data.draw(st.permutations(x.elements))
+    y = FinPoset.from_pairs([rename[a] for a in order],
+                            [(rename[a], rename[b]) for a, b in leq])
+    assert y.refinement[0] == x.refinement[0]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poslog import semantics
-from poslog.errors import InputError, current_budget
+from poslog.errors import InputError
 from poslog.functors import nb_functor, pow_functor, powerset
 from poslog.order import FinPoset, bits, enumerate_posets
 from poslog.posetify import posetify_powerset
@@ -15,7 +15,7 @@ from poslog.semantics import (BOT, TOP, Coalgebra, box, check_positive_coalgebra
                               conj, delta_pow, delta_pow_injective, delta_prime,
                               delta_prime_injective, dia, disj, interpret_boolean,
                               interpret_positive, neg, parse_formula, var,
-                              _positive_context)
+                              positive_context)
 from poslog.verify import iso_representatives, monotone_coalgebras, small_posets
 
 
@@ -189,7 +189,7 @@ class TestDeltaComponent:
 
 class TestDeltaPrime:
     def test_two_chain_examples(self):
-        pos, lifted, dprime = _positive_context(chain("x", "y"), current_budget())
+        pos, lifted, dprime = positive_context(chain("x", "y"))
         classes = pos.result.labels  # a predicate is a mask of lifted classes
         up_y = chain("x", "y").mask(["y"])
         dia_pred = classes(dprime.apply(lifted.diamond_of(up_y)))
@@ -200,7 +200,7 @@ class TestDeltaPrime:
         assert top_pred == frozenset(pos.result.elements)
 
     def test_predicates_are_upsets_in_lifted_order(self):
-        pos, lifted, dprime = _positive_context(chain("x", "y"), current_budget())
+        pos, lifted, dprime = positive_context(chain("x", "y"))
         for member, pred in dprime.table.items():
             pred = pos.result.labels(pred)
             for c in pred:
@@ -212,7 +212,7 @@ class TestDeltaPrime:
         """Each member applied alone, in reverse order, gives the image the
         full tabulation gives, written out here as the eager loop."""
         for p in iso_representatives(3):
-            pos, lifted, _ = _positive_context(p, current_budget())
+            pos, lifted, _ = positive_context(p)
             dp, e = delta_pow(p.elements), pos.e
             eager = {}
             for m in lifted.members:
@@ -231,7 +231,7 @@ class TestDeltaPrime:
         """Construction asks for no image; the first ``apply`` asserts
         saturation, and a failed image is not remembered."""
         p = chain("x", "y")
-        pos, lifted, _ = _positive_context(p, current_budget())
+        pos, lifted, _ = positive_context(p)
         # the subset {x} alone: {y} and {x, y} lie above it in the lifted order
         stub = lambda states: SimpleNamespace(apply=lambda member: 1 << p.mask(["x"]))
         dprime = delta_prime(pow_functor(), stub, p, pos, lifted)
@@ -241,12 +241,38 @@ class TestDeltaPrime:
         assert not dprime.memo
 
     def test_a_mask_outside_the_lifted_algebra_is_refused(self):
-        pos, lifted, dprime = _positive_context(chain("x", "y"), current_budget())
+        pos, lifted, dprime = positive_context(chain("x", "y"))
         outside = next(m for m in range(1 << len(lifted.ambient.atoms))
                        if m not in lifted.members)
         with pytest.raises(AssertionError, match="left the lifted algebra"):
             dprime.apply(outside)
         assert outside not in dprime.memo
+
+    def test_a_mask_beyond_the_ambient_atoms_is_refused(self):
+        _, lifted, dprime = positive_context(chain("x", "y"))
+        width = len(lifted.ambient.atoms)
+        for mask in (1 << width, lifted.ambient.top | 1 << width, -1):
+            with pytest.raises(AssertionError, match="^modal image left the lifted algebra$"):
+                dprime.apply(mask)
+            assert mask not in dprime.memo
+
+    def test_membership_is_the_list_of_members(self):
+        """Membership is tested by the inserter's definition; it accepts
+        exactly the masks of the ambient algebra that the sweep listed."""
+        for p in iso_representatives(3):
+            _, lifted, dprime = positive_context(p)
+            members = set(lifted.members)
+            assert [m for m in range(1 << len(lifted.ambient.atoms))
+                    if dprime.is_member(m)] == sorted(members)
+
+    def test_the_table_is_that_of_membership_by_the_list(self):
+        for p in iso_representatives(3):
+            pos, lifted, dprime = positive_context(p)
+            listed = semantics.DeltaPrime(lifted.members, set(lifted.members).__contains__,
+                                          dprime.image)
+            table = delta_prime(pow_functor(), delta_pow, p, pos, lifted).table
+            assert list(table) == list(lifted.members)
+            assert table == listed.table
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_injective_on_small_posets(self, n):
@@ -315,7 +341,7 @@ class TestPositiveInterpretation:
 class TestCoherence:
     def test_formula_level_agreement_on_sampled_models(self):
         p = chain("x", "y", "z")
-        pos, _, _ = _positive_context(p, current_budget())
+        pos, _, _ = positive_context(p)
         formulas = [dia(var("p")), box(var("p")),
                     box(dia(var("p"))), conj(var("p"), dia(var("p"))),
                     disj(box(var("p")), dia(box(var("p"))))]
