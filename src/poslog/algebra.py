@@ -17,29 +17,26 @@ up to isomorphism (the latter); see :func:`prime_filter_poset`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, check_enum_budget, check_generator_budget
 from .functors import powerset
-from .order import (FinPoset, MonotoneMap, bits, cotensor2, diagonal_section,
+from .order import (FinPoset, MonotoneMap, Value, bits, cotensor2, diagonal_section,
                     poset_isomorphism, unions)
 
 
-@dataclass(frozen=True)
-class FinBoolAlg:
+class FinBoolAlg(Value, fields=("atoms",)):
     """A finite Boolean algebra given by its atoms.
 
     Elements are masks over the atoms; meet and join are ``&`` and
     ``|``, and ``neg`` flips every bit of ``top``.
     """
 
-    atoms: tuple
-
-    def __post_init__(self):
-        if len(set(self.atoms)) != len(self.atoms):
+    def __init__(self, atoms: tuple):
+        if len(set(atoms)) != len(atoms):
             raise InputError("atoms must be distinct")
+        object.__setattr__(self, "atoms", atoms)
 
     @property
     def top(self) -> int:
@@ -67,14 +64,14 @@ class FinBoolAlg:
         return frozenset(self.atoms[k] for k in bits(a))
 
 
-@dataclass(frozen=True)
-class FinDistLattice:
+class FinDistLattice(Value, fields=("spectrum",)):
     """A finite distributive lattice given by its spectrum (dual poset).
 
     Elements are the upset masks of the spectrum ordered by inclusion.
     """
 
-    spectrum: FinPoset
+    def __init__(self, spectrum: FinPoset):
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def top(self) -> int:
@@ -141,8 +138,7 @@ def _apply_rows(rows: tuple, a: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class BAHom:
+class BAHom(Value, fields=("source", "target", "dual")):
     """A Boolean algebra homomorphism stored by its dual atom map.
 
     ``dual[k]`` is the index of the source atom that the k-th target atom
@@ -155,26 +151,23 @@ class BAHom:
     or the repr.
     """
 
-    source: FinBoolAlg
-    target: FinBoolAlg
-    dual: tuple
-    rows: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.dual) != len(self.target.atoms):
+    def __init__(self, source: FinBoolAlg, target: FinBoolAlg, dual: tuple):
+        if len(dual) != len(target.atoms):
             raise InputError("dual map does not cover the target atoms")
-        atoms = range(len(self.source.atoms))
-        for s in self.dual:
+        atoms = range(len(source.atoms))
+        for s in dual:
             if s not in atoms:
                 raise InputError(f"dual map hits unknown atom {s!r}")
-        object.__setattr__(self, "rows", _preimage_rows(self.dual, len(atoms)))
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "dual", dual)
+        object.__setattr__(self, "rows", _preimage_rows(dual, len(atoms)))
 
     def apply(self, a: int) -> int:
         return _apply_rows(self.rows, a)
 
 
-@dataclass(frozen=True)
-class LatticeHom:
+class LatticeHom(Value, fields=("source", "target", "dual")):
     """A lattice homomorphism stored as a monotone map between spectra.
 
     As :class:`BAHom` does, construction stores the preimage row of each
@@ -183,17 +176,13 @@ class LatticeHom:
     repr; ``apply`` takes the union of the rows of an up-set's elements.
     """
 
-    source: FinDistLattice
-    target: FinDistLattice
-    dual: MonotoneMap
-    rows: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.dual.source != self.target.spectrum or \
-                self.dual.target != self.source.spectrum:
+    def __init__(self, source: FinDistLattice, target: FinDistLattice, dual: MonotoneMap):
+        if dual.source != target.spectrum or dual.target != source.spectrum:
             raise InputError("dual map must go from target spectrum to source spectrum")
-        object.__setattr__(self, "rows", _preimage_rows(self.dual.assignment,
-                                                        len(self.source.spectrum)))
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "dual", dual)
+        object.__setattr__(self, "rows", _preimage_rows(dual.assignment, len(source.spectrum)))
 
     def apply(self, u: int) -> int:
         return _apply_rows(self.rows, u)
@@ -340,8 +329,7 @@ def g_of_hom(h: LatticeHom) -> BAHom:
     return BAHom(gsrc, gdst, h.dual.assignment)
 
 
-@dataclass(frozen=True)
-class Tensor2:
+class Tensor2(NamedTuple):
     lattice: FinDistLattice
     in1: LatticeHom
     in2: LatticeHom
@@ -364,8 +352,7 @@ def tensor2(a: FinDistLattice) -> Tensor2:
     return Tensor2(lat, in1, in2, retract)
 
 
-@dataclass(frozen=True)
-class SubLattice:
+class SubLattice(NamedTuple):
     """A sublattice re-expressed over its own spectrum.
 
     ``members`` are the original elements (masks in the ambient algebra),
@@ -472,8 +459,7 @@ def assert_sublattice(members: list, ambient) -> None:
                 raise AssertionError("inserter not closed under lattice operations")
 
 
-@dataclass(frozen=True)
-class ProductBA:
+class ProductBA(NamedTuple):
     """A binary product of Boolean algebras: the atoms of the left factor
     come first, so ``(x, y)`` is the mask ``x | y << len(left atoms)``."""
 

@@ -4,12 +4,14 @@ Exit codes: 0 success, 1 verification or cross-check failure (with the
 counterexample printed), 2 enumeration budget refusal, 3 malformed input
 or bad usage.
 All structured output is JSON with sorted keys, so a fixed input yields
-byte-identical output.
+byte-identical output.  A reader that closes standard output early, as
+``head`` does, ends the output but not the verb, which exits with the code
+it would have had.
 """
 
 from __future__ import annotations
 
-import contextlib
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -26,8 +28,24 @@ from .semantics import (count_delta_pow, interpret_boolean, interpret_positive,
 from .verify import SUITES, run_suite
 
 
+def _out(text: str, end: str = "\n") -> None:
+    """Write ``text`` to standard output.  If the reader has gone away,
+    the rest of the output goes to the null device: the verb runs on to
+    its exit code, and the flush at exit has nowhere to fail."""
+    try:
+        print(text, end=end)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout() -> None:
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _emit(data) -> None:
-    print(pio.json_text(data))
+    _out(pio.json_text(data))
 
 
 def _poset_report(p) -> dict:
@@ -169,9 +187,9 @@ def cmd_verify(args) -> int:
     failed = 0
     for o in outcomes:
         status = "PASS" if o.ok else "FAIL"
-        print(f"{status} {o.suite}/{o.name}: {o.detail}")
+        _out(f"{status} {o.suite}/{o.name}: {o.detail}")
         failed += 0 if o.ok else 1
-    print(f"{len(outcomes) - failed}/{len(outcomes)} checks passed")
+    _out(f"{len(outcomes) - failed}/{len(outcomes)} checks passed")
     return 1 if failed else 0
 
 
@@ -185,7 +203,7 @@ def cmd_export_dot(args) -> int:
     if args.out:
         _write_dot(dot, args.out)
     else:
-        sys.stdout.write(dot)
+        _out(dot, end="")
     return 0
 
 
@@ -344,15 +362,24 @@ def parse_args(argv: list) -> SimpleNamespace | str:
 
 def main(argv=None) -> int:
     try:
-        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        return _run(sys.argv[1:] if argv is None else list(argv))
+    finally:
+        try:  # what is still buffered meets a closed pipe here, not at exit
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _drop_stdout()
+
+
+def _run(argv: list) -> int:
+    try:
+        args = parse_args(argv)
     except UsageError as exc:
         verb, message = exc.args
         print(f"{_usage(verb)}\nposlog{' ' + verb if verb else ''}: error: {message}",
               file=sys.stderr)
         return 3
     if isinstance(args, str):
-        with contextlib.suppress(OSError):  # as argparse, e.g. for a help piped to head
-            print(args)
+        _out(args)
         return 0
     try:
         with budget(args.max_enum, args.max_generators):

@@ -41,10 +41,11 @@ def load_poset(data: Any) -> FinPoset:
 
 
 def _name(label, memo: dict) -> str:
-    """The text of a label: ``str``, except that a frozenset prints as
-    ``{...}`` with its members sorted by their text and a tuple as
-    ``(...)`` with its members in order.  The text of each frozenset
-    object is kept in ``memo`` under its id."""
+    """The text of a label: ``str``, except that ``True``, ``False`` and
+    ``None`` print as their JSON text, a frozenset as ``{...}`` with its
+    members sorted by their text and a tuple as ``(...)`` with its members
+    in order.  The text of each frozenset object is kept in ``memo`` under
+    its id."""
     if isinstance(label, frozenset):
         text = memo.get(id(label))
         if text is None:
@@ -54,6 +55,8 @@ def _name(label, memo: dict) -> str:
     if isinstance(label, tuple):
         return "(" + ",".join(
             [v if v.__class__ is str else _name(v, memo) for v in label]) + ")"
+    if label is None or label.__class__ is bool:
+        return json_text(label)
     return str(label)
 
 

@@ -14,10 +14,9 @@ rows.  Labels are converted only at the edge: :meth:`FinPoset.index`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import permutations
-from operator import or_
+from operator import attrgetter, or_
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from .errors import InputError
@@ -35,6 +34,46 @@ def bits(mask: int) -> list:
     return out
 
 
+class Value:
+    """An immutable value compared by its fields.
+
+    A subclass names the fields that make up the value,
+    ``class P(Value, fields=("a", "b"))``, and sets them, and anything
+    derived from them, in its own ``__init__`` with ``object.__setattr__``
+    (updating ``__dict__`` instead would allocate a dict per instance).
+    Equality (between instances of one class), hashing and the repr use
+    those fields only, read by one ``operator.attrgetter``; a derived
+    attribute or a cached one takes no part.  Assignment and deletion
+    raise ``AttributeError``.  No method is generated when a subclass is
+    defined, so defining one costs no more than any other class.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields: tuple, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields
+        cls._key = attrgetter(*fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _close_rows(rows) -> tuple:
     """Warshall's transitive closure of successor masks: for each pivot
     ``k``, every row that reaches ``k`` gains the row of ``k``."""
@@ -47,8 +86,7 @@ def _close_rows(rows) -> tuple:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class FinPoset:
+class FinPoset(Value, fields=("elements", "upmask")):
     """A finite partial order: unique element labels plus an up-set table.
 
     ``upmask[i]`` is the bitmask of every element above element ``i``,
@@ -63,36 +101,33 @@ class FinPoset:
     hashing or the repr.
     """
 
-    elements: tuple
-    upmask: tuple
-    _pos: dict = field(init=False, repr=False, compare=False)
-    downmask: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = len(self.elements)
-        pos = {e: i for i, e in enumerate(self.elements)}
+    def __init__(self, elements: tuple, upmask: tuple):
+        n = len(elements)
+        pos = {e: i for i, e in enumerate(elements)}
         if len(pos) != n:
             raise InputError("poset labels must be unique")
-        if len(self.upmask) != n:
+        if len(upmask) != n:
             raise InputError("up-set table does not match carrier")
-        if any(m < 0 or m >> n for m in self.upmask):
+        if any(m < 0 or m >> n for m in upmask):
             raise InputError("up-set index out of range")
         downmask = [0] * n
-        for i, mi in enumerate(self.upmask):
+        for i, mi in enumerate(upmask):
             if not mi >> i & 1:
-                raise InputError(f"relation not reflexive at {self.elements[i]!r}")
+                raise InputError(f"relation not reflexive at {elements[i]!r}")
             for j in bits(mi):
-                mj = self.upmask[j]
+                mj = upmask[j]
                 if i != j and mj >> i & 1:
                     raise InputError(
-                        f"antisymmetry fails between {self.elements[i]!r} "
-                        f"and {self.elements[j]!r}"
+                        f"antisymmetry fails between {elements[i]!r} "
+                        f"and {elements[j]!r}"
                     )
                 if mj & ~mi:
                     raise InputError(
-                        f"transitivity fails at {self.elements[i]!r} <= {self.elements[j]!r}"
+                        f"transitivity fails at {elements[i]!r} <= {elements[j]!r}"
                     )
                 downmask[j] |= 1 << i
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "upmask", upmask)
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "downmask", tuple(downmask))
 
@@ -135,9 +170,10 @@ class FinPoset:
         if len(upmask) != len(elems):
             raise InputError("up-set table does not match carrier")
         p = object.__new__(cls)
-        for name, value in (("elements", elems), ("upmask", upmask), ("_pos", pos),
-                            ("downmask", downmask)):
-            object.__setattr__(p, name, value)
+        object.__setattr__(p, "elements", elems)
+        object.__setattr__(p, "upmask", upmask)
+        object.__setattr__(p, "_pos", pos)
+        object.__setattr__(p, "downmask", downmask)
         return p
 
     @classmethod
@@ -293,26 +329,24 @@ def egli_milner_rows(x: FinPoset, closures: Optional[tuple] = None) -> tuple:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class MonotoneMap(Value, fields=("source", "target", "assignment")):
     """A monotone function between finite posets, stored by source index."""
 
-    source: FinPoset
-    target: FinPoset
-    assignment: tuple
-
-    def __post_init__(self):
-        if len(self.assignment) != len(self.source):
+    def __init__(self, source: FinPoset, target: FinPoset, assignment: tuple):
+        if len(assignment) != len(source):
             raise InputError("assignment does not cover the source")
-        f, target_up = self.assignment, self.target.upmask
-        for i, ups in enumerate(self.source.upmask):
+        f, target_up = assignment, target.upmask
+        for i, ups in enumerate(source.upmask):
             above = target_up[f[i]]
             for j in bits(ups):
                 if not above >> f[j] & 1:
                     raise InputError(
-                        f"map not monotone at {self.source.elements[i]!r} "
-                        f"<= {self.source.elements[j]!r}"
+                        f"map not monotone at {source.elements[i]!r} "
+                        f"<= {source.elements[j]!r}"
                     )
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "assignment", assignment)
 
     @classmethod
     def of_dict(cls, source: FinPoset, target: FinPoset, mapping: Mapping):
@@ -327,8 +361,7 @@ class MonotoneMap:
                            tuple(other.assignment[i] for i in self.assignment))
 
 
-@dataclass(frozen=True)
-class Preorder:
+class Preorder(Value, fields=("carrier", "succ")):
     """A reflexive relation on an explicitly indexed carrier.
 
     Not necessarily transitive or antisymmetric; this is the raw material
@@ -336,18 +369,17 @@ class Preorder:
     related to ``i``.
     """
 
-    carrier: tuple
-    succ: tuple
-
-    def __post_init__(self):
-        n = len(self.carrier)
-        if len(self.succ) != n:
+    def __init__(self, carrier: tuple, succ: tuple):
+        n = len(carrier)
+        if len(succ) != n:
             raise InputError("successor table does not match carrier")
-        for i, row in enumerate(self.succ):
+        for i, row in enumerate(succ):
             if not row >> i & 1:
                 raise InputError("preorder must be reflexive")
-        if any(row < 0 or row >> n for row in self.succ):
+        if any(row < 0 or row >> n for row in succ):
             raise InputError("relation index out of range")
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "succ", succ)
 
     @property
     def rel(self) -> frozenset:

@@ -10,10 +10,9 @@ two routes agree via an isomorphism that commutes with the projection maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_, or_
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import InputError, check_enum_budget, fits
 from .functors import (SetFunctor, lift_relation_generic, mnb_functor,
@@ -23,7 +22,6 @@ from .order import (FinPoset, Preorder, bits, connected_components,
                     transitive_closure)
 
 
-@dataclass(frozen=True, eq=False)
 class Posetification:
     """Result of lifting a functor to a poset.
 
@@ -35,18 +33,26 @@ class Posetification:
     None when the carrier is too large to store a quadratic relation (the
     discrete neighbourhood collapse on four-element posets).  ``decode``
     labels the codes of ``order``; ``result`` is ``order`` over labels,
-    sharing its rows.
+    sharing its rows, built on first use.  Two results are equal only if
+    they are one object.
     """
 
-    order: FinPoset
-    e: tuple
-    carrier: Sequence
-    witness: Preorder | None
-    decode: Callable
+    __slots__ = ("order", "e", "carrier", "witness", "decode", "_result")
 
-    @cached_property
+    def __init__(self, order: FinPoset, e: tuple, carrier: Sequence,
+                 witness: Preorder | None, decode: Callable):
+        self.order = order
+        self.e = e
+        self.carrier = carrier
+        self.witness = witness
+        self.decode = decode
+        self._result = None
+
+    @property
     def result(self) -> FinPoset:
-        return self.order.relabel(map(self.decode, self.order.elements))
+        if self._result is None:
+            self._result = self.order.relabel(map(self.decode, self.order.elements))
+        return self._result
 
     def validate(self) -> None:
         """Best-effort structural audit; poset axioms are already enforced
@@ -201,8 +207,7 @@ def closed_form(t: SetFunctor, x: FinPoset) -> Posetification:
     return t.closed_form(t, x)
 
 
-@dataclass(frozen=True)
-class CrossCheck:
+class CrossCheck(NamedTuple):
     ok: bool
     detail: str
     generic: Posetification

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .algebra import (BAHom, FinBoolAlg, FinDistLattice, LatticeHom,
                       ba_inserter, boolean_as_lattice, free_ba,
@@ -129,7 +129,6 @@ def parse_syntax(text: str) -> BAFunctor:
     raise InputError(f"unknown syntax {text!r}")
 
 
-@dataclass(eq=False)
 class Positivication:
     """The lifted syntax functor evaluated at one lattice.
 
@@ -141,17 +140,25 @@ class Positivication:
     ``range``: the whole ambient algebra, as the identity.
     ``box_of``/``diamond_of`` map an element of the argument lattice to its
     modal image in the ambient algebra; membership of that image is a
-    property of the logic, not a given (see ``is_member``).
+    property of the logic, not a given (see ``is_member``).  Two
+    evaluations are equal only if they are one object.
     """
 
-    result: FinDistLattice
-    members: Sequence
-    embed: Mapping | range
-    ambient: FinBoolAlg
-    h1: BAHom
-    h2: BAHom
-    box_of: Optional[Callable[[int], int]] = None
-    diamond_of: Optional[Callable[[int], int]] = None
+    __slots__ = ("result", "members", "embed", "ambient", "h1", "h2", "box_of",
+                 "diamond_of")
+
+    def __init__(self, result: FinDistLattice, members: Sequence, embed: Mapping | range,
+                 ambient: FinBoolAlg, h1: BAHom, h2: BAHom,
+                 box_of: Optional[Callable[[int], int]] = None,
+                 diamond_of: Optional[Callable[[int], int]] = None):
+        self.result = result
+        self.members = members
+        self.embed = embed
+        self.ambient = ambient
+        self.h1 = h1
+        self.h2 = h2
+        self.box_of = box_of
+        self.diamond_of = diamond_of
 
     def is_member(self, candidate: int) -> bool:
         """Whether ``candidate`` is a mask of the ambient algebra with
@@ -254,17 +261,20 @@ def positivize_mor(l: BAFunctor, h: LatticeHom,
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class Beta:
     """The comparison between lifting-then-including and including-then-
     applying on a Boolean algebra; in this representation it is witnessed
     by an identity of carriers, which is verified rather than assumed.
     ``size`` is the number of members the inserter found, so the size of
-    the lifting can be read without enumerating ``source`` again."""
+    the lifting can be read without enumerating ``source`` again.  Two
+    comparisons are equal only if they are one object."""
 
-    source: FinDistLattice
-    target: FinDistLattice
-    size: int
+    __slots__ = ("source", "target", "size")
+
+    def __init__(self, source: FinDistLattice, target: FinDistLattice, size: int):
+        self.source = source
+        self.target = target
+        self.size = size
 
     def apply(self, x: int) -> int:
         return x
@@ -307,8 +317,7 @@ def closed_form_fu(a: FinDistLattice) -> FinDistLattice:
     return boolean_as_lattice(free_ba(tuple(k.carrier())))
 
 
-@dataclass(frozen=True)
-class DunnReport:
+class DunnReport(NamedTuple):
     ok: bool
     failures: tuple
     pairs_checked: int

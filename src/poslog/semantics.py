@@ -15,25 +15,27 @@ mask of the satisfying states.  Labels are read and shown by ``io`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import up_algebra
 from .errors import Budget, InputError, check_enum_budget, current_budget
 from .functors import carrier_labels, nb_functor, pow_functor
-from .order import FinPoset, bits
+from .order import FinPoset, Value, bits
 from .posetify import Posetification, count_convex_powerset, posetify_powerset
 from .positivize import Positivication, positivize, semantic_l
 
 
 # ----------------------------------------------------------------- syntax
 
-@dataclass(frozen=True)
-class Formula:
-    op: str
-    args: tuple = ()
-    name: Optional[str] = None
+class Formula(Value, fields=("op", "args", "name")):
+    """A modal formula: a connective ``op`` over the subformulas ``args``,
+    or a variable (``op`` is ``"var"``) with its ``name``."""
+
+    def __init__(self, op: str, args: tuple = (), name: Optional[str] = None):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "name", name)
 
     def __str__(self) -> str:
         if self.op == "var":
@@ -167,7 +169,6 @@ def parse_formula(text: str) -> Formula:
 
 # -------------------------------------------------------------- coalgebras
 
-@dataclass(frozen=True, eq=False)
 class Coalgebra:
     """A successor-set coalgebra over a poset carrier.
 
@@ -178,18 +179,20 @@ class Coalgebra:
     order and land on convex sets; this is checked by
     :func:`check_positive_coalgebra` at the first positive interpretation,
     not at construction, and ``positive_checked`` records that it passed.
+    Two coalgebras are equal only if they are one object.
     """
 
-    carrier: FinPoset
-    succ: tuple
-    positive_checked: bool = field(default=False, init=False, repr=False)
+    __slots__ = ("carrier", "succ", "positive_checked")
 
-    def __post_init__(self):
-        n = len(self.carrier)
-        if len(self.succ) != n:
+    def __init__(self, carrier: FinPoset, succ: tuple):
+        n = len(carrier)
+        if len(succ) != n:
             raise InputError("successor table does not match carrier")
-        if any(s < 0 or s >> n for s in self.succ):
+        if any(s < 0 or s >> n for s in succ):
             raise InputError("successor index out of range")
+        self.carrier = carrier
+        self.succ = succ
+        self.positive_checked = False
 
 
 def check_positive_coalgebra(c: Coalgebra) -> None:
@@ -230,7 +233,6 @@ def _refuse_valuation(x: FinPoset, valuation: dict, positive: bool) -> None:
 
 # ------------------------------------------------- the semantic component
 
-@dataclass(frozen=True, eq=False)
 class DeltaPow:
     """The semantic component over one finite set: it sends a modal-algebra
     element (a set of successor sets, as a mask over subset masks) to the
@@ -239,10 +241,14 @@ class DeltaPow:
     The map is generated from the diamond clause "the successor sets
     meeting the argument" and extended to the whole algebra through the
     atom decomposition, so totality is by construction, not stipulation.
+    Two components are equal only if they are one object.
     """
 
-    states: tuple
-    atom_image: tuple
+    __slots__ = ("states", "atom_image")
+
+    def __init__(self, states: tuple, atom_image: tuple):
+        self.states = states
+        self.atom_image = atom_image
 
     def apply(self, phi: int) -> int:
         out = 0
@@ -283,7 +289,6 @@ def injectivity_check(domain: Iterable, fn: Callable) -> tuple:
 
 # ----------------------------------------------- the lifted semantic map
 
-@dataclass(frozen=True, eq=False)
 class DeltaPrime:
     """The lifted semantic component at one poset.
 
@@ -296,13 +301,19 @@ class DeltaPrime:
     lands on an up-set.  ``apply`` runs it the first time a member is
     asked for and remembers the answer, and refuses a mask that is not a
     member by ``is_member``, the inserter's definition of one;
-    ``table`` runs it on every member.
+    ``table`` runs it on every member.  Each component starts with an
+    empty ``memo`` of its own, and two are equal only if they are one
+    object.
     """
 
-    members: Sequence
-    is_member: Callable[[int], bool]
-    image: Callable[[int], int]
-    memo: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("members", "is_member", "image", "memo")
+
+    def __init__(self, members: Sequence, is_member: Callable[[int], bool],
+                 image: Callable[[int], int]):
+        self.members = members
+        self.is_member = is_member
+        self.image = image
+        self.memo = {}
 
     def apply(self, member: int) -> int:
         """The predicate of ``member``, which must be one of ``members``."""
@@ -453,7 +464,7 @@ def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
             return sum(1 << i for i, s in enumerate(c.succ) if pred >> pos.e[s] & 1)
     if not c.positive_checked:
         check_positive_coalgebra(c)
-        object.__setattr__(c, "positive_checked", True)
+        c.positive_checked = True
     out = _evaluate(phi, valuation, (1 << len(x)) - 1, modal)
     if x.up_of(out) != out:
         raise AssertionError("positive satisfaction set is not an upset")

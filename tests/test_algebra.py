@@ -3,6 +3,7 @@ constructions between them."""
 
 import pytest
 
+from poslog import verify
 from poslog.algebra import (FinBoolAlg, LatticeHom,
                             boolean_as_lattice, dl_inserter, free_ba,
                             free_ba_generator, free_ba_map, free_over_dl_G,
@@ -98,6 +99,17 @@ class TestSpectrum:
             pf = prime_filter_poset(a)
             assert poset_isomorphism(p, pf) is not None
             assert lattice_isomorphic(a, up_algebra(pf)) is not None
+
+    def test_the_duality_check_fails_on_a_spectrum_with_the_wrong_generators(
+            self, monkeypatch):
+        """The prime filters in reverse order of their generators have the
+        right shape, so the spectrum round trip passes.  On the 2-chain
+        the up-sets no longer map onto the up-sets of that spectrum, and
+        the lattice round trip fails: it is a second check."""
+        real = prime_filter_poset
+        monkeypatch.setattr(verify.alg, "prime_filter_poset",
+                            lambda a: real(a).relabel(reversed(real(a).elements)))
+        assert verify.check_birkhoff() == (False, "lattice round trip fails on ('a', 'b')")
 
     def test_round_trips_on_sampled_five_point_spectra(self):
         # lattices up to 32 elements: seeded random 5-point posets

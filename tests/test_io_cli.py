@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -280,6 +281,40 @@ class TestCli:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith(f"budget refused: {stage} would enumerate ")
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("argv", [
+        ("posetify", "--functor", "pow", "--poset", "chain4.json"),
+        ("verify", "--suite", "order")], ids=["posetify", "verify"])
+    def test_a_reader_that_closes_early_leaves_the_exit_code(self, files, argv, unbuffered):
+        """The read end of standard output is closed before the verb
+        writes, as ``head`` closes it after its lines.  Unbuffered, the
+        first write meets the closed pipe; buffered, the flush does.  The
+        verb still runs to its own exit code, with nothing on stderr."""
+        argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen([sys.executable, "-m", "poslog.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (0, b"")
+
+    def test_start_up_generates_methods_only_for_the_functor_bundles(self):
+        """Every verb starts a fresh interpreter, so importing ``poslog.cli``
+        defines its value and record types without generated methods.  The
+        two exceptions are ``SetFunctor`` and ``BAFunctor``, which stay
+        dataclasses because the benchmark's tracer rebuilds them with
+        ``dataclasses.replace`` to wrap their fields."""
+        code = ("import dataclasses, json, sys, poslog.cli\n"
+                "print(json.dumps(sorted(f'{m}.{k}' for m, mod in list(sys.modules.items())\n"
+                "    if m.split('.')[0] == 'poslog' for k, v in vars(mod).items()\n"
+                "    if isinstance(v, type) and v.__module__ == m and\n"
+                "    dataclasses.is_dataclass(v))))")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (r.returncode, r.stderr) == (0, "")
+        assert json.loads(r.stdout) == ["poslog.functors.SetFunctor",
+                                        "poslog.positivize.BAFunctor"]
+
     @pytest.mark.parametrize("n", [70, 1000])
     def test_positive_mode_answers_at_the_size_of_the_model(self, tmp_path, n):
         """The positive route checks the coalgebra on state masks and needs
@@ -416,6 +451,34 @@ class TestCli:
                   "both": ["boolean", "positive", "reference"]}[mode]
         assert (rc, err) == (0, "")
         assert json.loads(out)["satisfying"] == dict.fromkeys(routes, ["2"])
+
+    def test_json_constant_labels_print_as_their_json_text(self, tmp_path):
+        poset = tmp_path / "poset.json"
+        poset.write_text('{"elements": [true, false, null], "leq": [[false, true]]}')
+        rc, out, err = run_main("posetify", "--functor", "bag:2", "--method", "closed",
+                                "--poset", str(poset))
+        report = json.loads(out)
+        assert (rc, err) == (0, "")
+        assert report["poset"] == {"elements": ["true", "false", "null"],
+                                   "leq": [["false", "true"]]}
+        assert ["((false,1))", "((true,1))"] in report["result"]["covers"]
+        assert not re.search("True|False|None", out)
+        coalg, val = tmp_path / "coalgebra.json", tmp_path / "valuation.json"
+        coalg.write_text('{"carrier": [true, false, null], '
+                         '"structure": {"true": [false], "false": [], "null": [null]}}')
+        val.write_text('{"p": [false, null]}')
+        rc, out, err = run_main("interpret", "--coalgebra", str(coalg), "--valuation",
+                                str(val), "--formula", "(dia p)", "--mode", "both")
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["satisfying"] == dict.fromkeys(
+            ["boolean", "positive", "reference"], ["null", "true"])
+
+    @pytest.mark.parametrize("elements", ["[true, 1]", "[1, 1.0]", "[false, 0]"])
+    def test_labels_equal_as_values_are_one_label(self, tmp_path, elements):
+        poset = tmp_path / "poset.json"
+        poset.write_text(f'{{"elements": {elements}}}')
+        assert run_main("posetify", "--functor", "pow", "--poset", str(poset)) == \
+            (3, "", "malformed input: poset labels must be unique\n")
 
     # the stage at which interpret --mode both refuses n states, None if it answers
     REFUSAL_STAGES = {

@@ -130,9 +130,9 @@ class TestPositivize:
         nb lifts the comparison homs and builds the algebra on the 65,536
         families of the ordered double's 4 comparable pairs."""
         built = []
-        post_init = FinBoolAlg.__post_init__
-        monkeypatch.setattr(FinBoolAlg, "__post_init__",
-                            lambda b: built.append(len(b.atoms)) or post_init(b))
+        init = FinBoolAlg.__init__
+        monkeypatch.setattr(FinBoolAlg, "__init__",
+                            lambda b, atoms: built.append(len(atoms)) or init(b, atoms))
         a = up_algebra(load_poset({"elements": ["a", "b", "c"], "leq": [["a", "b"]]}))
         with pytest.raises(BudgetExceeded) as refused:
             positivize(semantic_l(nb_functor()), a)

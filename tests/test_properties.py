@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from poslog.algebra import (BAHom, FinBoolAlg, LatticeHom, ba_inserter,
-                            lattice_from_elements, lattice_isomorphic, prime_filter_poset,
-                            up_algebra)
+                            lattice_from_elements, prime_filter_poset, product_ba,
+                            tensor2, up_algebra)
 from poslog.errors import BudgetExceeded, InputError
 from poslog.functors import (_mnb_obj, carrier_labels, mnb_functor, multiset_functor,
                              nb_functor, poly_functor, pow_functor)
@@ -19,9 +19,10 @@ from poslog.order import (FinPoset, MonotoneMap, Preorder, _close_rows, bits,
                           enumerate_poset_types, enumerate_posets, poset_isomorphism,
                           poset_quotient, transitive_closure)
 from poslog.posetify import cross_check, posetify_mnb, posetify_powerset
-from poslog.semantics import (BOT, TOP, Coalgebra, box, conj, dia, disj,
-                              interpret_positive, var)
-from poslog.verify import egli_milner, iso_representatives
+from poslog.positivize import beta, dunn_axiom_check, positivize, semantic_l
+from poslog.semantics import (BOT, TOP, Coalgebra, DeltaPrime, box, conj, delta_pow, dia,
+                              disj, interpret_positive, var)
+from poslog.verify import CheckOutcome, egli_milner, iso_representatives
 
 # no example database on disk, and no per-example deadline on a slow host
 checked = settings(database=None, deadline=None)
@@ -445,7 +446,10 @@ def test_birkhoff_round_trip(drawn):
     a = up_algebra(x)
     spectrum = prime_filter_poset(a)
     assert poset_isomorphism(x, spectrum) is not None
-    assert lattice_isomorphic(a, up_algebra(spectrum)) is not None
+    # each up-set to the prime filters that hold it: onto the up-sets of the spectrum
+    held = [sum(1 << k for k, g in enumerate(spectrum.elements) if not g & ~u)
+            for u in a.carrier()]
+    assert sorted(held) == list(up_algebra(spectrum).carrier())
 
 
 POSITIVE_FORMULAS = st.recursive(
@@ -532,9 +536,9 @@ def test_the_renderer_formats_each_element_and_cover_in_order(x):
 def test_the_renderer_keeps_equal_members_of_other_types_apart():
     one = frozenset({1})
     x = FinPoset.chain([(one, "x"), (frozenset({True}), one), (1.0, (1,))])
-    assert render_poset(x) == (["({1},x)", "({True},{1})", "(1.0,(1))"],
-                               [["({1},x)", "({True},{1})"],
-                                ["({True},{1})", "(1.0,(1))"]])
+    assert render_poset(x) == (["({1},x)", "({true},{1})", "(1.0,(1))"],
+                               [["({1},x)", "({true},{1})"],
+                                ["({true},{1})", "(1.0,(1))"]])
 
 
 @st.composite
@@ -697,3 +701,92 @@ def test_refinement_partitions_are_those_of_sorted_colours(data):
     y = FinPoset.from_pairs([rename[a] for a in order],
                             [(rename[a], rename[b]) for a, b in leq])
     assert y.refinement[0] == x.refinement[0]
+
+
+# ----------------------------------------------- value and record types
+
+def values_of(x: FinPoset) -> list:
+    """One of each value type, built from ``x``."""
+    n = len(x)
+    a = up_algebra(x)
+    ident = MonotoneMap(x, x, tuple(range(n)))
+    b = FinBoolAlg(x.elements)
+    phi = conj(var("v"), dia(var("w")))
+    return [x, ident, Preorder(x.elements, x.upmask), a, LatticeHom(a, a, ident), b,
+            BAHom(b, b, tuple(range(n))), phi]
+
+
+@checked
+@given(posets(max_size=5))
+def test_values_compare_and_hash_by_their_fields(drawn):
+    """Values built twice from equal fields are equal and hash equal, and
+    print alike; a value whose fields differ is not equal, nor is a value
+    of another class."""
+    x, _ = drawn
+    twin = FinPoset(x.elements, x.upmask)
+    for a, b in zip(values_of(x), values_of(twin)):
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert repr(a) == repr(b) and repr(a).startswith(type(a).__name__ + "(")
+    assert FinPoset.discrete(x.elements) != x or not x.covers()
+    assert Preorder(x.elements, x.upmask) != x and x != Preorder(x.elements, x.upmask)
+    assert FinBoolAlg(x.elements) != up_algebra(FinPoset.discrete(x.elements))
+
+
+@checked
+@given(posets(max_size=5))
+def test_derived_fields_take_no_part_in_equality(drawn):
+    """A poset with other down-set rows and a hom with other preimage
+    rows still equal, and hash as, the ones built from their fields; so
+    does a poset whose refinement is cached."""
+    x, _ = drawn
+    odd = FinPoset._trusted(x.elements, x.upmask, tuple(reversed(x.downmask)))
+    x.refinement
+    assert odd == x and hash(odd) == hash(x) and repr(odd) == repr(x)
+    b = FinBoolAlg(x.elements)
+    h, rowless = BAHom(b, b, tuple(range(len(x)))), BAHom(b, b, tuple(range(len(x))))
+    object.__setattr__(rowless, "rows", ())
+    assert rowless == h and hash(rowless) == hash(h)
+
+
+@checked
+@given(posets(max_size=5))
+def test_values_refuse_assignment(drawn):
+    x, _ = drawn
+    for v in values_of(x):
+        for name in v._fields + ("downmask", "rows", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+        with pytest.raises(AttributeError):
+            delattr(v, v._fields[0])
+    assert values_of(x) == values_of(FinPoset(x.elements, x.upmask))
+
+
+@checked
+@given(posets(max_size=3))
+def test_records_compare_as_before(drawn):
+    """Records of results compare by their fields, as tuples do; records
+    that hold a computation's state (a lifting, a coalgebra, a semantic
+    component) are equal only to themselves.  A coalgebra's check flag
+    can be set, and each lifted component starts with its own memo."""
+    x, _ = drawn
+    a, b = up_algebra(x), FinBoolAlg(x.elements)
+    for make in (lambda: tensor2(a), lambda: lattice_from_elements(a.carrier()),
+                 lambda: product_ba(b, b), lambda: dunn_axiom_check(a),
+                 lambda: CheckOutcome("order", "closure-laws", True, "detail")):
+        one, two = make(), make()
+        assert one == two and not one != two
+    assert hash(product_ba(b, b)) == hash(product_ba(b, b))
+    assert cross_check(pow_functor(), x) != cross_check(pow_functor(), x)
+    lifted = positivize(semantic_l(pow_functor()), a)
+    for make in (lambda: posetify_powerset(x), lambda: Coalgebra(x, (0,) * len(x)),
+                 lambda: delta_pow(x.elements), lambda: beta(semantic_l(pow_functor()), b),
+                 lambda: positivize(semantic_l(pow_functor()), a),
+                 lambda: DeltaPrime(lifted.members, lifted.is_member, int)):
+        one, two = make(), make()
+        assert one == one and one != two and hash(one) == hash(one)
+    c = Coalgebra(x, (0,) * len(x))
+    assert not c.positive_checked
+    c.positive_checked = True
+    assert c.positive_checked
+    one, two = (DeltaPrime(lifted.members, lifted.is_member, int) for _ in range(2))
+    assert one.memo == {} and one.memo is not two.memo
