@@ -7,14 +7,18 @@ a closed-form one-step order lifting (for when materialising the functor
 on the comparable-pair set would bust the budget) and modal clauses.
 
 An element of ``T(X)`` is a *code*: for ``pow`` the mask of a subset (bit
-``j`` for ``X[j]``), for ``nb`` and ``mnb`` a mask over subset masks, for
-``bag`` the sorted tuple of its element indices, and for ``poly`` its
-position in the carrier.  ``on_obj`` returns the codes (a ``range`` where
-they are dense), ``on_mor(image, n)`` maps codes to codes along the map
-sending element ``j`` of the source to element ``image[j]`` of an
-``n``-element target (an index assignment, the one format of maps), and
-``decode(X)`` maps a code to its label, built only where labels are shown
-or compared.
+``j`` for ``X[j]``), for ``nb`` and ``mnb`` a mask over subset masks, and
+for ``bag`` and ``poly`` its position in the carrier.  ``on_obj`` returns
+the codes (a ``range`` where they are dense), ``on_mor(image, n)`` maps
+codes to codes along the map sending element ``j`` of the source to
+element ``image[j]`` of an ``n``-element target (an index assignment, the
+one format of maps), and ``decode(X)`` maps a code to its label, built
+only where labels are shown or compared.
+
+Each action is a table, built in one step per code along the carrier's
+own enumeration: a multiset is its prefix plus its last member, and an
+up-closed family is the family it was generated from plus one principal
+family, so the image of a code is read off the image of an earlier one.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement, groupby, product
+from itertools import product
 from operator import and_, or_
 from typing import Callable, Optional, Sequence
 
@@ -156,35 +160,46 @@ def _principals(n: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=32)
-def _mnb_obj(s: tuple) -> tuple:
-    """All inclusion-up-closed families over the powerset of ``s``.
+@lru_cache(maxsize=5)
+def _families(n: int) -> tuple:
+    """``(families, parent, added)``: all inclusion-up-closed families over
+    the subsets of an ``n``-element set, with the tree that generates them.
 
     Families are generated from their antichains of minimal members, which
-    keeps the enumeration linear in the output size.
+    keeps the enumeration linear in the output size: family ``k > 0`` is
+    family ``parent[k]`` together with the supersets of the subset of mask
+    ``added[k]``.  The families do not depend on the labels, so every set
+    of ``n`` labels shares one enumeration.
     """
-    principal = _principals(len(s))
-    order = sorted(range(1 << len(s)), key=lambda k: (k.bit_count(), k))
-    families = []
+    principal = _principals(n)
+    order = sorted(range(1 << n), key=lambda k: (k.bit_count(), k))
+    families, parent, added = [0], [0], [0]
 
-    def extend(start: int, chosen: tuple, family: int):
-        families.append(family)
+    def extend(start: int, chosen: tuple, at: int):
         for pos in range(start, len(order)):
             cand = order[pos]
             if any(a & cand in (a, cand) for a in chosen):
                 continue
-            extend(pos + 1, chosen + (cand,), family | principal[cand])
+            families.append(families[at] | principal[cand])
+            parent.append(at)
+            added.append(cand)
+            extend(pos + 1, chosen + (cand,), len(families) - 1)
 
     extend(0, (), 0)
-    return tuple(families)
+    return tuple(families), tuple(parent), tuple(added)
 
 
 def _mnb_mor(image: Sequence, n: int) -> Callable:
-    """A family goes to the up-closure of the images of its members: the
-    union of the principal families of those images."""
-    principal = _principals(n)
-    g = [principal[img] for img in _images(image)]
-    return lambda family: reduce(or_, map(g.__getitem__, bits(family)), 0)
+    """A family goes to the up-closure of the images of its members.  The
+    up-closure of a union is the union of the up-closures, and the
+    supersets of ``a`` go to the supersets of the image of ``a``, so each
+    family's image is its parent's image and one principal family."""
+    families, parent, added = _families(len(image))
+    principal, img = _principals(n), _images(image)
+    table = [0]
+    for p, a in zip(parent[1:], added[1:]):
+        table.append(table[p] | principal[img[a]])
+    return dict(zip(families, table)).__getitem__
 
 
 def _mnb_step(x: FinPoset) -> Preorder:
@@ -200,7 +215,7 @@ def _mnb_step(x: FinPoset) -> Preorder:
     pairs = sum(m.bit_count() for m in x.upmask)
     check_enum_budget(1 << pairs, "order lifting generators")
     check_enum_budget(mnb_size(len(x)) ** 2, "order lifting closure")
-    carrier = _mnb_obj(x.elements)
+    carrier = _families(len(x))[0]
     _, first, second = cotensor2(x)
     principal = _principals(len(x))
     gens = {(principal[a], principal[b]) for a, b in
@@ -227,47 +242,94 @@ def mnb_size(n: int) -> int:
 
 
 def mnb_functor() -> SetFunctor:
-    return SetFunctor("mnb", _mnb_obj, _mnb_mor, mnb_size, _mnb_step,
+    return SetFunctor("mnb", lambda s: _families(len(s))[0], _mnb_mor, mnb_size, _mnb_step,
                       lambda t, x: _posetify().posetify_mnb(x),
                       decode=_family_decode)
 
 
 # ------------------------------------------------------------- multisets
 
-def _mset_obj(d: int):
-    def obj(s: tuple) -> tuple:
-        return tuple(combo for k in range(d + 1)
-                     for combo in combinations_with_replacement(range(len(s)), k))
+@lru_cache(maxsize=16)
+def _multisets(n: int, d: int) -> tuple:
+    """``(prefix, last, add)`` for the multisets of at most ``d`` members of
+    an ``n``-element set, in carrier order: by size, then lexicographically
+    as sorted index tuples.
 
-    return obj
+    Multiset ``k > 0`` is multiset ``prefix[k]`` plus its largest member
+    ``last[k]``; ``add[c][e]`` is the position of multiset ``c`` plus
+    element ``e``, for each ``c`` of fewer than ``d`` members.  Listing
+    each multiset's extensions by its members or more, multiset by
+    multiset, gives the next size in lexicographic order; an extension by
+    a smaller member ``e`` is the prefix plus ``e``, plus the last member.
+    """
+    prefix, last, add = [0], [0], []
+    start = 0
+    for _ in range(d):
+        end = len(prefix)
+        for c in range(start, end):
+            row = [0] * n
+            for e in range(last[c], n):
+                row[e] = len(prefix)
+                prefix.append(c)
+                last.append(e)
+            add.append(row)
+        for c in range(start, end):
+            for e in range(last[c]):
+                add[c][e] = add[add[prefix[c]][e]][last[c]]
+        start = end
+    return tuple(prefix), tuple(last), tuple(map(tuple, add))
 
 
-def _mset_decode(s: tuple) -> Callable:
-    """A multiset as its ``(label, multiplicity)`` pairs, in element order."""
-    return lambda code: tuple((s[i], len(list(run))) for i, run in groupby(code))
+def _mset_decode(d: int):
+    """Decoding tabulates the ``(label, multiplicity)`` pairs, in element
+    order, along the carrier."""
+    def decode(s: tuple) -> Callable:
+        prefix, last, _ = _multisets(len(s), d)
+        labels = [()]
+        for p, e in zip(prefix[1:], last[1:]):
+            label = labels[p]
+            if p and last[p] == e:
+                labels.append(label[:-1] + ((s[e], label[-1][1] + 1),))
+            else:
+                labels.append(label + ((s[e], 1),))
+        return labels.__getitem__
+
+    return decode
 
 
-def _mset_mor(image: Sequence, n: int) -> Callable:
-    return lambda code: tuple(sorted(map(image.__getitem__, code)))
+def _mset_mor(d: int):
+    def mor(image: Sequence, n: int) -> Callable:
+        """Tabulated: a multiset goes to the image of its prefix plus the
+        image of its last member."""
+        prefix, last, _ = _multisets(len(image), d)
+        add = _multisets(n, d)[2]
+        table = [0]
+        for p, e in zip(prefix[1:], map(image.__getitem__, last[1:])):
+            table.append(add[table[p]][e])
+        return table.__getitem__
+
+    return mor
 
 
 def _mset_step(d: int):
     def step(x: FinPoset) -> Preorder:
         """``a <= b`` when some bijection between the two multisets sends
         every element of ``a`` to one above it; so the multisets above
-        ``a`` are those formed by choosing, for each element of ``a`` with
-        multiplicity, one element of its up-set."""
-        check_enum_budget(math.comb(len(x) + d, d) ** 2, "multiset order lifting")
-        carrier = _mset_obj(d)(x.elements)
-        position = {c: k for k, c in enumerate(carrier)}
-        ups = [tuple(bits(m)) for m in x.upmask]
-        succ = []
-        for c in carrier:
-            row = 0
-            for above in product(*(ups[v] for v in c)):
-                row |= 1 << position[tuple(sorted(above))]
+        ``a`` plus ``e`` are those above ``a`` plus an element above
+        ``e``."""
+        size = math.comb(len(x) + d, d)
+        check_enum_budget(size ** 2, "multiset order lifting")
+        prefix, last, add = _multisets(len(x), d)
+        ups = [bits(m) for m in x.upmask]
+        succ = [1]
+        for p, e in zip(prefix[1:], last[1:]):
+            above, row = ups[e], 0
+            for b in bits(succ[p]):
+                extend = add[b]
+                for f in above:
+                    row |= 1 << extend[f]
             succ.append(row)
-        return Preorder(carrier, tuple(succ))
+        return Preorder(range(size), tuple(succ))
 
     return step
 
@@ -282,9 +344,9 @@ def multiset_functor(degree: int = 3) -> SetFunctor:
     if degree < 0:
         raise InputError("degree bound must be nonnegative")
     return SetFunctor(
-        f"bag:{degree}", _mset_obj(degree), _mset_mor,
-        lambda n: math.comb(n + degree, degree),
-        _mset_step(degree), decode=_mset_decode)
+        f"bag:{degree}", lambda s: range(math.comb(len(s) + degree, degree)),
+        _mset_mor(degree), lambda n: math.comb(n + degree, degree),
+        _mset_step(degree), decode=_mset_decode(degree))
 
 
 # ------------------------------------------------------------ polynomial
@@ -451,12 +513,15 @@ def lift_relation_generic(t: SetFunctor, x: FinPoset) -> Preorder:
     if fits(t.size_estimate(len(xsq))):
         check_enum_budget(t.size_estimate(len(x)) ** 2, f"{t.name} lifted relation")
         carrier = t.on_obj(x.elements)
-        f0 = t.on_mor(p0.assignment, len(x))
-        f1 = t.on_mor(p1.assignment, len(x))
-        idx = {e: k for k, e in enumerate(carrier)}
+        pairs = t.on_obj(xsq.elements)
+        rows = map(t.on_mor(p0.assignment, len(x)), pairs)
+        cols = map(t.on_mor(p1.assignment, len(x)), pairs)
+        if not isinstance(carrier, range):  # codes that are not positions
+            idx = {e: k for k, e in enumerate(carrier)}.__getitem__
+            rows, cols = map(idx, rows), map(idx, cols)
         succ = [0] * len(carrier)
-        for c in t.on_obj(xsq.elements):
-            succ[idx[f0(c)]] |= 1 << idx[f1(c)]
+        for a, b in zip(rows, cols):
+            succ[a] |= 1 << b
         return Preorder(carrier, tuple(succ))
     if t.step_relation is None:
         raise BudgetExceeded(

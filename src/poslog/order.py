@@ -408,27 +408,34 @@ def poset_quotient(r: Preorder) -> tuple:
 
     Returns ``(poset, projection)`` where ``projection[i]`` is the index in
     the result of class ``[carrier[i]]``.  Classes of ``r & r^-1`` are
-    labelled by their least-index member, so output is deterministic.
+    labelled by their least-index member, so output is deterministic.  In
+    a transitive relation two indices are related both ways exactly when
+    their rows are equal, so the classes are the distinct rows, and when
+    no two rows are equal the rows are the up-sets of the result.
     """
     if not r.is_transitive():
         raise InputError("quotient requires a transitive relation")
     succ = r.succ
-    projection = [-1] * len(succ)
-    reps = []
-    for i, row in enumerate(succ):
-        if projection[i] < 0:
-            for j in bits(row):
-                if succ[j] >> i & 1:
-                    projection[j] = len(reps)
-            reps.append(i)
+    classes = {}  # row -> class index, in the order of least members
+    projection = tuple([classes.setdefault(row, len(classes)) for row in succ])
+    if len(classes) == len(succ):
+        return FinPoset(tuple(r.carrier), succ), projection
+    members = [0] * len(classes)
+    reps = [-1] * len(classes)
+    for i, k in enumerate(projection):
+        members[k] |= 1 << i
+        if reps[k] < 0:
+            reps[k] = i
     ups = []
-    for c in reps:
+    for row in classes:  # a row holds all or none of a class: one step each
         up = 0
-        for j in bits(succ[c]):
-            up |= 1 << projection[j]
+        while row:
+            k = projection[(row & -row).bit_length() - 1]
+            up |= 1 << k
+            row &= ~members[k]
         ups.append(up)
     poset = FinPoset(tuple(r.carrier[c] for c in reps), tuple(ups))
-    return poset, tuple(projection)
+    return poset, projection
 
 
 def cotensor2(x: FinPoset) -> tuple:

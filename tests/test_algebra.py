@@ -77,6 +77,13 @@ class TestLattices:
                 up_algebra(FinPoset.discrete(tuple(range(25)))).carrier()
 
 
+def held_filters(a, pf):
+    """Each up-set of ``a`` as the mask of the prime filters that hold it, a
+    filter labelled by its generator, sorted."""
+    return sorted(sum(1 << k for k, g in enumerate(pf.elements) if not g & ~u)
+                  for u in a.carrier())
+
+
 class TestSpectrum:
     def test_two_element_lattice_has_one_point(self):
         lat = up_algebra(FinPoset.discrete(("s",)))
@@ -93,12 +100,14 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_round_trips(self, n):
+        """The spectrum round trip by isomorphism; the lattice round trip by
+        sending each up-set to the prime filters that hold it."""
         labels = ("a", "b", "c", "d")[:n]
         for p in enumerate_posets(labels):
             a = up_algebra(p)
             pf = prime_filter_poset(a)
             assert poset_isomorphism(p, pf) is not None
-            assert lattice_isomorphic(a, up_algebra(pf)) is not None
+            assert held_filters(a, pf) == list(up_algebra(pf).carrier())
 
     def test_the_duality_check_fails_on_a_spectrum_with_the_wrong_generators(
             self, monkeypatch):
@@ -125,7 +134,7 @@ class TestSpectrum:
             assert len(a.carrier()) <= 32
             pf = prime_filter_poset(a)
             assert poset_isomorphism(p, pf) is not None
-            assert lattice_isomorphic(a, up_algebra(pf)) is not None
+            assert held_filters(a, pf) == list(up_algebra(pf).carrier())
 
 
 class TestFreeBA:

@@ -6,7 +6,7 @@ import pytest
 
 from poslog.algebra import free_ba
 from poslog.errors import DEFAULT_MAX_ENUM, BudgetExceeded, InputError, budget
-from poslog.functors import (DEDEKIND, HUGE, _mnb_obj, apply_obj, carrier_labels,
+from poslog.functors import (DEDEKIND, HUGE, _families, _multisets, apply_obj, carrier_labels,
                              lift_relation_generic, mnb_functor,
                              multiset_functor, nb_functor, parse_functor,
                              poly_functor, pow_functor, powerset)
@@ -56,16 +56,21 @@ class TestObjectMaps:
         assert len(t.on_obj(("a", "b", "c"))) == 9 + 2 == t.size_estimate(3)
         assert len(t.on_obj(())) == 2  # constants survive on the empty set
 
-    @pytest.mark.parametrize("cache, key", [
-        (powerset, lambda k: (k,)),
-        (_mnb_obj, lambda k: (k,)),
-    ], ids=["powerset", "_mnb_obj"])
-    def test_carrier_caches_are_bounded(self, cache, key):
+    @pytest.mark.parametrize("cache, args", [
+        (powerset, lambda k: ((k,),)),
+        (_families, lambda k: (k,)),
+        (_multisets, lambda k: (k, 1)),
+    ], ids=["powerset", "_families", "_multisets"])
+    def test_carrier_caches_are_bounded(self, cache, args):
         bound = cache.cache_info().maxsize
         assert bound is not None
         for k in range(bound + 1):
-            cache(key(k))
+            cache(*args(k))
         assert cache.cache_info().currsize <= bound
+
+    def test_label_tuples_of_one_size_share_one_enumeration(self):
+        t = mnb_functor()
+        assert t.on_obj(("a", "b", "c")) is t.on_obj(("x", "y", "z"))
 
 
 class TestMorphismMaps:

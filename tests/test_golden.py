@@ -23,6 +23,10 @@ FILES = {
     **{f"dl-{name}.json": {"type": "dl", "spectrum": s} for name, s in SPECTRA.items()},
     **{f"poset-{name}.json": s for name, s in SPECTRA.items()},
     "vee.json": {"elements": ["a", "b", "c"], "leq": [["a", "b"], ["a", "c"]]},
+    "chain4.json": {"elements": ["w", "x", "y", "z"],
+                    "leq": [["w", "x"], ["x", "y"], ["y", "z"]]},
+    "diamond4.json": {"elements": ["b", "l", "r", "t"],
+                      "leq": [["b", "l"], ["b", "r"], ["l", "t"], ["r", "t"]]},
     "ba2.json": {"type": "ba", "atoms": ["u", "v"]},
     "ba3.json": {"type": "ba", "atoms": ["u", "v", "w"]},
     "kripke.json": {"carrier": ["x", "y", "z"],
@@ -61,6 +65,10 @@ REQUESTS = [
       if name.startswith(("dl-", "poset-", "ba")) or name == "vee.json"),
     *(f"verify --suite {suite}"
       for suite in ("order", "algebra", "posetify", "positivize", "semantics")),
+    # the dense carriers: 35 multisets, 168 up-closed families on the 4-chain
+    *(f"posetify --functor {functor} --poset @{poset} --method both"
+      for functor in FUNCTORS if functor != "nb"
+      for poset in ("chain4.json", "diamond4.json")),
 ]
 
 
@@ -76,7 +84,9 @@ def resolve(argv: str, directory) -> list:
 # two verify suites (their PASS lines) before isomorphism types were
 # found by canonical extension; the posetify requests before the lifted
 # posets were rendered in one pass; the posetify, positivize and
-# semantics suites before functor actions took index assignments.
+# semantics suites before functor actions took index assignments; the
+# 4-element posetify requests before multiset and up-closed-family actions
+# were tabulated along their carriers.
 GOLDEN = [
     ('positivize --syntax dunn --lattice @dl-empty.json', 0, '74b95a54db1d0663'),
     ('positivize --syntax dunn --lattice @dl-empty.json --check-closed-form', 0, '180ff37504f03182'),
@@ -293,6 +303,14 @@ GOLDEN = [
     ('verify --suite posetify', 0, '004aebdacff5f555'),
     ('verify --suite positivize', 0, 'e5e5353ec14ba337'),
     ('verify --suite semantics', 0, 'da8508280a79c467'),
+    ('posetify --functor pow --poset @chain4.json --method both', 0, 'a5cec21494b278db'),
+    ('posetify --functor pow --poset @diamond4.json --method both', 0, '81c2ad2084c66ffd'),
+    ('posetify --functor mnb --poset @chain4.json --method both', 0, '3bb2dadf2f4d2049'),
+    ('posetify --functor mnb --poset @diamond4.json --method both', 0, '60c644eb3aea4e1d'),
+    ('posetify --functor bag:3 --poset @chain4.json --method both', 0, '5298b86847ca446f'),
+    ('posetify --functor bag:3 --poset @diamond4.json --method both', 0, '9926986aa6575841'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @chain4.json --method both', 0, '26c187f9064185e1'),
+    ('posetify --functor poly:sigma=f:2:1,c:0:2 --poset @diamond4.json --method both', 0, '8beea7daaad02f5a'),
 ]
 
 

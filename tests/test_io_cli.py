@@ -833,12 +833,6 @@ class TestCli:
         r2 = run_cli("export-dot", "--input", str(files / "threechain.json"))
         assert r2.returncode == 0 and "->" in r2.stdout
 
-    def test_verify_posetify_suite(self, files):
-        r = run_cli("verify", "--suite", "posetify")
-        assert r.returncode == 0
-        assert "PASS posetify/lifting-oracle-equivalence" in r.stdout
-        assert "FAIL" not in r.stdout
-
     def test_verify_unknown_suite(self):
         assert run_cli("verify", "--suite", "nope").returncode == 3
 

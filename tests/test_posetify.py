@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from poslog.errors import BudgetExceeded, budget
-from poslog.functors import (_mnb_obj, lift_relation_generic, mnb_functor,
+from poslog.functors import (_families, lift_relation_generic, mnb_functor,
                              multiset_functor, nb_functor, poly_functor,
                              pow_functor)
 from poslog.order import FinPoset, Preorder
@@ -99,13 +99,13 @@ class TestMnb:
 
     def test_budget_refused_before_the_families_are_enumerated(self):
         x = FinPoset.discrete(("a", "b", "c", "d", "e"))
-        before = _mnb_obj.cache_info().currsize
+        before = _families.cache_info().currsize
         with budget(max_enum=100):
             with pytest.raises(BudgetExceeded, match="would enumerate 57471561 items"):
                 posetify_mnb(x)
             with pytest.raises(BudgetExceeded, match="would enumerate 57471561 items"):
                 mnb_functor().step_relation(x)
-        assert _mnb_obj.cache_info().currsize == before
+        assert _families.cache_info().currsize == before
 
 
 class TestNb:

@@ -3,7 +3,9 @@ computation against its definition, written out here on labels and on
 sets of pairs."""
 
 from collections import Counter
+from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import or_
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,7 +14,7 @@ from poslog.algebra import (BAHom, FinBoolAlg, LatticeHom, ba_inserter,
                             lattice_from_elements, prime_filter_poset, product_ba,
                             tensor2, up_algebra)
 from poslog.errors import BudgetExceeded, InputError
-from poslog.functors import (_mnb_obj, carrier_labels, mnb_functor, multiset_functor,
+from poslog.functors import (_families, carrier_labels, mnb_functor, multiset_functor,
                              nb_functor, poly_functor, pow_functor)
 from poslog.io import format_label, render_poset
 from poslog.order import (FinPoset, MonotoneMap, Preorder, _close_rows, bits,
@@ -174,7 +176,7 @@ def family_rows_pairwise(x):
     when every member of ``F`` has a member of ``G`` whose up-closure lies
     inside its own, and every member of ``G`` has a member of ``F`` whose
     down-closure lies inside its own."""
-    families = [bits(fam) for fam in _mnb_obj(x.elements)]
+    families = [bits(fam) for fam in _families(len(x))[0]]
     up = [x.up_of(a) for a in range(1 << len(x))]
     down = [x.down_of(a) for a in range(1 << len(x))]
 
@@ -229,9 +231,44 @@ def poly_image(f, dst, label):
     return name, coeff, tuple(f[v] for v in args)
 
 
-# each coded functor with its carrier and its action written on labels
-CODED = [*((multiset_functor(d), bag_labels(d), bag_image) for d in (1, 2, 3)),
-         (poly_functor(SIGNATURE), poly_labels, poly_image)]
+def subsets_by_size(s):
+    """The subsets of ``s`` as frozensets, by size, then by the mask of
+    their members' positions."""
+    return sorted((frozenset(c) for k in range(len(s) + 1) for c in combinations(s, k)),
+                  key=lambda u: (len(u), sum(1 << s.index(v) for v in u)))
+
+
+@lru_cache(maxsize=None)
+def mnb_labels(s):
+    """The up-closed families of subsets of ``s``, each generated by the
+    antichain of its minimal members, in lexicographic order of those
+    antichains listed as increasing sequences of subsets (in the order of
+    ``subsets_by_size``)."""
+    subsets, out = subsets_by_size(s), []
+
+    def grow(start, antichain):
+        out.append(frozenset(u for u in subsets if any(a <= u for a in antichain)))
+        for k in range(start, len(subsets)):
+            if not any(a <= subsets[k] or subsets[k] <= a for a in antichain):
+                grow(k + 1, antichain + [subsets[k]])
+
+    grow(0, [])
+    return tuple(out)
+
+
+def mnb_image(f, dst, label):
+    """A family of label sets goes to the up-closure of the images of its
+    members."""
+    images = {frozenset(f[v] for v in a) for a in label}
+    return frozenset(u for u in subsets_by_size(dst) if any(i <= u for i in images))
+
+
+# each coded functor with its carrier and its action written on labels, and
+# the largest set they are drawn on: an up-closed carrier over 5 elements
+# has 7,581 codes
+CODED = [*((multiset_functor(d), bag_labels(d), bag_image, 5) for d in (1, 2, 3)),
+         (poly_functor(SIGNATURE), poly_labels, poly_image, 5),
+         (mnb_functor(), mnb_labels, mnb_image, 4)]
 
 
 @st.composite
@@ -248,11 +285,12 @@ def maps(draw, count=1, max_size=5):
     return sets, funcs
 
 
-@pytest.mark.parametrize("t, labels, image", [pytest.param(*c, id=c[0].name) for c in CODED])
+@pytest.mark.parametrize("t, labels, image, max_size",
+                         [pytest.param(*c, id=c[0].name) for c in CODED])
 @settings(checked, max_examples=30)
-@given(maps())
-def test_coded_functor_decodes_to_the_label_formula(t, labels, image, drawn):
-    (src, dst), (f,) = drawn
+@given(data=st.data())
+def test_coded_functor_decodes_to_the_label_formula(t, labels, image, max_size, data):
+    (src, dst), (f,) = data.draw(maps(max_size=max_size))
     assert carrier_labels(t, src) == labels(src)
     assert carrier_labels(t, dst) == labels(dst)
     act, label, label_dst = t.on_mor(f, len(dst)), t.decode(src), t.decode(dst)
@@ -262,9 +300,54 @@ def test_coded_functor_decodes_to_the_label_formula(t, labels, image, drawn):
 
 
 # every functor with the largest set its laws are drawn on: a neighbourhood
-# carrier over 4 elements has 65,536 codes, an up-closed one over 5 has 7,581
-LAWFUL = [*((t, 5) for t, _, _ in CODED), (pow_functor(), 5), (nb_functor(), 3),
-          (mnb_functor(), 4)]
+# carrier over 4 elements has 65,536 codes
+LAWFUL = [*((t, size) for t, _, _, size in CODED), (pow_functor(), 5), (nb_functor(), 3)]
+
+
+# The formulas that the tabulated actions and the quotient by equal rows
+# replaced, kept as references: a multiset as the sorted tuple of its
+# members' indices, mapped by sorting the images of its members and lifted
+# by choosing an element above each member; an up-closed family mapped to
+# the union of the principal families of its members' images; the
+# quotient classes found pair by pair.
+
+def multisets_by_tuples(n, d):
+    return [c for k in range(d + 1) for c in combinations_with_replacement(range(n), k)]
+
+
+@settings(checked, max_examples=40)
+@given(maps(), st.integers(0, 3))
+def test_multiset_action_matches_sorting_the_images(drawn, d):
+    (src, dst), (f,) = drawn
+    position = {c: k for k, c in enumerate(multisets_by_tuples(len(dst), d))}
+    act = multiset_functor(d).on_mor(f, len(dst))
+    assert [act(k) for k in multiset_functor(d).on_obj(src)] == \
+        [position[tuple(sorted(f[i] for i in c))] for c in multisets_by_tuples(len(src), d)]
+
+
+@checked
+@given(posets(max_size=5), st.integers(0, 3))
+def test_multiset_step_relation_matches_the_product_of_upsets(drawn, d):
+    x, _ = drawn
+    codes = multisets_by_tuples(len(x), d)
+    position = {c: k for k, c in enumerate(codes)}
+    ups = [bits(m) for m in x.upmask]
+    want = tuple(reduce(or_, (1 << position[tuple(sorted(above))]
+                              for above in product(*(ups[v] for v in c))))
+                 for c in codes)
+    assert multiset_functor(d).step_relation(x).succ == want
+
+
+@settings(checked, max_examples=40)
+@given(maps(max_size=4))
+def test_family_action_matches_the_union_of_principal_families(drawn):
+    (src, dst), (f,) = drawn
+    principal = [sum(1 << u for u in range(1 << len(dst)) if not a & ~u)
+                 for a in range(1 << len(dst))]
+    image = [reduce(or_, (1 << f[j] for j in bits(a)), 0) for a in range(1 << len(src))]
+    act = mnb_functor().on_mor(f, len(dst))
+    for fam in mnb_functor().on_obj(src):
+        assert act(fam) == reduce(or_, (principal[image[a]] for a in bits(fam)), 0)
 
 
 @pytest.mark.parametrize("t, max_size", [pytest.param(*c, id=c[0].name) for c in LAWFUL])
@@ -393,6 +476,31 @@ def test_quotient_matches_the_class_definition(drawn):
         assert poset.elements[projection[i]] == r.carrier[least[i]]
         for j in range(n):
             assert poset.leq_idx(projection[i], projection[j]) == ((i, j) in closed)
+
+
+def quotient_pair_by_pair(r):
+    """``(elements, upmask, projection)`` of the quotient, each class found
+    from its least member's row, pair by pair."""
+    succ = r.succ
+    projection, reps = [-1] * len(succ), []
+    for i, row in enumerate(succ):
+        if projection[i] < 0:
+            for j in bits(row):
+                if succ[j] >> i & 1:
+                    projection[j] = len(reps)
+            reps.append(i)
+    ups = tuple(reduce(or_, (1 << projection[j] for j in bits(succ[c]))) for c in reps)
+    return tuple(r.carrier[c] for c in reps), ups, tuple(projection)
+
+
+# the indices of a group of repeated rows are related both ways, so they merge
+@checked
+@given(st.one_of(relations(), relations_with_repeated_rows()))
+def test_quotient_matches_the_classes_pair_by_pair(drawn):
+    n, pairs = drawn
+    r = transitive_closure(preorder(n, pairs))
+    poset, projection = poset_quotient(r)
+    assert (poset.elements, poset.upmask, projection) == quotient_pair_by_pair(r)
 
 
 @checked
