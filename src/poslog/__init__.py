@@ -14,15 +14,15 @@ from .algebra import (BAHom, FinBoolAlg, FinDistLattice, LatticeHom,
                       free_ba_generator, free_ba_map, free_over_dl_G,
                       kernel_K, lattice_isomorphic, prime_filter_poset,
                       tensor2, up_algebra)
-from .functors import (SetFunctor, apply_mor, apply_obj, carrier_labels,
-                       lift_relation_generic, mnb_functor, multiset_functor,
-                       nb_functor, parse_functor, poly_functor, pow_functor)
+from .functors import (SetFunctor, carrier_labels, lift_relation_generic,
+                       mnb_functor, multiset_functor, nb_functor,
+                       parse_functor, poly_functor, pow_functor)
 from .posetify import (Posetification, closed_form, cross_check,
                        posetify_generic, posetify_mnb, posetify_nb,
                        posetify_powerset)
-from .positivize import (BAFunctor, Positivication, beta, closed_form_dunn,
-                         closed_form_fu, dunn_axiom_check, free_l,
-                         parse_syntax, positivize, positivize_mor, semantic_l)
+from .positivize import (BAFunctor, Positivication, closed_form_dunn,
+                         closed_form_fu, free_l, parse_syntax, positivize,
+                         positivize_mor, semantic_l)
 from .semantics import (Coalgebra, Formula, delta_pow, delta_prime,
                         interpret_boolean, interpret_positive, parse_formula)
 

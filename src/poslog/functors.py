@@ -483,17 +483,6 @@ def parse_functor(text: str) -> SetFunctor:
     raise InputError(f"unknown functor {text!r}")
 
 
-def apply_obj(t: SetFunctor, s: tuple) -> tuple:
-    check_enum_budget(t.size_estimate(len(s)), f"{t.name} on a set")
-    return t.on_obj(tuple(s))
-
-
-def apply_mor(t: SetFunctor, image: Sequence, n: int) -> Callable:
-    check_enum_budget(max(t.size_estimate(len(image)), t.size_estimate(n)),
-                      f"{t.name} on a function")
-    return t.on_mor(tuple(image), n)
-
-
 def lift_relation_generic(t: SetFunctor, x: FinPoset) -> Preorder:
     """The one-step lifting of the order of ``x`` to the carrier ``T(VX)``.
 

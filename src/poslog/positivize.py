@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .algebra import (BAHom, FinBoolAlg, FinDistLattice, LatticeHom,
                       ba_inserter, boolean_as_lattice, free_ba,
@@ -261,48 +261,6 @@ def positivize_mor(l: BAFunctor, h: LatticeHom,
     return out
 
 
-class Beta:
-    """The comparison between lifting-then-including and including-then-
-    applying on a Boolean algebra; in this representation it is witnessed
-    by an identity of carriers, which is verified rather than assumed.
-    ``size`` is the number of members the inserter found, so the size of
-    the lifting can be read without enumerating ``source`` again.  Two
-    comparisons are equal only if they are one object."""
-
-    __slots__ = ("source", "target", "size")
-
-    def __init__(self, source: FinDistLattice, target: FinDistLattice, size: int):
-        self.source = source
-        self.target = target
-        self.size = size
-
-    def apply(self, x: int) -> int:
-        return x
-
-    def inverse(self, x: int) -> int:
-        return x
-
-
-def beta(l: BAFunctor, b: FinBoolAlg) -> Beta:
-    """The isomorphism between the lifting at ``W b`` and ``W (l b)``.
-
-    The free Boolean envelope of a Boolean lattice is the algebra itself
-    under the atom encoding used here, so the lifted lattice and the
-    included image have literally equal carriers; this is checked element
-    by element.
-    """
-    p = positivize(l, boolean_as_lattice(b))
-    lb = l.on_obj(b)
-    wlb = boolean_as_lattice(lb)
-    if p.ambient != lb:
-        raise AssertionError("envelope of a Boolean lattice did not collapse")
-    if p.result != wlb:
-        raise AssertionError("lifting at a Boolean lattice is not the inclusion")
-    if any(p.embed[r] != r for r in p.result.carrier()):
-        raise AssertionError("comparison is not the identity on elements")
-    return Beta(p.result, wlb, len(p.members))
-
-
 def closed_form_dunn(a: FinDistLattice) -> FinDistLattice:
     """Closed form for the lifting of normal modal logic: upsets of the
     convex-powerset lifting of the spectrum."""
@@ -315,54 +273,3 @@ def closed_form_fu(a: FinDistLattice) -> FinDistLattice:
     subalgebra, included back into lattices."""
     k, _ = kernel_K(a)
     return boolean_as_lattice(free_ba(tuple(k.carrier())))
-
-
-class DunnReport(NamedTuple):
-    ok: bool
-    failures: tuple
-    pairs_checked: int
-
-
-def dunn_axiom_check(a: FinDistLattice) -> DunnReport:
-    """Exhaustively verify the positive modal axioms inside the lifted
-    lattice of normal modal logic over ``a``.
-
-    The box and diamond of every element must land in the lifted
-    sublattice; the (in)equations are then evaluated with ambient mask
-    operations, which agree with the sublattice ones.
-    """
-    p = positivize(semantic_l(pow_functor()), a)
-    members = set(p.members)
-    failures = []
-    elems = a.carrier()
-    box = {x: p.box_of(x) for x in elems}
-    dia = {x: p.diamond_of(x) for x in elems}
-    for x in elems:
-        if box[x] not in members:
-            failures.append(("box-membership", x))
-        if dia[x] not in members:
-            failures.append(("diamond-membership", x))
-    top_a = p.ambient.top
-    bot_a = p.ambient.bot
-    if box[a.top] != top_a:
-        failures.append(("box-preserves-top", a.top))
-    if dia[a.bot] != bot_a:
-        failures.append(("diamond-preserves-bottom", a.bot))
-    pairs = 0
-    for x in elems:
-        for y in elems:
-            pairs += 1
-            if box[x & y] != box[x] & box[y]:
-                failures.append(("box-preserves-meet", (x, y)))
-            if dia[x | y] != dia[x] | dia[y]:
-                failures.append(("diamond-preserves-join", (x, y)))
-            if box[x] & dia[y] & ~dia[x & y]:
-                failures.append(("box-meet-diamond-below-diamond-meet", (x, y)))
-            if box[x | y] & ~(box[x] | dia[y]):
-                failures.append(("box-join-below-box-or-diamond", (x, y)))
-            if not x & ~y:
-                if box[x] & ~box[y]:
-                    failures.append(("box-monotone", (x, y)))
-                if dia[x] & ~dia[y]:
-                    failures.append(("diamond-monotone", (x, y)))
-    return DunnReport(not failures, tuple(failures), pairs)

@@ -16,11 +16,11 @@ mask of the satisfying states.  Labels are read and shown by ``io`` and
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebra import up_algebra
 from .errors import Budget, InputError, check_enum_budget, current_budget
-from .functors import carrier_labels, nb_functor, pow_functor
+from .functors import carrier_labels, pow_functor
 from .order import FinPoset, Value, bits
 from .posetify import Posetification, count_convex_powerset, posetify_powerset
 from .positivize import Positivication, positivize, semantic_l
@@ -244,10 +244,9 @@ class DeltaPow:
     Two components are equal only if they are one object.
     """
 
-    __slots__ = ("states", "atom_image")
+    __slots__ = ("atom_image",)
 
-    def __init__(self, states: tuple, atom_image: tuple):
-        self.states = states
+    def __init__(self, atom_image: tuple):
         self.atom_image = atom_image
 
     def apply(self, phi: int) -> int:
@@ -263,9 +262,8 @@ def count_delta_pow(n: int) -> None:
 
 
 def delta_pow(states: tuple) -> DeltaPow:
-    states = tuple(states)
-    count_delta_pow(len(states))
     n, diamond = len(states), pow_functor().diamond
+    count_delta_pow(n)
     every, full = (1 << (1 << n)) - 1, (1 << n) - 1
     atom_image = []
     for c in range(1 << n):
@@ -273,18 +271,7 @@ def delta_pow(states: tuple) -> DeltaPow:
         for u in bits(c):
             img &= diamond(n, 1 << u)
         atom_image.append(img & ~diamond(n, full ^ c))
-    return DeltaPow(states, tuple(atom_image))
-
-
-def injectivity_check(domain: Iterable, fn: Callable) -> tuple:
-    """Exhaustive injectivity test; returns (ok, counterexample_or_None)."""
-    seen: dict = {}
-    for x in domain:
-        y = fn(x)
-        if y in seen and seen[y] != x:
-            return False, (seen[y], x)
-        seen[y] = x
-    return True, None
+    return DeltaPow(tuple(atom_image))
 
 
 # ----------------------------------------------- the lifted semantic map
@@ -300,10 +287,9 @@ class DeltaPrime:
     up-closed union of classes), that it transfers uniquely and that it
     lands on an up-set.  ``apply`` runs it the first time a member is
     asked for and remembers the answer, and refuses a mask that is not a
-    member by ``is_member``, the inserter's definition of one;
-    ``table`` runs it on every member.  Each component starts with an
-    empty ``memo`` of its own, and two are equal only if they are one
-    object.
+    member by ``is_member``, the inserter's definition of one.  Each
+    component starts with an empty ``memo`` of its own, and two are equal
+    only if they are one object.
     """
 
     __slots__ = ("members", "is_member", "image", "memo")
@@ -324,11 +310,6 @@ class DeltaPrime:
                 raise AssertionError("modal image left the lifted algebra") from None
             out = self.memo[member] = self.image(member)
             return out
-
-    @property
-    def table(self) -> dict:
-        """Every member with its predicate: the full, checked tabulation."""
-        return {m: self.apply(m) for m in self.members}
 
 
 def delta_prime(t, delta_factory, x: FinPoset, pos: Posetification,
@@ -469,14 +450,3 @@ def interpret_positive(c: Coalgebra, valuation: dict, phi: Formula,
     if x.up_of(out) != out:
         raise AssertionError("positive satisfaction set is not an upset")
     return out
-
-
-def delta_pow_injective(states: tuple) -> tuple:
-    dp = delta_pow(tuple(states))
-    check_enum_budget(1 << (1 << len(dp.states)), "semantic component domain")
-    return injectivity_check(nb_functor().on_obj(dp.states), dp.apply)
-
-
-def delta_prime_injective(x: FinPoset) -> tuple:
-    _, _, dprime = positive_context(x)
-    return injectivity_check(dprime.members, dprime.apply)

@@ -6,7 +6,7 @@ import pytest
 
 from poslog.algebra import free_ba
 from poslog.errors import DEFAULT_MAX_ENUM, BudgetExceeded, InputError, budget
-from poslog.functors import (DEDEKIND, HUGE, _families, _multisets, apply_obj, carrier_labels,
+from poslog.functors import (DEDEKIND, HUGE, _families, _multisets, carrier_labels,
                              lift_relation_generic, mnb_functor,
                              multiset_functor, nb_functor, parse_functor,
                              poly_functor, pow_functor, powerset)
@@ -115,6 +115,11 @@ class TestMorphismMaps:
             for fam in mnb.on_obj(xs):
                 assert nact(fam) == mact(fam)
 
+    def test_pow_action_merges_the_images(self):
+        act = pow_functor().on_mor((0, 0), 1)
+        # a and b both go to x: {a, b} has mask 0b11 and {x} has mask 0b1
+        assert pow_functor().decode(("x",))(act(0b11)) == frozenset(["x"])
+
     def test_multiset_action_preserves_degree(self):
         t = multiset_functor(3)
         xs, ys = ("a", "b", "c"), ("x",)
@@ -191,9 +196,9 @@ def under(fn, **caps):
 
 
 @pytest.mark.parametrize("refuse, stage, requested, cap, flag, message", [
-    (lambda: apply_obj(nb_functor(), tuple("abcde")), "nb on a set", 1 << 32,
-     DEFAULT_MAX_ENUM, "--max-enum",
-     "nb on a set would enumerate 4294967296 items (budget 1048576)"),
+    (lambda: lift_relation_generic(nb_functor(), FinPoset.discrete(tuple("abcde"))),
+     "nb on the carrier", 1 << 32, DEFAULT_MAX_ENUM, "--max-enum",
+     "nb on the carrier would enumerate 4294967296 items (budget 1048576)"),
     (under(lambda: free_ba(tuple("abc")), max_generators=2), "free boolean algebra", 3, 2,
      "--max-generators", "free boolean algebra on 3 generators (budget 2)"),
     (under(lambda: lift_relation_generic(nb_functor(), FinPoset.chain("pq")), max_enum=100),
@@ -215,25 +220,6 @@ def test_a_refusal_carries_its_stage_size_and_cap(refuse, stage, requested, cap,
     exc = refused.value
     assert (exc.stage, exc.requested, exc.cap, exc.flag, str(exc)) == \
         (stage, requested, cap, flag, message)
-
-
-class TestDelegation:
-    def test_apply_obj_examples(self):
-        from poslog.functors import apply_obj
-        assert len(apply_obj(pow_functor(), ("a", "b", "c"))) == 8
-        assert len(apply_obj(nb_functor(), ("a",))) == 4
-        assert len(apply_obj(multiset_functor(2), ("p", "q"))) == 6
-
-    def test_apply_obj_budget(self):
-        from poslog.functors import apply_obj
-        with pytest.raises(BudgetExceeded):
-            apply_obj(nb_functor(), ("a", "b", "c", "d", "e"))
-
-    def test_apply_mor_respects_laws(self):
-        from poslog.functors import apply_mor
-        act = apply_mor(pow_functor(), (0, 0), 1)
-        # a and b both go to x: {a, b} has mask 0b11 and {x} has mask 0b1
-        assert pow_functor().decode(("x",))(act(0b11)) == frozenset(["x"])
 
 
 class TestParsing:

@@ -15,9 +15,9 @@ from poslog.errors import DEFAULT_MAX_ENUM, BudgetExceeded, InputError, budget
 from poslog.functors import mnb_functor, nb_functor, parse_functor, pow_functor
 from poslog.io import load_poset
 from poslog.order import FinPoset, MonotoneMap
-from poslog.positivize import (SYNTAXES, _edge_preorder_lattice, beta, closed_form_dunn,
-                               closed_form_fu, dunn_axiom_check, free_l, parse_syntax,
-                               positivize, positivize_mor, semantic_l)
+from poslog.positivize import (SYNTAXES, _edge_preorder_lattice, closed_form_dunn,
+                               closed_form_fu, free_l, parse_syntax, positivize,
+                               positivize_mor, semantic_l)
 from poslog.verify import DUALITY_CASES, check_duality_rule, iso_representatives
 
 
@@ -175,33 +175,7 @@ class TestClosedForms:
         assert len(closed_form_fu(two_lattice()).carrier()) == 16
 
 
-class TestBeta:
-    @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_dunn_instance(self, n):
-        l = semantic_l(pow_functor())
-        b = FinBoolAlg(atoms=("x", "y")[:n])
-        bt = beta(l, b)
-        assert len(bt.source.carrier()) == l.on_obj(b).size()
-        e = l.on_obj(b).carrier()[1]
-        assert bt.inverse(bt.apply(e)) == e
-
-    @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_free_instance(self, n):
-        l = free_l()
-        b = FinBoolAlg(atoms=("x", "y")[:n])
-        bt = beta(l, b)
-        assert len(bt.source.carrier()) == l.on_obj(b).size()
-
-
 class TestDunnAxioms:
-    @pytest.mark.parametrize("a", [two_lattice(), three_chain(),
-                                   boolean_as_lattice(FinBoolAlg(atoms=("x", "y")))],
-                             ids=["two", "three-chain", "boolean"])
-    def test_axioms_hold(self, a):
-        report = dunn_axiom_check(a)
-        assert report.ok, report.failures[:5]
-        assert report.pairs_checked == len(a.carrier()) ** 2
-
     def test_boolean_case_matches_classical_duality(self):
         # on a Boolean lattice the diamond is the dual of the box
         b = FinBoolAlg(atoms=("x", "y"))
