@@ -48,11 +48,6 @@ def _emit(data) -> None:
     _out(pio.json_text(data))
 
 
-def _poset_report(p) -> dict:
-    names, covers = pio.render_poset(p)
-    return {"size": len(p), "elements": names, "covers": covers}
-
-
 def _write_dot(text: str, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
@@ -61,18 +56,19 @@ def _write_dot(text: str, path: str) -> None:
 def cmd_posetify(args) -> int:
     t = parse_functor(args.functor)
     poset = pio.load_poset(pio.read_json(args.poset))
-    report = {"functor": t.name, "poset": pio.poset_to_dict(poset),
+    report = {"functor": t.name, "poset": pio.write_poset(poset, report=False),
               "method": args.method}
     if args.method == "both":
         result = cross_check(t, poset)
-        report["closed"] = _poset_report(result.closed.result)
-        # equal posets print the same: render the closed form's once
-        report["generic"] = report["closed"] \
-            if result.generic.result == result.closed.result \
-            else _poset_report(result.generic.result)
+        gen, clo = result.generic, result.closed
+        report["closed"] = pio.write_poset(clo.result)
+        # equal posets print the same: write the closed form's once.  Only nb's
+        # closed form decodes other than the generic route, over the components
+        same = gen.result == clo.result if t.name == "nb" else gen.order == clo.order
+        report["generic"] = report["closed"] if same else pio.write_poset(gen.result)
         report["agree"] = result.ok
         report["detail"] = result.detail
-        chosen = result.closed
+        chosen = clo
         if not result.ok:
             _emit(report)
             return 1
@@ -81,7 +77,7 @@ def cmd_posetify(args) -> int:
             chosen = posetify_generic(t, poset)
         else:
             chosen = closed_form(t, poset)
-        report["result"] = _poset_report(chosen.result)
+        report["result"] = pio.write_poset(chosen.result)
     if args.dot:
         _write_dot(pio.poset_dot(chosen.result, title=f"{t.name} lifting"),
                    args.dot)
@@ -95,9 +91,9 @@ def cmd_positivize(args) -> int:
     p = positivize(l, lattice)
     report = {
         "syntax": args.syntax,
-        "input_spectrum": pio.poset_to_dict(lattice.spectrum),
+        "input_spectrum": pio.write_poset(lattice.spectrum, report=False),
         "result_size": len(p.members),
-        "result_spectrum": _poset_report(p.result.spectrum),
+        "result_spectrum": pio.write_poset(p.result.spectrum),
     }
     if args.check_closed_form:
         want = l.closed_form(lattice)
@@ -120,7 +116,7 @@ def cmd_dualize(args) -> int:
         poset = pio.load_poset(pio.read_json(args.poset))
         lat = up_algebra(poset)
         elems = lat.carrier()
-        _emit({"poset": _poset_report(poset),
+        _emit({"poset": pio.write_poset(poset),
                "upset_lattice": {
                    "size": len(elems),
                    "elements": [pio.format_label(poset.labels(e)) for e in elems]}})
@@ -130,8 +126,8 @@ def cmd_dualize(args) -> int:
     spectrum = lat.spectrum
     computed = prime_filter_poset(lat)
     _emit({"lattice_size": len(lat.carrier()),
-           "spectrum": _poset_report(spectrum),
-           "prime_filters": _poset_report(
+           "spectrum": pio.write_poset(spectrum),
+           "prime_filters": pio.write_poset(
                computed.relabel(map(spectrum.labels, computed.elements)))})
     return 0
 

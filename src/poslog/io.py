@@ -60,22 +60,36 @@ def _name(label, memo: dict) -> str:
     return str(label)
 
 
-def render_poset(p: FinPoset) -> tuple:
-    """``(names, covers)``: :func:`format_label` of each element, in
-    carrier order, and the pairs of :meth:`FinPoset.covers` as name pairs,
-    in the same order.  Each element is formatted once.  So is each
-    frozenset object inside the labels, such as the subsets that the
-    families of a neighbourhood carrier share; the memo lives for this
-    call only.  Tuples are formatted where they occur: the multisets and
-    terms of a carrier are built fresh for each label."""
-    memo = {}
-    names = [_name(e, memo) for e in p.elements]
-    return names, [[names[i], names[j]] for i, j in p.cover_indices()]
-
-
 def poset_to_dict(p: FinPoset) -> dict:
-    names, covers = render_poset(p)
-    return {"elements": names, "leq": covers}
+    names = list(map(format_label, p.elements))
+    return {"elements": names, "leq": [[names[i], names[j]] for i, j in p.cover_indices()]}
+
+
+class JSONText(str):
+    """JSON text that :func:`json_text` places as it stands."""
+
+    __slots__ = ()
+
+
+def write_poset(p: FinPoset, report: bool = True, indent: str = "\n  ") -> JSONText:
+    """What :func:`json_text` writes at ``indent`` (by default, as a value
+    of a report) for ``{"covers": ..., "elements": ..., "size": len(p)}``,
+    or without ``report`` for :func:`poset_to_dict` of ``p``.  Each element
+    is named (one memo for the frozensets labels share) and quoted once,
+    and each pair of :meth:`FinPoset.cover_indices` takes one format."""
+    memo = {}
+    quoted = [_quote(_name(e, memo)) for e in p.elements]
+    inner = indent + "  "
+    item = inner + "  "
+    pair = "[" + item + "  %s," + item + "  %s" + item + "]"
+
+    def array(texts: list) -> str:
+        return "[" + item + ("," + item).join(texts) + inner + "]" if texts else "[]"
+
+    covers = array([pair % (quoted[i], quoted[j]) for i, j in p.cover_indices()])
+    fields = [f'"covers": {covers}', f'"elements": {array(quoted)}', f'"size": {len(quoted)}'] \
+        if report else [f'"elements": {array(quoted)}', f'"leq": {covers}']
+    return JSONText("{" + inner + ("," + inner).join(fields) + indent + "}")
 
 
 def load_lattice(data: Any):
@@ -148,11 +162,13 @@ def json_text(value, indent: str = "\n") -> str:
     ``json.dumps`` runs its pure-Python encoder.  Dict keys must be
     strings; a scalar other than a string, bool, None or int goes to
     ``json.dumps``.  ``indent`` is the newline and indentation that come
-    before a closing bracket of ``value``.  A value held under several
-    keys of one dict, such as a report shared by two routes, is written
-    once."""
+    before a closing bracket of ``value``.  A :class:`JSONText` is placed
+    as it stands.  A value held under several keys of one dict, such as a
+    report shared by two routes, is written once."""
     if value.__class__ is str:
         return _quote(value)
+    if value.__class__ is JSONText:
+        return value
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:

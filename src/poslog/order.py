@@ -86,6 +86,18 @@ def _close_rows(rows) -> tuple:
     return tuple(rows)
 
 
+def _rows_transitive(rows) -> bool:
+    """Whether each distinct row holds the rows of its members."""
+    for row in set(rows):
+        rest = row
+        while rest:
+            low = rest & -rest
+            if rows[low.bit_length() - 1] & ~row:
+                return False
+            rest ^= low
+    return True
+
+
 class FinPoset(Value, fields=("elements", "upmask")):
     """A finite partial order: unique element labels plus an up-set table.
 
@@ -101,7 +113,8 @@ class FinPoset(Value, fields=("elements", "upmask")):
     hashing or the repr.
     """
 
-    def __init__(self, elements: tuple, upmask: tuple):
+    def __init__(self, elements: Iterable, upmask: tuple):
+        elements = tuple(elements)
         n = len(elements)
         pos = {e: i for i, e in enumerate(elements)}
         if len(pos) != n:
@@ -388,9 +401,11 @@ class Preorder(Value, fields=("carrier", "succ")):
 
     def is_transitive(self) -> bool:
         """Whether each row holds the rows of its members.  That depends
-        only on the row's value, so each distinct row is checked once."""
-        succ = self.succ
-        return all(not succ[j] & ~row for row in set(succ) for j in bits(row))
+        only on the row's value, so each distinct row is checked once, on
+        the first call: the relation keeps the verdict."""
+        if "_transitive" not in self.__dict__:
+            object.__setattr__(self, "_transitive", _rows_transitive(self.succ))
+        return self._transitive
 
     def is_antisymmetric(self) -> bool:
         succ = self.succ
@@ -399,8 +414,9 @@ class Preorder(Value, fields=("carrier", "succ")):
 
 
 def transitive_closure(r: Preorder) -> Preorder:
-    """Smallest transitive relation containing ``r``; idempotent."""
-    return Preorder(r.carrier, _close_rows(r.succ))
+    """Smallest transitive relation containing ``r``: ``r`` itself when it
+    is transitive, else Warshall's closure of its rows."""
+    return r if r.is_transitive() else Preorder(r.carrier, _close_rows(r.succ))
 
 
 def poset_quotient(r: Preorder) -> tuple:
@@ -411,7 +427,8 @@ def poset_quotient(r: Preorder) -> tuple:
     labelled by their least-index member, so output is deterministic.  In
     a transitive relation two indices are related both ways exactly when
     their rows are equal, so the classes are the distinct rows, and when
-    no two rows are equal the rows are the up-sets of the result.
+    no two rows are equal the rows are the up-sets of the result.  The
+    precondition reads the verdict that :func:`transitive_closure` kept.
     """
     if not r.is_transitive():
         raise InputError("quotient requires a transitive relation")

@@ -17,7 +17,7 @@ from hypothesis import event, given, settings, strategies as st
 from poslog.errors import InputError
 from poslog.io import (format_label, json_text, lattice_dot, load_coalgebra,
                        load_lattice, load_poset, load_valuation, poset_dot,
-                       poset_to_dict, render_poset)
+                       poset_to_dict)
 from poslog.algebra import up_algebra
 from poslog.cli import VERBS, main
 from poslog.functors import parse_functor
@@ -204,10 +204,34 @@ class TestCli:
             assert rc == 0 and report["agree"]
             routes = cross_check(parse_functor(functor), x)
             for key, route in (("generic", routes.generic), ("closed", routes.closed)):
-                names, covers = render_poset(route.result)
+                names = [format_label(e) for e in route.result.elements]
+                covers = [[format_label(a), format_label(b)]
+                          for a, b in route.result.covers()]
                 assert report[key] == {"size": len(names), "elements": names,
                                        "covers": covers}
             assert (report["generic"] == report["closed"]) == same
+
+    def test_posetify_both_builds_the_generic_labels_only_to_print_them(
+            self, tmp_path, monkeypatch):
+        """Both routes of bag and poly decode their codes over the poset,
+        so equal orders print the same and the generic route's labels are
+        not built.  nb's closed form decodes over the components, so its
+        routes are compared by their labels."""
+        import poslog.cli as cli
+        vee, pair = tmp_path / "vee.json", tmp_path / "pair.json"
+        vee.write_text(json.dumps({"elements": ["a", "b", "c"],
+                                   "leq": [["a", "b"], ["a", "c"]]}))
+        pair.write_text(json.dumps({"elements": ["a", "b"]}))
+        routes = []
+        monkeypatch.setattr(cli, "cross_check",
+                            lambda t, x: routes.append(cross_check(t, x)) or routes[-1])
+        for functor, poset, built in (("bag:2", vee, False), ("poly:sigma=f:2:1", vee, False),
+                                      ("nb", pair, True)):
+            rc, out, _ = run_main("posetify", "--functor", functor,
+                                  "--poset", str(poset), "--method", "both")
+            report = json.loads(out)
+            assert rc == 0 and report["agree"] and report["generic"] == report["closed"]
+            assert (routes[-1].generic._result is not None) == built
 
     def test_posetify_deterministic_output(self, files):
         args = ("posetify", "--functor", "mnb",

@@ -30,6 +30,13 @@ class TestFinPoset:
         with pytest.raises(InputError):
             FinPoset.discrete(("a", "a"))
 
+    def test_elements_are_stored_as_a_tuple(self):
+        """A poset over a range equals, and hashes as, the poset over the
+        tuple of its members."""
+        p, q = FinPoset(range(3), (1, 2, 4)), FinPoset((0, 1, 2), (1, 2, 4))
+        assert p.elements == (0, 1, 2)
+        assert p == q and hash(p) == hash(q)
+
     def test_completion_fills_reflexive_transitive(self):
         p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b"), ("b", "c")],
                                 complete=True)
@@ -83,6 +90,22 @@ class TestClosures:
     def test_idempotent_on_already_transitive(self):
         r = preorder("ab", [(0, 1)])
         assert transitive_closure(r).rel == r.rel
+
+    def test_a_transitive_relation_is_its_own_closure(self, monkeypatch):
+        """The closure returns a transitive relation itself, and the
+        relation keeps the verdict, so asking again, as the quotient does,
+        checks no row.  Otherwise Warshall's closure runs."""
+        import poslog.order as order
+        real, rows = order._close_rows, []
+        monkeypatch.setattr(order, "_close_rows", lambda succ: rows.append(succ) or real(succ))
+        r = preorder("abc", [(0, 1), (1, 2), (0, 2)])
+        assert transitive_closure(r) is r and not rows
+        with monkeypatch.context() as m:
+            m.setattr(order, "_rows_transitive", lambda rows: pytest.fail("checked again"))
+            assert r.is_transitive()
+        s = preorder("abc", [(0, 1), (1, 2)])
+        c = transitive_closure(s)
+        assert c is not s and rows == [s.succ] and (0, 2) in c.rel
 
     def test_powerset_lifting_of_two_chain_already_transitive(self):
         r = lift_relation_generic(pow_functor(), chain("p", "q"))

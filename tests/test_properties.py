@@ -2,13 +2,14 @@
 computation against its definition, written out here on labels and on
 sets of pairs."""
 
+import json
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
 from operator import or_
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from poslog.algebra import (BAHom, FinBoolAlg, LatticeHom, ba_inserter,
                             lattice_from_elements, prime_filter_poset, product_ba,
@@ -16,7 +17,7 @@ from poslog.algebra import (BAHom, FinBoolAlg, LatticeHom, ba_inserter,
 from poslog.errors import BudgetExceeded, InputError
 from poslog.functors import (_families, carrier_labels, mnb_functor, multiset_functor,
                              nb_functor, poly_functor, pow_functor)
-from poslog.io import format_label, render_poset
+from poslog.io import format_label, json_text, write_poset
 from poslog.order import (FinPoset, MonotoneMap, Preorder, _close_rows, bits,
                           enumerate_poset_types, enumerate_posets, poset_isomorphism,
                           poset_quotient, transitive_closure)
@@ -609,8 +610,10 @@ def test_positive_semantics_delta_refused_on_five_states(model, formula):
 
 
 # 1, 1.0 and True are equal but print apart, so a memo keyed by value
-# would give one of them the text of another.
-SCALARS = st.sampled_from(["a", "b", "ab", "", 0, 1, 1.0, True, False, None])
+# would give one of them the text of another.  The strings hold what JSON
+# escapes: quotes, backslashes and characters outside ASCII.
+SCALARS = st.sampled_from(["a", "b", "ab", "", 0, 1, -7, 1.0, 2.5, True, False, None,
+                           'q"t', "b\\s", "é€😀"])
 
 
 def nested(children):
@@ -635,18 +638,28 @@ def labelled_posets(draw, max_size=6):
 
 @checked
 @given(labelled_posets())
-def test_the_renderer_formats_each_element_and_cover_in_order(x):
-    names, covers = render_poset(x)
-    assert names == [format_label(e) for e in x.elements]
-    assert covers == [[format_label(a), format_label(b)] for a, b in x.covers()]
+@example(FinPoset((), ()))
+@example(FinPoset(('"é\\',), (1,)))
+def test_the_writer_formats_each_element_and_cover_in_order(x):
+    """The writer's text is that of ``json.dumps`` for the elements by
+    ``format_label`` in carrier order and the pairs of ``covers()``."""
+    names = [format_label(e) for e in x.elements]
+    covers = [[format_label(a), format_label(b)] for a, b in x.covers()]
+    for report, value in ((True, {"size": len(x), "elements": names, "covers": covers}),
+                          (False, {"elements": names, "leq": covers})):
+        assert write_poset(x, report, "\n") == json.dumps(value, indent=2, sort_keys=True)
+        # placed by json_text as a value of a report
+        assert json_text({"k": write_poset(x, report)}) == \
+            json.dumps({"k": value}, indent=2, sort_keys=True)
 
 
-def test_the_renderer_keeps_equal_members_of_other_types_apart():
+def test_the_writer_keeps_equal_members_of_other_types_apart():
     one = frozenset({1})
     x = FinPoset.chain([(one, "x"), (frozenset({True}), one), (1.0, (1,))])
-    assert render_poset(x) == (["({1},x)", "({true},{1})", "(1.0,(1))"],
-                               [["({1},x)", "({true},{1})"],
-                                ["({true},{1})", "(1.0,(1))"]])
+    report = json.loads(write_poset(x, indent="\n"))
+    assert (report["elements"], report["covers"]) == (
+        ["({1},x)", "({true},{1})", "(1.0,(1))"],
+        [["({1},x)", "({true},{1})"], ["({true},{1})", "(1.0,(1))"]])
 
 
 @st.composite
