@@ -230,7 +230,7 @@ def prime_filter_poset(a: FinDistLattice) -> FinPoset:
             gens.append(m)
     # filter inclusion: {x : x >= m} <= {x : x >= m'} iff m' <= m
     ups = tuple(sum(1 << k for k, m2 in enumerate(gens) if not m2 & ~m) for m in gens)
-    return FinPoset(tuple(gens), ups)
+    return FinPoset(gens, ups)
 
 
 def free_ba(gens: tuple) -> FinBoolAlg:
@@ -393,7 +393,7 @@ def lattice_from_elements(members: Iterable) -> SubLattice:
             irreducibles.append(m)
     ups = tuple(sum(1 << k for k, j2 in enumerate(irreducibles) if not j2 & ~j)
                 for j in irreducibles)
-    lat = FinDistLattice(spectrum=FinPoset(tuple(irreducibles), ups))
+    lat = FinDistLattice(spectrum=FinPoset(irreducibles, ups))
     restrict = {m: sum(1 << k for k, j in enumerate(irreducibles) if not j & ~m)
                 for m in members}
     embed = {s: m for m, s in restrict.items()}

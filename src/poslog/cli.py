@@ -56,19 +56,16 @@ def _write_dot(text: str, path: str) -> None:
 def cmd_posetify(args) -> int:
     t = parse_functor(args.functor)
     poset = pio.load_poset(pio.read_json(args.poset))
-    report = {"functor": t.name, "poset": pio.write_poset(poset, report=False),
+    report = {"functor": t.name, "poset": pio.poset_to_dict(poset),
               "method": args.method}
     if args.method == "both":
         result = cross_check(t, poset)
-        gen, clo = result.generic, result.closed
-        report["closed"] = pio.write_poset(clo.result)
-        # equal posets print the same: write the closed form's once.  Only nb's
-        # closed form decodes other than the generic route, over the components
-        same = gen.result == clo.result if t.name == "nb" else gen.order == clo.order
-        report["generic"] = report["closed"] if same else pio.write_poset(gen.result)
+        chosen = result.closed
+        report["closed"] = chosen.result
+        # equal posets print the same: write the closed form's once
+        report["generic"] = chosen.result if result.same_result() else result.generic.result
         report["agree"] = result.ok
         report["detail"] = result.detail
-        chosen = clo
         if not result.ok:
             _emit(report)
             return 1
@@ -77,7 +74,7 @@ def cmd_posetify(args) -> int:
             chosen = posetify_generic(t, poset)
         else:
             chosen = closed_form(t, poset)
-        report["result"] = pio.write_poset(chosen.result)
+        report["result"] = chosen.result
     if args.dot:
         _write_dot(pio.poset_dot(chosen.result, title=f"{t.name} lifting"),
                    args.dot)
@@ -91,9 +88,9 @@ def cmd_positivize(args) -> int:
     p = positivize(l, lattice)
     report = {
         "syntax": args.syntax,
-        "input_spectrum": pio.write_poset(lattice.spectrum, report=False),
+        "input_spectrum": pio.poset_to_dict(lattice.spectrum),
         "result_size": len(p.members),
-        "result_spectrum": pio.write_poset(p.result.spectrum),
+        "result_spectrum": p.result.spectrum,
     }
     if args.check_closed_form:
         want = l.closed_form(lattice)
@@ -116,7 +113,7 @@ def cmd_dualize(args) -> int:
         poset = pio.load_poset(pio.read_json(args.poset))
         lat = up_algebra(poset)
         elems = lat.carrier()
-        _emit({"poset": pio.write_poset(poset),
+        _emit({"poset": poset,
                "upset_lattice": {
                    "size": len(elems),
                    "elements": [pio.format_label(poset.labels(e)) for e in elems]}})
@@ -126,9 +123,8 @@ def cmd_dualize(args) -> int:
     spectrum = lat.spectrum
     computed = prime_filter_poset(lat)
     _emit({"lattice_size": len(lat.carrier()),
-           "spectrum": pio.write_poset(spectrum),
-           "prime_filters": pio.write_poset(
-               computed.relabel(map(spectrum.labels, computed.elements)))})
+           "spectrum": spectrum,
+           "prime_filters": computed.relabel(map(spectrum.labels, computed.elements))})
     return 0
 
 

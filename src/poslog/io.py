@@ -65,18 +65,13 @@ def poset_to_dict(p: FinPoset) -> dict:
     return {"elements": names, "leq": [[names[i], names[j]] for i, j in p.cover_indices()]}
 
 
-class JSONText(str):
-    """JSON text that :func:`json_text` places as it stands."""
-
-    __slots__ = ()
-
-
-def write_poset(p: FinPoset, report: bool = True, indent: str = "\n  ") -> JSONText:
-    """What :func:`json_text` writes at ``indent`` (by default, as a value
-    of a report) for ``{"covers": ..., "elements": ..., "size": len(p)}``,
-    or without ``report`` for :func:`poset_to_dict` of ``p``.  Each element
-    is named (one memo for the frozensets labels share) and quoted once,
-    and each pair of :meth:`FinPoset.cover_indices` takes one format."""
+def _poset_text(p: FinPoset, indent: str) -> str:
+    """What :func:`json_text` writes at ``indent`` for ``{"covers": ...,
+    "elements": ..., "size": len(p)}``, with the elements by
+    :func:`format_label` in carrier order and the pairs of
+    :meth:`FinPoset.covers`.  Each element is named (one memo for the
+    frozensets labels share) and quoted once, and each pair of
+    :meth:`FinPoset.cover_indices` takes one format."""
     memo = {}
     quoted = [_quote(_name(e, memo)) for e in p.elements]
     inner = indent + "  "
@@ -87,9 +82,8 @@ def write_poset(p: FinPoset, report: bool = True, indent: str = "\n  ") -> JSONT
         return "[" + item + ("," + item).join(texts) + inner + "]" if texts else "[]"
 
     covers = array([pair % (quoted[i], quoted[j]) for i, j in p.cover_indices()])
-    fields = [f'"covers": {covers}', f'"elements": {array(quoted)}', f'"size": {len(quoted)}'] \
-        if report else [f'"elements": {array(quoted)}', f'"leq": {covers}']
-    return JSONText("{" + inner + ("," + inner).join(fields) + indent + "}")
+    return "{" + inner + f'"covers": {covers},' + inner + f'"elements": {array(quoted)},' \
+        + inner + f'"size": {len(quoted)}' + indent + "}"
 
 
 def load_lattice(data: Any):
@@ -162,13 +156,14 @@ def json_text(value, indent: str = "\n") -> str:
     ``json.dumps`` runs its pure-Python encoder.  Dict keys must be
     strings; a scalar other than a string, bool, None or int goes to
     ``json.dumps``.  ``indent`` is the newline and indentation that come
-    before a closing bracket of ``value``.  A :class:`JSONText` is placed
-    as it stands.  A value held under several keys of one dict, such as a
-    report shared by two routes, is written once."""
+    before a closing bracket of ``value``.  A :class:`FinPoset` is written
+    as its report ``{"covers": ..., "elements": ..., "size": ...}``.  A
+    value held under several keys of one dict, such as a report shared by
+    two routes, is written once."""
     if value.__class__ is str:
         return _quote(value)
-    if value.__class__ is JSONText:
-        return value
+    if value.__class__ is FinPoset:
+        return _poset_text(value, indent)
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:

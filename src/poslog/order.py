@@ -436,7 +436,7 @@ def poset_quotient(r: Preorder) -> tuple:
     classes = {}  # row -> class index, in the order of least members
     projection = tuple([classes.setdefault(row, len(classes)) for row in succ])
     if len(classes) == len(succ):
-        return FinPoset(tuple(r.carrier), succ), projection
+        return FinPoset(r.carrier, succ), projection
     members = [0] * len(classes)
     reps = [-1] * len(classes)
     for i, k in enumerate(projection):

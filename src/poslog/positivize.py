@@ -196,7 +196,7 @@ def _edge_preorder_lattice(h1: BAHom, h2: BAHom, members: Sequence, labels) -> t
         return s
 
     ups = tuple(map(restrict, irreducibles))
-    result = up_algebra(FinPoset(tuple(map(labels, irreducibles)), ups))
+    result = up_algebra(FinPoset(map(labels, irreducibles), ups))
     embed = {restrict(m): m for m in members}
     if result.size() != len(members):
         raise AssertionError("inserter members are not the closed sets of the dual edges")

@@ -447,7 +447,7 @@ def check_discrete_identity():
 def check_pow_transitive():
     for p in small_posets(3):
         r = lift_relation_generic(pow_functor(), p)
-        if transitive_closure(r) != r:
+        if not r.is_transitive():
             return False, f"one-step powerset lifting not transitive on {p.elements}"
     return True, "one-step lifting already transitive"
 
@@ -458,7 +458,7 @@ def check_mnb_transitivity_probe():
     failures = []
     for p in small_posets(3):
         r = lift_relation_generic(mnb_functor(), p)
-        if transitive_closure(r) != r:
+        if not r.is_transitive():
             failures.append(p.elements)
     if failures:
         return True, f"non-transitive one-step lifting found on {len(failures)} posets"

@@ -213,25 +213,27 @@ class TestCli:
 
     def test_posetify_both_builds_the_generic_labels_only_to_print_them(
             self, tmp_path, monkeypatch):
-        """Both routes of bag and poly decode their codes over the poset,
-        so equal orders print the same and the generic route's labels are
-        not built.  nb's closed form decodes over the components, so its
-        routes are compared by their labels."""
+        """Where the two routes' orders are equal they print the same, and
+        the generic route's labels are not built.  nb's closed form decodes
+        over the components: on the two-chain its order and its labels
+        differ from the generic route's, and both are printed."""
         import poslog.cli as cli
-        vee, pair = tmp_path / "vee.json", tmp_path / "pair.json"
+        vee, pair, chain2 = (tmp_path / f"{name}.json" for name in ("vee", "pair", "chain2"))
         vee.write_text(json.dumps({"elements": ["a", "b", "c"],
                                    "leq": [["a", "b"], ["a", "c"]]}))
         pair.write_text(json.dumps({"elements": ["a", "b"]}))
+        chain2.write_text(json.dumps({"elements": ["a", "b"], "leq": [["a", "b"]]}))
         routes = []
         monkeypatch.setattr(cli, "cross_check",
                             lambda t, x: routes.append(cross_check(t, x)) or routes[-1])
-        for functor, poset, built in (("bag:2", vee, False), ("poly:sigma=f:2:1", vee, False),
-                                      ("nb", pair, True)):
+        for functor, poset, same in (("bag:2", vee, True), ("poly:sigma=f:2:1", vee, True),
+                                     ("nb", pair, True), ("nb", chain2, False)):
             rc, out, _ = run_main("posetify", "--functor", functor,
                                   "--poset", str(poset), "--method", "both")
             report = json.loads(out)
-            assert rc == 0 and report["agree"] and report["generic"] == report["closed"]
-            assert (routes[-1].generic._result is not None) == built
+            assert rc == 0 and report["agree"]
+            assert (report["generic"] == report["closed"]) == same
+            assert (routes[-1].generic._result is None) == same
 
     def test_posetify_deterministic_output(self, files):
         args = ("posetify", "--functor", "mnb",

@@ -6,8 +6,8 @@ import pytest
 
 from poslog.errors import BudgetExceeded, budget
 from poslog.functors import (_families, lift_relation_generic, mnb_functor,
-                             multiset_functor, nb_functor, pow_functor)
-from poslog.order import FinPoset, Preorder
+                             multiset_functor, nb_functor, parse_functor, pow_functor)
+from poslog.order import FinPoset, Preorder, enumerate_posets
 from poslog.posetify import (Posetification, closed_form, cross_check, posetify_generic,
                              posetify_mnb, posetify_nb, posetify_powerset)
 
@@ -183,6 +183,20 @@ class TestCrossCheck:
         t = dataclasses.replace(pow_functor(), closed_form=lambda t, x: split)
         r = cross_check(t, x)
         assert not r.ok and r.detail.startswith("projections disagree at ")
+
+    @pytest.mark.parametrize("functor", ["pow", "bag:2", "poly:sigma=f:2:1", "mnb", "nb"])
+    def test_equal_orders_mean_equal_results(self, functor):
+        """The CLI prints one text for both routes when their orders are
+        equal, so equal orders must mean equal results, on every poset of
+        up to two elements and on a two-chain beside a point.  nb's closed
+        form decodes over the least element of each component: where a
+        component has two elements its order and its labels differ from
+        the generic route's (the class {{a,b}} against {{a}})."""
+        apart = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")], complete=True)
+        for x in [*enumerate_posets(()), *enumerate_posets(("a",)),
+                  *enumerate_posets(("a", "b")), apart]:
+            r = cross_check(parse_functor(functor), x)
+            assert r.ok and r.same_result() == (r.generic.result == r.closed.result)
 
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceeded):

@@ -17,7 +17,7 @@ from poslog.algebra import (BAHom, FinBoolAlg, LatticeHom, ba_inserter,
 from poslog.errors import BudgetExceeded, InputError
 from poslog.functors import (_families, carrier_labels, mnb_functor, multiset_functor,
                              nb_functor, poly_functor, pow_functor)
-from poslog.io import format_label, json_text, write_poset
+from poslog.io import format_label, json_text
 from poslog.order import (FinPoset, MonotoneMap, Preorder, _close_rows, bits,
                           enumerate_poset_types, enumerate_posets, poset_isomorphism,
                           poset_quotient, transitive_closure)
@@ -641,22 +641,21 @@ def labelled_posets(draw, max_size=6):
 @example(FinPoset((), ()))
 @example(FinPoset(('"é\\',), (1,)))
 def test_the_writer_formats_each_element_and_cover_in_order(x):
-    """The writer's text is that of ``json.dumps`` for the elements by
-    ``format_label`` in carrier order and the pairs of ``covers()``."""
+    """A poset in a report is written as ``json.dumps`` writes the elements
+    by ``format_label`` in carrier order and the pairs of ``covers()``,
+    at the depth where it is placed."""
     names = [format_label(e) for e in x.elements]
     covers = [[format_label(a), format_label(b)] for a, b in x.covers()]
-    for report, value in ((True, {"size": len(x), "elements": names, "covers": covers}),
-                          (False, {"elements": names, "leq": covers})):
-        assert write_poset(x, report, "\n") == json.dumps(value, indent=2, sort_keys=True)
-        # placed by json_text as a value of a report
-        assert json_text({"k": write_poset(x, report)}) == \
-            json.dumps({"k": value}, indent=2, sort_keys=True)
+    value = {"size": len(x), "elements": names, "covers": covers}
+    for report in (x, {"k": x}, {"k": [{"l": x}, x]}):
+        assert json_text(report) == json.dumps(report, default=lambda _: value,
+                                               indent=2, sort_keys=True)
 
 
 def test_the_writer_keeps_equal_members_of_other_types_apart():
     one = frozenset({1})
     x = FinPoset.chain([(one, "x"), (frozenset({True}), one), (1.0, (1,))])
-    report = json.loads(write_poset(x, indent="\n"))
+    report = json.loads(json_text(x))
     assert (report["elements"], report["covers"]) == (
         ["({1},x)", "({true},{1})", "(1.0,(1))"],
         [["({1},x)", "({true},{1})"], ["({true},{1})", "(1.0,(1))"]])
