@@ -5,7 +5,7 @@ to distributive lattices, derives the lifted semantics, and verifies the
 closed forms and transfer properties by exhaustive computation.
 """
 
-from .errors import Budget, BudgetExceeded, InputError, budget
+from .errors import BudgetExceeded, InputError, budget
 from .order import (FinPoset, MonotoneMap, Preorder, connected_components,
                     cotensor2, poset_isomorphism, poset_quotient,
                     transitive_closure)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InputError, check_enum_budget, check_generator_budget
+from .errors import InputError, check_enum_budget
 from .functors import powerset
 from .order import (FinPoset, MonotoneMap, Value, bits, cotensor2, diagonal_section,
                     poset_isomorphism, unions)
@@ -239,12 +239,12 @@ def free_ba(gens: tuple) -> FinBoolAlg:
     A valuation is labelled by the set of generators it sends to true, and
     atom ``k`` is the valuation of the generators in the mask ``k``, so the
     algebra has ``2^len(gens)`` atoms and ``2^2^len(gens)`` elements.
-    Oversized generator sets are refused, not truncated.
+    The atoms are counted against the budget before any is built.
     """
     gens = tuple(gens)
     if len(set(gens)) != len(gens):
         raise InputError("generators must be distinct")
-    check_generator_budget(len(gens))
+    check_enum_budget(1 << len(gens), "free boolean algebra")
     return FinBoolAlg(atoms=powerset(gens))
 
 

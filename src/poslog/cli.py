@@ -18,8 +18,7 @@ from types import SimpleNamespace
 
 from . import io as pio
 from .algebra import lattice_isomorphic, prime_filter_poset, up_algebra
-from .errors import (BudgetExceeded, DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS,
-                     InputError, budget)
+from .errors import BudgetExceeded, DEFAULT_MAX_ENUM, InputError, budget
 from .functors import parse_functor
 from .posetify import closed_form, cross_check, posetify_generic
 from .positivize import SYNTAXES, parse_syntax, positivize
@@ -227,9 +226,7 @@ def _choice(verb, name: str, value: str, choices) -> str:
 # value is stored under the name without its leading "--", "-" as "_".
 REQUIRED, HELP = object(), ("-h", "--help")
 COMMON = (("--max-enum", DEFAULT_MAX_ENUM, _budget,
-           "largest enumeration allowed before refusal"),
-          ("--max-generators", DEFAULT_MAX_GENERATORS, _budget,
-           "largest free-algebra generator set allowed"))
+           "largest enumeration allowed before refusal"),)
 VERBS = {
     "posetify": (cmd_posetify, "lift a set functor to a poset", (
         ("--functor", REQUIRED, None,
@@ -374,10 +371,10 @@ def _run(argv: list) -> int:
         _out(args)
         return 0
     try:
-        with budget(args.max_enum, args.max_generators):
+        with budget(args.max_enum):
             return args.fn(args)
     except BudgetExceeded as exc:
-        print(f"budget refused: {exc}; raise it with {exc.flag}", file=sys.stderr)
+        print(f"budget refused: {exc}; raise it with --max-enum", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"malformed input: {exc}", file=sys.stderr)

@@ -517,7 +517,7 @@ def lift_relation_generic(t: SetFunctor, x: FinPoset) -> Preorder:
             f"{t.name} on {len(xsq)} comparable pairs exceeds the budget "
             f"and no closed-form lifting is available",
             stage=f"{t.name} on the comparable pairs",
-            requested=t.size_estimate(len(xsq)), cap=current_budget().max_enum)
+            requested=t.size_estimate(len(xsq)), cap=current_budget())
     r = t.step_relation(x)
     if r.carrier != t.on_obj(x.elements):
         raise AssertionError(f"{t.name}: closed-form lifting disagrees on carrier")

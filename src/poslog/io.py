@@ -36,8 +36,7 @@ def load_poset(data: Any) -> FinPoset:
             any(not isinstance(p, list) or len(p) != 2 for p in pairs):
         raise InputError("'leq' must be a list of [a, b] pairs")
     _labels(elements + [v for p in pairs for v in p], "poset labels")
-    return FinPoset.from_pairs(elements, [tuple(p) for p in pairs],
-                               complete=True)
+    return FinPoset.from_pairs(elements, [tuple(p) for p in pairs])
 
 
 def _name(label, memo: dict) -> str:
@@ -199,7 +198,9 @@ def read_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an
+        # integer too long to convert; RecursionError is nesting too deep
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -145,13 +145,13 @@ class FinPoset(Value, fields=("elements", "upmask")):
         object.__setattr__(self, "downmask", tuple(downmask))
 
     @classmethod
-    def from_pairs(cls, elements: Iterable, pairs: Iterable, complete: bool = False):
+    def from_pairs(cls, elements: Iterable, pairs: Iterable):
         """Build a poset from ``a <= b`` label pairs.
 
-        With ``complete=True`` the reflexive-transitive closure of the pairs
-        is taken first, so inputs may omit implied pairs (this is the JSON
-        convention).  Antisymmetry is always enforced; on rows closed here
-        (the down-set rows from the reversed pairs) it is all that can fail.
+        The reflexive-transitive closure of the pairs is taken first, so
+        inputs may omit implied pairs (this is the JSON convention).  On
+        rows closed here (the down-set rows from the reversed pairs)
+        antisymmetry is all that can fail.
         """
         elems = tuple(elements)
         index = {e: i for i, e in enumerate(elems)}
@@ -162,8 +162,6 @@ class FinPoset(Value, fields=("elements", "upmask")):
                 raise InputError(f"pair ({a!r}, {b!r}) mentions unknown element")
             ups[index[a]] |= 1 << index[b]
             downs[index[b]] |= 1 << index[a]
-        if not complete:
-            return cls(elems, tuple(ups))
         p = cls._trusted(elems, _close_rows(ups), _close_rows(downs))
         for i, (up, down) in enumerate(zip(p.upmask, p.downmask)):
             both = up & down & ~(1 << i)

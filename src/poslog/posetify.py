@@ -14,7 +14,7 @@ from functools import reduce
 from operator import and_, or_
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import InputError, check_enum_budget, fits
+from .errors import InputError, check_enum_budget
 from .functors import (SetFunctor, lift_relation_generic, mnb_functor,
                        nb_functor, pow_functor)
 from .order import (FinPoset, Preorder, bits, connected_components,
@@ -29,9 +29,8 @@ class Posetification:
     and ``order`` is the lifted poset over the codes of canonical class
     representatives; ``e[i]`` is the index in ``order`` of the class of
     ``carrier[i]``, and ``witness`` is the transitively closed lifted
-    relation on the carrier that induced the quotient.  The witness may be
-    None when the carrier is too large to store a quadratic relation (the
-    discrete neighbourhood collapse on four-element posets).  ``decode``
+    relation on the carrier that induced the quotient.  The neighbourhood
+    collapse, which is read only for its classes, carries None.  ``decode``
     labels the codes of ``order``; ``result`` is ``order`` over labels,
     sharing its rows, built on first use.  Two results are equal only if
     they are one object.
@@ -154,13 +153,7 @@ def posetify_nb(x: FinPoset) -> Posetification:
     result = FinPoset.discrete(nb.on_obj(comps))
     carrier = nb.on_obj(x.elements)
     e = tuple(map(nb.on_mor(comp, len(comps)), carrier))
-    witness = None
-    if fits(len(carrier) ** 2):
-        classes = [0] * len(result)  # the mask of the members of each class
-        for k, c in enumerate(e):
-            classes[c] |= 1 << k
-        witness = Preorder(carrier, tuple(classes[c] for c in e))
-    return Posetification(result, e, carrier, witness, nb.decode(comps))
+    return Posetification(result, e, carrier, None, nb.decode(comps))
 
 
 # ------------------------------------------------------- analytic functors

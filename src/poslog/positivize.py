@@ -31,20 +31,20 @@ class BAFunctor:
     """A syntax-building endofunctor of finite Boolean algebras.
 
     ``closed_form`` gives the lifting at a lattice without the inserter.
+    ``count_atoms(b)`` is the number of atoms of ``on_obj(b)``; it refuses
+    ``on_obj(b)`` as ``on_obj`` would, before any atom is built.
     ``diamond(b, x)``/``box(b, x)`` optionally give the action of the
     modality generators on an element ``x`` of the argument algebra ``b``,
     an element of ``on_obj(b)``, to track modal operators through the
-    lifting.  ``count_atoms(b)``, when given, is the number of atoms of
-    ``on_obj(b)``; it refuses ``on_obj(b)`` as ``on_obj`` would, before
-    any atom is built."""
+    lifting."""
 
     name: str
     on_obj: Callable[[FinBoolAlg], FinBoolAlg]
     on_mor: Callable[[BAHom], BAHom]
     closed_form: Callable[[FinDistLattice], FinDistLattice]
+    count_atoms: Callable[[FinBoolAlg], int]
     diamond: Optional[Callable[[FinBoolAlg, int], int]] = None
     box: Optional[Callable[[FinBoolAlg, int], int]] = None
-    count_atoms: Optional[Callable[[FinBoolAlg], int]] = None
 
 
 def semantic_l(t: SetFunctor) -> BAFunctor:
@@ -89,14 +89,20 @@ def semantic_l(t: SetFunctor) -> BAFunctor:
 
     return BAFunctor(f"semantic:{t.name}", on_obj, on_mor,
                      lambda a: up_algebra(closed_form(t, a.spectrum).result),
-                     modal(t.diamond), modal(t.box),
-                     lambda b: len(codes(b.atoms)))
+                     lambda b: len(codes(b.atoms)), modal(t.diamond), modal(t.box))
 
 
 def free_l() -> BAFunctor:
     """One unary modality obeying no equations: the free Boolean algebra
     over the carrier, with the box generator given by the unit.  The
-    generators are labelled by the labels of the elements, in mask order."""
+    generators are labelled by the labels of the elements, in mask order.
+    The algebra over ``b`` has ``2^size(b)`` atoms, counted before the
+    generators are labelled."""
+
+    def count_atoms(b: FinBoolAlg) -> int:
+        atoms = 1 << len(b.carrier())
+        check_enum_budget(atoms, "free boolean algebra")
+        return atoms
 
     def gens_of(b: FinBoolAlg) -> tuple:
         return tuple(map(b.labels, b.carrier()))
@@ -111,7 +117,7 @@ def free_l() -> BAFunctor:
     def box(b: FinBoolAlg, x: int) -> int:
         return free_ba_generator(on_obj(b), b.labels(x))
 
-    return BAFunctor("free", on_obj, on_mor, closed_form_fu, box=box)
+    return BAFunctor("free", on_obj, on_mor, closed_form_fu, count_atoms, box=box)
 
 
 SYNTAXES = ("dunn", "free", "semantic:pow", "semantic:mnb", "semantic:nb")
@@ -218,15 +224,14 @@ def positivize(l: BAFunctor, a: FinDistLattice) -> Positivication:
     t2 = tensor2(a)
     gh1 = g_of_hom(t2.in1)
     gh2 = g_of_hom(t2.in2)
-    if l.count_atoms:
-        # the ambient algebra, then the ordered double: the order in which
-        # on_obj and on_mor below would refuse them
-        atoms = l.count_atoms(galg)
-        l.count_atoms(gh1.target)
-        # the whole ambient carrier is the result when gh1 == gh2 (so lh1 ==
-        # lh2), else the inserter sweeps it: refused before any label is built
-        check_enum_budget(1 << atoms,
-                          "boolean algebra carrier" if gh1 == gh2 else "inserter sweep")
+    # the ambient algebra, then the ordered double: the order in which
+    # on_obj and on_mor below would refuse them
+    atoms = l.count_atoms(galg)
+    l.count_atoms(gh1.target)
+    # the whole ambient carrier is the result when gh1 == gh2 (so lh1 ==
+    # lh2), else the inserter sweeps it: refused before any label is built
+    check_enum_budget(1 << atoms,
+                      "boolean algebra carrier" if gh1 == gh2 else "inserter sweep")
     lga = l.on_obj(galg)
     lh1 = l.on_mor(gh1)
     lh2 = l.on_mor(gh2)

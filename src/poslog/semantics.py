@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 from .algebra import up_algebra
-from .errors import Budget, InputError, check_enum_budget, current_budget
+from .errors import InputError, check_enum_budget, current_budget
 from .functors import carrier_labels, pow_functor
 from .order import FinPoset, Value, bits
 from .posetify import Posetification, count_convex_powerset, posetify_powerset
@@ -392,7 +392,7 @@ def interpret_boolean(c: Coalgebra, valuation: dict, phi: Formula) -> int:
 # Keyed on the budget in force, which the body does not otherwise read, so
 # that nothing built under one budget is handed out under another.
 @lru_cache(maxsize=64)
-def _positive_context(carrier: FinPoset, budget: Budget):
+def _positive_context(carrier: FinPoset, budget: int):
     """Shared machinery for the reference route over one poset.  The
     convex powerset is counted first but built last, so that a carrier
     that ``positivize`` refuses never builds its relation on all subsets."""

@@ -31,7 +31,8 @@ LABELS = ("a", "b", "c", "d")
 POLY = "poly:sigma=f:2:1,c:0:2"
 
 
-@lru_cache(maxsize=None)
+# A size past len(LABELS) adds no labels, so these bounds keep every size.
+@lru_cache(maxsize=len(LABELS) + 1)
 def small_posets(max_size: int) -> tuple:
     """Every poset on the first ``n`` of ``LABELS``, for each ``n <= max_size``."""
     out = []
@@ -40,7 +41,7 @@ def small_posets(max_size: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(LABELS) + 1)
 def iso_representatives(max_size: int) -> tuple:
     """The first of ``small_posets(max_size)`` of each isomorphism type,
     found by canonical extension (:func:`enumerate_poset_types`)."""

@@ -48,7 +48,7 @@ class TestLattices:
 
     def test_distributivity_spot_check(self):
         lat = up_algebra(FinPoset.from_pairs(
-            ("a", "b", "c"), [("a", "b")], complete=True))
+            ("a", "b", "c"), [("a", "b")]))
         elems = lat.carrier()
         for x in elems:
             for y in elems:
@@ -66,7 +66,7 @@ class TestLattices:
     def test_up_algebra_sizes(self):
         assert len(up_algebra(FinPoset.discrete(("a", "b"))).carrier()) == 4
         assert len(three_chain().carrier()) == 3
-        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")], complete=True)
+        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")])
         # oracle: count upsets directly
         direct = [s for s in range(1 << len(p)) if p.up_of(s) == s]
         assert len(up_algebra(p).carrier()) == len(direct) == 6
@@ -129,7 +129,7 @@ class TestSpectrum:
             pairs = [(labels[i], labels[j])
                      for i in range(5) for j in range(i + 1, 5)
                      if rng.random() < 0.4]
-            p = FinPoset.from_pairs(labels, pairs, complete=True)
+            p = FinPoset.from_pairs(labels, pairs)
             a = up_algebra(p)
             assert len(a.carrier()) <= 32
             pf = prime_filter_poset(a)
@@ -143,10 +143,12 @@ class TestFreeBA:
         assert free_ba(("x", "y")[:n]).size() == size
 
     def test_budget_refusal(self):
+        with budget(max_enum=256):
+            assert len(free_ba(tuple(range(8))).atoms) == 256
         with pytest.raises(BudgetExceeded) as refused:
-            with budget(max_generators=8):
-                free_ba(tuple(range(9)))
-        assert refused.value.flag == "--max-generators"
+            with budget(max_enum=255):
+                free_ba(tuple(range(8)))
+        assert (refused.value.stage, refused.value.requested) == ("free boolean algebra", 256)
 
     def test_generator_embedding(self):
         fb = free_ba(("g", "h"))
@@ -223,7 +225,7 @@ class TestKernel:
             {frozenset(), frozenset(["p", "q"])}
 
     def test_chain_plus_point(self):
-        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")], complete=True)
+        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")])
         k, embed = kernel_K(up_algebra(p))
         assert k.size() == 4
         # oracle: complemented upsets are exactly the component unions

@@ -7,8 +7,7 @@ import pytest
 
 from poslog import verify
 from poslog.algebra import BAHom, FinBoolAlg, up_algebra
-from poslog.errors import (Budget, BudgetExceeded, DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS,
-                           budget, current_budget)
+from poslog.errors import BudgetExceeded, DEFAULT_MAX_ENUM, budget, current_budget
 from poslog.functors import pow_functor
 from poslog.order import FinPoset
 from poslog.positivize import free_l, semantic_l
@@ -16,21 +15,20 @@ from poslog.semantics import (Coalgebra, delta_pow, delta_prime, interpret_posit
                               parse_formula, positive_context)
 
 
-def test_the_default_budget_is_the_flag_defaults():
-    assert current_budget() == Budget(DEFAULT_MAX_ENUM, DEFAULT_MAX_GENERATORS)
+def test_the_default_budget_is_the_flag_default():
+    assert current_budget() == DEFAULT_MAX_ENUM
 
 
 def test_nested_blocks_restore_the_outer_budget_also_after_a_refusal():
     outer = current_budget()
     with budget(max_enum=100):
-        first = current_budget()
-        assert first == Budget(100, DEFAULT_MAX_GENERATORS)
-        with budget(max_generators=3):  # a value left out keeps the outer one
-            assert current_budget() == Budget(100, 3)
+        assert current_budget() == 100
+        with budget(max_enum=50):
+            assert current_budget() == 50
             with pytest.raises(BudgetExceeded), budget(max_enum=4):
                 up_algebra(FinPoset.discrete("abc")).carrier()
-            assert current_budget() == Budget(100, 3)
-        assert current_budget() == first
+            assert current_budget() == 50
+        assert current_budget() == 100
     assert current_budget() == outer
 
 
@@ -40,7 +38,7 @@ def test_a_thread_starts_from_the_default_budget():
         worker = threading.Thread(target=lambda: seen.append(current_budget()))
         worker.start()
         worker.join(timeout=10)
-    assert not worker.is_alive() and seen == [Budget()]
+    assert not worker.is_alive() and seen == [DEFAULT_MAX_ENUM]
 
 
 def test_a_delta_answer_is_refused_under_a_smaller_budget():
@@ -76,11 +74,14 @@ def test_free_l_reads_the_budget():
     assert (refused.value.stage, refused.value.requested) == ("boolean algebra carrier", 8)
 
 
-@pytest.mark.parametrize("check", [verify.check_fu_closed_form,
-                                   verify.check_fu_box_side_condition, verify.check_beta])
-def test_the_free_modality_checks_read_the_generator_budget(check):
+@pytest.mark.parametrize("check, stage", [
+    (verify.check_fu_closed_form, "boolean algebra carrier"),
+    (verify.check_fu_box_side_condition, "free boolean algebra"),
+    (verify.check_beta, "boolean algebra carrier"),
+])
+def test_the_free_modality_checks_read_the_budget(check, stage):
     assert check()[0]
-    with budget(max_generators=3), pytest.raises(BudgetExceeded) as refused:
+    with budget(max_enum=15), pytest.raises(BudgetExceeded) as refused:
         check()
-    assert (refused.value.stage, refused.value.requested) == ("free boolean algebra", 4)
+    assert (refused.value.stage, refused.value.requested) == (stage, 16)
 

@@ -11,7 +11,7 @@ from poslog.functors import (DEDEKIND, HUGE, _families, _multisets, carrier_labe
                              multiset_functor, nb_functor, parse_functor,
                              poly_functor, pow_functor, powerset)
 from poslog.order import FinPoset, transitive_closure
-from poslog.verify import all_functions, small_posets
+from poslog.verify import all_functions, iso_representatives, small_posets
 
 
 ALL = [pow_functor(), nb_functor(), mnb_functor(), multiset_functor(3),
@@ -60,7 +60,9 @@ class TestObjectMaps:
         (powerset, lambda k: ((k,),)),
         (_families, lambda k: (k,)),
         (_multisets, lambda k: (k, 1)),
-    ], ids=["powerset", "_families", "_multisets"])
+        (small_posets, lambda k: (k,)),
+        (iso_representatives, lambda k: (k,)),
+    ], ids=["powerset", "_families", "_multisets", "small_posets", "iso_representatives"])
     def test_carrier_caches_are_bounded(self, cache, args):
         bound = cache.cache_info().maxsize
         assert bound is not None
@@ -187,39 +189,37 @@ class TestLifting:
         assert transitive_closure(r).carrier == r.carrier
 
 
-def under(fn, **caps):
-    """``fn`` run inside ``budget(**caps)``."""
+def under(fn, max_enum):
+    """``fn`` run inside ``budget(max_enum)``."""
     def run():
-        with budget(**caps):
+        with budget(max_enum):
             return fn()
     return run
 
 
-@pytest.mark.parametrize("refuse, stage, requested, cap, flag, message", [
+@pytest.mark.parametrize("refuse, stage, requested, cap, message", [
     (lambda: lift_relation_generic(nb_functor(), FinPoset.discrete(tuple("abcde"))),
-     "nb on the carrier", 1 << 32, DEFAULT_MAX_ENUM, "--max-enum",
+     "nb on the carrier", 1 << 32, DEFAULT_MAX_ENUM,
      "nb on the carrier would enumerate 4294967296 items (budget 1048576)"),
-    (under(lambda: free_ba(tuple("abc")), max_generators=2), "free boolean algebra", 3, 2,
-     "--max-generators", "free boolean algebra on 3 generators (budget 2)"),
-    (under(lambda: lift_relation_generic(nb_functor(), FinPoset.chain("pq")), max_enum=100),
-     "nb on the comparable pairs", 256, 100, "--max-enum",
+    (under(lambda: free_ba(tuple("abc")), 7), "free boolean algebra", 8, 7,
+     "free boolean algebra would enumerate 8 items (budget 7)"),
+    (under(lambda: lift_relation_generic(nb_functor(), FinPoset.chain("pq")), 100),
+     "nb on the comparable pairs", 256, 100,
      "nb on 3 comparable pairs exceeds the budget and no closed-form lifting "
      "is available"),
     # 2^1024 families on the 10 pairs of a 4-chain: past 8 points the size of
     # nb is not computed, and HUGE stands in for it
     (lambda: lift_relation_generic(nb_functor(), FinPoset.chain("pqrs")),
-     "nb on the comparable pairs", HUGE, DEFAULT_MAX_ENUM, "--max-enum",
+     "nb on the comparable pairs", HUGE, DEFAULT_MAX_ENUM,
      "nb on 10 comparable pairs exceeds the budget and no closed-form lifting "
      "is available"),
 ], ids=["check_enum_budget", "free_ba", "lift_relation_generic",
         "lift_relation_generic_uncounted"])
-def test_a_refusal_carries_its_stage_size_and_cap(refuse, stage, requested, cap, flag,
-                                                  message):
+def test_a_refusal_carries_its_stage_size_and_cap(refuse, stage, requested, cap, message):
     with pytest.raises(BudgetExceeded) as refused:
         refuse()
     exc = refused.value
-    assert (exc.stage, exc.requested, exc.cap, exc.flag, str(exc)) == \
-        (stage, requested, cap, flag, message)
+    assert (exc.stage, exc.requested, exc.cap, str(exc)) == (stage, requested, cap, message)
 
 
 class TestParsing:

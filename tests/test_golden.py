@@ -380,7 +380,7 @@ REFUSALS = [
     ('verify --suite posetify --max-enum 1', 2, 'budget refused: pow cross-check comparison would enumerate 4 items (budget 1); raise it with --max-enum'),
     ('verify --suite positivize --max-enum 1', 2, 'budget refused: boolean algebra carrier would enumerate 2 items (budget 1); raise it with --max-enum'),
     ('verify --suite semantics --max-enum 1', 2, 'budget refused: semantic component domain would enumerate 2 items (budget 1); raise it with --max-enum'),
-    ('positivize --syntax free --lattice @dl-chain2.json --max-generators 2', 2, 'budget refused: free boolean algebra on 4 generators (budget 2); raise it with --max-generators'),
+    ('positivize --syntax free --lattice @dl-chain2.json --max-enum 15', 2, 'budget refused: free boolean algebra would enumerate 16 items (budget 15); raise it with --max-enum'),
 ]
 
 

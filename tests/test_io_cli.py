@@ -723,13 +723,11 @@ class TestCli:
          "--formula", "p"),
         ("verify", "--suite", "order"),
         ("export-dot", "--input", "p.json")])
-    @pytest.mark.parametrize("flag, value", [("--max-enum", "0"),
-                                             ("--max-enum", "-5"),
-                                             ("--max-generators", "-1")])
-    def test_budget_below_one_exit_three(self, argv, flag, value):
-        rc, out, err = run_main(*argv, flag, value)
+    @pytest.mark.parametrize("value", ["0", "-5", "-1"])
+    def test_budget_below_one_exit_three(self, argv, value):
+        rc, out, err = run_main(*argv, "--max-enum", value)
         assert rc == 3 and out == ""
-        assert f"argument {flag}: must be positive" in err
+        assert "argument --max-enum: must be positive" in err
 
     def test_a_refusal_names_the_flag_that_raises_its_cap(self, files):
         rc, out, err = run_main("posetify", "--functor", "pow", "--max-enum", "3",
@@ -737,11 +735,11 @@ class TestCli:
         assert (rc, out) == (2, "")
         assert err == ("budget refused: pow cross-check comparison would enumerate "
                        "16 items (budget 3); raise it with --max-enum\n")
-        rc, out, err = run_main("positivize", "--syntax", "free", "--max-generators", "2",
+        rc, out, err = run_main("positivize", "--syntax", "free", "--max-enum", "15",
                                 "--lattice", str(files / "threechain.json"))
         assert (rc, out) == (2, "")
-        assert err == ("budget refused: free boolean algebra on 4 generators "
-                       "(budget 2); raise it with --max-generators\n")
+        assert err == ("budget refused: free boolean algebra would enumerate 16 items "
+                       "(budget 15); raise it with --max-enum\n")
 
     def test_main_builds_its_parser_once_and_answers_alike_every_call(self, files):
         """``main`` may be called many times in one process: a second round
@@ -850,6 +848,28 @@ class TestCli:
                     "--poset", str(files / "bad.json"))
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("content", [b"[" * 200_000, b"1" * 5_000, b"\xff\xfe{"],
+                             ids=["nested-too-deep", "integer-too-long", "not-utf-8"])
+    @pytest.mark.parametrize("argv", [
+        ("posetify", "--functor", "pow", "--poset", "{bad}"),
+        ("positivize", "--syntax", "dunn", "--lattice", "{bad}"),
+        ("dualize", "--poset", "{bad}"),
+        ("dualize", "--lattice", "{bad}"),
+        ("interpret", "--coalgebra", "{bad}", "--valuation", "{val}", "--formula", "p"),
+        ("interpret", "--coalgebra", "{kripke}", "--valuation", "{bad}", "--formula", "p"),
+        ("export-dot", "--input", "{bad}"),
+    ], ids=lambda argv: "-".join(a for a in argv[:3] if a != "{bad}"))
+    def test_json_that_cannot_be_decoded_exits_three(self, files, tmp_path, content, argv):
+        """Nesting past the recursion limit, an integer past Python's digit
+        limit and bytes that are not text are malformed input, not a
+        traceback."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        names = {"bad": bad, "val": files / "val.json", "kripke": files / "kripke.json"}
+        rc, out, err = run_main(*(a.format(**names) for a in argv))
+        assert (rc, out) == (3, "")
+        assert err.startswith(f"malformed input: {bad} is not valid JSON: ")
+
     def test_unknown_verb_exit_three(self):
         assert run_cli("frobnicate").returncode == 3
 
@@ -885,41 +905,40 @@ class TestCli:
 # since only its layout may change; of other output, a digest.  The
 # stderr key is the ``error:`` line of a usage error, else all of stderr.
 CLI_GRAMMAR = [
-    ('posetify --functor pow --poset {chain2} --method generic --dot {out} --max-enum 100 '
-     '--max-generators 5', 0,
+    ('posetify --functor pow --poset {chain2} --method generic --dot {out} --max-enum 100', 0,
      'e077e65544f611bb', ''),
     ('posetify --functor pow --poset {chain2} --method closed', 0,
      'fd4e03893599eeaa', ''),
     ('posetify --functor bag:2 --poset {chain2} --method both', 0,
      '3c579ad33751ff75', ''),
     ('positivize --syntax dunn --lattice {threechain} --check-closed-form --dot {out} '
-     '--max-enum 1000 --max-generators 5', 0,
+     '--max-enum 1000', 0,
      '6e2a2d888770f746', ''),
     ('positivize --syntax free --lattice {threechain}', 0,
      '1516bf8995e53e21', ''),
-    ('dualize --lattice {threechain} --max-enum 100 --max-generators 5', 0,
+    ('dualize --lattice {threechain} --max-enum 100', 0,
      '7edf9228e62a1140', ''),
     ('dualize --poset {chain2}', 0,
      '580cda6593c8a166', ''),
     ("interpret --coalgebra {kripke} --valuation {val} --formula '(dia p)' --mode boolean "
-     '--max-enum 100 --max-generators 5', 0,
+     '--max-enum 100', 0,
      '9025d9316dc0be6c', ''),
     ("interpret --coalgebra {coalg} --valuation {val} --formula '(and p (dia p))' --mode "
      'positive', 0,
      '17da029c60056641', ''),
     ("interpret --coalgebra {coalg} --valuation {val} --formula '(dia p)'", 0,
      'e94b5760e8588388', ''),
-    ('verify --suite nope --max-enum 5 --max-generators 5', 3,
+    ('verify --suite nope --max-enum 5', 3,
      '',
      "malformed input: unknown suite 'nope'; pick from order, algebra, posetify, "
      'positivize, semantics, all'),
-    ('export-dot --input {chain2} --out {out} --max-enum 100 --max-generators 5', 0,
+    ('export-dot --input {chain2} --out {out} --max-enum 100', 0,
      '', ''),
     ('export-dot --input {threechain}', 0,
      '3ce244b132dcd02e', ''),
     ('posetify --functor=pow --poset={chain2} --method=closed', 0,
      'fd4e03893599eeaa', ''),
-    ('posetify --func pow --pos {chain2} --meth closed --max-e 100 --max-g=5', 0,
+    ('posetify --func pow --pos {chain2} --meth closed --max-e 5 --max=100', 0,
      'fd4e03893599eeaa', ''),
     ('positivize --syntax=dunn --lat {threechain} --check', 0,
      '6e2a2d888770f746', ''),
@@ -929,24 +948,20 @@ CLI_GRAMMAR = [
      'a4ddfeb07f797e5d', ''),
     ('posetify --m x', 3,
      '',
-     'poslog posetify: error: ambiguous option: --m could match --method, --max-enum, '
-     '--max-generators'),
-    ('posetify --ma=5', 3,
+     'poslog posetify: error: ambiguous option: --m could match --method, --max-enum'),
+    ('posetify --m=5', 3,
      '',
-     'poslog posetify: error: ambiguous option: --ma=5 could match --max-enum, '
-     '--max-generators'),
+     'poslog posetify: error: ambiguous option: --m=5 could match --method, --max-enum'),
     ('posetify --=x', 3,
      '',
      'poslog posetify: error: ambiguous option: --=x could match --help, --functor, '
-     '--poset, --method, --dot, --max-enum, --max-generators'),
+     '--poset, --method, --dot, --max-enum'),
     ('posetify --method fast --m', 3,
      '',
-     'poslog posetify: error: ambiguous option: --m could match --method, --max-enum, '
-     '--max-generators'),
+     'poslog posetify: error: ambiguous option: --m could match --method, --max-enum'),
     ('verify --suite x y --max', 3,
      '',
-     'poslog verify: error: ambiguous option: --max could match --max-enum, '
-     '--max-generators'),
+     'poslog verify: error: argument --max-enum: expected one argument'),
     ('posetify --functor', 3,
      '', 'poslog posetify: error: argument --functor: expected one argument'),
     ('posetify --functor pow --poset', 3,
@@ -979,8 +994,8 @@ CLI_GRAMMAR = [
      '', "poslog posetify: error: argument --max-enum: invalid int value: 'x'"),
     ('posetify --functor pow --poset {chain2} --max-enum=', 3,
      '', "poslog posetify: error: argument --max-enum: invalid int value: ''"),
-    ('posetify --functor pow --poset {chain2} --max-generators 0x10', 3,
-     '', "poslog posetify: error: argument --max-generators: invalid int value: '0x10'"),
+    ('posetify --functor pow --poset {chain2} --max-enum 0x10', 3,
+     '', "poslog posetify: error: argument --max-enum: invalid int value: '0x10'"),
     ('verify --suite nope --max-enum +7', 3,
      '',
      "malformed input: unknown suite 'nope'; pick from order, algebra, posetify, "
@@ -1043,47 +1058,47 @@ CLI_GRAMMAR = [
     ('-h posetify', 0,
      'usage: poslog --help {posetify,positivize,dualize,interpret,verify,export-dot}', ''),
     ('posetify -h', 0,
-     'usage: poslog posetify --dot --functor --help --max-enum --max-generators --method '
+     'usage: poslog posetify --dot --functor --help --max-enum --method '
      '--poset {generic,closed,both}',
      ''),
     ('posetify --help', 0,
-     'usage: poslog posetify --dot --functor --help --max-enum --max-generators --method '
+     'usage: poslog posetify --dot --functor --help --max-enum --method '
      '--poset {generic,closed,both}',
      ''),
     ('positivize -h', 0,
      'usage: poslog positivize --check-closed-form --dot --help --lattice --max-enum '
-     '--max-generators --syntax {dunn,free,semantic:pow,semantic:mnb,semantic:nb}',
+     '--syntax {dunn,free,semantic:pow,semantic:mnb,semantic:nb}',
      ''),
     ('positivize --help', 0,
      'usage: poslog positivize --check-closed-form --dot --help --lattice --max-enum '
-     '--max-generators --syntax {dunn,free,semantic:pow,semantic:mnb,semantic:nb}',
+     '--syntax {dunn,free,semantic:pow,semantic:mnb,semantic:nb}',
      ''),
     ('dualize -h', 0,
-     'usage: poslog dualize --help --lattice --max-enum --max-generators --poset', ''),
+     'usage: poslog dualize --help --lattice --max-enum --poset', ''),
     ('dualize --help', 0,
-     'usage: poslog dualize --help --lattice --max-enum --max-generators --poset', ''),
+     'usage: poslog dualize --help --lattice --max-enum --poset', ''),
     ('interpret -h', 0,
-     'usage: poslog interpret --coalgebra --formula --help --max-enum --max-generators '
+     'usage: poslog interpret --coalgebra --formula --help --max-enum '
      '--mode --valuation {boolean,positive,both}',
      ''),
     ('interpret --help', 0,
-     'usage: poslog interpret --coalgebra --formula --help --max-enum --max-generators '
+     'usage: poslog interpret --coalgebra --formula --help --max-enum '
      '--mode --valuation {boolean,positive,both}',
      ''),
     ('verify -h', 0,
-     'usage: poslog verify --help --max-enum --max-generators --suite', ''),
+     'usage: poslog verify --help --max-enum --suite', ''),
     ('verify --help', 0,
-     'usage: poslog verify --help --max-enum --max-generators --suite', ''),
+     'usage: poslog verify --help --max-enum --suite', ''),
     ('export-dot -h', 0,
-     'usage: poslog export-dot --help --input --max-enum --max-generators --out', ''),
+     'usage: poslog export-dot --help --input --max-enum --out', ''),
     ('export-dot --help', 0,
-     'usage: poslog export-dot --help --input --max-enum --max-generators --out', ''),
+     'usage: poslog export-dot --help --input --max-enum --out', ''),
     ('posetify --h', 0,
-     'usage: poslog posetify --dot --functor --help --max-enum --max-generators --method '
+     'usage: poslog posetify --dot --functor --help --max-enum --method '
      '--poset {generic,closed,both}',
      ''),
     ('posetify -hh', 0,
-     'usage: poslog posetify --dot --functor --help --max-enum --max-generators --method '
+     'usage: poslog posetify --dot --functor --help --max-enum --method '
      '--poset {generic,closed,both}',
      ''),
     ('posetify -hx', 3,
@@ -1093,7 +1108,7 @@ CLI_GRAMMAR = [
     ('posetify --help=', 3,
      '', "poslog posetify: error: argument -h/--help: ignored explicit argument ''"),
     ('posetify --frob -h', 0,
-     'usage: poslog posetify --dot --functor --help --max-enum --max-generators --method '
+     'usage: poslog posetify --dot --functor --help --max-enum --method '
      '--poset {generic,closed,both}',
      ''),
     ('posetify --method fast -h', 3,
@@ -1101,7 +1116,7 @@ CLI_GRAMMAR = [
      "poslog posetify: error: argument --method: invalid choice: 'fast' (choose from "
      "'generic', 'closed', 'both')"),
     ('posetify -h --method fast', 0,
-     'usage: poslog posetify --dot --functor --help --max-enum --max-generators --method '
+     'usage: poslog posetify --dot --functor --help --max-enum --method '
      '--poset {generic,closed,both}',
      ''),
     ('posetify --functor pow --poset {chain2} --method=fast --help', 3,
@@ -1274,7 +1289,7 @@ def lattices_json(draw):
         st.builds(lambda k: {"type": k}, st.sampled_from(["dl", "ba", "frob"]))))
 
 
-BUDGETS = st.lists(st.tuples(st.sampled_from(["--max-enum", "--max-generators"]),
+BUDGETS = st.lists(st.tuples(st.just("--max-enum"),
                              st.sampled_from(["2", "40", "5000"] * 3 + ["-1", "0", "x"])),
                    max_size=1)
 

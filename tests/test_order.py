@@ -38,19 +38,16 @@ class TestFinPoset:
         assert p == q and hash(p) == hash(q)
 
     def test_completion_fills_reflexive_transitive(self):
-        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b"), ("b", "c")],
-                                complete=True)
+        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b"), ("b", "c")])
         assert p.leq("a", "c") and p.leq("b", "b")
 
     def test_antisymmetry_enforced(self):
         with pytest.raises(InputError):
-            FinPoset.from_pairs(("a", "b"), [("a", "b"), ("b", "a")],
-                                complete=True)
+            FinPoset(("a", "b"), (0b11, 0b11))
 
     def test_transitivity_enforced_without_completion(self):
         with pytest.raises(InputError):
-            FinPoset.from_pairs(("a", "b", "c"), [("a", "b"), ("b", "c")],
-                                complete=False)
+            FinPoset(("a", "b", "c"), (0b011, 0b110, 0b100))
 
     def test_empty_poset_is_legal(self):
         p = FinPoset((), ())
@@ -65,7 +62,7 @@ class TestFinPoset:
         assert p.upmask == (0b11, 0b10) and p.downmask == (0b01, 0b11)
 
     def test_relabel_shares_the_rows(self):
-        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")], complete=True)
+        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")])
         q = p.relabel(("x", "y", "z"))
         assert q.upmask is p.upmask and q.downmask is p.downmask
         assert q == FinPoset(("x", "y", "z"), p.upmask) and q.index("z") == 2
@@ -211,7 +208,7 @@ class TestComponents:
     def test_examples(self):
         assert len(connected_components(FinPoset.discrete(("a", "b", "c")))[0]) == 3
         assert len(connected_components(chain("a", "b", "c"))[0]) == 1
-        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")], complete=True)
+        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")])
         reps, comp = connected_components(p)
         assert reps == (0, 2) and comp == (0, 0, 1)
 
@@ -223,8 +220,7 @@ class TestComponents:
                 assert comp[p.index(a)] == comp[p.index(b)]
 
     def test_single_component_iff_connected(self):
-        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b"), ("a", "c")],
-                                complete=True)
+        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b"), ("a", "c")])
         assert len(connected_components(p)[0]) == 1
 
 
@@ -253,16 +249,15 @@ def carries_rows(iso, p, q) -> bool:
 
 class TestIsomorphism:
     def test_distinguishes_shapes(self):
-        v = FinPoset.from_pairs((0, 1, 2), [(0, 1), (0, 2)], complete=True)
-        lam = FinPoset.from_pairs((0, 1, 2), [(1, 0), (2, 0)], complete=True)
+        v = FinPoset.from_pairs((0, 1, 2), [(0, 1), (0, 2)])
+        lam = FinPoset.from_pairs((0, 1, 2), [(1, 0), (2, 0)])
         assert poset_isomorphism(v, lam) is None
         assert poset_isomorphism(v, v) == (0, 1, 2)
         assert poset_isomorphism(FinPoset((), ()), FinPoset((), ())) == ()
 
     def test_finds_relabelling(self):
         p = chain("a", "b", "c")
-        q = FinPoset.from_pairs(("z", "y", "x"), [("x", "y"), ("y", "z")],
-                                complete=True)
+        q = FinPoset.from_pairs(("z", "y", "x"), [("x", "y"), ("y", "z")])
         iso = poset_isomorphism(p, q)
         assert iso == (2, 1, 0)  # a -> x, b -> y, c -> z
         assert carries_rows(iso, p, q)

@@ -118,12 +118,12 @@ class TestNb:
         assert len(pos.result) == 16
 
     def test_chain_plus_point_has_two_components(self):
-        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")], complete=True)
+        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")])
         pos = posetify_nb(p)
         assert len(pos.result) == 16
 
     def test_projection_is_the_functor_on_the_component_collapse(self):
-        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")], complete=True)
+        p = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")])
         comp = (0, 0, 1)  # {a, b} and {c}
         pos = posetify_nb(p)
         for k, fam in enumerate(pos.carrier):
@@ -192,7 +192,7 @@ class TestCrossCheck:
         form decodes over the least element of each component: where a
         component has two elements its order and its labels differ from
         the generic route's (the class {{a,b}} against {{a}})."""
-        apart = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")], complete=True)
+        apart = FinPoset.from_pairs(("a", "b", "c"), [("a", "b")])
         for x in [*enumerate_posets(()), *enumerate_posets(("a",)),
                   *enumerate_posets(("a", "b")), apart]:
             r = cross_check(parse_functor(functor), x)

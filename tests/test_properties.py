@@ -44,7 +44,7 @@ def posets(draw, max_size=6, min_size=0):
     chosen = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
     pairs = [(labels[i], labels[j]) for i, j in chosen]
     elements = draw(st.permutations(labels))
-    x = FinPoset.from_pairs(elements, pairs, complete=True)
+    x = FinPoset.from_pairs(elements, pairs)
     return x, closure_by_fixpoint({(a, a) for a in labels} | set(pairs))
 
 
@@ -400,10 +400,10 @@ def test_closed_pairs_give_the_poset_of_their_closed_rows(drawn):
         want = FinPoset(tuple(labels), _close_rows(rows))
     except InputError as refused:
         with pytest.raises(InputError) as got:
-            FinPoset.from_pairs(labels, pairs, complete=True)
+            FinPoset.from_pairs(labels, pairs)
         assert str(got.value) == str(refused)
         return
-    got = FinPoset.from_pairs(labels, pairs, complete=True)
+    got = FinPoset.from_pairs(labels, pairs)
     assert got == want and got.downmask == want.downmask
 
 
@@ -632,8 +632,7 @@ def labelled_posets(draw, max_size=6):
     labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
     candidates = list(combinations(range(n), 2))
     chosen = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
-    return FinPoset.from_pairs(labels, [(labels[i], labels[j]) for i, j in chosen],
-                               complete=True)
+    return FinPoset.from_pairs(labels, [(labels[i], labels[j]) for i, j in chosen])
 
 
 @checked

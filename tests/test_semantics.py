@@ -138,7 +138,7 @@ class TestCoalgebraCheckOnMasks:
                                              st.integers(0, max(n - 1, 0)))))
         labels = ("a", "b", "c", "d", "e")[:n]
         p = FinPoset.from_pairs(labels, [(labels[i], labels[j]) for i, j in pairs
-                                         if i < j], complete=True)
+                                         if i < j])
         masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
         shape = data.draw(st.sampled_from(["any", "convex", "constant"]))
         if shape != "any":  # convex sets, and for "constant" a monotone map
