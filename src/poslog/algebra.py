@@ -17,13 +17,12 @@ up to isomorphism (the latter); see :func:`prime_filter_poset`.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, check_enum_budget
 from .functors import powerset
-from .order import (FinPoset, MonotoneMap, Value, bits, cotensor2, diagonal_section,
-                    poset_isomorphism, unions)
+from .order import (FinPoset, MonotoneMap, Value, bits, comparable_pairs, cotensor2,
+                    diagonal_section, poset_isomorphism, unions)
 
 
 class FinBoolAlg(Value, fields=("atoms",)):
@@ -87,15 +86,16 @@ class FinDistLattice(Value, fields=("spectrum",)):
         element ``j`` avoid the down-set of ``j``, the others hold its up-set."""
         check_enum_budget(1 << len(self.spectrum), "distributive lattice carrier")
         ups, downs = self.spectrum.upmask, self.spectrum.downmask
+        counts = {0: 1}  # a set of spectrum elements -> the number of its upsets
 
-        @lru_cache(maxsize=None)
         def count(mask: int) -> int:
-            if not mask:
-                return 1
-            j = (mask & -mask).bit_length() - 1
-            return count(mask & ~downs[j]) + count(mask & ~ups[j])
+            n = counts.get(mask)
+            if n is None:
+                j = (mask & -mask).bit_length() - 1
+                n = counts[mask] = count(mask & ~downs[j]) + count(mask & ~ups[j])
+            return n
 
-        return count((1 << len(self.spectrum)) - 1)
+        return count(self.top)
 
     def carrier(self) -> tuple:
         """The upset masks, in increasing order."""
@@ -155,9 +155,9 @@ class BAHom(Value, fields=("source", "target", "dual")):
         if len(dual) != len(target.atoms):
             raise InputError("dual map does not cover the target atoms")
         atoms = range(len(source.atoms))
-        for s in dual:
-            if s not in atoms:
-                raise InputError(f"dual map hits unknown atom {s!r}")
+        if not all(map(atoms.__contains__, dual)):
+            unknown = next(s for s in dual if s not in atoms)
+            raise InputError(f"dual map hits unknown atom {unknown!r}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "dual", dual)
@@ -254,16 +254,19 @@ def free_ba_generator(fb: FinBoolAlg, g) -> int:
     return sum(1 << k for k, v in enumerate(fb.atoms) if g in v)
 
 
-def free_ba_map(source_gens: tuple, target_gens: tuple, image: Sequence) -> BAHom:
+def free_ba_map(source_gens: tuple, target_gens: tuple, image: Sequence,
+                algebra=free_ba) -> BAHom:
     """The hom between free algebras induced by the function on generators
     that sends ``source_gens[j]`` to ``target_gens[image[j]]``.
 
     Dually, a target valuation ``v`` pulls back to the valuation
     ``{g | f(g) in v}``, the union of the preimage rows of the generators
-    in ``v``; this sends generators to generators.
+    in ``v``; this sends generators to generators.  ``algebra`` builds the
+    free algebra on a generator tuple: :func:`free_ba`, or a caller's
+    cache of it.
     """
-    src = free_ba(tuple(source_gens))
-    dst = free_ba(tuple(target_gens))
+    src = algebra(tuple(source_gens))
+    dst = algebra(tuple(target_gens))
     return BAHom(src, dst, tuple(unions(_preimage_rows(image, len(target_gens)))))
 
 
@@ -327,6 +330,22 @@ def g_of_hom(h: LatticeHom) -> BAHom:
     gsrc = FinBoolAlg(atoms=h.source.spectrum.elements)
     gdst = FinBoolAlg(atoms=h.target.spectrum.elements)
     return BAHom(gsrc, gdst, h.dual.assignment)
+
+
+def comparison_homs(a: FinDistLattice) -> tuple:
+    """``(G(in1), G(in2))``: the free-Boolean-algebra construction on the
+    two inclusions of ``a`` into its ordered double, read off the
+    comparable pairs of the spectrum.
+
+    ``G`` forgets the order of a spectrum and keeps its hom's dual map, so
+    these are ``g_of_hom(tensor2(a).in1)`` and ``g_of_hom(tensor2(a).in2)``
+    without the ordered double's lattice, maps or retraction: from the
+    spectrum's elements to its comparable pairs, dual to the two
+    projections.  The common source is ``G(a)``, on which the unit of
+    :func:`free_over_dl_G` is the identity of masks."""
+    first, second, pairs = comparable_pairs(a.spectrum)
+    source, target = FinBoolAlg(atoms=a.spectrum.elements), FinBoolAlg(atoms=pairs)
+    return BAHom(source, target, first), BAHom(source, target, second)
 
 
 class Tensor2(NamedTuple):

@@ -48,8 +48,13 @@ def _emit(data) -> None:
 
 
 def _write_dot(text: str, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
+    """Write ``text`` to ``path``; a path that cannot be written (a missing
+    directory, a directory, no permission) is malformed input."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_posetify(args) -> int:

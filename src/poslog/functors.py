@@ -31,7 +31,7 @@ from operator import and_, or_
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceeded, InputError, check_enum_budget, current_budget, fits
-from .order import FinPoset, Preorder, bits, cotensor2, egli_milner_rows, unions
+from .order import FinPoset, Preorder, bits, comparable_pairs, egli_milner_rows, unions
 
 # Numbers of up-closed families over an n-element set, n = 0..8.
 DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354,
@@ -119,7 +119,10 @@ def _pow_box(n: int, u: int) -> int:
     return ((1 << (1 << n)) - 1) ^ _pow_diamond(n, ((1 << n) - 1) ^ u)
 
 
+@lru_cache(maxsize=1)
 def pow_functor() -> SetFunctor:
+    """The powerset functor, built once per process: the closed forms and
+    semantics of normal modal logic ask for it on every request."""
     return SetFunctor("pow", lambda s: range(1 << len(s)),
                       lambda image, n: _images(image).__getitem__,
                       lambda n: 1 << n, _pow_step,
@@ -216,10 +219,9 @@ def _mnb_step(x: FinPoset) -> Preorder:
     check_enum_budget(1 << pairs, "order lifting generators")
     check_enum_budget(mnb_size(len(x)) ** 2, "order lifting closure")
     carrier = _families(len(x))[0]
-    _, first, second = cotensor2(x)
+    first, second, _ = comparable_pairs(x)
     principal = _principals(len(x))
-    gens = {(principal[a], principal[b]) for a, b in
-            zip(_images(first.assignment), _images(second.assignment))}
+    gens = {(principal[a], principal[b]) for a, b in zip(_images(first), _images(second))}
     closed = {(0, 0)} | gens
     frontier = list(closed)
     while frontier:
@@ -498,13 +500,13 @@ def lift_relation_generic(t: SetFunctor, x: FinPoset) -> Preorder:
     budget before that route starts.
     """
     check_enum_budget(t.size_estimate(len(x)), f"{t.name} on the carrier")
-    xsq, p0, p1 = cotensor2(x)
-    if fits(t.size_estimate(len(xsq))):
+    first, second, labels = comparable_pairs(x)
+    if fits(t.size_estimate(len(labels))):
         check_enum_budget(t.size_estimate(len(x)) ** 2, f"{t.name} lifted relation")
         carrier = t.on_obj(x.elements)
-        pairs = t.on_obj(xsq.elements)
-        rows = map(t.on_mor(p0.assignment, len(x)), pairs)
-        cols = map(t.on_mor(p1.assignment, len(x)), pairs)
+        pairs = t.on_obj(labels)
+        rows = map(t.on_mor(first, len(x)), pairs)
+        cols = map(t.on_mor(second, len(x)), pairs)
         if not isinstance(carrier, range):  # codes that are not positions
             idx = {e: k for k, e in enumerate(carrier)}.__getitem__
             rows, cols = map(idx, rows), map(idx, cols)
@@ -514,10 +516,10 @@ def lift_relation_generic(t: SetFunctor, x: FinPoset) -> Preorder:
         return Preorder(carrier, tuple(succ))
     if t.step_relation is None:
         raise BudgetExceeded(
-            f"{t.name} on {len(xsq)} comparable pairs exceeds the budget "
+            f"{t.name} on {len(labels)} comparable pairs exceeds the budget "
             f"and no closed-form lifting is available",
             stage=f"{t.name} on the comparable pairs",
-            requested=t.size_estimate(len(xsq)), cap=current_budget())
+            requested=t.size_estimate(len(labels)), cap=current_budget())
     r = t.step_relation(x)
     if r.carrier != t.on_obj(x.elements):
         raise AssertionError(f"{t.name}: closed-form lifting disagrees on carrier")

@@ -14,9 +14,9 @@ rows.  Labels are converted only at the edge: :meth:`FinPoset.index`,
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import permutations
-from operator import attrgetter, or_
+from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from .errors import InputError
@@ -453,6 +453,24 @@ def poset_quotient(r: Preorder) -> tuple:
     return poset, projection
 
 
+def comparable_pairs(x: FinPoset) -> tuple:
+    """``(first, second, labels)``: the comparable pairs ``i <= j`` of
+    ``x``, ordered by ``i`` and then by ``j``, as the two index
+    assignments of their projections and their labels ``(x[i], x[j])``.
+    The carrier of :func:`cotensor2`, for a reader that needs no order on
+    the pairs."""
+    first, second = [], []
+    for i, row in enumerate(x.upmask):
+        while row:
+            low = row & -row
+            first.append(i)
+            second.append(low.bit_length() - 1)
+            row ^= low
+    elems = x.elements
+    labels = tuple(zip(map(elems.__getitem__, first), map(elems.__getitem__, second)))
+    return tuple(first), tuple(second), labels
+
+
 def cotensor2(x: FinPoset) -> tuple:
     """The poset of comparable pairs ``{(a, b) | a <= b}`` of ``x``.
 
@@ -460,26 +478,31 @@ def cotensor2(x: FinPoset) -> tuple:
     projection maps.  The diagonal ``a -> (a, a)`` is a common section of
     both projections (see :func:`diagonal_section`).
     """
-    ups = x.upmask
-    pairs = [(i, j) for i in range(len(x)) for j in bits(ups[i])]
-    labels = tuple((x.elements[i], x.elements[j]) for i, j in pairs)
+    firsts, seconds, labels = comparable_pairs(x)
+    pairs = list(zip(firsts, seconds))
     # column masks: the pairs whose first (second) member is each element
-    cols = ([0] * len(x), [0] * len(x))
-    for k, pair in enumerate(pairs):
-        for side, a in zip(cols, pair):
-            side[a] |= 1 << k
+    col1, col2 = [0] * len(x), [0] * len(x)
+    for k, (i, j) in enumerate(pairs):
+        col1[i] |= 1 << k
+        col2[j] |= 1 << k
 
-    def spread(side, rows):  # the pairs with that member in each row
-        return [reduce(or_, map(side.__getitem__, bits(row)), 0) for row in rows]
+    def spread(col, rows):  # the pairs with that member in each row
+        out = []
+        for row in rows:
+            union = 0
+            while row:
+                low = row & -row
+                union |= col[low.bit_length() - 1]
+                row ^= low
+            out.append(union)
+        return out
 
     # (a, b) is above (i, j) iff a is above i and b above j, and dually
-    up1, up2 = (spread(side, ups) for side in cols)
-    down1, down2 = (spread(side, x.downmask) for side in cols)
+    up1, up2 = spread(col1, x.upmask), spread(col2, x.upmask)
+    down1, down2 = spread(col1, x.downmask), spread(col2, x.downmask)
     poset = FinPoset._trusted(labels, tuple(up1[i] & up2[j] for i, j in pairs),
                               tuple(down1[i] & down2[j] for i, j in pairs))
-    first = MonotoneMap(poset, x, tuple(i for i, _ in pairs))
-    second = MonotoneMap(poset, x, tuple(j for _, j in pairs))
-    return poset, first, second
+    return poset, MonotoneMap(poset, x, firsts), MonotoneMap(poset, x, seconds)
 
 
 def diagonal_section(x: FinPoset, xsq: FinPoset) -> MonotoneMap:

@@ -17,12 +17,11 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .algebra import (BAHom, FinBoolAlg, FinDistLattice, LatticeHom,
-                      ba_inserter, boolean_as_lattice, free_ba,
-                      free_ba_generator, free_ba_map, free_over_dl_G, g_of_hom,
-                      kernel_K, tensor2, up_algebra)
+                      ba_inserter, boolean_as_lattice, comparison_homs, free_ba,
+                      free_ba_generator, free_ba_map, g_of_hom, kernel_K, up_algebra)
 from .errors import InputError, check_enum_budget
-from .functors import SetFunctor, parse_functor, pow_functor
-from .order import FinPoset, _close_rows, bits
+from .functors import SetFunctor, parse_functor
+from .order import FinPoset, _close_rows
 from .posetify import closed_form
 
 
@@ -61,7 +60,8 @@ def semantic_l(t: SetFunctor) -> BAFunctor:
     one ``positivize`` call, which meets the ambient atom set and that of
     the ordered double, builds and decodes each once.  Every call counts
     the codes, so a build kept from a larger budget is refused under a
-    smaller one."""
+    smaller one.  The closed form compares orders only, so it keeps the
+    posetification's order over codes and decodes no label."""
 
     build = lru_cache(maxsize=2)(t.on_obj)
 
@@ -80,15 +80,18 @@ def semantic_l(t: SetFunctor) -> BAFunctor:
     def on_mor(h: BAHom) -> BAHom:
         src, dst = h.source.atoms, h.target.atoms
         act = t.on_mor(h.dual, len(src))  # T of the dual atom map
-        index = {c: k for k, c in enumerate(codes(src))}
-        return BAHom(algebra(src), algebra(dst),
-                     tuple(index[act(c)] for c in codes(dst)))
+        source_codes = codes(src)
+        source, target = algebra(src), algebra(dst)
+        image = map(act, codes(dst))
+        if not isinstance(source_codes, range):  # codes that are not positions
+            image = map({c: k for k, c in enumerate(source_codes)}.__getitem__, image)
+        return BAHom(source, target, tuple(image))
 
     def modal(clause):
         return None if clause is None else (lambda b, x: clause(len(b.atoms), x))
 
     return BAFunctor(f"semantic:{t.name}", on_obj, on_mor,
-                     lambda a: up_algebra(closed_form(t, a.spectrum).result),
+                     lambda a: up_algebra(closed_form(t, a.spectrum).order),
                      lambda b: len(codes(b.atoms)), modal(t.diamond), modal(t.box))
 
 
@@ -97,7 +100,19 @@ def free_l() -> BAFunctor:
     over the carrier, with the box generator given by the unit.  The
     generators are labelled by the labels of the elements, in mask order.
     The algebra over ``b`` has ``2^size(b)`` atoms, counted before the
-    generators are labelled."""
+    generators are labelled.
+
+    As in :func:`semantic_l`, the free algebras on the last two generator
+    tuples are kept, so that ``positivize`` and every ``box`` after it
+    build each once; every call counts the atoms against the budget in
+    force, so an algebra kept from a larger budget is refused under a
+    smaller one."""
+
+    build = lru_cache(maxsize=2)(free_ba)
+
+    def algebra(gens: tuple) -> FinBoolAlg:
+        check_enum_budget(1 << len(gens), "free boolean algebra")
+        return build(gens)
 
     def count_atoms(b: FinBoolAlg) -> int:
         atoms = 1 << len(b.carrier())
@@ -108,11 +123,11 @@ def free_l() -> BAFunctor:
         return tuple(map(b.labels, b.carrier()))
 
     def on_obj(b: FinBoolAlg) -> FinBoolAlg:
-        return free_ba(gens_of(b))
+        return algebra(gens_of(b))
 
     def on_mor(h: BAHom) -> BAHom:
         return free_ba_map(gens_of(h.source), gens_of(h.target),
-                           tuple(map(h.apply, h.source.carrier())))
+                           tuple(map(h.apply, h.source.carrier())), algebra)
 
     def box(b: FinBoolAlg, x: int) -> int:
         return free_ba_generator(on_obj(b), b.labels(x))
@@ -123,13 +138,19 @@ def free_l() -> BAFunctor:
 SYNTAXES = ("dunn", "free", "semantic:pow", "semantic:mnb", "semantic:nb")
 
 
+@lru_cache(maxsize=16)
 def parse_syntax(text: str) -> BAFunctor:
     """Parse a syntax name: ``dunn`` (the same as ``semantic:pow``), ``free``,
-    or ``semantic:<functor>`` for any name :func:`parse_functor` accepts."""
+    or ``semantic:<functor>`` for any name :func:`parse_functor` accepts.
+
+    Each name is built once per process and the functor handed out again
+    (``dunn`` the one of ``semantic:pow``); a functor counts its
+    enumerations on every call, so one built under a larger budget is
+    refused under a smaller one as a fresh one would be."""
     if text == "free":
         return free_l()
     if text == "dunn":
-        text = "semantic:pow"
+        return parse_syntax("semantic:pow")
     if text.startswith("semantic:"):
         return semantic_l(parse_functor(text[len("semantic:"):]))
     raise InputError(f"unknown syntax {text!r}")
@@ -182,7 +203,8 @@ def _edge_preorder_lattice(h1: BAHom, h2: BAHom, members: Sequence, labels) -> t
     every edge that starts in ``b`` ends in ``b``: the inserter is the sets
     closed under the preorder, and its join-irreducibles are the closed
     rows ``reach[i]``, in increasing order under reverse inclusion and
-    labelled by ``labels``.  Every member must be closed and the closed
+    labelled by ``labels``; distinct sets under inclusion, they form an
+    order by construction.  Every member must be closed and the closed
     sets as many as the members; a member stands for the irreducibles
     inside it.  Returns ``(result, embed)``."""
     reach = [1 << i for i in range(len(h1.source.atoms))]
@@ -192,18 +214,25 @@ def _edge_preorder_lattice(h1: BAHom, h2: BAHom, members: Sequence, labels) -> t
     irreducibles = sorted(set(reach))
     index = {j: k for k, j in enumerate(irreducibles)}
     below = [1 << index[j] for j in reach]  # the irreducible of each atom
-
-    def restrict(m: int) -> int:
-        s = 0
-        for i in bits(m):
+    embed = {}
+    for m in members:
+        s, rest = 0, m
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
             if reach[i] & ~m:
                 raise AssertionError("inserter member is not closed under the dual edges")
             s |= below[i]
-        return s
-
-    ups = tuple(map(restrict, irreducibles))
-    result = up_algebra(FinPoset(map(labels, irreducibles), ups))
-    embed = {restrict(m): m for m in members}
+            rest ^= low
+        embed[s] = m
+    ups = [0] * len(irreducibles)  # the irreducibles inside each, and dually
+    downs = [0] * len(irreducibles)
+    for k, j in enumerate(irreducibles):
+        for k2, j2 in enumerate(irreducibles):
+            if not j2 & ~j:
+                ups[k] |= 1 << k2
+                downs[k2] |= 1 << k
+    result = up_algebra(FinPoset._trusted(map(labels, irreducibles), tuple(ups), tuple(downs)))
     if result.size() != len(members):
         raise AssertionError("inserter members are not the closed sets of the dual edges")
     return result, embed
@@ -219,11 +248,16 @@ def positivize(l: BAFunctor, a: FinDistLattice) -> Positivication:
     algebra finds the members by the definition, and the preorder of the
     dual edges gives the spectrum of the lifted lattice, its
     join-irreducible members, labelled by their atoms.
+
+    The comparison homs are read off the comparable pairs of the spectrum
+    (:func:`comparison_homs`); the ordered double as a lattice, the
+    envelope's unit and ``g_of_hom`` are the route that the
+    ``inserter-presentation`` check compares them against.  The unit is
+    the identity of masks, so ``box_of``/``diamond_of`` hand the element
+    itself to the modality.
     """
-    galg, unit = free_over_dl_G(a)
-    t2 = tensor2(a)
-    gh1 = g_of_hom(t2.in1)
-    gh2 = g_of_hom(t2.in2)
+    gh1, gh2 = comparison_homs(a)
+    galg = gh1.source
     # the ambient algebra, then the ordered double: the order in which
     # on_obj and on_mor below would refuse them
     atoms = l.count_atoms(galg)
@@ -234,15 +268,15 @@ def positivize(l: BAFunctor, a: FinDistLattice) -> Positivication:
                       "boolean algebra carrier" if gh1 == gh2 else "inserter sweep")
     lga = l.on_obj(galg)
     lh1 = l.on_mor(gh1)
-    lh2 = l.on_mor(gh2)
+    lh2 = lh1 if gh1 == gh2 else l.on_mor(gh2)  # a functor maps equal homs alike
     if lh1 == lh2:
         result, members = boolean_as_lattice(lga), lga.carrier()
         embed = members
     else:
         members = tuple(ba_inserter(lh1, lh2))
         result, embed = _edge_preorder_lattice(lh1, lh2, members, lga.labels)
-    box_of = (lambda x: l.box(galg, unit.apply(x))) if l.box else None
-    diamond_of = (lambda x: l.diamond(galg, unit.apply(x))) if l.diamond else None
+    box_of = (lambda x: l.box(galg, x)) if l.box else None
+    diamond_of = (lambda x: l.diamond(galg, x)) if l.diamond else None
     return Positivication(result, members, embed, lga, lh1, lh2, box_of, diamond_of)
 
 
@@ -269,7 +303,7 @@ def positivize_mor(l: BAFunctor, h: LatticeHom,
 def closed_form_dunn(a: FinDistLattice) -> FinDistLattice:
     """Closed form for the lifting of normal modal logic: upsets of the
     convex-powerset lifting of the spectrum."""
-    return semantic_l(pow_functor()).closed_form(a)
+    return parse_syntax("dunn").closed_form(a)
 
 
 def closed_form_fu(a: FinDistLattice) -> FinDistLattice:

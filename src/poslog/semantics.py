@@ -23,7 +23,7 @@ from .errors import InputError, check_enum_budget, current_budget
 from .functors import carrier_labels, pow_functor
 from .order import FinPoset, Value, bits
 from .posetify import Posetification, count_convex_powerset, posetify_powerset
-from .positivize import Positivication, positivize, semantic_l
+from .positivize import Positivication, parse_syntax, positivize
 
 
 # ----------------------------------------------------------------- syntax
@@ -397,7 +397,7 @@ def _positive_context(carrier: FinPoset, budget: int):
     convex powerset is counted first but built last, so that a carrier
     that ``positivize`` refuses never builds its relation on all subsets."""
     count_convex_powerset(len(carrier))
-    lifted = positivize(semantic_l(pow_functor()), up_algebra(carrier))
+    lifted = positivize(parse_syntax("dunn"), up_algebra(carrier))
     pos = posetify_powerset(carrier)
     dprime = delta_prime(pow_functor(), delta_pow, carrier, pos, lifted)
     return pos, lifted, dprime

@@ -287,6 +287,10 @@ def check_tensor2():
 
 
 def check_dl_inserter():
+    """The inserter of the comparison homs, built at the lattice level
+    (ordered double, free envelope, ``g_of_hom``), is the image of the
+    unit.  These are also the homs that ``positivize`` reads off the
+    comparable pairs, and the unit it skips is the identity of masks."""
     for p in small_posets(3):
         a = alg.up_algebra(p)
         galg, unit = alg.free_over_dl_G(a)
@@ -294,11 +298,16 @@ def check_dl_inserter():
         h1 = alg.g_of_hom(t2.in1)
         h2 = alg.g_of_hom(t2.in2)
         sub = alg.dl_inserter(h1, h2)
-        expected = {unit.apply(u) for u in a.carrier()}
-        if set(sub.members) != expected:
+        elems = a.carrier()
+        image = [unit.apply(u) for u in elems]
+        if set(sub.members) != set(image):
             return False, f"inserter members differ on {p.elements}"
         if alg.lattice_isomorphic(sub.lattice, a) is None:
             return False, f"inserter lattice not isomorphic on {p.elements}"
+        if alg.comparison_homs(a) != (h1, h2) or h1.source != galg:
+            return False, f"positivize's comparison homs differ on {p.elements}"
+        if image != list(elems):
+            return False, f"the unit moves a mask on {p.elements}"
     return True, "upset image recovered on all spectra <= 3"
 
 

@@ -1,16 +1,22 @@
 """The budget context: scoping, caches that must not outlive a budget, and
 the stages that read it."""
 
+import contextlib
+import io
+import json
+import subprocess
+import sys
 import threading
 
 import pytest
 
 from poslog import verify
 from poslog.algebra import BAHom, FinBoolAlg, up_algebra
+from poslog.cli import main
 from poslog.errors import BudgetExceeded, DEFAULT_MAX_ENUM, budget, current_budget
 from poslog.functors import pow_functor
 from poslog.order import FinPoset
-from poslog.positivize import free_l, semantic_l
+from poslog.positivize import free_l, parse_syntax, semantic_l
 from poslog.semantics import (Coalgebra, delta_pow, delta_prime, interpret_positive,
                               parse_formula, positive_context)
 
@@ -58,6 +64,43 @@ def test_a_reused_semantic_functor_is_refused_under_a_smaller_budget():
         with budget(max_enum=7), pytest.raises(BudgetExceeded) as refused:
             build(b)
         assert (refused.value.stage, refused.value.requested) == ("pow on an atom set", 8)
+
+
+def test_the_syntax_functors_are_a_bounded_cache():
+    assert parse_syntax.cache_info().maxsize == 16
+    assert parse_syntax("dunn") is parse_syntax("semantic:pow") is parse_syntax("semantic:pow")
+
+
+def test_a_cached_syntax_functor_is_refused_as_a_fresh_one(tmp_path):
+    """A ``semantic:pow`` built and kept under the default budget, with
+    the codes and the algebra over the 4 atoms of a Boolean spectrum, is
+    refused under ``--max-enum 15`` with the stage and the message that a
+    fresh process prints."""
+    lattice = tmp_path / "boolean16.json"
+    lattice.write_text(json.dumps({"type": "dl", "spectrum": {"elements": list("abcd")}}))
+    argv = ["positivize", "--syntax", "semantic:pow", "--lattice", str(lattice)]
+
+    def run(*extra):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv + list(extra))
+        return rc, out.getvalue(), err.getvalue()
+
+    assert run()[0] == 0
+    fresh = subprocess.run([sys.executable, "-m", "poslog.cli", *argv, "--max-enum", "15"],
+                           capture_output=True, text=True)
+    assert (fresh.returncode, fresh.stdout) == (2, "")
+    assert fresh.stderr == ("budget refused: pow on an atom set would enumerate 16 items "
+                            "(budget 15); raise it with --max-enum\n")
+    assert run("--max-enum", "15") == (2, "", fresh.stderr)
+
+
+def test_a_kept_free_algebra_is_refused_under_a_smaller_budget():
+    l, b = free_l(), FinBoolAlg(atoms=("x", "y"))
+    assert len(l.on_obj(b).atoms) == 16
+    with budget(max_enum=15), pytest.raises(BudgetExceeded) as refused:
+        l.on_obj(b)
+    assert (refused.value.stage, refused.value.requested) == ("free boolean algebra", 16)
 
 
 def test_delta_prime_reads_the_budget():

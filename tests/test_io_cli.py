@@ -697,6 +697,20 @@ class TestCli:
         assert r.returncode == 0
         assert out.read_text().startswith("digraph")
 
+    @pytest.mark.parametrize("argv", [
+        ("posetify", "--functor", "pow", "--poset", "{chain2}", "--method", "closed"),
+        ("positivize", "--syntax", "dunn", "--lattice", "{threechain}",
+         "--check-closed-form")], ids=["posetify", "positivize"])
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_dot_to_an_unwritable_path_exits_three(self, files, tmp_path, argv, target):
+        path = tmp_path / "no" / "such" / "x.dot" if target == "missing" else tmp_path
+        argv = [a.format(chain2=files / "chain2.json", threechain=files / "threechain.json")
+                for a in argv]
+        r = run_cli(*argv, "--dot", str(path))
+        assert (r.returncode, r.stdout) == (3, "")
+        assert r.stderr.startswith(f"malformed input: cannot write {path}: ")
+        assert "Traceback" not in r.stderr
+
     def test_positivize_with_closed_form(self, files):
         r = run_cli("positivize", "--syntax", "dunn",
                     "--lattice", str(files / "threechain.json"),

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import tracemalloc
@@ -9,8 +10,8 @@ import tracemalloc
 import pytest
 
 from poslog.algebra import (BAHom, FinBoolAlg, LatticeHom, ba_inserter, boolean_as_lattice,
-                            lattice_from_elements, lattice_identity, lattice_isomorphic,
-                            up_algebra)
+                            free_ba, lattice_from_elements, lattice_identity,
+                            lattice_isomorphic, up_algebra)
 from poslog.cli import main
 from poslog.errors import DEFAULT_MAX_ENUM, BudgetExceeded, InputError, budget
 from poslog.functors import mnb_functor, nb_functor, parse_functor, pow_functor
@@ -102,6 +103,20 @@ class TestPositivize:
         p = positivize(free_l(), three_chain())
         assert len(p.members) == 16
         assert lattice_isomorphic(p.result, closed_form_fu(three_chain())) is not None
+
+    def test_free_builds_each_free_algebra_once(self, monkeypatch):
+        """The lifting meets the free algebras over the 4 elements of the
+        ambient algebra and over the 8 of the ordered double's; each is
+        built once, and the modal image of every element builds none."""
+        made = []
+        monkeypatch.setattr(importlib.import_module("poslog.positivize"), "free_ba",
+                            lambda gens: made.append(len(gens)) or free_ba(gens))
+        a = three_chain()
+        p = positivize(free_l(), a)
+        assert made == [4, 8]
+        # the generator of mask k is true at the valuations that hold bit k
+        assert [p.box_of(x) for x in a.carrier()] == [0xAAAA, 0xF0F0, 0xFF00]
+        assert made == [4, 8]
 
     def test_free_box_side_condition(self):
         a = three_chain()

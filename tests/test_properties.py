@@ -11,9 +11,9 @@ from operator import or_
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from poslog.algebra import (BAHom, FinBoolAlg, LatticeHom, ba_inserter,
-                            lattice_from_elements, prime_filter_poset, product_ba,
-                            tensor2, up_algebra)
+from poslog.algebra import (BAHom, FinBoolAlg, LatticeHom, ba_inserter, comparison_homs,
+                            free_over_dl_G, g_of_hom, lattice_from_elements,
+                            prime_filter_poset, product_ba, tensor2, up_algebra)
 from poslog.errors import BudgetExceeded, InputError
 from poslog.functors import (_families, carrier_labels, mnb_functor, multiset_functor,
                              nb_functor, poly_functor, pow_functor)
@@ -802,6 +802,27 @@ def lattice_homs(draw, max_size=7):
 def test_a_lattice_hom_acts_as_the_preimage_scan(drawn):
     h, mask = drawn
     assert h.apply(mask) == preimage_by_scan(h.dual.assignment, mask)
+
+
+@checked
+@given(posets())
+def test_the_comparison_homs_are_those_of_the_ordered_double(drawn):
+    """``positivize`` reads ``G(in1)``, ``G(in2)`` off the comparable pairs;
+    the lattice-level route builds the ordered double, its inclusions and
+    the free envelope with its unit.  Both give the same homs, from the
+    elements to the pairs ``a <= b`` and dual to taking ``a`` and ``b``,
+    and the unit is the identity of masks."""
+    x, leq = drawn
+    a = up_algebra(x)
+    t2 = tensor2(a)
+    h1, h2 = comparison_homs(a)
+    assert (h1, h2) == (g_of_hom(t2.in1), g_of_hom(t2.in2))
+    galg, unit = free_over_dl_G(a)
+    assert h1.source == h2.source == galg and all(unit.apply(u) == u for u in a.carrier())
+    pairs = h1.target.atoms
+    assert h2.target == h1.target and set(pairs) == leq and len(pairs) == len(leq)
+    assert [x.elements[i] for i in h1.dual] == [first for first, _ in pairs]
+    assert [x.elements[j] for j in h2.dual] == [second for _, second in pairs]
 
 
 @pytest.mark.parametrize("n", range(5))
