@@ -210,6 +210,8 @@ def _budget(text: str) -> int:
         raise ValueError(f"invalid int value: {text!r}") from None
     if value <= 0:
         raise ValueError(f"must be positive, not {value}")
+    if value > sys.maxsize:
+        raise ValueError(f"must be at most {sys.maxsize}")
     return value
 
 

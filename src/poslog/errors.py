@@ -8,11 +8,13 @@ treat as a distinct, recoverable condition rather than invalid input.  The
 cap is set for a block, ``with budget(max_enum):``, and held in a
 ``ContextVar``: the block restores the outer cap on exit, also on an
 exception, and a new thread starts from the default cap, not from that of
-its starter.
+its starter.  The cap is at most ``sys.maxsize``, the largest size
+``len()`` takes, so the placeholder for "too large to count" is refused.
 """
 
 import contextlib
 import contextvars
+import sys
 
 DEFAULT_MAX_ENUM = 1 << 20
 
@@ -26,9 +28,9 @@ class BudgetExceeded(RuntimeError):
 
     ``stage`` names what would be enumerated, ``requested`` is its size and
     ``cap`` the budget it exceeds, which ``--max-enum`` raises.  The sizes
-    of ``nb`` and ``mnb`` on 9 or more points are not computed:
-    ``requested`` is then ``functors.HUGE`` (2^400), which stands for "too
-    large to count", not for the size itself."""
+    of ``nb`` and ``mnb`` on 9 or more points and of a polynomial symbol of
+    arity past 400 are not computed: ``functors.HUGE`` (2^400) stands in
+    for them, meaning "too large to count", not the size itself."""
 
     def __init__(self, message: str, *, stage: str, requested: int, cap: int):
         super().__init__(message)
@@ -41,8 +43,9 @@ current_budget = _BUDGET.get  # the cap in force
 
 @contextlib.contextmanager
 def budget(max_enum: int):
-    """Run the block with ``max_enum`` as the largest enumeration allowed."""
-    token = _BUDGET.set(max_enum)
+    """Run the block with ``max_enum`` (at most ``sys.maxsize``) as the
+    largest enumeration allowed."""
+    token = _BUDGET.set(min(max_enum, sys.maxsize))
     try:
         yield
     finally:

@@ -6,14 +6,14 @@ Each functor is a stateless behaviour bundle: an object map on finite sets
 a closed-form one-step order lifting (for when materialising the functor
 on the comparable-pair set would bust the budget) and modal clauses.
 
-An element of ``T(X)`` is a *code*: for ``pow`` the mask of a subset (bit
-``j`` for ``X[j]``), for ``nb`` and ``mnb`` a mask over subset masks, and
-for ``bag`` and ``poly`` its position in the carrier.  ``on_obj`` returns
-the codes (a ``range`` where they are dense), ``on_mor(image, n)`` maps
-codes to codes along the map sending element ``j`` of the source to
-element ``image[j]`` of an ``n``-element target (an index assignment, the
-one format of maps), and ``decode(X)`` maps a code to its label, built
-only where labels are shown or compared.
+An element of ``T(X)`` is a *code*, its position in the carrier: for
+``pow`` the mask of a subset (bit ``j`` for ``X[j]``), for ``nb`` a mask
+over subset masks, for ``mnb`` the index of an up-closed family in
+``_families``.  ``on_obj(X)`` is ``range(|T X|)``, and ``on_mor(image,
+n)`` is ``T`` of the map sending element ``j`` to element ``image[j]`` of
+an ``n``-element target, as an index assignment too (the one format of
+maps).  ``decode(X)`` maps a code to its label, built only where labels
+are shown or compared.
 
 Each action is a table, built in one step per code along the carrier's
 own enumeration: a multiset is its prefix plus its last member, and an
@@ -70,8 +70,8 @@ class SetFunctor:
     """
 
     name: str
-    on_obj: Callable[[tuple], tuple]
-    on_mor: Callable[[Sequence, int], Callable]
+    on_obj: Callable[[tuple], range]
+    on_mor: Callable[[Sequence, int], Sequence]
     size_estimate: Callable[[int], int]
     step_relation: Optional[Callable[[FinPoset], Preorder]] = None
     closed_form: Callable[["SetFunctor", FinPoset], object] = _analytic_closed_form
@@ -124,7 +124,7 @@ def pow_functor() -> SetFunctor:
     """The powerset functor, built once per process: the closed forms and
     semantics of normal modal logic ask for it on every request."""
     return SetFunctor("pow", lambda s: range(1 << len(s)),
-                      lambda image, n: _images(image).__getitem__,
+                      lambda image, n: _images(image),
                       lambda n: 1 << n, _pow_step,
                       lambda t, x: _posetify().posetify_powerset(x),
                       diamond=_pow_diamond, box=_pow_box,
@@ -133,14 +133,14 @@ def pow_functor() -> SetFunctor:
 
 # ----------------------------------------------------------- neighbourhood
 
-def _nb_mor(image: Sequence, n: int) -> Callable:
+def _nb_mor(image: Sequence, n: int) -> list:
     """A family goes to the target subsets whose preimage it holds: an
     OR-linear map, tabulated by doubling from the images ``g[k]`` of the
     one-member families (the subsets whose preimage has mask ``k``)."""
     g = [0] * (1 << len(image))
     for u in range(1 << n):
         g[sum(1 << j for j, i in enumerate(image) if u >> i & 1)] |= 1 << u
-    return unions(g).__getitem__
+    return unions(g)
 
 
 def nb_functor() -> SetFunctor:
@@ -192,17 +192,29 @@ def _families(n: int) -> tuple:
     return tuple(families), tuple(parent), tuple(added)
 
 
-def _mnb_mor(image: Sequence, n: int) -> Callable:
+@lru_cache(maxsize=5)
+def _family_positions(n: int) -> dict:
+    """The position in ``_families(n)`` of each up-closed family, keyed by
+    its mask: the one translation of family masks to ``mnb`` codes."""
+    return {fam: k for k, fam in enumerate(_families(n)[0])}
+
+
+def _mnb_decode(s: tuple) -> Callable:
+    label, families = _family_decode(s), _families(len(s))[0]
+    return lambda code: label(families[code])
+
+
+def _mnb_mor(image: Sequence, n: int) -> list:
     """A family goes to the up-closure of the images of its members.  The
     up-closure of a union is the union of the up-closures, and the
     supersets of ``a`` go to the supersets of the image of ``a``, so each
     family's image is its parent's image and one principal family."""
-    families, parent, added = _families(len(image))
+    _, parent, added = _families(len(image))
     principal, img = _principals(n), _images(image)
-    table = [0]
+    masks = [0]
     for p, a in zip(parent[1:], added[1:]):
-        table.append(table[p] | principal[img[a]])
-    return dict(zip(families, table)).__getitem__
+        masks.append(masks[p] | principal[img[a]])
+    return list(map(_family_positions(n).__getitem__, masks))
 
 
 def _mnb_step(x: FinPoset) -> Preorder:
@@ -218,7 +230,6 @@ def _mnb_step(x: FinPoset) -> Preorder:
     pairs = sum(m.bit_count() for m in x.upmask)
     check_enum_budget(1 << pairs, "order lifting generators")
     check_enum_budget(mnb_size(len(x)) ** 2, "order lifting closure")
-    carrier = _families(len(x))[0]
     first, second, _ = comparable_pairs(x)
     principal = _principals(len(x))
     gens = {(principal[a], principal[b]) for a, b in zip(_images(first), _images(second))}
@@ -231,11 +242,11 @@ def _mnb_step(x: FinPoset) -> Preorder:
             if q not in closed:
                 closed.add(q)
                 frontier.append(q)
-    idx = {fam: k for k, fam in enumerate(carrier)}
-    succ = [0] * len(carrier)
+    idx = _family_positions(len(x))
+    succ = [0] * len(idx)
     for a, b in closed:
         succ[idx[a]] |= 1 << idx[b]
-    return Preorder(carrier, tuple(succ))
+    return Preorder(range(len(idx)), tuple(succ))
 
 
 def mnb_size(n: int) -> int:
@@ -244,9 +255,9 @@ def mnb_size(n: int) -> int:
 
 
 def mnb_functor() -> SetFunctor:
-    return SetFunctor("mnb", lambda s: _families(len(s))[0], _mnb_mor, mnb_size, _mnb_step,
-                      lambda t, x: _posetify().posetify_mnb(x),
-                      decode=_family_decode)
+    return SetFunctor("mnb", lambda s: range(mnb_size(len(s))), _mnb_mor, mnb_size,
+                      _mnb_step, lambda t, x: _posetify().posetify_mnb(x),
+                      decode=_mnb_decode)
 
 
 # ------------------------------------------------------------- multisets
@@ -300,7 +311,7 @@ def _mset_decode(d: int):
 
 
 def _mset_mor(d: int):
-    def mor(image: Sequence, n: int) -> Callable:
+    def mor(image: Sequence, n: int) -> list:
         """Tabulated: a multiset goes to the image of its prefix plus the
         image of its last member."""
         prefix, last, _ = _multisets(len(image), d)
@@ -308,7 +319,7 @@ def _mset_mor(d: int):
         table = [0]
         for p, e in zip(prefix[1:], map(image.__getitem__, last[1:])):
             table.append(add[table[p]][e])
-        return table.__getitem__
+        return table
 
     return mor
 
@@ -354,14 +365,13 @@ def multiset_functor(degree: int = 3) -> SetFunctor:
 # ------------------------------------------------------------ polynomial
 
 def _poly_size(signature: tuple, n: int) -> int:
-    return sum(len(coeffs) * n ** arity for _, arity, coeffs in signature)
-
-
-def _poly_obj(signature: tuple):
-    """The codes ``0 .. |T(s)|-1``: a block per symbol, a sub-block per
-    coefficient, and within it the argument indices as the digits, base
-    ``|s|``, of the offset (the first argument most significant)."""
-    return lambda s: range(_poly_size(signature, len(s)))
+    """The number of codes over ``n`` points: a block per symbol, a
+    sub-block per coefficient, and within it the argument indices as the
+    digits, base ``n``, of the offset (the first argument most
+    significant).  A symbol of arity past 400 on two points or more counts
+    as ``HUGE``, which no budget admits, so its power is not computed."""
+    return sum(HUGE if n > 1 and arity > 400 else len(coeffs) * n ** arity
+               for _, arity, coeffs in signature)
 
 
 def _poly_decode(signature: tuple):
@@ -372,7 +382,7 @@ def _poly_decode(signature: tuple):
 
 
 def _poly_mor(signature: tuple):
-    def mor(image: Sequence, n: int) -> Callable:
+    def mor(image: Sequence, n: int) -> list:
         """Tabulated: each argument digit is replaced by the index of its
         image, and the symbol and coefficient are kept."""
         table, offset = [], 0
@@ -383,7 +393,7 @@ def _poly_mor(signature: tuple):
             for _ in coeffs:
                 table += [offset + a for a in args]
                 offset += n ** arity
-        return table.__getitem__
+        return table
 
     return mor
 
@@ -411,14 +421,13 @@ def _poly_step(signature: tuple):
         every argument of ``a`` lies below the matching one of ``b``: each
         block of one symbol and coefficient is a power of ``x``."""
         check_enum_budget(_poly_size(signature, len(x)) ** 2, "polynomial order lifting")
-        carrier = _poly_obj(signature)(x.elements)
         succ = []
         for _, arity, coeffs in signature:
             rows = _block_rows(x.upmask, arity)
             for _ in coeffs:
                 offset = len(succ)
                 succ += [row << offset for row in rows]
-        return Preorder(carrier, tuple(succ))
+        return Preorder(range(len(succ)), tuple(succ))
 
     return step
 
@@ -439,8 +448,8 @@ def poly_functor(signature) -> SetFunctor:
         seen.add(name)
 
     fmt = ",".join(f"{name}:{arity}:{len(coeffs)}" for name, arity, coeffs in sig)
-    return SetFunctor(f"poly:sigma={fmt}", _poly_obj(sig), _poly_mor(sig),
-                      lambda n: _poly_size(sig, n), _poly_step(sig),
+    return SetFunctor(f"poly:sigma={fmt}", lambda s: range(_poly_size(sig, len(s))),
+                      _poly_mor(sig), lambda n: _poly_size(sig, n), _poly_step(sig),
                       decode=_poly_decode(sig))
 
 
@@ -488,9 +497,10 @@ def parse_functor(text: str) -> SetFunctor:
 def lift_relation_generic(t: SetFunctor, x: FinPoset) -> Preorder:
     """The one-step lifting of the order of ``x`` to the carrier ``T(VX)``.
 
-    Pairs are the images, under the two projections, of the functor applied
-    to the comparable-pair set; the relation is reflexive because the
-    diagonal is a common section of the projections.  When materialising
+    The pairs are the two tables of ``T`` of the projections of the
+    comparable-pair set, read side by side: entry ``c`` of each is the
+    image of code ``c``.  The relation is reflexive because the diagonal
+    is a common section of the projections.  When materialising
     the functor on the pair set would exceed the budget, the functor's
     closed-form step relation is used instead (it computes the same set of
     pairs); with neither available the call is refused.  The route is
@@ -500,26 +510,20 @@ def lift_relation_generic(t: SetFunctor, x: FinPoset) -> Preorder:
     budget before that route starts.
     """
     check_enum_budget(t.size_estimate(len(x)), f"{t.name} on the carrier")
-    first, second, labels = comparable_pairs(x)
-    if fits(t.size_estimate(len(labels))):
+    first, second, _ = comparable_pairs(x)
+    if fits(t.size_estimate(len(first))):
         check_enum_budget(t.size_estimate(len(x)) ** 2, f"{t.name} lifted relation")
         carrier = t.on_obj(x.elements)
-        pairs = t.on_obj(labels)
-        rows = map(t.on_mor(first, len(x)), pairs)
-        cols = map(t.on_mor(second, len(x)), pairs)
-        if not isinstance(carrier, range):  # codes that are not positions
-            idx = {e: k for k, e in enumerate(carrier)}.__getitem__
-            rows, cols = map(idx, rows), map(idx, cols)
         succ = [0] * len(carrier)
-        for a, b in zip(rows, cols):
+        for a, b in zip(t.on_mor(first, len(x)), t.on_mor(second, len(x))):
             succ[a] |= 1 << b
         return Preorder(carrier, tuple(succ))
     if t.step_relation is None:
         raise BudgetExceeded(
-            f"{t.name} on {len(labels)} comparable pairs exceeds the budget "
+            f"{t.name} on {len(first)} comparable pairs exceeds the budget "
             f"and no closed-form lifting is available",
             stage=f"{t.name} on the comparable pairs",
-            requested=t.size_estimate(len(labels)), cap=current_budget())
+            requested=t.size_estimate(len(first)), cap=current_budget())
     r = t.step_relation(x)
     if r.carrier != t.on_obj(x.elements):
         raise AssertionError(f"{t.name}: closed-form lifting disagrees on carrier")

@@ -76,10 +76,13 @@ class Value:
 
 def _close_rows(rows) -> tuple:
     """Warshall's transitive closure of successor masks: for each pivot
-    ``k``, every row that reaches ``k`` gains the row of ``k``."""
+    ``k``, every row that reaches ``k`` gains the row of ``k``.  A pivot
+    whose row holds nothing but ``k`` adds nothing, so it is skipped."""
     rows = list(rows)
     for k, row_k in enumerate(rows):
         bit = 1 << k
+        if not row_k & ~bit:
+            continue
         for i, row in enumerate(rows):
             if row & bit:
                 rows[i] = row | row_k

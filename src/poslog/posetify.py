@@ -6,44 +6,41 @@ closed forms compute the same posets from structure-specific descriptions
 (convex sets, up-closed family comparison, component collapse, or no
 quotient at all for analytic functors).  ``cross_check`` verifies that the
 two routes agree via an isomorphism that commutes with the projection maps.
+Each route returns its order, projection and decoder, not the relation
+it quotiented: a reader builds that (``mnb_comparison``,
+``order.egli_milner_rows``).
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import and_, or_
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .errors import InputError, check_enum_budget
-from .functors import (SetFunctor, lift_relation_generic, mnb_functor,
-                       nb_functor, pow_functor)
+from .functors import (SetFunctor, _families, lift_relation_generic, mnb_functor,
+                       mnb_size, nb_functor, pow_functor)
 from .order import (FinPoset, Preorder, bits, connected_components,
                     egli_milner_rows, poset_quotient, subset_closures,
                     transitive_closure)
 
 
 class Posetification:
-    """Result of lifting a functor to a poset.
+    """Result of lifting a functor to a poset: order, projection, decoder.
 
-    ``carrier`` holds the codes of the unordered functor carrier ``T(VX)``
-    and ``order`` is the lifted poset over the codes of canonical class
-    representatives; ``e[i]`` is the index in ``order`` of the class of
-    ``carrier[i]``, and ``witness`` is the transitively closed lifted
-    relation on the carrier that induced the quotient.  The neighbourhood
-    collapse, which is read only for its classes, carries None.  ``decode``
-    labels the codes of ``order``; ``result`` is ``order`` over labels,
-    sharing its rows, built on first use.  Two results are equal only if
-    they are one object.
+    ``order`` is the lifted poset over the codes of canonical class
+    representatives, and ``e[c]`` is the index in ``order`` of the class
+    of code ``c`` of the unordered carrier ``T(VX)`` (a code is its
+    position there).  ``decode`` labels the codes of ``order``; ``result``
+    is ``order`` over labels, sharing its rows, built on first use.  Two
+    results are equal only if they are one object.
     """
 
-    __slots__ = ("order", "e", "carrier", "witness", "decode", "_result")
+    __slots__ = ("order", "e", "decode", "_result")
 
-    def __init__(self, order: FinPoset, e: tuple, carrier: Sequence,
-                 witness: Preorder | None, decode: Callable):
+    def __init__(self, order: FinPoset, e: tuple, decode: Callable):
         self.order = order
         self.e = e
-        self.carrier = carrier
-        self.witness = witness
         self.decode = decode
         self._result = None
 
@@ -59,14 +56,14 @@ def posetify_generic(t: SetFunctor, x: FinPoset) -> Posetification:
     r = lift_relation_generic(t, x)
     closed = transitive_closure(r)
     poset, projection = poset_quotient(closed)
-    return Posetification(poset, projection, closed.carrier, closed, t.decode(x.elements))
+    return Posetification(poset, projection, t.decode(x.elements))
 
 
 # --------------------------------------------------------------- powerset
 
 def count_convex_powerset(n: int) -> None:
     """Refuse the convex powerset over ``n`` elements before building it:
-    its witness relates every pair of subsets."""
+    it reads the Egli-Milner rows, which relate every pair of subsets."""
     check_enum_budget(pow_functor().size_estimate(n) ** 2, "convex powerset")
 
 
@@ -75,8 +72,6 @@ def posetify_powerset(x: FinPoset) -> Posetification:
     upper-and-lower-bound order, with convex closure as projection, all
     computed on subset masks."""
     count_convex_powerset(len(x))
-    t = pow_functor()
-    carrier = t.on_obj(x.elements)
     up, down = closures = subset_closures(x)
     rows = egli_milner_rows(x, closures)
     seen = {}  # convex mask -> class index, in first-seen order
@@ -88,16 +83,15 @@ def posetify_powerset(x: FinPoset) -> Posetification:
             if d in seen:
                 row |= 1 << seen[d]
         ups.append(row)
-    return Posetification(FinPoset(seen, tuple(ups)), e, carrier,
-                          Preorder(carrier, rows), t.decode(x.elements))
+    return Posetification(FinPoset(seen, tuple(ups)), e, pow_functor().decode(x.elements))
 
 
 # ------------------------------------------------- monotone neighbourhood
 
-def posetify_mnb(x: FinPoset) -> Posetification:
-    """Closed form for up-closed families via the direct comparison: every
-    member of the first family refines upward to one of the second, every
-    member of the second refines downward to one of the first.
+def mnb_comparison(x: FinPoset) -> Preorder:
+    """The direct comparison of up-closed families: every member of the
+    first family refines upward to one of the second, every member of the
+    second refines downward to one of the first.
 
     Computed a row at a time on family masks.  ``col[s]`` holds the
     families ``G`` with a member ``b`` such that ``up(b) <= up(s)``, and
@@ -105,16 +99,9 @@ def posetify_mnb(x: FinPoset) -> Posetification:
     AND of ``col[s]`` over its members ``s``, less every family that holds
     a subset ``d`` outside ``Psi(F)``, the subsets ``d`` with
     ``down(a) <= down(d)`` for some member ``a`` of ``F``.
-
-    No transitive closure step: the comparison formula is transitive as
-    given (asserted by the quotient's precondition).  Class representatives
-    are by least index; the canonical-form recipe that closes each family
-    downward merges classes that the order keeps distinct, so it is not
-    used.
     """
-    t = mnb_functor()
-    check_enum_budget(t.size_estimate(len(x)) ** 2, "up-closed family comparison")
-    fams = t.on_obj(x.elements)
+    check_enum_budget(mnb_size(len(x)) ** 2, "up-closed family comparison")
+    fams = _families(len(x))[0]
     up, down = subset_closures(x)
     subsets = range(len(up))
     has = [0] * len(up)
@@ -131,12 +118,19 @@ def posetify_mnb(x: FinPoset) -> Posetification:
         outside = every_subset & ~reduce(or_, map(psi.__getitem__, members), 0)
         succ.append(reduce(and_, map(col.__getitem__, members), every_family)
                     & ~reduce(or_, map(has.__getitem__, bits(outside)), 0))
-    pre = Preorder(fams, tuple(succ))
+    return Preorder(range(len(fams)), tuple(succ))
+
+
+def posetify_mnb(x: FinPoset) -> Posetification:
+    """Closed form for up-closed families: the quotient of their direct
+    comparison, transitive as given (the quotient's precondition asserts
+    it).  Classes are represented by least index: closing each family
+    downward instead would merge classes that the order keeps distinct."""
     try:  # the quotient checks transitivity
-        poset, projection = poset_quotient(pre)
+        poset, projection = poset_quotient(mnb_comparison(x))
     except InputError as exc:
         raise AssertionError("family comparison should be transitive as given") from exc
-    return Posetification(poset, projection, fams, pre, t.decode(x.elements))
+    return Posetification(poset, projection, mnb_functor().decode(x.elements))
 
 
 # ----------------------------------------------------------- neighbourhood
@@ -151,9 +145,7 @@ def posetify_nb(x: FinPoset) -> Posetification:
     check_enum_budget(nb.size_estimate(len(comps)), "neighbourhood families on components")
     check_enum_budget(nb.size_estimate(len(x)), "neighbourhood families on the carrier")
     result = FinPoset.discrete(nb.on_obj(comps))
-    carrier = nb.on_obj(x.elements)
-    e = tuple(map(nb.on_mor(comp, len(comps)), carrier))
-    return Posetification(result, e, carrier, None, nb.decode(comps))
+    return Posetification(result, tuple(nb.on_mor(comp, len(comps))), nb.decode(comps))
 
 
 # ------------------------------------------------------- analytic functors
@@ -169,8 +161,7 @@ def posetify_analytic(t: SetFunctor, x: FinPoset) -> Posetification:
     except InputError as exc:
         raise AssertionError(
             f"{t.name}: lifted relation is not already a partial order") from exc
-    return Posetification(order, tuple(range(len(r.carrier))),
-                          r.carrier, r, t.decode(x.elements))
+    return Posetification(order, tuple(r.carrier), t.decode(x.elements))
 
 
 # ------------------------------------------------------------ dispatching
@@ -216,8 +207,8 @@ def cross_check(t: SetFunctor, x: FinPoset) -> CrossCheck:
     phi = [-1] * len(gen.order)  # generic class index -> closed class index
     for i, (src, dst) in enumerate(zip(gen.e, clo.e)):
         if phi[src] not in (-1, dst):
-            return CrossCheck(False, f"projections disagree at "
-                              f"{gen.decode(gen.carrier[i])!r}", gen, clo)
+            return CrossCheck(False, f"projections disagree at {gen.decode(i)!r}",
+                              gen, clo)
         phi[src] = dst
     if len(set(phi)) != len(phi) or len(phi) != len(clo.order):
         return CrossCheck(False, "class counts differ", gen, clo)

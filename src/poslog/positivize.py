@@ -20,7 +20,7 @@ from .algebra import (BAHom, FinBoolAlg, FinDistLattice, LatticeHom,
                       ba_inserter, boolean_as_lattice, comparison_homs, free_ba,
                       free_ba_generator, free_ba_map, g_of_hom, kernel_K, up_algebra)
 from .errors import InputError, check_enum_budget
-from .functors import SetFunctor, parse_functor
+from .functors import SetFunctor, carrier_labels, parse_functor
 from .order import FinPoset, _close_rows
 from .posetify import closed_form
 
@@ -56,43 +56,37 @@ def semantic_l(t: SetFunctor) -> BAFunctor:
     modal logic in its finite semantic form.  Dual to posetification, the
     lifting at ``Up(X)`` is ``Up(T'(X))``: that is the closed form.
 
-    The codes and the algebra of the last two atom sets are kept, so that
-    one ``positivize`` call, which meets the ambient atom set and that of
-    the ordered double, builds and decodes each once.  Every call counts
-    the codes, so a build kept from a larger budget is refused under a
-    smaller one.  The closed form compares orders only, so it keeps the
+    The algebras of the last two atom sets are kept, and every call first
+    counts the codes of each atom set it meets, so an algebra kept from a
+    larger budget is refused under a smaller one.  Codes are atom
+    positions, so ``T`` of the dual atom map is the dual of the lifted hom
+    as it stands.  The closed form compares orders only, so it keeps the
     posetification's order over codes and decodes no label."""
 
-    build = lru_cache(maxsize=2)(t.on_obj)
-
-    def codes(atoms: tuple):
-        check_enum_budget(t.size_estimate(len(atoms)), f"{t.name} on an atom set")
-        return build(atoms)
+    def count(atoms: tuple) -> int:
+        check_enum_budget(size := t.size_estimate(len(atoms)), f"{t.name} on an atom set")
+        return size
 
     @lru_cache(maxsize=2)
     def algebra(atoms: tuple) -> FinBoolAlg:
-        return FinBoolAlg(atoms=tuple(map(t.decode(atoms), codes(atoms))))
+        return FinBoolAlg(atoms=carrier_labels(t, atoms))
 
     def on_obj(b: FinBoolAlg) -> FinBoolAlg:
-        codes(b.atoms)  # counts them, though the algebra may be kept
+        count(b.atoms)  # though the algebra may be kept
         return algebra(b.atoms)
 
     def on_mor(h: BAHom) -> BAHom:
         src, dst = h.source.atoms, h.target.atoms
-        act = t.on_mor(h.dual, len(src))  # T of the dual atom map
-        source_codes = codes(src)
-        source, target = algebra(src), algebra(dst)
-        image = map(act, codes(dst))
-        if not isinstance(source_codes, range):  # codes that are not positions
-            image = map({c: k for k, c in enumerate(source_codes)}.__getitem__, image)
-        return BAHom(source, target, tuple(image))
+        count(src)
+        count(dst)
+        return BAHom(algebra(src), algebra(dst), tuple(t.on_mor(h.dual, len(src))))
 
     def modal(clause):
         return None if clause is None else (lambda b, x: clause(len(b.atoms), x))
 
     return BAFunctor(f"semantic:{t.name}", on_obj, on_mor,
                      lambda a: up_algebra(closed_form(t, a.spectrum).order),
-                     lambda b: len(codes(b.atoms)), modal(t.diamond), modal(t.box))
+                     lambda b: count(b.atoms), modal(t.diamond), modal(t.box))
 
 
 def free_l() -> BAFunctor:

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 from .algebra import up_algebra
 from .errors import InputError, check_enum_budget, current_budget
 from .functors import carrier_labels, pow_functor
-from .order import FinPoset, Value, bits
+from .order import FinPoset, Value, bits, egli_milner_rows
 from .posetify import Posetification, count_convex_powerset, posetify_powerset
 from .positivize import Positivication, parse_syntax, positivize
 
@@ -314,12 +314,12 @@ class DeltaPrime:
 
 def delta_prime(t, delta_factory, x: FinPoset, pos: Posetification,
                 lifted: Positivication) -> DeltaPrime:
+    """The lifted component from ``lifted`` to the up-sets of ``pos``, the
+    convex powerset lifting of ``x``, saturating against Egli-Milner rows."""
     dp = delta_factory(x.elements)
     if tuple(lifted.ambient.atoms) != carrier_labels(t, x.elements):
         raise AssertionError("ambient algebra does not match the component domain")
-    if pos.witness is None:
-        raise InputError("lifting carries no witness relation to saturate against")
-    succ, e, order = pos.witness.succ, pos.e, pos.order
+    succ, e, order = egli_milner_rows(x), pos.e, pos.order
 
     def image(member: int) -> int:
         ms = dp.apply(member)  # powerset codes are carrier indices

@@ -208,7 +208,7 @@ class TestFamilyTranslation:
             e = nbhd_to_free(xs, code)
             seen.add(e)
             assert hom.source.labels(e) == fam
-            assert nbhd_to_free(ys, act(code)) == hom.apply(e)
+            assert nbhd_to_free(ys, act[code]) == hom.apply(e)
         assert len(seen) == 16
 
 

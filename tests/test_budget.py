@@ -14,8 +14,9 @@ from poslog import verify
 from poslog.algebra import BAHom, FinBoolAlg, up_algebra
 from poslog.cli import main
 from poslog.errors import BudgetExceeded, DEFAULT_MAX_ENUM, budget, current_budget
-from poslog.functors import pow_functor
+from poslog.functors import HUGE, pow_functor
 from poslog.order import FinPoset
+from poslog.posetify import posetify_nb
 from poslog.positivize import free_l, parse_syntax, semantic_l
 from poslog.semantics import (Coalgebra, delta_pow, delta_prime, interpret_positive,
                               parse_formula, positive_context)
@@ -36,6 +37,18 @@ def test_nested_blocks_restore_the_outer_budget_also_after_a_refusal():
             assert current_budget() == 50
         assert current_budget() == 100
     assert current_budget() == outer
+
+
+def test_the_budget_is_at_most_the_largest_length():
+    """Past ``sys.maxsize`` nothing can be built, and ``functors.HUGE``
+    stands for sizes too large to count: it is refused under every cap."""
+    nine = FinPoset.discrete(tuple("abcdefghi"))
+    with budget(max_enum=2 ** 401):
+        assert current_budget() == sys.maxsize
+        with pytest.raises(BudgetExceeded) as refused:
+            posetify_nb(nine)
+    assert (refused.value.stage, refused.value.requested, refused.value.cap) == \
+        ("neighbourhood families on components", HUGE, sys.maxsize)
 
 
 def test_a_thread_starts_from_the_default_budget():

@@ -288,7 +288,14 @@ class TestCli:
         # 36,361,101 multisets, refused before any is built
         (600, ("posetify", "--functor", "bag:3", "--method", "closed", "--poset"),
          "multiset order lifting"),
-    ], ids=["pow-63", "interpret-70", "poly-arity-20", "bag3-600"])
+        # 3^(10^8) argument tuples: counted as HUGE, not raised to the power
+        (3, ("posetify", "--functor", "poly:sigma=f:100000000:1", "--method", "closed",
+             "--poset"), "polynomial order lifting"),
+        # 2^20000 subsets: the input's closure skips each pivot that reaches only itself
+        (20000, ("posetify", "--functor", "pow", "--method", "closed", "--poset"),
+         "convex powerset"),
+    ], ids=["pow-63", "interpret-70", "poly-arity-20", "bag3-600", "poly-arity-1e8",
+            "pow-20000"])
     def test_a_closed_form_over_the_budget_is_refused_without_a_traceback(
             self, tmp_path, n, argv, stage):
         """The closed forms count their carrier from the functor's size
@@ -742,6 +749,16 @@ class TestCli:
         rc, out, err = run_main(*argv, "--max-enum", value)
         assert rc == 3 and out == ""
         assert "argument --max-enum: must be positive" in err
+
+    @pytest.mark.parametrize("value", [str(sys.maxsize + 1), str(2 ** 401)])
+    def test_budget_above_the_largest_length_exit_three(self, files, value):
+        """A cap above ``sys.maxsize`` would admit ``functors.HUGE``, the
+        placeholder for a size too large to count, and sizes ``len()``
+        cannot take."""
+        rc, out, err = run_main("posetify", "--functor", "nb", "--method", "closed",
+                                "--max-enum", value, "--poset", str(files / "chain2.json"))
+        assert rc == 3 and out == ""
+        assert f"argument --max-enum: must be at most {sys.maxsize}\n" in err
 
     def test_a_refusal_names_the_flag_that_raises_its_cap(self, files):
         rc, out, err = run_main("posetify", "--functor", "pow", "--max-enum", "3",

@@ -21,7 +21,7 @@ from poslog.io import format_label, json_text
 from poslog.order import (FinPoset, MonotoneMap, Preorder, _close_rows, bits,
                           enumerate_poset_types, enumerate_posets, poset_isomorphism,
                           poset_quotient, transitive_closure)
-from poslog.posetify import cross_check, posetify_mnb, posetify_powerset
+from poslog.posetify import cross_check, mnb_comparison, posetify_powerset
 from poslog.positivize import positivize, semantic_l
 from poslog.semantics import (BOT, TOP, Coalgebra, DeltaPrime, box, conj, delta_pow, dia,
                               disj, interpret_positive, var)
@@ -192,14 +192,14 @@ def family_rows_pairwise(x):
 @pytest.mark.parametrize("n", range(5))
 def test_family_rows_match_the_pairwise_comparison_on_every_type(n):
     for x in enumerate_poset_types(LABELS[:n]):
-        assert posetify_mnb(x).witness.succ == family_rows_pairwise(x)
+        assert mnb_comparison(x).succ == family_rows_pairwise(x)
 
 
 @settings(checked, max_examples=20)
 @given(posets(max_size=4))
 def test_family_rows_match_the_pairwise_comparison(drawn):
     x, _ = drawn
-    assert posetify_mnb(x).witness.succ == family_rows_pairwise(x)
+    assert mnb_comparison(x).succ == family_rows_pairwise(x)
 
 
 SIGNATURE = (("c", 0, ("u", "v")), ("g", 1, ("k",)), ("f", 2, ("k", "l")),
@@ -297,7 +297,7 @@ def test_coded_functor_decodes_to_the_label_formula(t, labels, image, max_size, 
     act, label, label_dst = t.on_mor(f, len(dst)), t.decode(src), t.decode(dst)
     on_labels = dict(zip(src, map(dst.__getitem__, f)))  # src[j] to dst[f[j]]
     for code in t.on_obj(src):
-        assert label_dst(act(code)) == image(on_labels, dst, label(code))
+        assert label_dst(act[code]) == image(on_labels, dst, label(code))
 
 
 # every functor with the largest set its laws are drawn on: a neighbourhood
@@ -321,8 +321,7 @@ def multisets_by_tuples(n, d):
 def test_multiset_action_matches_sorting_the_images(drawn, d):
     (src, dst), (f,) = drawn
     position = {c: k for k, c in enumerate(multisets_by_tuples(len(dst), d))}
-    act = multiset_functor(d).on_mor(f, len(dst))
-    assert [act(k) for k in multiset_functor(d).on_obj(src)] == \
+    assert multiset_functor(d).on_mor(f, len(dst)) == \
         [position[tuple(sorted(f[i] for i in c))] for c in multisets_by_tuples(len(src), d)]
 
 
@@ -347,8 +346,9 @@ def test_family_action_matches_the_union_of_principal_families(drawn):
                  for a in range(1 << len(dst))]
     image = [reduce(or_, (1 << f[j] for j in bits(a)), 0) for a in range(1 << len(src))]
     act = mnb_functor().on_mor(f, len(dst))
-    for fam in mnb_functor().on_obj(src):
-        assert act(fam) == reduce(or_, (principal[image[a]] for a in bits(fam)), 0)
+    families = _families(len(dst))[0]  # the mask of the family at each code
+    for code, fam in enumerate(_families(len(src))[0]):
+        assert families[act[code]] == reduce(or_, (principal[image[a]] for a in bits(fam)), 0)
 
 
 @pytest.mark.parametrize("t, max_size", [pytest.param(*c, id=c[0].name) for c in LAWFUL])
@@ -356,8 +356,7 @@ def test_family_action_matches_the_union_of_principal_families(drawn):
 @given(data=st.data())
 def test_coded_functor_preserves_identity(t, max_size, data):
     xs = LABELS[:data.draw(st.integers(0, max_size))]
-    act = t.on_mor(range(len(xs)), len(xs))
-    assert [act(c) for c in t.on_obj(xs)] == list(t.on_obj(xs))
+    assert t.on_mor(range(len(xs)), len(xs)) == list(t.on_obj(xs))
 
 
 @pytest.mark.parametrize("t, max_size", [pytest.param(*c, id=c[0].name) for c in LAWFUL])
@@ -365,9 +364,22 @@ def test_coded_functor_preserves_identity(t, max_size, data):
 @given(data=st.data())
 def test_coded_functor_preserves_composition(t, max_size, data):
     (xs, ys, zs), (f, g) = data.draw(maps(count=2, max_size=max_size))
-    gf = t.on_mor(tuple(g[i] for i in f), len(zs))
     tf, tg = t.on_mor(f, len(ys)), t.on_mor(g, len(zs))
-    assert [gf(c) for c in t.on_obj(xs)] == [tg(tf(c)) for c in t.on_obj(xs)]
+    assert t.on_mor(tuple(g[i] for i in f), len(zs)) == [tg[c] for c in tf]
+
+
+@pytest.mark.parametrize("t, max_size", [pytest.param(*c, id=c[0].name) for c in LAWFUL])
+@settings(checked, max_examples=30)
+@given(data=st.data())
+def test_codes_are_carrier_positions(t, max_size, data):
+    """Each carrier is a range of codes, and each action is a table with
+    an entry in the target's range for every code of the source."""
+    (xs, ys), (f,) = data.draw(maps(max_size=max_size))
+    src, dst = t.on_obj(xs), t.on_obj(ys)
+    assert type(src) is range and type(dst) is range
+    assert src == range(len(src)) and dst == range(len(dst))
+    act = t.on_mor(f, len(ys))
+    assert len(act) == len(src) and all(c in dst for c in act)
 
 
 @checked

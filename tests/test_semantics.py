@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from poslog import semantics
 from poslog.errors import InputError
 from poslog.functors import nb_functor, pow_functor, powerset
-from poslog.order import FinPoset, bits
+from poslog.order import FinPoset, bits, egli_milner_rows
 from poslog.posetify import posetify_powerset
 from poslog.semantics import (BOT, TOP, Coalgebra, box, check_positive_coalgebra,
                               conj, delta_pow, delta_prime, dia, disj, interpret_boolean,
@@ -94,9 +94,9 @@ class TestCoalgebra:
 def convex_powerset_check(c):
     """The coalgebra check as it read on the convex powerset: every
     successor set a code of the lifted order, every comparable pair of
-    states related by the witness relation on all subsets."""
-    pos = posetify_powerset(c.carrier)
-    convex, lifted, x = set(pos.order.elements), pos.witness.succ, c.carrier
+    states related by the Egli-Milner order on all subsets."""
+    x = c.carrier
+    convex, lifted = set(posetify_powerset(x).order.elements), egli_milner_rows(x)
     for i, s in enumerate(c.succ):
         if s not in convex:
             raise InputError(f"successor set of {x.elements[i]!r} is not convex")

@@ -123,8 +123,7 @@ ANALYTIC_DEFECTS = {
     "symmetric-pair": ("lift_relation_generic", symmetric_pair,
                        "bag:3 lifting not antisymmetric on ('a',)"),
     "merged-classes": ("posetify_generic",
-                       lambda pos: Posetification(pos.order, (0,) * len(pos.e), pos.carrier,
-                                                  pos.witness, pos.decode),
+                       lambda pos: Posetification(pos.order, (0,) * len(pos.e), pos.decode),
                        "bag:3 quotient is not the identity on ('a',)"),
 }
 
